@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "hamlet/common/rng.h"
@@ -254,6 +255,20 @@ Status Mlp::Fit(const DataView& train) {
       }
     }
   }
+  // The Adam moments are training-only state: free them so the fitted
+  // model holds exactly the inference state LoadBody builds.
+  auto release = [](auto& v) { std::decay_t<decltype(v)>().swap(v); };
+  release(col_m_);
+  release(col_v_);
+  release(m_b1_);
+  release(v_b1_);
+  for (DenseLayer& layer : layers_) {
+    release(layer.mw);
+    release(layer.vw);
+    release(layer.mb);
+    release(layer.vb);
+  }
+  adam_t_ = 0;
   fitted_ = true;
   RecordTrainDomains(train);
   return Status::OK();
@@ -335,7 +350,7 @@ Result<std::unique_ptr<Mlp>> Mlp::LoadBody(
         "corrupt model: mlp output layer is not a single unit");
   }
   // Restore the architecture knob so config introspection matches; all
-  // Adam state belongs to training and stays empty until a refit.
+  // Adam state belongs to training and stays empty, as after Fit.
   model->config_.hidden_sizes.assign(1, model->h1_);
   for (size_t l = 0; l + 1 < model->layers_.size(); ++l) {
     model->config_.hidden_sizes.push_back(model->layers_[l].out);

@@ -46,7 +46,8 @@ class Mlp : public Classifier {
 
   ModelFamily family() const override { return ModelFamily::kMlp; }
   /// Serializes the inference state only (first-layer columns, biases,
-  /// dense layers); Adam moments are training state and zero-fill on load.
+  /// dense layers); Adam moments are training state, freed when Fit
+  /// returns and never saved.
   Status SaveBody(io::ModelWriter& writer) const override;
   static Result<std::unique_ptr<Mlp>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
@@ -59,7 +60,7 @@ class Mlp : public Classifier {
     size_t in = 0, out = 0;
     std::vector<double> w;  // out x in, row-major
     std::vector<double> b;
-    // Adam state.
+    // Adam state; empty outside Fit.
     std::vector<double> mw, vw, mb, vb;
   };
 
@@ -74,7 +75,7 @@ class Mlp : public Classifier {
   // First layer stored column-major over one-hot units for sparse access:
   // col_w_[u] is the h1-sized column for unit u.
   std::vector<std::vector<double>> col_w_;
-  std::vector<std::vector<double>> col_m_, col_v_;  // Adam state per column
+  std::vector<std::vector<double>> col_m_, col_v_;  // Adam state, Fit only
   std::vector<double> b1_, m_b1_, v_b1_;
   std::vector<DenseLayer> layers_;  // hidden2..output
   size_t h1_ = 0;

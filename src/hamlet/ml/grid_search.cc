@@ -1,6 +1,8 @@
 #include "hamlet/ml/grid_search.h"
 
+#include "hamlet/common/mutex.h"
 #include "hamlet/common/parallel.h"
+#include "hamlet/common/thread_annotations.h"
 #include "hamlet/ml/metrics.h"
 
 namespace hamlet {
@@ -43,16 +45,18 @@ Result<GridSearchResult> GridSearch(const ModelFactory& factory,
   }
   const std::vector<ParamMap> points = grid.Enumerate();
 
-  // Every grid point fits and scores independently on the pool; the winner
-  // is selected afterwards in enumeration order, so the outcome is
-  // bit-identical at any thread count (ties go to the lowest index).
-  // Workers keep only the score — holding all fitted models alive at once
-  // would multiply peak memory by the grid size — except for single-point
-  // grids, where keeping the model skips a pointless refit. Multi-point
-  // grids pay one extra deterministic fit of the winning point instead.
-  const bool keep_model = points.size() == 1;
-  std::vector<double> val_accuracy(points.size(), -1.0);
-  std::unique_ptr<Classifier> only_model;
+  // Every grid point fits and scores independently on the pool and offers
+  // its model to a running best: higher validation accuracy wins, and on a
+  // tie the lower enumeration index wins. That order is total, so the
+  // winner is the one a serial scan would pick, bit-identical at any
+  // thread count, and it is returned as fitted — no refit. At most one
+  // model per worker plus the running best are alive at once.
+  struct RunningBest {
+    Mutex mu;
+    double accuracy HAMLET_GUARDED_BY(mu) = -1.0;
+    size_t index HAMLET_GUARDED_BY(mu) = 0;
+    std::unique_ptr<Classifier> model HAMLET_GUARDED_BY(mu);
+  } best;
   Status fit_status = parallel::ParallelForStatus(
       points.size(), [&](size_t i) -> Status {
         std::unique_ptr<Classifier> model = factory(points[i]);
@@ -60,35 +64,27 @@ Result<GridSearchResult> GridSearch(const ModelFactory& factory,
           return Status::Internal("model factory returned null");
         }
         HAMLET_RETURN_IF_ERROR(model->Fit(train));
-        val_accuracy[i] = val.num_rows() > 0 ? Accuracy(*model, val) : 0.0;
-        if (keep_model) only_model = std::move(model);
+        const double accuracy =
+            val.num_rows() > 0 ? Accuracy(*model, val) : 0.0;
+        MutexLock lock(best.mu);
+        if (accuracy > best.accuracy ||
+            (accuracy == best.accuracy && i < best.index)) {
+          best.accuracy = accuracy;
+          best.index = i;
+          best.model.swap(model);
+        }
+        // `model` now holds the loser; it is freed after `lock` releases.
         return Status::OK();
       });
   if (!fit_status.ok()) return fit_status;
 
   GridSearchResult result;
-  result.best_val_accuracy = -1.0;
   result.configurations_tried = points.size();
-  size_t best_index = points.size();
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (val_accuracy[i] > result.best_val_accuracy) {
-      result.best_val_accuracy = val_accuracy[i];
-      best_index = i;
-    }
-  }
-  if (best_index == points.size()) return result;  // empty axis, no points
-  result.best_params = points[best_index];
-  if (keep_model) {
-    result.best_model = std::move(only_model);
-  } else {
-    // Refitting the winner on the same training view is deterministic, so
-    // this reproduces the exact model the worker scored.
-    result.best_model = factory(points[best_index]);
-    if (result.best_model == nullptr) {
-      return Status::Internal("model factory returned null");
-    }
-    HAMLET_RETURN_IF_ERROR(result.best_model->Fit(train));
-  }
+  MutexLock lock(best.mu);
+  result.best_val_accuracy = best.accuracy;
+  if (best.model == nullptr) return result;  // empty axis, no points
+  result.best_params = points[best.index];
+  result.best_model = std::move(best.model);
   return result;
 }
 

@@ -1,8 +1,8 @@
 // Validation-set grid search over hyper-parameters (paper §3.2).
 //
 // Every model family in the study is tuned by exhaustive grid search on the
-// 25% validation split; the winning configuration is refit on the training
-// split and evaluated on the holdout.
+// 25% validation split. Each configuration is fit once on the training
+// split; the winning fit itself is returned and evaluated on the holdout.
 
 #ifndef HAMLET_ML_GRID_SEARCH_H_
 #define HAMLET_ML_GRID_SEARCH_H_
@@ -49,7 +49,7 @@ using ModelFactory =
 struct GridSearchResult {
   ParamMap best_params;
   double best_val_accuracy = 0.0;
-  std::unique_ptr<Classifier> best_model;  // fit on the training view
+  std::unique_ptr<Classifier> best_model;  // the winning fit itself
   size_t configurations_tried = 0;
 };
 
@@ -57,7 +57,9 @@ struct GridSearchResult {
 /// best (ties: first in enumeration order, keeping results deterministic).
 /// Grid points fit and score concurrently on the parallel pool
 /// (HAMLET_THREADS); the winner and any error (lowest-index failure) are
-/// bit-identical at every thread count.
+/// bit-identical at every thread count. The factory is called exactly once
+/// per point, and at most one model per pool worker plus the running best
+/// are alive at once.
 Result<GridSearchResult> GridSearch(const ModelFactory& factory,
                                     const ParamGrid& grid,
                                     const DataView& train,

@@ -178,14 +178,19 @@ float KernelCache::At(size_t i, size_t j) const {
   // While restricted, only restricted indices may be probed (a partial
   // resident row holds valid entries exactly at the restriction).
   assert(InRestriction(i) && InRestriction(j));
-  const int32_t si = slot_of_row_[i];
-  if (si >= 0 && SlotUsable(si)) return slots_[static_cast<size_t>(si)][j];
-  const int32_t sj = slot_of_row_[j];
-  if (sj >= 0 && SlotUsable(sj)) return slots_[static_cast<size_t>(sj)][i];
+  if (const float* row_i = PeekRow(i)) return row_i[j];
+  if (const float* row_j = PeekRow(j)) return row_j[i];
   ++packed_evals_;
   packed_words_ += packed_.layout().words_per_row;
   return static_cast<float>(PackedKernelEval(
       kernel_, backend_, packed_.layout(), packed_.row(i), packed_.row(j)));
+}
+
+const float* KernelCache::PeekRow(size_t i) const {
+  assert(i < matrix_.num_rows());
+  const int32_t slot = slot_of_row_[i];
+  if (slot < 0 || !SlotUsable(slot)) return nullptr;
+  return slots_[static_cast<size_t>(slot)].data();
 }
 
 const float* KernelCache::Row(size_t i) {

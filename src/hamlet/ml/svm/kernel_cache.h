@@ -88,6 +88,11 @@ class KernelCache : public KernelRowSource {
   /// row and never counts as a hit or miss.
   float At(size_t i, size_t j) const override;
 
+  /// Row i's slot when it is resident and usable (computed full, or in
+  /// the current restriction era), else nullptr. Never computes, evicts
+  /// or reorders rows and never counts as a hit or miss.
+  const float* PeekRow(size_t i) const override;
+
   /// The per-fit diagonal K(x_t, x_t) (libsvm's QD), computed once in
   /// the constructor; WSS2 reads eta candidates straight from it.
   const float* Diag() const override { return diag_.data(); }

@@ -127,16 +127,15 @@ size_t SelectWss2J(const float* row_i, const float* diag,
   size_t best = std::numeric_limits<size_t>::max();
   for (size_t k = 0; k < active_count; ++k) {
     const size_t t = static_cast<size_t>(active[k]);
-    const bool in_low = (y[t] > 0 && alpha[t] > 0.0) ||
-                        (y[t] < 0 && alpha[t] < C);
-    if (!in_low) continue;
     const double diff = up_best + error[t];  // up_best - (-error_t)
-    if (diff <= 0.0) continue;
     double eta = kii + static_cast<double>(diag[t]) -
                  2.0 * static_cast<double>(row_i[t]);
     if (eta < kTau) eta = kTau;
     const double gain = diff * diff / eta;
-    if (gain > best_gain) {
+    // The gain test goes first: it rarely passes once a strong candidate
+    // is found, so the data-dependent candidacy tests are mostly skipped.
+    if (gain > best_gain && diff > 0.0 &&
+        ((y[t] > 0 && alpha[t] > 0.0) || (y[t] < 0 && alpha[t] < C))) {
       best_gain = gain;
       best = t;
     }
@@ -145,6 +144,42 @@ size_t SelectWss2J(const float* row_i, const float* diag,
 }
 
 namespace {
+
+/// The feasible segment [lo, hi] of alpha_j for a pair step along the
+/// equality constraint; false when it is empty or a single point.
+inline bool PairBox(double yi, double yj, double ai_old, double aj_old,
+                    double C, double& lo, double& hi) {
+  if (yi != yj) {
+    lo = std::max(0.0, aj_old - ai_old);
+    hi = std::min(C, C + aj_old - ai_old);
+  } else {
+    lo = std::max(0.0, ai_old + aj_old - C);
+    hi = std::min(C, ai_old + aj_old);
+  }
+  return !(lo >= hi);
+}
+
+/// The analytic pair step (Platt) inside [lo, hi]: sets aj_new and returns
+/// true, or returns false when the step is below the no-progress
+/// threshold. Pure, so the fallback scan can probe partners with exactly
+/// the arithmetic a committed update performs.
+inline bool PairStep(double lo, double hi, double ai_old, double aj_old,
+                     double yi, double yj, double error_i, double error_j,
+                     double bias, double kii, double kjj, double kij,
+                     double& aj_new) {
+  const double eta = kii + kjj - 2.0 * kij;
+  if (eta > 1e-12) {
+    aj_new = aj_old + yj * (error_i - error_j) / eta;
+    aj_new = std::clamp(aj_new, lo, hi);
+  } else {
+    // Degenerate curvature (duplicate or near-duplicate rows): the pair
+    // objective is linear or concave along the constraint line, so
+    // evaluate it at both clipped ends and take the lower (Platt).
+    aj_new = DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj, error_i,
+                                  error_j, bias, kii, kjj, kij);
+  }
+  return !(std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12));
+}
 
 /// SMO state: alpha, the error cache (f(x_i) - y_i) and the active set.
 /// With shrinking off the active set is permanently [0, n) and every
@@ -195,11 +230,13 @@ struct Solver {
     for (size_t k = 0; k < active.size(); ++k) {
       const size_t t = static_cast<size_t>(active[k]);
       const double score = -error[t];
-      if (InUp(t) && score > up_best) {
+      // The score test goes first: it rarely passes once the extremes
+      // settle, so the data-dependent set tests are mostly skipped.
+      if (score > up_best && InUp(t)) {
         up_best = score;
         up_idx = t;
       }
-      if (InLow(t) && score < low_best) {
+      if (score < low_best && InLow(t)) {
         low_best = score;
         low_idx = t;
       }
@@ -251,35 +288,16 @@ struct Solver {
     const double yi = y[i], yj = y[j];
     const double ai_old = alpha[i], aj_old = alpha[j];
     double lo, hi;
-    if (yi != yj) {
-      lo = std::max(0.0, aj_old - ai_old);
-      hi = std::min(cfg.C, cfg.C + aj_old - ai_old);
-    } else {
-      lo = std::max(0.0, ai_old + aj_old - cfg.C);
-      hi = std::min(cfg.C, ai_old + aj_old);
-    }
-    if (lo >= hi) return false;
+    if (!PairBox(yi, yj, ai_old, aj_old, cfg.C, lo, hi)) return false;
 
     // Probe the three kernel entries the step-size computation needs as
     // single O(d) evaluations (bit-identical to the row entries) so a
-    // no-progress probe — a box-clipped pair here, or the stuck-pair
-    // fallback scan below — never pays for full row fetches.
+    // box-clipped pair never pays for full row fetches.
     const double kii = rows.At(i, i), kjj = rows.At(j, j),
                  kij = rows.At(i, j);
-    const double eta = kii + kjj - 2.0 * kij;
     double aj_new;
-    if (eta > 1e-12) {
-      aj_new = aj_old + yj * (error[i] - error[j]) / eta;
-      aj_new = std::clamp(aj_new, lo, hi);
-    } else {
-      // Degenerate curvature (duplicate or near-duplicate rows): the
-      // pair objective is linear or concave along the constraint line,
-      // so evaluate it at both clipped ends and take the lower (Platt).
-      aj_new = DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj,
-                                    error[i], error[j], bias, kii, kjj,
-                                    kij);
-    }
-    if (std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12)) {
+    if (!PairStep(lo, hi, ai_old, aj_old, yi, yj, error[i], error[j], bias,
+                  kii, kjj, kij, aj_new)) {
       return false;
     }
 
@@ -397,19 +415,66 @@ struct Solver {
     }
   }
 
-  /// The legacy rescue for a blocked maximal pair: try other partners
-  /// for each end over the active set before giving up.
+  /// The first active partner t (t != i, j) that can move with the pinned
+  /// end p — as UpdatePair(p, t) when kPinnedFirst, else as
+  /// UpdatePair(t, p) — or n when none can. Each probe runs UpdatePair's
+  /// own rejection tests (PairBox, PairStep) on the same values, but with
+  /// p's kernel row, label, alpha and error read once and nothing fetched,
+  /// counted or committed: a stuck iteration that probes every partner
+  /// costs O(active) loads instead of O(active) virtual kernel lookups.
+  template <bool kPinnedFirst>
+  [[gnu::noinline]] size_t FirstMovablePartner(size_t p, size_t i,
+                                               size_t j) const {
+    // Out of line and over raw locals, so the loop's operands stay in
+    // registers instead of spilling around the solver's main loop.
+    const float* row_p = rows.PeekRow(p);
+    const float* diag = rows.Diag();
+    const int8_t* ys = y.data();
+    const double* as = alpha.data();
+    const double* es = error.data();
+    const int32_t* act = active.data();
+    const size_t count = active.size();
+    const double C = cfg.C, b = bias;
+    const double yp = ys[p], ap = as[p], ep = es[p], kpp = diag[p];
+    for (size_t k = 0; k < count; ++k) {
+      const size_t t = static_cast<size_t>(act[k]);
+      if (t == i || t == j) continue;
+      const double yt = ys[t], at = as[t];
+      double lo, hi, aj_new;
+      if (kPinnedFirst) {
+        if (!PairBox(yp, yt, ap, at, C, lo, hi)) continue;
+        const double kpt = row_p != nullptr ? row_p[t] : rows.At(p, t);
+        if (PairStep(lo, hi, ap, at, yp, yt, ep, es[t], b, kpp, diag[t],
+                     kpt, aj_new)) {
+          return t;
+        }
+      } else {
+        if (!PairBox(yt, yp, at, ap, C, lo, hi)) continue;
+        const double ktp = row_p != nullptr ? row_p[t] : rows.At(t, p);
+        if (PairStep(lo, hi, at, ap, yt, yp, es[t], ep, b, diag[t], kpp,
+                     ktp, aj_new)) {
+          return t;
+        }
+      }
+    }
+    return n;
+  }
+
+  /// The rescue for a blocked maximal pair: the first partner, in active
+  /// order, that moves with i, else the first that moves with j. Only
+  /// that one update is committed.
   bool FallbackScan(size_t i, size_t j) {
-    bool progressed = false;
-    for (size_t k = 0; k < active.size() && !progressed; ++k) {
-      const size_t t = static_cast<size_t>(active[k]);
-      if (t != i && t != j) progressed = UpdatePair(i, t);
+    if (const size_t t = FirstMovablePartner<true>(i, i, j); t != n) {
+      const bool moved = UpdatePair(i, t);
+      assert(moved);
+      return moved;
     }
-    for (size_t k = 0; k < active.size() && !progressed; ++k) {
-      const size_t t = static_cast<size_t>(active[k]);
-      if (t != i && t != j) progressed = UpdatePair(t, j);
+    if (const size_t t = FirstMovablePartner<false>(j, i, j); t != n) {
+      const bool moved = UpdatePair(t, j);
+      assert(moved);
+      return moved;
     }
-    return progressed;
+    return false;
   }
 };
 

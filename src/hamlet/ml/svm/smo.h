@@ -130,11 +130,23 @@ class KernelRowSource {
   /// fetching (or evicting) whole rows and without touching the
   /// hit/miss counters. The solver probes kii/kjj/kij through this
   /// before committing to the two full-row fetches an update needs, so
-  /// no-progress probes (box-clipped pairs, the stuck-pair fallback
-  /// scan) stay O(d) instead of recomputing rows under a tight cache.
+  /// no-progress probes (box-clipped pairs, and stuck-pair fallback
+  /// probes whose pinned row is not resident) stay O(d) instead of
+  /// recomputing rows under a tight cache.
   /// While an active restriction is installed, both i and j must be
   /// restricted indices.
   virtual float At(size_t i, size_t j) const = 0;
+  /// Row i if it is resident and valid, else nullptr — without computing,
+  /// evicting or reordering anything and without touching the hit/miss
+  /// counters. A non-null row holds the same values Row(i) would return
+  /// (under an active restriction, at the restricted entries only) and
+  /// stays valid until the next Row() call. The stuck-pair fallback scan
+  /// reads its pinned end's kernel entries through this, falling back to
+  /// At() when it returns nullptr. Default: never resident.
+  virtual const float* PeekRow(size_t i) const {
+    (void)i;
+    return nullptr;
+  }
   /// The n diagonal entries K(x_t, x_t), bit-identical to Row(t)[t].
   /// Stable for the lifetime of the source; WSS2 reads eta candidates
   /// from here without fetching rows.
@@ -184,6 +196,9 @@ class FullGramRowSource : public KernelRowSource {
     return gram_.data() + i * n_;
   }
   float At(size_t i, size_t j) const override { return gram_[i * n_ + j]; }
+  const float* PeekRow(size_t i) const override {
+    return gram_.data() + i * n_;
+  }
   const float* Diag() const override { return diag_.data(); }
   size_t size() const override { return n_; }
   uint64_t hits() const override { return hits_; }

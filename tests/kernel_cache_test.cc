@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -201,6 +202,62 @@ TEST(KernelCacheTest, RestrictActiveComputesOnlyActiveColumns) {
   }
 }
 
+TEST(KernelCacheTest, PeekRowServesOnlyResidentValidRowsWithoutCounting) {
+  const SmoProblem p(19);
+  const CodeMatrix probe(p.train);
+  const size_t n = probe.num_rows();
+  ASSERT_GE(n, 6u);
+  const KernelConfig kc = AllKernels()[2];
+  const std::vector<float> gram =
+      ComputeGram(kc, probe.codes(), n, probe.num_features());
+  KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(2, n));
+  auto same_bits = [&](const float* row, size_t i) {
+    return std::memcmp(row, gram.data() + i * n, n * sizeof(float)) == 0;
+  };
+
+  EXPECT_EQ(cache.PeekRow(0), nullptr);  // never fetched
+  cache.Row(0);
+  cache.Row(1);
+  const uint64_t hits = cache.hits(), misses = cache.misses();
+  const float* peek0 = cache.PeekRow(0);
+  ASSERT_NE(peek0, nullptr);
+  EXPECT_TRUE(same_bits(peek0, 0));
+  EXPECT_EQ(peek0, cache.PeekRow(0));
+  EXPECT_EQ(cache.hits(), hits);  // peeks never count
+  EXPECT_EQ(cache.misses(), misses);
+
+  // Nor do they refresh recency: row 0 is still the LRU victim.
+  cache.Row(2);
+  EXPECT_FALSE(cache.Cached(0));
+  EXPECT_EQ(cache.PeekRow(0), nullptr);  // evicted
+  ASSERT_NE(cache.PeekRow(1), nullptr);
+  EXPECT_TRUE(same_bits(cache.PeekRow(1), 1));
+
+  // A partial row peeks like Row() within its restriction era (only the
+  // restricted entries are specified), and goes stale when the era ends.
+  std::vector<int32_t> evens;
+  for (size_t t = 0; t < n; t += 2) evens.push_back(static_cast<int32_t>(t));
+  cache.RestrictActive(evens.data(), evens.size());
+  const float* partial = cache.Row(4);
+  const float* peek4 = cache.PeekRow(4);
+  EXPECT_EQ(peek4, partial);
+  for (const int32_t t : evens) {
+    ASSERT_EQ(std::memcmp(&peek4[t], &gram[4 * n + static_cast<size_t>(t)],
+                          sizeof(float)),
+              0)
+        << t;
+  }
+  cache.ClearActiveRestriction();
+  EXPECT_TRUE(cache.Cached(4));
+  EXPECT_EQ(cache.PeekRow(4), nullptr);  // stale partial row
+  ASSERT_NE(cache.PeekRow(2), nullptr);  // full rows stay valid
+  EXPECT_TRUE(same_bits(cache.PeekRow(2), 2));
+
+  FullGramRowSource full(gram, n);
+  EXPECT_EQ(full.PeekRow(3), gram.data() + 3 * n);
+  EXPECT_EQ(full.hits(), 0u);
+}
+
 TEST(KernelCacheTest, ResetGlobalTotalsZeroes) {
   {
     const SmoProblem p(18);
@@ -336,6 +393,90 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   EXPECT_EQ(reused.value().alpha, baseline.value().alpha);  // bitwise
   EXPECT_EQ(reused.value().bias, baseline.value().bias);
   EXPECT_EQ(reused.value().iterations, baseline.value().iterations);
+}
+
+/// FNV-1a over the bit patterns of `values`.
+uint64_t BitsHash(const std::vector<double>& values) {
+  uint64_t h = 1469598103934665603ull;
+  for (const double v : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = (h ^ bits) * 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// A problem whose solve gets stuck: an alpha ends up a rounding error
+/// below C, the selected pair cannot move, and nearly every iteration
+/// goes through the fallback partner scan (both of its loops commit
+/// updates here) until the iteration budget runs out. The pins were
+/// recorded with the original scan, which sent every partner through a
+/// full UpdatePair probe; alpha, bias, iteration count and the number of
+/// row fetches must stay
+/// bit-identical for every row source, both cache extremes, and WSS2 and
+/// shrinking on and off.
+TEST(SmoStuckPairRegressionTest, FallbackRegimeMatchesPinnedSolution) {
+  const Dataset data =
+      test::MakeParityDataset(240, {6, 4, 2, 5, 3, 2, 4}, 4);
+  const test::ParityViews views = test::MakeParityViews(data, 5);
+  const CodeMatrix m(views.train);
+  const size_t n = m.num_rows();
+  std::vector<int8_t> y(n);
+  for (size_t i = 0; i < n; ++i) y[i] = m.label(i) == 1 ? 1 : -1;
+  const KernelConfig kc{KernelType::kRbf, 0.1, 2};
+  const std::vector<float> gram =
+      ComputeGram(kc, m.codes(), n, m.num_features());
+
+  struct Pin {
+    bool wss2, shrink;
+    uint64_t alpha_hash, bias_bits;
+    size_t iterations;
+    uint64_t fetches;
+  };
+  const Pin pins[] = {
+      {true, true, 0x96083e6762424be1ull, 0xbf7dac8a3aef465dull, 5000, 15143},
+      {true, false, 0x96083e6762424be1ull, 0xbf7dac8a3aef465dull, 5000, 15000},
+      {false, true, 0x6849e3239b97b6dfull, 0xbf80e1ce6fbab4ccull, 5000, 10143},
+      {false, false, 0x6849e3239b97b6dfull, 0xbf80e1ce6fbab4ccull, 5000, 10000},
+  };
+  test::ScopedEnvVar full_budget("HAMLET_SMO_CACHE_MB", "64");
+  for (const Pin& pin : pins) {
+    SmoConfig cfg;
+    cfg.C = 1.0;
+    cfg.max_iterations = 5000;
+    cfg.use_wss2 = pin.wss2 ? SmoToggle::kOn : SmoToggle::kOff;
+    cfg.use_shrinking = pin.shrink ? SmoToggle::kOn : SmoToggle::kOff;
+    KernelCache full_cache(CodeMatrix(views.train), kc, 0);
+    KernelCache one_row(CodeMatrix(views.train), kc, BytesForRows(1, n));
+    FullGramRowSource full_gram(gram, n);
+    ASSERT_EQ(full_cache.capacity_rows(), n);
+    ASSERT_EQ(one_row.capacity_rows(), 1u);
+    KernelRowSource* sources[] = {&full_cache, &one_row, &full_gram};
+    for (KernelRowSource* source : sources) {
+      const Result<SmoSolution> sol = SolveSmo(*source, y, cfg);
+      ASSERT_TRUE(sol.ok());
+      const SmoSolution& s = sol.value();
+      const std::string where = std::string("wss2=") +
+                                (pin.wss2 ? "on" : "off") + " shrink=" +
+                                (pin.shrink ? "on" : "off") + " source=" +
+                                std::to_string(source == &full_cache ? 0
+                                               : source == &one_row ? 1
+                                                                     : 2);
+      EXPECT_FALSE(s.converged) << where;
+      EXPECT_EQ(s.iterations, pin.iterations) << where;
+      EXPECT_EQ(BitsHash(s.alpha), pin.alpha_hash)
+          << where << " alpha hash 0x" << std::hex << BitsHash(s.alpha);
+      EXPECT_EQ(Bits(s.bias), pin.bias_bits)
+          << where << " bias bits 0x" << std::hex << Bits(s.bias);
+      EXPECT_EQ(s.cache_hits + s.cache_misses, pin.fetches) << where;
+    }
+  }
 }
 
 /// WSS2 + shrinking reach a different (usually much shorter) iterate

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hamlet/common/parallel.h"
@@ -17,6 +20,7 @@
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/split.h"
 #include "hamlet/data/view.h"
+#include "hamlet/io/serialize.h"
 #include "hamlet/ml/bias_variance.h"
 #include "hamlet/ml/grid_search.h"
 #include "hamlet/ml/metrics.h"
@@ -274,6 +278,129 @@ TEST(DeterminismTest, AccuracyIsIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(acc1, acc4);
   EXPECT_EQ(preds1, preds4);
+}
+
+// ------------------------------------------------- one fit per grid point --
+
+std::string SavedBytes(const ml::Classifier& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(io::SaveModel(model, out).ok());
+  return out.str();
+}
+
+/// GridSearch fits every point exactly once and returns the winning fit
+/// itself: the factory runs points.size() times, the winner is the first
+/// point (in enumeration order) with the best validation accuracy, and
+/// the returned model saves to the same bytes as a fresh fit there.
+TEST(GridSearchOnceTest, OneFitPerPointAndTheWinnerIsThatFit) {
+  const Dataset d = MakeNoisySignal(600, 42);
+  const TrainValTest split = SplitRows(d.num_rows(), 0.5, 0.25, 17);
+  const SplitViews views = MakeSplitViews(d, split, {0, 1});
+  ml::ParamGrid grid;
+  grid.Add("minsplit", {1, 5, 20, 80}).Add("cp", {0.0, 0.001, 0.01, 0.1});
+  const std::vector<ml::ParamMap> points = grid.Enumerate();
+  auto make_tree = [](const ml::ParamMap& p) {
+    ml::DecisionTreeConfig cfg;
+    cfg.minsplit = static_cast<size_t>(p.at("minsplit"));
+    cfg.cp = p.at("cp");
+    return std::make_unique<ml::DecisionTree>(cfg);
+  };
+
+  // Serial oracle: the first maximum in enumeration order.
+  size_t expected = 0;
+  double expected_acc = -1.0;
+  size_t at_max = 0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    auto tree = make_tree(points[i]);
+    ASSERT_TRUE(tree->Fit(views.train).ok());
+    const double acc = ml::Accuracy(*tree, views.val);
+    if (acc > expected_acc) {
+      expected_acc = acc;
+      expected = i;
+      at_max = 0;
+    }
+    at_max += acc == expected_acc;
+  }
+  ASSERT_GE(at_max, 2u) << "the grid must tie at its best accuracy";
+
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads env(threads);
+    std::atomic<size_t> calls{0};
+    Result<ml::GridSearchResult> r = ml::GridSearch(
+        [&](const ml::ParamMap& p) -> std::unique_ptr<ml::Classifier> {
+          calls.fetch_add(1);
+          return make_tree(p);
+        },
+        grid, views.train, views.val);
+    ASSERT_TRUE(r.ok()) << threads;
+    EXPECT_EQ(calls.load(), points.size()) << threads;
+    EXPECT_EQ(r.value().configurations_tried, points.size());
+    EXPECT_EQ(r.value().best_params, points[expected]) << threads;
+    EXPECT_EQ(r.value().best_val_accuracy, expected_acc) << threads;
+    auto fresh = make_tree(r.value().best_params);
+    ASSERT_TRUE(fresh->Fit(views.train).ok());
+    EXPECT_EQ(SavedBytes(*r.value().best_model), SavedBytes(*fresh))
+        << threads;
+  }
+}
+
+/// A model whose fit takes longer for lower grid indices, so concurrent
+/// fits finish in reverse order; every instance predicts the same and
+/// live instances are counted.
+class ReverseFinishModel : public ml::Classifier {
+ public:
+  static std::atomic<int> live;
+  static std::atomic<int> peak;
+
+  explicit ReverseFinishModel(double index) : index_(index) {
+    const int now = live.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~ReverseFinishModel() override { live.fetch_sub(1); }
+  Status Fit(const DataView&) override {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(2 * (8 - static_cast<int>(index_))));
+    return Status::OK();
+  }
+  uint8_t Predict(const DataView&, size_t) const override { return 1; }
+  std::string name() const override { return "reverse-finish"; }
+  double index() const { return index_; }
+
+ private:
+  double index_;
+};
+std::atomic<int> ReverseFinishModel::live{0};
+std::atomic<int> ReverseFinishModel::peak{0};
+
+/// Ties go to the lowest index even when it finishes last, and the
+/// running best keeps at most one model per pool thread plus the best
+/// alive; the losers are all freed by the time the search returns.
+TEST(GridSearchOnceTest, TiesGoToLowestIndexAndLosersAreFreed) {
+  const Dataset d = MakeNoisySignal(40, 3);
+  const DataView train(&d);
+  ml::ParamGrid grid;
+  grid.Add("index", {0, 1, 2, 3, 4, 5, 6, 7});
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads env(threads);
+    ReverseFinishModel::peak.store(0);
+    Result<ml::GridSearchResult> r = ml::GridSearch(
+        [](const ml::ParamMap& p) {
+          return std::make_unique<ReverseFinishModel>(p.at("index"));
+        },
+        grid, train, train);
+    ASSERT_TRUE(r.ok()) << threads;
+    EXPECT_EQ(r.value().best_params.at("index"), 0.0) << threads;
+    const auto& best =
+        static_cast<const ReverseFinishModel&>(*r.value().best_model);
+    EXPECT_EQ(best.index(), 0.0) << threads;
+    EXPECT_EQ(ReverseFinishModel::live.load(), 1) << threads;
+    EXPECT_LE(ReverseFinishModel::peak.load(),
+              static_cast<int>(ConfiguredThreads()) + 1)
+        << threads;
+  }
+  EXPECT_EQ(ReverseFinishModel::live.load(), 0);
 }
 
 }  // namespace
