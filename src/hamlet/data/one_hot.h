@@ -41,6 +41,17 @@ class OneHotMap {
     return offsets_[j] + code;
   }
 
+  /// UnitIndex with `code` clamped into feature j's own domain: a code
+  /// at or past the domain maps to the feature's last unit, never into
+  /// the next feature's range. Feature j's domain must be non-empty.
+  uint32_t ClampedUnitIndex(size_t j, uint32_t code) const {
+    const uint32_t end = j + 1 < offsets_.size()
+                             ? offsets_[j + 1]
+                             : static_cast<uint32_t>(dimension_);
+    const uint32_t last = end - offsets_[j] - 1;
+    return offsets_[j] + (code < last ? code : last);
+  }
+
   /// Fills `out` with the active unit index per feature for view-row i.
   /// `out` is resized to num_features(); the encoding has exactly one
   /// active unit per feature.

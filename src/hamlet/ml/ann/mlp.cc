@@ -1,19 +1,393 @@
 #include "hamlet/ml/ann/mlp.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
-#include <type_traits>
 #include <utility>
 
 #include "hamlet/common/rng.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/io/model_io.h"
+#include "hamlet/simd/simd.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HAMLET_MLP_X86_AVX2 1
+#endif
 
 namespace hamlet {
 namespace ml {
 
 namespace {
+
+// Bit-identity contract of the loops below. A vector V holds independent
+// elements (hidden units, rows of a block or parameters) and each V
+// operation is the scalar IEEE operation applied lane by lane, so every
+// element goes through exactly the operations of the plain
+// one-row-at-a-time algorithm, in its order: no loop splits one sum across
+// lanes or reassociates it, and nothing is fused (the AVX2 build enables
+// "avx2" only, never FMA; tools/hamlet_lint.py's fp-contract rule keeps
+// FMA and fast-math flags out of src/ and cmake/). The scalar remainder
+// loops compute the same expressions one element at a time. The kernels
+// are templates on the vector so each build uses its register width: V2
+// for the baseline ISA (SSE2 on x86-64, NEON on aarch64), V4 for AVX2.
+typedef double V2 __attribute__((vector_size(16)));
+typedef double V4 __attribute__((vector_size(32)));
+template <typename V>
+constexpr size_t kLanesOf = sizeof(V) / sizeof(double);
+// Vector accumulators an elementwise loop keeps in registers.
+constexpr size_t kTile = 4;
+// A dense register tile covers kOutTile outputs x two vectors of rows; a
+// forward block's rows are padded to a multiple of kRowPad, the widest
+// build's two vectors.
+constexpr size_t kOutTile = 4;
+constexpr size_t kRowPad = 2 * kLanesOf<V4>;
+
+#define HAMLET_MLP_INLINE inline __attribute__((always_inline))
+// Fully unrolls a loop over a register tile, so its accumulators stay in
+// registers instead of a stack array.
+#if defined(__clang__)
+#define HAMLET_MLP_UNROLL _Pragma("unroll")
+#else
+#define HAMLET_MLP_UNROLL _Pragma("GCC unroll 16")
+#endif
+
+// Vectors travel by reference: a 32-byte vector passed by value has a
+// different calling convention in the baseline and AVX2 builds.
+template <typename V>
+HAMLET_MLP_INLINE void Load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof(v));
+}
+template <typename V>
+HAMLET_MLP_INLINE void Store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof(v));
+}
+
+HAMLET_MLP_INLINE double Relu(double x) { return x > 0.0 ? x : 0.0; }
+
+/// v where gate > 0, else +0.0, lane by lane: ReLU when gate is v, and
+/// the ReLU derivative mask on a delta when gate is the post-ReLU
+/// activation (never NaN, so `gate > 0` is exactly `!(gate <= 0)`).
+template <typename V>
+HAMLET_MLP_INLINE void KeepWherePositive(V& v, const V& gate) {
+  const V zero = {};
+  using Mask = decltype(gate > zero);
+  v = (V)((Mask)v & (gate > zero));
+}
+
+/// One row's first hidden layer: h = ReLU(b1 + sum of the active units'
+/// columns), summed in unit order.
+template <typename V>
+HAMLET_MLP_INLINE void SparseForward(const double* b1, const double* cols,
+                                     const uint32_t* units, size_t n_units,
+                                     size_t h1, double* h) {
+  constexpr size_t kLanes = kLanesOf<V>;
+  size_t k = 0;
+  for (; k + kTile * kLanes <= h1; k += kTile * kLanes) {
+    V acc[kTile];
+    HAMLET_MLP_UNROLL
+    for (size_t t = 0; t < kTile; ++t) Load(acc[t], b1 + k + t * kLanes);
+    for (size_t j = 0; j < n_units; ++j) {
+      const double* col = cols + static_cast<size_t>(units[j]) * h1 + k;
+      HAMLET_MLP_UNROLL
+      for (size_t t = 0; t < kTile; ++t) {
+        V c;
+        Load(c, col + t * kLanes);
+        acc[t] += c;
+      }
+    }
+    HAMLET_MLP_UNROLL
+    for (size_t t = 0; t < kTile; ++t) {
+      KeepWherePositive(acc[t], acc[t]);
+      Store(h + k + t * kLanes, acc[t]);
+    }
+  }
+  for (; k < h1; ++k) {
+    double z = b1[k];
+    for (size_t j = 0; j < n_units; ++j) {
+      z += cols[static_cast<size_t>(units[j]) * h1 + k];
+    }
+    h[k] = Relu(z);
+  }
+}
+
+/// kOuts outputs x two vectors of rows of a dense layer's forward pass:
+/// z[o][r] = b[o] + sum_k w[o][k] * x[k][r], each sum in input order, then
+/// ReLU when `relu`. x and z are row-minor with row stride `padded`; w
+/// points at the first output's row of the out x in row-major weights.
+template <typename V, size_t kOuts>
+HAMLET_MLP_INLINE void DenseForwardTile(const double* w, const double* b,
+                                        const double* x, size_t in,
+                                        size_t padded, bool relu,
+                                        double* z) {
+  constexpr size_t kLanes = kLanesOf<V>;
+  V acc[kOuts][2];
+  HAMLET_MLP_UNROLL
+  for (size_t i = 0; i < kOuts; ++i) {
+    // b[i] in every lane: x - (+0.0) is x exactly, signed zeros included.
+    const V bias = b[i] - V{};
+    acc[i][0] = bias;
+    acc[i][1] = bias;
+  }
+  for (size_t k = 0; k < in; ++k) {
+    V x0, x1;
+    Load(x0, x + k * padded);
+    Load(x1, x + k * padded + kLanes);
+    HAMLET_MLP_UNROLL
+    for (size_t i = 0; i < kOuts; ++i) {
+      const double wk = w[i * in + k];
+      acc[i][0] += wk * x0;
+      acc[i][1] += wk * x1;
+    }
+  }
+  HAMLET_MLP_UNROLL
+  for (size_t i = 0; i < kOuts; ++i) {
+    HAMLET_MLP_UNROLL
+    for (size_t half = 0; half < 2; ++half) {
+      if (relu) KeepWherePositive(acc[i][half], acc[i][half]);
+      Store(z + i * padded + half * kLanes, acc[i][half]);
+    }
+  }
+}
+
+/// A dense layer's forward pass over a block of `padded` rows (a multiple
+/// of kRowPad; x: in x padded, z: out x padded). Each weight load serves
+/// two vectors of rows.
+template <typename V>
+HAMLET_MLP_INLINE void DenseForward(const double* w, const double* b,
+                                    const double* x, size_t in, size_t out,
+                                    size_t padded, bool relu, double* z) {
+  for (size_t r = 0; r < padded; r += 2 * kLanesOf<V>) {
+    size_t o = 0;
+    for (; o + kOutTile <= out; o += kOutTile) {
+      DenseForwardTile<V, kOutTile>(w + o * in, b + o, x + r, in, padded,
+                                    relu, z + o * padded + r);
+    }
+    for (; o < out; ++o) {
+      DenseForwardTile<V, 1>(w + o * in, b + o, x + r, in, padded, relu,
+                             z + o * padded + r);
+    }
+  }
+}
+
+/// Weight gradients of a dense layer for a block of rows (a: rows x in,
+/// the layer's input activations): gw[o][k] += delta * a[row][k] over
+/// output o's nonzero deltas, in row order.
+template <typename V>
+HAMLET_MLP_INLINE void WeightGrads(const double* a, size_t in, size_t out,
+                                   const uint32_t* start,
+                                   const uint32_t* rows,
+                                   const double* deltas, double* gw) {
+  constexpr size_t kLanes = kLanesOf<V>;
+  size_t k = 0;
+  for (; k + kTile * kLanes <= in; k += kTile * kLanes) {
+    for (size_t o = 0; o < out; ++o) {
+      double* g = gw + o * in + k;
+      V acc[kTile];
+      HAMLET_MLP_UNROLL
+      for (size_t t = 0; t < kTile; ++t) Load(acc[t], g + t * kLanes);
+      for (uint32_t e = start[o]; e < start[o + 1]; ++e) {
+        const double d = deltas[e];
+        const double* ar = a + static_cast<size_t>(rows[e]) * in + k;
+        HAMLET_MLP_UNROLL
+        for (size_t t = 0; t < kTile; ++t) {
+          V av;
+          Load(av, ar + t * kLanes);
+          acc[t] += d * av;
+        }
+      }
+      HAMLET_MLP_UNROLL
+      for (size_t t = 0; t < kTile; ++t) Store(g + t * kLanes, acc[t]);
+    }
+  }
+  for (; k < in; ++k) {
+    for (size_t o = 0; o < out; ++o) {
+      double g = gw[o * in + k];
+      for (uint32_t e = start[o]; e < start[o + 1]; ++e) {
+        g += deltas[e] * a[static_cast<size_t>(rows[e]) * in + k];
+      }
+      gw[o * in + k] = g;
+    }
+  }
+}
+
+/// Input deltas of a dense layer for a block of rows: din[r][k] = sum over
+/// row r's nonzero output deltas, in output order, of delta * w[o][k],
+/// kept where a[r][k] > 0 (the ReLU derivative of the layer's input).
+template <typename V>
+HAMLET_MLP_INLINE void InputDeltas(const double* w, const double* a,
+                                   size_t in, size_t num_rows,
+                                   const uint32_t* start,
+                                   const uint32_t* outs,
+                                   const double* deltas, double* din) {
+  constexpr size_t kLanes = kLanesOf<V>;
+  size_t k = 0;
+  for (; k + kTile * kLanes <= in; k += kTile * kLanes) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      V acc[kTile] = {};
+      for (uint32_t e = start[r]; e < start[r + 1]; ++e) {
+        const double d = deltas[e];
+        const double* wr = w + static_cast<size_t>(outs[e]) * in + k;
+        HAMLET_MLP_UNROLL
+        for (size_t t = 0; t < kTile; ++t) {
+          V wv;
+          Load(wv, wr + t * kLanes);
+          acc[t] += d * wv;
+        }
+      }
+      HAMLET_MLP_UNROLL
+      for (size_t t = 0; t < kTile; ++t) {
+        V gate;
+        Load(gate, a + r * in + k + t * kLanes);
+        KeepWherePositive(acc[t], gate);
+        Store(din + r * in + k + t * kLanes, acc[t]);
+      }
+    }
+  }
+  for (; k < in; ++k) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      double acc = 0.0;
+      for (uint32_t e = start[r]; e < start[r + 1]; ++e) {
+        acc += deltas[e] * w[static_cast<size_t>(outs[e]) * in + k];
+      }
+      din[r * in + k] = a[r * in + k] > 0.0 ? acc : 0.0;
+    }
+  }
+}
+
+/// One row's first-layer gradient: the first hidden layer's delta d1 is
+/// the gradient of its bias and of every active unit's column (the one-hot
+/// input is 1 there), so g_b1 += d1 and unit_grads[j] += d1.
+template <typename V>
+HAMLET_MLP_INLINE void SparseBackward(const double* d1,
+                                      double* const* unit_grads,
+                                      size_t n_units, size_t h1,
+                                      double* g_b1) {
+  constexpr size_t kLanes = kLanesOf<V>;
+  size_t k = 0;
+  for (; k + kTile * kLanes <= h1; k += kTile * kLanes) {
+    V d[kTile];
+    HAMLET_MLP_UNROLL
+    for (size_t t = 0; t < kTile; ++t) {
+      Load(d[t], d1 + k + t * kLanes);
+      V g;
+      Load(g, g_b1 + k + t * kLanes);
+      g += d[t];
+      Store(g_b1 + k + t * kLanes, g);
+    }
+    for (size_t j = 0; j < n_units; ++j) {
+      double* col = unit_grads[j] + k;
+      HAMLET_MLP_UNROLL
+      for (size_t t = 0; t < kTile; ++t) {
+        V g;
+        Load(g, col + t * kLanes);
+        g += d[t];
+        Store(col + t * kLanes, g);
+      }
+    }
+  }
+  for (; k < h1; ++k) {
+    g_b1[k] += d1[k];
+    for (size_t j = 0; j < n_units; ++j) unit_grads[j][k] += d1[k];
+  }
+}
+
+/// Per-step Adam constants. one_minus_beta1/2 hold 1 - beta, the value
+/// the scalar update computes inline.
+struct AdamCoeffs {
+  double lr, beta1, beta2, one_minus_beta1, one_minus_beta2, eps;
+  double bias1, bias2;  ///< 1 - beta^t for this step t
+  double inv_bs;        ///< 1 / minibatch rows
+  double lambda;        ///< L2 penalty; joins the gradient when `decay`
+};
+
+/// One Adam step on n parameters from their summed minibatch gradients
+/// g: grad = g * inv_bs (+ lambda * p with `decay`), then the moment
+/// updates and p -= lr * mhat / (sqrt(vhat) + eps).
+template <typename V>
+HAMLET_MLP_INLINE void AdamStep(const AdamCoeffs& c, bool decay,
+                                const double* g, size_t n, double* p,
+                                double* m, double* v) {
+  constexpr size_t kLanes = kLanesOf<V>;
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    V gv, pv, mv, vv;
+    Load(gv, g + i);
+    Load(pv, p + i);
+    Load(mv, m + i);
+    Load(vv, v + i);
+    V grad = gv * c.inv_bs;
+    if (decay) grad = grad + c.lambda * pv;
+    mv = c.beta1 * mv + c.one_minus_beta1 * grad;
+    vv = c.beta2 * vv + c.one_minus_beta2 * grad * grad;
+    const V mhat = mv / c.bias1;
+    V root = vv / c.bias2;
+    // Lane-wise sqrt; mlp.cc builds without errno writes, so this is one
+    // vector square root.
+    HAMLET_MLP_UNROLL
+    for (size_t j = 0; j < kLanes; ++j) root[j] = std::sqrt(root[j]);
+    pv -= c.lr * mhat / (root + c.eps);
+    Store(p + i, pv);
+    Store(m + i, mv);
+    Store(v + i, vv);
+  }
+  for (; i < n; ++i) {
+    double grad = g[i] * c.inv_bs;
+    if (decay) grad = grad + c.lambda * p[i];
+    m[i] = c.beta1 * m[i] + c.one_minus_beta1 * grad;
+    v[i] = c.beta2 * v[i] + c.one_minus_beta2 * grad * grad;
+    const double mhat = m[i] / c.bias1;
+    const double vhat = v[i] / c.bias2;
+    p[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
+// Every kernel is compiled from its one always-inline body twice: for the
+// baseline ISA on V2 (Name##Generic) and, on x86-64, with AVX2 on V4
+// (Name##Avx2).
+#ifdef HAMLET_MLP_X86_AVX2
+#define HAMLET_MLP_KERNEL(Name, Params, ...)           \
+  void Name##Generic Params { Name<V2>(__VA_ARGS__); } \
+  __attribute__((target("avx2"))) void Name##Avx2 Params { \
+    Name<V4>(__VA_ARGS__);                              \
+  }
+#else
+#define HAMLET_MLP_KERNEL(Name, Params, ...) \
+  void Name##Generic Params { Name<V2>(__VA_ARGS__); }
+#endif
+
+HAMLET_MLP_KERNEL(SparseForward,
+                  (const double* b1, const double* cols,
+                   const uint32_t* units, size_t n_units, size_t h1,
+                   double* h),
+                  b1, cols, units, n_units, h1, h)
+HAMLET_MLP_KERNEL(DenseForward,
+                  (const double* w, const double* b, const double* x,
+                   size_t in, size_t out, size_t padded, bool relu,
+                   double* z),
+                  w, b, x, in, out, padded, relu, z)
+HAMLET_MLP_KERNEL(WeightGrads,
+                  (const double* a, size_t in, size_t out,
+                   const uint32_t* start, const uint32_t* rows,
+                   const double* deltas, double* gw),
+                  a, in, out, start, rows, deltas, gw)
+HAMLET_MLP_KERNEL(InputDeltas,
+                  (const double* w, const double* a, size_t in,
+                   size_t num_rows, const uint32_t* start,
+                   const uint32_t* outs, const double* deltas, double* din),
+                  w, a, in, num_rows, start, outs, deltas, din)
+HAMLET_MLP_KERNEL(SparseBackward,
+                  (const double* d1, double* const* unit_grads,
+                   size_t n_units, size_t h1, double* g_b1),
+                  d1, unit_grads, n_units, h1, g_b1)
+HAMLET_MLP_KERNEL(AdamStep,
+                  (const AdamCoeffs& c, bool decay, const double* g,
+                   size_t n, double* p, double* m, double* v),
+                  c, decay, g, n, p, m, v)
+
+#undef HAMLET_MLP_KERNEL
 
 double Sigmoid(double z) {
   if (z >= 0) {
@@ -24,50 +398,185 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-/// One Adam step on a single parameter.
-inline void AdamStep(double& param, double grad, double& m, double& v,
-                     double lr, double beta1, double beta2, double eps,
-                     double bias1, double bias2) {
-  m = beta1 * m + (1.0 - beta1) * grad;
-  v = beta2 * v + (1.0 - beta2) * grad * grad;
-  const double mhat = m / bias1;
-  const double vhat = v / bias2;
-  param -= lr * mhat / (std::sqrt(vhat) + eps);
+/// The nonzero entries of a rows x out block of output deltas, listed by
+/// output (rows ascending, CSR over outputs) for WeightGrads and by row
+/// (outputs ascending, CSR over rows) for InputDeltas. The
+/// one-row-at-a-time algorithm skips zero deltas; the lists skip exactly
+/// those.
+struct NonzeroDeltas {
+  std::vector<uint32_t> by_out_start, by_out_row;
+  std::vector<double> by_out_delta;
+  std::vector<uint32_t> by_row_start, by_row_out;
+  std::vector<double> by_row_delta;
+
+  void Build(const double* d, size_t rows, size_t out) {
+    by_out_start.assign(out + 1, 0);
+    by_row_start.assign(rows + 1, 0);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t o = 0; o < out; ++o) {
+        if (d[r * out + o] != 0.0) {
+          ++by_out_start[o + 1];
+          ++by_row_start[r + 1];
+        }
+      }
+    }
+    for (size_t o = 0; o < out; ++o) by_out_start[o + 1] += by_out_start[o];
+    for (size_t r = 0; r < rows; ++r) by_row_start[r + 1] += by_row_start[r];
+    const size_t nonzero = by_row_start[rows];
+    by_out_row.resize(nonzero);
+    by_out_delta.resize(nonzero);
+    by_row_out.resize(nonzero);
+    by_row_delta.resize(nonzero);
+    cursor_.assign(by_out_start.begin(), by_out_start.end() - 1);
+    size_t e = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t o = 0; o < out; ++o) {
+        const double delta = d[r * out + o];
+        if (delta == 0.0) continue;
+        const uint32_t at = cursor_[o]++;
+        by_out_row[at] = static_cast<uint32_t>(r);
+        by_out_delta[at] = delta;
+        by_row_out[e] = static_cast<uint32_t>(o);
+        by_row_delta[e] = delta;
+        ++e;
+      }
+    }
+  }
+
+ private:
+  std::vector<uint32_t> cursor_;
+};
+
+/// Columns of `width` doubles for the training-only first-layer state
+/// (Adam moments, the minibatch gradient pool), stored in pages of whole
+/// columns that stay under glibc malloc's 128 KiB mmap threshold. As
+/// single multi-megabyte blocks, freed at the end of every fit, they
+/// would raise that threshold to their size; later blocks of that size
+/// then come from per-thread heap arenas, which keep them resident after
+/// free (grid-highcap's peak RSS rose from 18 to 23.5 MB that way).
+class ColumnPages {
+ public:
+  explicit ColumnPages(size_t width)
+      : width_(width),
+        per_page_(std::max<size_t>(
+            1, kPageBytes / (sizeof(double) * std::max<size_t>(1, width)))) {}
+
+  /// Makes columns [0, n) addressable; new columns start at 0.0.
+  void Grow(size_t n) {
+    while (pages_.size() * per_page_ < n) {
+      pages_.emplace_back(per_page_ * width_, 0.0);
+    }
+  }
+
+  double* column(size_t c) {
+    return pages_[c / per_page_].data() + (c % per_page_) * width_;
+  }
+
+ private:
+  static constexpr size_t kPageBytes = 64 * 1024;
+  size_t width_;
+  size_t per_page_;
+  std::vector<std::vector<double>> pages_;
+};
+
+}  // namespace
+
+struct MlpKernels {
+  decltype(&SparseForwardGeneric) sparse_forward;
+  decltype(&DenseForwardGeneric) dense_forward;
+  decltype(&WeightGradsGeneric) weight_grads;
+  decltype(&InputDeltasGeneric) input_deltas;
+  decltype(&SparseBackwardGeneric) sparse_backward;
+  decltype(&AdamStepGeneric) adam_step;
+};
+
+/// A block of rows through the network. acts holds each hidden layer's
+/// activations, rows x width row-major, layer after layer; in_t/out_t
+/// hold one dense layer's input and output transposed (width x padded,
+/// rows padded to a multiple of kRowPad) for the dense kernels.
+struct MlpBlock {
+  std::vector<double> acts;
+  std::vector<double> logits;  // one per row
+  std::vector<double> in_t, out_t;
+};
+
+namespace {
+
+const MlpKernels kGenericKernels = {
+    SparseForwardGeneric, DenseForwardGeneric,    WeightGradsGeneric,
+    InputDeltasGeneric,   SparseBackwardGeneric, AdamStepGeneric};
+#ifdef HAMLET_MLP_X86_AVX2
+const MlpKernels kAvx2Kernels = {SparseForwardAvx2, DenseForwardAvx2,
+                                 WeightGradsAvx2,   InputDeltasAvx2,
+                                 SparseBackwardAvx2, AdamStepAvx2};
+#endif
+
+/// The AVX2 build where HAMLET_SIMD resolves to native and the CPU has
+/// AVX2, else the baseline build. Both produce identical bits.
+const MlpKernels& ActiveKernels() {
+#ifdef HAMLET_MLP_X86_AVX2
+  static const bool has_avx2 = __builtin_cpu_supports("avx2");
+  if (has_avx2 && simd::ActiveBackend() == simd::Backend::kNative) {
+    return kAvx2Kernels;
+  }
+#endif
+  return kGenericKernels;
 }
 
 }  // namespace
 
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {}
 
-double Mlp::Forward(const std::vector<uint32_t>& active,
-                    std::vector<std::vector<double>>& acts) const {
-  // Layer 1 (sparse): h1 = ReLU(b1 + sum of active columns).
-  acts.resize(layers_.size() + 1);
-  std::vector<double>& h1 = acts[0];
-  h1 = b1_;
-  for (uint32_t u : active) {
-    const std::vector<double>& col = col_w_[u];
-    for (size_t k = 0; k < h1_; ++k) h1[k] += col[k];
+void Mlp::RowUnits(const uint32_t* codes, uint32_t* units) const {
+  for (size_t j = 0; j < one_hot_.num_features(); ++j) {
+    units[j] = one_hot_.ClampedUnitIndex(j, codes[j]);
   }
-  for (double& v : h1) v = v > 0.0 ? v : 0.0;
+}
 
-  // Dense layers; all but the last use ReLU.
+void Mlp::ForwardBlock(const MlpKernels& kernels, const uint32_t* units,
+                       size_t rows, MlpBlock& block) const {
+  const size_t d = one_hot_.num_features();
+  const size_t padded = (rows + kRowPad - 1) / kRowPad * kRowPad;
+  size_t hidden = h1_, widest = h1_;
+  for (const DenseLayer& layer : layers_) {
+    if (&layer != &layers_.back()) hidden += layer.out;
+    widest = std::max(widest, layer.out);
+  }
+  block.acts.resize(rows * hidden);
+  block.logits.resize(rows);
+  block.in_t.resize(widest * padded);
+  block.out_t.resize(widest * padded);
+
+  double* a = block.acts.data();
+  for (size_t r = 0; r < rows; ++r) {
+    kernels.sparse_forward(b1_.data(), col_w_.data(), units + r * d, d, h1_,
+                           a + r * h1_);
+  }
+  // Transpose into the dense kernels' layout; the padding rows are zero
+  // and no real row ever reads them.
+  for (size_t k = 0; k < h1_; ++k) {
+    double* dst = block.in_t.data() + k * padded;
+    for (size_t r = 0; r < rows; ++r) dst[r] = a[r * h1_ + k];
+    std::fill(dst + rows, dst + padded, 0.0);
+  }
   for (size_t l = 0; l < layers_.size(); ++l) {
     const DenseLayer& layer = layers_[l];
-    const std::vector<double>& in = acts[l];
-    std::vector<double>& out = acts[l + 1];
-    out.assign(layer.out, 0.0);
-    for (size_t o = 0; o < layer.out; ++o) {
-      const double* wrow = &layer.w[o * layer.in];
-      double z = layer.b[o];
-      for (size_t k = 0; k < layer.in; ++k) z += wrow[k] * in[k];
-      out[o] = z;
+    const bool last = l + 1 == layers_.size();
+    kernels.dense_forward(layer.w.data(), layer.b.data(), block.in_t.data(),
+                          layer.in, layer.out, padded, !last,
+                          block.out_t.data());
+    if (last) {
+      std::copy_n(block.out_t.begin(), rows, block.logits.begin());
+      break;
     }
-    if (l + 1 < layers_.size()) {
-      for (double& v : out) v = v > 0.0 ? v : 0.0;
+    a += rows * layer.in;
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t o = 0; o < layer.out; ++o) {
+        a[r * layer.out + o] = block.out_t[o * padded + r];
+      }
     }
+    std::swap(block.in_t, block.out_t);
   }
-  return Sigmoid(acts.back()[0]);
 }
 
 Status Mlp::Fit(const DataView& train) {
@@ -89,16 +598,10 @@ Status Mlp::Fit(const DataView& train) {
 
   // First (sparse) layer: one column per one-hot unit. Fan-in for a row of
   // the first layer is the number of features (active units per row).
-  const size_t active_per_row = train.num_features();
-  col_w_.assign(input_dim, std::vector<double>(h1_));
-  col_m_.assign(input_dim, std::vector<double>(h1_, 0.0));
-  col_v_.assign(input_dim, std::vector<double>(h1_, 0.0));
-  for (auto& col : col_w_) {
-    for (double& w : col) w = init(active_per_row);
-  }
+  const size_t d = train.num_features();
+  col_w_.resize(input_dim * h1_);
+  for (double& w : col_w_) w = init(d);
   b1_.assign(h1_, 0.0);
-  m_b1_.assign(h1_, 0.0);
-  v_b1_.assign(h1_, 0.0);
 
   // Dense layers: hidden[1..] then the single output unit.
   layers_.clear();
@@ -113,162 +616,172 @@ Status Mlp::Fit(const DataView& train) {
     layer.w.resize(size * prev);
     for (double& w : layer.w) w = init(prev);
     layer.b.assign(size, 0.0);
-    layer.mw.assign(size * prev, 0.0);
-    layer.vw.assign(size * prev, 0.0);
-    layer.mb.assign(size, 0.0);
-    layer.vb.assign(size, 0.0);
     layers_.push_back(std::move(layer));
     prev = size;
   }
-  adam_t_ = 0;
 
-  const size_t n = train.num_rows();
+  const MlpKernels& kernels = ActiveKernels();
+
+  // Materialise the rows once and build every row's unit list up front:
+  // row i's d active units at units[i * d].
+  const CodeMatrix rows(train);
+  const size_t n = rows.num_rows();
+  std::vector<uint32_t> units(n * d);
+  for (size_t i = 0; i < n; ++i) RowUnits(rows.row(i), units.data() + i * d);
+
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
 
-  std::vector<uint32_t> active;
-  std::vector<std::vector<double>> acts;
-  std::vector<std::vector<double>> deltas(layers_.size() + 1);
-
-  // Minibatch gradient accumulators.
-  const size_t batch = std::max<size_t>(1, config_.batch_size);
-  std::vector<std::vector<double>> gw(layers_.size());
-  std::vector<std::vector<double>> gb(layers_.size());
+  // Adam moments are training state: they live and die with this call.
+  ColumnPages col_m(h1_), col_v(h1_);
+  col_m.Grow(input_dim);
+  col_v.Grow(input_dim);
+  std::vector<double> b1_m(h1_, 0.0), b1_v(h1_, 0.0);
+  struct DenseTraining {
+    std::vector<double> gw, gb;          // minibatch gradient sums
+    std::vector<double> mw, vw, mb, vb;  // Adam moments
+  };
+  std::vector<DenseTraining> dense(layers_.size());
   for (size_t l = 0; l < layers_.size(); ++l) {
-    gw[l].assign(layers_[l].w.size(), 0.0);
-    gb[l].assign(layers_[l].b.size(), 0.0);
+    const size_t nw = layers_[l].w.size(), nb = layers_[l].b.size();
+    dense[l] = {std::vector<double>(nw), std::vector<double>(nb),
+                std::vector<double>(nw, 0.0), std::vector<double>(nw, 0.0),
+                std::vector<double>(nb, 0.0), std::vector<double>(nb, 0.0)};
   }
-  std::vector<double> g_b1(h1_, 0.0);
-  // Sparse first-layer gradient: unit id -> h1-sized gradient column.
-  std::vector<std::vector<double>> g_cols;
+  std::vector<double> g_b1(h1_);
+
+  // Sparse first-layer gradient: the columns of the units a minibatch
+  // touches, pooled in first-touch order (slot s is column s).
+  ColumnPages g_cols(h1_);
   std::vector<uint32_t> g_units;
   std::vector<int> unit_slot(input_dim, -1);
+  std::vector<double*> unit_grads(d);
 
-  const double lr = config_.learning_rate;
-  const double lambda = config_.l2;
+  // Per-minibatch block state: the rows' unit lists, activations, and the
+  // deltas (same layout as the activations, plus the output deltas).
+  const size_t batch = std::max<size_t>(1, config_.batch_size);
+  std::vector<uint32_t> batch_units(batch * d);
+  MlpBlock block;
+  std::vector<double> deltas, out_deltas(batch);
+  NonzeroDeltas nonzero;
+
+  AdamCoeffs coeffs{};
+  coeffs.lr = config_.learning_rate;
+  coeffs.beta1 = config_.beta1;
+  coeffs.beta2 = config_.beta2;
+  coeffs.one_minus_beta1 = 1.0 - config_.beta1;
+  coeffs.one_minus_beta2 = 1.0 - config_.beta2;
+  coeffs.eps = config_.epsilon;
+  coeffs.lambda = config_.l2;
+  size_t adam_t = 0;
 
   for (size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(order);
     for (size_t start = 0; start < n; start += batch) {
       const size_t stop = std::min(n, start + batch);
-      const double inv_bs = 1.0 / static_cast<double>(stop - start);
+      const size_t count = stop - start;
 
-      // Zero accumulators (sparse part resets only touched units).
-      for (size_t l = 0; l < layers_.size(); ++l) {
-        std::fill(gw[l].begin(), gw[l].end(), 0.0);
-        std::fill(gb[l].begin(), gb[l].end(), 0.0);
+      for (size_t r = 0; r < count; ++r) {
+        std::copy_n(units.begin() + static_cast<long>(order[start + r] * d),
+                    d, batch_units.begin() + static_cast<long>(r * d));
+      }
+
+      // Zero the accumulators; the sparse part holds just the columns of
+      // the units this minibatch touches, slotted in first-touch order.
+      for (DenseTraining& t : dense) {
+        std::fill(t.gw.begin(), t.gw.end(), 0.0);
+        std::fill(t.gb.begin(), t.gb.end(), 0.0);
       }
       std::fill(g_b1.begin(), g_b1.end(), 0.0);
       for (uint32_t u : g_units) unit_slot[u] = -1;
       g_units.clear();
-      g_cols.clear();
-
-      for (size_t idx = start; idx < stop; ++idx) {
-        const size_t i = order[idx];
-        one_hot_.ActiveUnits(train, i, active);
-        const double p = Forward(active, acts);
-        const double y = static_cast<double>(train.label(i));
-
-        // Output delta for sigmoid + cross-entropy.
-        deltas[layers_.size()].assign(1, p - y);
-
-        // Backprop through dense layers.
-        for (size_t l = layers_.size(); l-- > 0;) {
-          const DenseLayer& layer = layers_[l];
-          const std::vector<double>& in =
-              acts[l];  // post-activation input to this layer
-          const std::vector<double>& dout = deltas[l + 1];
-          std::vector<double>& din = deltas[l];
-          din.assign(layer.in, 0.0);
-          for (size_t o = 0; o < layer.out; ++o) {
-            const double d = dout[o];
-            if (d == 0.0) continue;
-            double* gw_row = &gw[l][o * layer.in];
-            const double* w_row = &layer.w[o * layer.in];
-            for (size_t k = 0; k < layer.in; ++k) {
-              gw_row[k] += d * in[k];
-              din[k] += d * w_row[k];
-            }
-            gb[l][o] += d;
-          }
-          // ReLU derivative on the layer input (which is acts[l], already
-          // rectified: derivative is 1 where act > 0).
-          for (size_t k = 0; k < layer.in; ++k) {
-            if (in[k] <= 0.0) din[k] = 0.0;
-          }
-        }
-
-        // Sparse first layer gradient: d(h1)/d(col_u) = 1 for active u.
-        const std::vector<double>& d1 = deltas[0];
-        for (size_t k = 0; k < h1_; ++k) g_b1[k] += d1[k];
-        for (uint32_t u : active) {
-          int slot = unit_slot[u];
-          if (slot < 0) {
-            slot = static_cast<int>(g_cols.size());
-            unit_slot[u] = slot;
-            g_units.push_back(u);
-            g_cols.emplace_back(h1_, 0.0);
-          }
-          std::vector<double>& gcol = g_cols[static_cast<size_t>(slot)];
-          for (size_t k = 0; k < h1_; ++k) gcol[k] += d1[k];
+      for (size_t e = 0; e < count * d; ++e) {
+        const uint32_t u = batch_units[e];
+        if (unit_slot[u] < 0) {
+          unit_slot[u] = static_cast<int>(g_units.size());
+          g_units.push_back(u);
         }
       }
+      g_cols.Grow(g_units.size());
+      for (size_t slot = 0; slot < g_units.size(); ++slot) {
+        std::fill_n(g_cols.column(slot), h1_, 0.0);
+      }
 
-      // Adam updates (L2 added as decoupled-style gradient term).
-      ++adam_t_;
-      const double bias1 = 1.0 - std::pow(config_.beta1,
-                                          static_cast<double>(adam_t_));
-      const double bias2 = 1.0 - std::pow(config_.beta2,
-                                          static_cast<double>(adam_t_));
+      // Weights stay fixed within a minibatch, so its rows run forward as
+      // one block; every gradient below still accumulates row by row in
+      // minibatch order.
+      ForwardBlock(kernels, batch_units.data(), count, block);
+      for (size_t r = 0; r < count; ++r) {
+        // Output delta for sigmoid + cross-entropy.
+        out_deltas[r] = Sigmoid(block.logits[r]) -
+                        static_cast<double>(rows.label(order[start + r]));
+      }
+
+      // Backprop through the dense layers, top down; layer l's input
+      // deltas land at its input activations' offset.
+      deltas.resize(block.acts.size());
+      size_t at = block.acts.size();
+      const double* dout = out_deltas.data();
+      for (size_t l = layers_.size(); l-- > 0;) {
+        const DenseLayer& layer = layers_[l];
+        DenseTraining& t = dense[l];
+        at -= count * layer.in;
+        nonzero.Build(dout, count, layer.out);
+        for (size_t o = 0; o < layer.out; ++o) {
+          for (uint32_t e = nonzero.by_out_start[o];
+               e < nonzero.by_out_start[o + 1]; ++e) {
+            t.gb[o] += nonzero.by_out_delta[e];
+          }
+        }
+        kernels.weight_grads(block.acts.data() + at, layer.in, layer.out,
+                             nonzero.by_out_start.data(),
+                             nonzero.by_out_row.data(),
+                             nonzero.by_out_delta.data(), t.gw.data());
+        kernels.input_deltas(layer.w.data(), block.acts.data() + at,
+                             layer.in, count, nonzero.by_row_start.data(),
+                             nonzero.by_row_out.data(),
+                             nonzero.by_row_delta.data(), deltas.data() + at);
+        dout = deltas.data() + at;
+      }
+
+      // First layer: row r's first-hidden-layer delta at deltas[r * h1].
+      for (size_t r = 0; r < count; ++r) {
+        for (size_t j = 0; j < d; ++j) {
+          unit_grads[j] = g_cols.column(
+              static_cast<size_t>(unit_slot[batch_units[r * d + j]]));
+        }
+        kernels.sparse_backward(deltas.data() + r * h1_, unit_grads.data(), d,
+                                h1_, g_b1.data());
+      }
+
+      // Adam updates (L2 added as a gradient term on weights, not biases).
+      ++adam_t;
+      coeffs.bias1 =
+          1.0 - std::pow(config_.beta1, static_cast<double>(adam_t));
+      coeffs.bias2 =
+          1.0 - std::pow(config_.beta2, static_cast<double>(adam_t));
+      coeffs.inv_bs = 1.0 / static_cast<double>(count);
       for (size_t l = 0; l < layers_.size(); ++l) {
         DenseLayer& layer = layers_[l];
-        for (size_t t = 0; t < layer.w.size(); ++t) {
-          const double g = gw[l][t] * inv_bs + lambda * layer.w[t];
-          AdamStep(layer.w[t], g, layer.mw[t], layer.vw[t], lr,
-                   config_.beta1, config_.beta2, config_.epsilon, bias1,
-                   bias2);
-        }
-        for (size_t t = 0; t < layer.b.size(); ++t) {
-          AdamStep(layer.b[t], gb[l][t] * inv_bs, layer.mb[t], layer.vb[t],
-                   lr, config_.beta1, config_.beta2, config_.epsilon, bias1,
-                   bias2);
-        }
+        DenseTraining& t = dense[l];
+        kernels.adam_step(coeffs, /*decay=*/true, t.gw.data(), layer.w.size(),
+                          layer.w.data(), t.mw.data(), t.vw.data());
+        kernels.adam_step(coeffs, /*decay=*/false, t.gb.data(),
+                          layer.b.size(), layer.b.data(), t.mb.data(),
+                          t.vb.data());
       }
-      for (size_t k = 0; k < h1_; ++k) {
-        AdamStep(b1_[k], g_b1[k] * inv_bs, m_b1_[k], v_b1_[k], lr,
-                 config_.beta1, config_.beta2, config_.epsilon, bias1,
-                 bias2);
-      }
+      kernels.adam_step(coeffs, /*decay=*/false, g_b1.data(), h1_,
+                        b1_.data(), b1_m.data(), b1_v.data());
       // Lazy per-column update: only columns touched by this batch move
       // (their Adam moments update with the current timestep correction).
-      for (size_t s = 0; s < g_units.size(); ++s) {
-        const uint32_t u = g_units[s];
-        std::vector<double>& col = col_w_[u];
-        std::vector<double>& m = col_m_[u];
-        std::vector<double>& v = col_v_[u];
-        const std::vector<double>& gcol = g_cols[s];
-        for (size_t k = 0; k < h1_; ++k) {
-          const double g = gcol[k] * inv_bs + lambda * col[k];
-          AdamStep(col[k], g, m[k], v[k], lr, config_.beta1, config_.beta2,
-                   config_.epsilon, bias1, bias2);
-        }
+      for (size_t slot = 0; slot < g_units.size(); ++slot) {
+        const size_t u = g_units[slot];
+        kernels.adam_step(coeffs, /*decay=*/true, g_cols.column(slot), h1_,
+                          col_w_.data() + u * h1_, col_m.column(u),
+                          col_v.column(u));
       }
     }
   }
-  // The Adam moments are training-only state: free them so the fitted
-  // model holds exactly the inference state LoadBody builds.
-  auto release = [](auto& v) { std::decay_t<decltype(v)>().swap(v); };
-  release(col_m_);
-  release(col_v_);
-  release(m_b1_);
-  release(v_b1_);
-  for (DenseLayer& layer : layers_) {
-    release(layer.mw);
-    release(layer.vw);
-    release(layer.mb);
-    release(layer.vb);
-  }
-  adam_t_ = 0;
   fitted_ = true;
   RecordTrainDomains(train);
   return Status::OK();
@@ -277,11 +790,10 @@ Status Mlp::Fit(const DataView& train) {
 Status Mlp::SaveBody(io::ModelWriter& writer) const {
   if (!fitted_) return Status::FailedPrecondition("ann-mlp: Save before Fit");
   writer.WriteU64(h1_);
-  writer.WriteU64(col_w_.size());
-  for (const std::vector<double>& col : col_w_) {
-    // Fixed-size columns (h1_ each); lengths are implied, not repeated.
-    for (double w : col) writer.WriteF64(w);
-  }
+  writer.WriteU64(one_hot_.dimension());
+  // Fixed-size columns (h1_ each), unit-major; lengths are implied, not
+  // repeated.
+  for (double w : col_w_) writer.WriteF64(w);
   writer.WriteF64Vec(b1_);
   writer.WriteU64(layers_.size());
   for (const DenseLayer& layer : layers_) {
@@ -296,6 +808,13 @@ Status Mlp::SaveBody(io::ModelWriter& writer) const {
 Result<std::unique_ptr<Mlp>> Mlp::LoadBody(
     io::ModelReader& reader, const std::vector<uint32_t>& domains) {
   auto model = std::make_unique<Mlp>();
+  // RowUnits clamps a code into its feature's own unit range, which needs
+  // every range to be non-empty.
+  for (uint32_t domain : domains) {
+    if (domain == 0) {
+      return Status::InvalidArgument("corrupt model: empty feature domain");
+    }
+  }
   model->one_hot_ = OneHotMap(domains);
   uint64_t h1, num_cols;
   HAMLET_RETURN_IF_ERROR(reader.ReadU64(&h1));
@@ -308,12 +827,12 @@ Result<std::unique_ptr<Mlp>> Mlp::LoadBody(
         "corrupt model: mlp first-layer columns do not match the one-hot "
         "dimension of the header domains");
   }
-  model->h1_ = static_cast<size_t>(h1);
-  model->col_w_.assign(static_cast<size_t>(num_cols),
-                       std::vector<double>(model->h1_));
-  for (std::vector<double>& col : model->col_w_) {
-    for (double& w : col) HAMLET_RETURN_IF_ERROR(reader.ReadF64(&w));
+  if (num_cols * h1 > io::kMaxVectorElements) {
+    return Status::InvalidArgument("corrupt model: mlp first layer size");
   }
+  model->h1_ = static_cast<size_t>(h1);
+  model->col_w_.resize(static_cast<size_t>(num_cols * h1));
+  for (double& w : model->col_w_) HAMLET_RETURN_IF_ERROR(reader.ReadF64(&w));
   HAMLET_RETURN_IF_ERROR(reader.ReadF64Vec(&model->b1_));
   if (model->b1_.size() != model->h1_) {
     return Status::InvalidArgument(
@@ -334,7 +853,7 @@ Result<std::unique_ptr<Mlp>> Mlp::LoadBody(
     HAMLET_RETURN_IF_ERROR(reader.ReadF64Vec(&layer.b));
     layer.in = static_cast<size_t>(in);
     layer.out = static_cast<size_t>(out);
-    // Forward indexes w[o * in + k] for o < out, k < in, and chains each
+    // The kernels index w[o * in + k] for o < out, k < in, and chain each
     // layer's input to the previous output — enforce the full shape.
     if (layer.in != prev || layer.out == 0 ||
         layer.w.size() != layer.in * layer.out ||
@@ -361,19 +880,36 @@ Result<std::unique_ptr<Mlp>> Mlp::LoadBody(
 
 double Mlp::PredictProbability(const DataView& view, size_t i) const {
   assert(one_hot_.num_features() == view.num_features());
-  std::vector<uint32_t> active;
-  one_hot_.ActiveUnits(view, i, active);
-  // Codes can exceed the training domain only if the caller bypassed the
-  // dataset's domain bookkeeping; guard anyway.
-  for (uint32_t& u : active) {
-    if (u >= col_w_.size()) u = static_cast<uint32_t>(col_w_.size() - 1);
-  }
-  std::vector<std::vector<double>> acts;
-  return Forward(active, acts);
+  std::vector<uint32_t> units(one_hot_.num_features());
+  RowUnits(view.ScratchRowCodes(i), units.data());
+  MlpBlock block;
+  ForwardBlock(ActiveKernels(), units.data(), 1, block);
+  return Sigmoid(block.logits[0]);
 }
 
 uint8_t Mlp::Predict(const DataView& view, size_t i) const {
   return PredictProbability(view, i) >= 0.5 ? 1 : 0;
+}
+
+std::vector<uint8_t> Mlp::PredictAll(const DataView& view) const {
+  assert(one_hot_.num_features() == view.num_features());
+  const MlpKernels& kernels = ActiveKernels();
+  const size_t d = one_hot_.num_features();
+  return DensePredictChunks(
+      view, [&](const CodeMatrix& queries, size_t begin, size_t end,
+                uint8_t* out) {
+        std::vector<uint32_t> units((end - begin) * d);
+        for (size_t i = begin; i < end; ++i) {
+          RowUnits(queries.row(i), units.data() + (i - begin) * d);
+        }
+        MlpBlock block;
+        ForwardBlock(kernels, units.data(), end - begin, block);
+        // Row-independent lanes, so each row's logit and probability are
+        // bit-identical to Predict's one-row block.
+        for (size_t r = 0; r < end - begin; ++r) {
+          out[r] = Sigmoid(block.logits[r]) >= 0.5 ? 1 : 0;
+        }
+      });
 }
 
 }  // namespace ml

@@ -5,6 +5,18 @@
 // is the one-hot encoding of the categorical row; because exactly one unit
 // per feature is active, the first layer runs sparsely (sum of active
 // columns) and its gradient/Adam state updates lazily per active column.
+//
+// Layout and speed (docs/ARCHITECTURE.md, "The MLP chain"): the first
+// layer is one flat unit-major slab, unit u's h1-wide column at
+// [u * h1, (u + 1) * h1); dense weights are row-major. A minibatch runs
+// through the dense layers as one block of rows, so each weight is loaded
+// once per register tile of rows (8 on AVX2, 4 on SSE2) instead of once
+// per row. The loops are vectorised
+// across independent elements only: every floating-point sum keeps the
+// operand order of the plain one-row-at-a-time algorithm and nothing is
+// fused, so a fit and its predictions are bit-identical on every ISA
+// build (an AVX2 build of the same kernels runs when HAMLET_SIMD resolves
+// to native on an AVX2 host). tests/ann_test.cc pins the bits.
 
 #ifndef HAMLET_ML_ANN_MLP_H_
 #define HAMLET_ML_ANN_MLP_H_
@@ -19,6 +31,9 @@
 
 namespace hamlet {
 namespace ml {
+
+struct MlpKernels;  // one ISA build of the MLP's loops (mlp.cc)
+struct MlpBlock;    // activations of a block of rows (mlp.cc)
 
 /// Hyper-parameters; defaults follow the paper's architecture and the
 /// midpoints of its tuning grids.
@@ -42,6 +57,10 @@ class Mlp : public Classifier {
 
   Status Fit(const DataView& train) override;
   uint8_t Predict(const DataView& view, size_t i) const override;
+  /// Dense batch path: materialises `view` into a CodeMatrix once and
+  /// reuses one activation scratch per chunk of rows; bit-identical to
+  /// per-row Predict.
+  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   std::string name() const override { return "ann-mlp"; }
 
   ModelFamily family() const override { return ModelFamily::kMlp; }
@@ -52,7 +71,8 @@ class Mlp : public Classifier {
   static Result<std::unique_ptr<Mlp>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
-  /// P(y = 1 | x) for row i of `view`.
+  /// P(y = 1 | x) for row i of `view`. A code outside the training
+  /// domain of its feature is clamped to that feature's last code.
   double PredictProbability(const DataView& view, size_t i) const;
 
  private:
@@ -60,26 +80,25 @@ class Mlp : public Classifier {
     size_t in = 0, out = 0;
     std::vector<double> w;  // out x in, row-major
     std::vector<double> b;
-    // Adam state; empty outside Fit.
-    std::vector<double> mw, vw, mb, vb;
   };
 
-  /// Forward pass from the active one-hot units; fills per-layer
-  /// activations (post-ReLU) and returns the output probability.
-  double Forward(const std::vector<uint32_t>& active,
-                 std::vector<std::vector<double>>& acts) const;
+  /// Forward pass for `rows` rows at once, row r's active units at
+  /// units[r * num_features]: fills `block` with every hidden layer's
+  /// (post-ReLU) activations and each row's output logit.
+  void ForwardBlock(const MlpKernels& kernels, const uint32_t* units,
+                    size_t rows, MlpBlock& block) const;
+
+  /// Active one-hot unit per feature for a row of codes, each code
+  /// clamped into its own feature's unit range.
+  void RowUnits(const uint32_t* codes, uint32_t* units) const;
 
   MlpConfig config_;
   OneHotMap one_hot_;
   bool fitted_ = false;
-  // First layer stored column-major over one-hot units for sparse access:
-  // col_w_[u] is the h1-sized column for unit u.
-  std::vector<std::vector<double>> col_w_;
-  std::vector<std::vector<double>> col_m_, col_v_;  // Adam state, Fit only
-  std::vector<double> b1_, m_b1_, v_b1_;
-  std::vector<DenseLayer> layers_;  // hidden2..output
   size_t h1_ = 0;
-  size_t adam_t_ = 0;
+  std::vector<double> col_w_;  // dimension x h1_, unit-major slab
+  std::vector<double> b1_;
+  std::vector<DenseLayer> layers_;  // hidden2..output
 };
 
 }  // namespace ml

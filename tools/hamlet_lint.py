@@ -25,9 +25,20 @@ Rules
   test-reg        Every tests/*_test.cc must be registered in
                   tests/CMakeLists.txt — an unregistered suite compiles
                   green in nobody's build and rots.
+  fp-contract     No fused multiply-add and no fast-math. In src/: a
+                  target/target_clones attribute naming fma (or an
+                  arch=, which implies it), an _mm*_fmadd/fmsub-family
+                  intrinsic, std::fma or __builtin_fma. In the root
+                  CMakeLists.txt and the CMake files under src/ and
+                  cmake/: -ffast-math, -Ofast, -mfma, -march=,
+                  -ffp-contract=fast or -funsafe-math-optimizations.
+                  hamlet's results are pinned bit for bit (the MLP's
+                  vectorised loops keep every sum's operand order); a
+                  fused or reassociated sum changes the bits.
 
-Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line
-(rule is one of: determinism, unordered-iter). env-docs and test-reg are
+Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line,
+or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
+determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
@@ -51,6 +62,7 @@ DETERMINISM_ALLOWLIST = {
 }
 
 WAIVER_RE = re.compile(r"//\s*hamlet-lint:\s*allow\(([a-z-]+)\)")
+CMAKE_WAIVER_RE = re.compile(r"#\s*hamlet-lint:\s*allow\(([a-z-]+)\)")
 
 ENV_SITE_RE = re.compile(r'(?:getenv\s*\(\s*|FromEnv\s*\(\s*)"(HAMLET_[A-Z0-9_]+)"')
 ENV_DOC_RE = re.compile(r"^\|\s*`(HAMLET_[A-Z0-9_]+)`\s*\|")
@@ -73,6 +85,20 @@ DETERMINISM_PATTERNS = [
      "wall clock; use steady_clock for intervals"),
 ]
 
+# fp-contract, C++ side. The attribute check reads string contents (the
+# ISA list is a string literal); the others read code only.
+FMA_ATTRIBUTE_RE = re.compile(
+    r'\btarget(?:_clones)?\s*\(\s*"[^)]*(?:\bfma\b|\barch=)')
+FMA_CODE_PATTERNS = [
+    (re.compile(r"\b_mm\w*_fn?m(?:add|sub)\w*"), "an FMA intrinsic"),
+    (re.compile(r"\bstd::fma[fl]?\b"), "std::fma"),
+    (re.compile(r"\b__builtin_fma\w*"), "__builtin_fma"),
+]
+# fp-contract, CMake side.
+FP_FLAG_RE = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-mfma|-march=\S*|-ffp-contract=fast|"
+    r"-funsafe-math-optimizations)\b")
+
 UNORDERED_ITER_RE = re.compile(
     r"for\s*\(.*:\s*\w[\w\->\.\[\]\(\)]*unordered_(?:map|set)|"
     r"for\s*\(.*:\s*[^)]*\bunordered_\w+<[^)]*\)")
@@ -84,6 +110,25 @@ UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{]*?>\s+(\w+)\s*[;{=(]")
 
 TEST_REG_RE = re.compile(r"([A-Za-z0-9_]+_test\.cc)")
+
+
+def strip_line_comment(line):
+    """Drops a // comment but keeps string literals (a `//` inside a
+    string does not start a comment)."""
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c == '"' or c == "'":
+            quote = c
+            i += 1
+            while i < n and line[i] != quote:
+                i += 2 if line[i] == "\\" else 1
+            i += 1
+            continue
+        if c == "/" and i + 1 < n and line[i + 1] == "/":
+            return line[:i]
+        i += 1
+    return line
 
 
 def strip_comments_and_strings(line):
@@ -167,12 +212,14 @@ class Linter:
             in_block_comment = False
             lines = open(path, encoding="utf-8").read().splitlines()
             stripped_lines = []
+            uncommented_lines = []  # comments gone, strings kept
             for raw in lines:
                 line = raw
                 if in_block_comment:
                     end = line.find("*/")
                     if end < 0:
                         stripped_lines.append("")
+                        uncommented_lines.append("")
                         continue
                     line = line[end + 2:]
                     in_block_comment = False
@@ -183,6 +230,7 @@ class Linter:
                     line = line[:start]
                     in_block_comment = True
                 stripped_lines.append(strip_comments_and_strings(line))
+                uncommented_lines.append(strip_line_comment(line))
             for code in stripped_lines:
                 for name in UNORDERED_DECL_RE.findall(code):
                     decl_names.add(name)
@@ -191,10 +239,20 @@ class Linter:
                            r"\s*\)")
                 for name in decl_names
             ]
-            for lineno, (raw, code) in enumerate(zip(lines, stripped_lines),
-                                                 1):
+            for lineno, (raw, code, uncommented) in enumerate(
+                    zip(lines, stripped_lines, uncommented_lines), 1):
                 waiver = WAIVER_RE.search(raw)
                 waived = waiver.group(1) if waiver else None
+                if waived != "fp-contract":
+                    hits = [what for pat, what in FMA_CODE_PATTERNS
+                            if pat.search(code)]
+                    if FMA_ATTRIBUTE_RE.search(uncommented):
+                        hits.append("a target attribute enabling FMA")
+                    for what in hits:
+                        self.add(rel, lineno, "fp-contract",
+                                 "%s in src/: fused multiply-add changes "
+                                 "rounding and breaks the bit-identity "
+                                 "pins" % what)
                 if rel not in DETERMINISM_ALLOWLIST and waived != \
                         "determinism":
                     for pat, what, why in DETERMINISM_PATTERNS:
@@ -211,6 +269,31 @@ class Linter:
                             "iteration order is unspecified; sort first "
                             "or waive with "
                             "// hamlet-lint: allow(unordered-iter)")
+
+    # -- fp-contract (CMake side) -------------------------------------
+    def cmake_files(self):
+        top = os.path.join(self.root, "CMakeLists.txt")
+        if os.path.exists(top):
+            yield top
+        for subdir in ("src", "cmake"):
+            for path in self.source_files(subdir,
+                                          exts=("CMakeLists.txt", ".cmake")):
+                yield path
+
+    def check_cmake_fp_flags(self):
+        for path in self.cmake_files():
+            rel = self.rel(path)
+            with open(path, encoding="utf-8") as f:
+                for lineno, raw in enumerate(f, 1):
+                    waiver = CMAKE_WAIVER_RE.search(raw)
+                    if waiver and waiver.group(1) == "fp-contract":
+                        continue
+                    code = raw.split("#", 1)[0]
+                    for flag in FP_FLAG_RE.findall(code):
+                        self.add(rel, lineno, "fp-contract",
+                                 "%s in a CMake file: it licenses fused or "
+                                 "reassociated floating-point math, which "
+                                 "breaks the bit-identity pins" % flag)
 
     # -- test-reg ------------------------------------------------------
     def check_test_registration(self):
@@ -232,6 +315,7 @@ class Linter:
     def run(self):
         self.check_env_docs()
         self.check_source_rules()
+        self.check_cmake_fp_flags()
         self.check_test_registration()
         return self.findings
 

@@ -156,6 +156,69 @@ def main():
         code, out = uiter_waived.lint()
         check("unordered-iter waiver suppresses", code == 0, out)
 
+        # fp-contract, C++ side: each way of asking for FMA fires; a
+        # plain ISA target, prose in comments and a waiver stay quiet.
+        for snippet, what in [
+            ('__attribute__((target("avx2,fma"))) void F();\n',
+             "target fma"),
+            ('__attribute__((target_clones("fma", "default"))) void F();\n',
+             "target_clones fma"),
+            ('__attribute__((target("arch=haswell"))) void F();\n',
+             "target arch"),
+            ("__m256d r = _mm256_fmadd_pd(a, b, c);\n", "fmadd intrinsic"),
+            ("__m128d r = _mm_fnmsub_pd(a, b, c);\n", "fnmsub intrinsic"),
+            ("double r = std::fma(a, b, c);\n", "std::fma"),
+            ("double r = __builtin_fma(a, b, c);\n", "__builtin_fma"),
+        ]:
+            fix = Fixture(base, "fma_" + what.replace(" ", "_").strip(":_"))
+            fix.write("src/hamlet/a.cc", snippet)
+            code, out = fix.lint()
+            check("fp-contract fires on %s" % what,
+                  code == 1 and "fp-contract" in out, out)
+
+        fma_quiet = (Fixture(base, "fma_quiet")
+                     .write("src/hamlet/a.cc",
+                            '__attribute__((target("avx2,popcnt"))) '
+                            "void F();\n"
+                            "// never std::fma or target(\"fma\") here\n"
+                            "double r = a * b + c;  // no FMA, no fast-math\n"
+                            "double s = std::fmax(a, b);\n"))
+        code, out = fma_quiet.lint()
+        check("plain targets and FMA prose pass", code == 0, out)
+
+        fma_waived = (Fixture(base, "fma_waived")
+                      .write("src/hamlet/a.cc",
+                             "double r = std::fma(a, b, c);"
+                             "  // hamlet-lint: allow(fp-contract)\n"))
+        code, out = fma_waived.lint()
+        check("fp-contract waiver suppresses (C++)", code == 0, out)
+
+        # fp-contract, CMake side: flagged flags in cmake/, src/ and the
+        # root CMakeLists.txt; harmless flags, comments and a waiver pass.
+        for rel, flag in [
+            ("cmake/Flags.cmake", "-ffast-math"),
+            ("cmake/Flags.cmake", "-Ofast"),
+            ("src/hamlet/CMakeLists.txt", "-mfma"),
+            ("src/hamlet/CMakeLists.txt", "-march=native"),
+            ("CMakeLists.txt", "-ffp-contract=fast"),
+            ("cmake/Flags.cmake", "-funsafe-math-optimizations"),
+        ]:
+            fix = Fixture(base, "fpflag_" + flag.strip("-").split("=")[0])
+            fix.write(rel, "target_compile_options(t PRIVATE %s)\n" % flag)
+            code, out = fix.lint()
+            check("fp-contract fires on %s in %s" % (flag, rel),
+                  code == 1 and "fp-contract" in out and flag in out, out)
+
+        flags_quiet = (Fixture(base, "fpflag_quiet")
+                       .write("cmake/Flags.cmake",
+                              "# never -ffast-math or -march=native here\n"
+                              "target_compile_options(t PRIVATE "
+                              "-ffp-contract=off -fno-math-errno -O2)\n"
+                              "target_compile_options(u PRIVATE -Ofast)"
+                              "  # hamlet-lint: allow(fp-contract)\n"))
+        code, out = flags_quiet.lint()
+        check("safe flags, comments and CMake waiver pass", code == 0, out)
+
         # test-reg: an unregistered tests/*_test.cc fires.
         unreg = (Fixture(base, "unreg")
                  .write("tests/orphan_test.cc", "int main() {}\n")
