@@ -11,8 +11,8 @@ add_library(hamlet::flags ALIAS hamlet_flags)
 if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
   target_compile_options(hamlet_flags INTERFACE -Wall -Wextra -Werror)
   # Never fuse a multiply and an add: results are pinned bit for bit
-  # across ISA builds (tests/ann_test.cc), and gcc contracts C++ by
-  # default wherever the target has FMA (aarch64, -march=native).
+  # (tests/ann_test.cc), and gcc contracts C++ by default wherever the
+  # target has FMA (aarch64, -march=native).
   target_compile_options(hamlet_flags INTERFACE -ffp-contract=off)
 elseif(MSVC)
   target_compile_options(hamlet_flags INTERFACE /W4 /WX)

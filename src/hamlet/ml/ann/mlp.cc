@@ -8,14 +8,10 @@
 #include <numeric>
 #include <utility>
 
+#include "hamlet/common/parallel.h"
 #include "hamlet/common/rng.h"
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/io/model_io.h"
-#include "hamlet/simd/simd.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HAMLET_MLP_X86_AVX2 1
-#endif
 
 namespace hamlet {
 namespace ml {
@@ -27,23 +23,19 @@ namespace {
 // operation is the scalar IEEE operation applied lane by lane, so every
 // element goes through exactly the operations of the plain
 // one-row-at-a-time algorithm, in its order: no loop splits one sum across
-// lanes or reassociates it, and nothing is fused (the AVX2 build enables
-// "avx2" only, never FMA; tools/hamlet_lint.py's fp-contract rule keeps
-// FMA and fast-math flags out of src/ and cmake/). The scalar remainder
-// loops compute the same expressions one element at a time. The kernels
-// are templates on the vector so each build uses its register width: V2
-// for the baseline ISA (SSE2 on x86-64, NEON on aarch64), V4 for AVX2.
-typedef double V2 __attribute__((vector_size(16)));
-typedef double V4 __attribute__((vector_size(32)));
-template <typename V>
-constexpr size_t kLanesOf = sizeof(V) / sizeof(double);
+// lanes or reassociates it, and nothing is fused (tools/hamlet_lint.py's
+// fp-contract rule keeps FMA and fast-math flags out of src/ and cmake/).
+// The scalar remainder loops compute the same expressions one element at a
+// time. V is two doubles, the baseline ISA's vector (SSE2 on x86-64, NEON
+// on aarch64), so one build runs everywhere.
+typedef double V __attribute__((vector_size(16)));
+constexpr size_t kLanes = sizeof(V) / sizeof(double);
 // Vector accumulators an elementwise loop keeps in registers.
 constexpr size_t kTile = 4;
 // A dense register tile covers kOutTile outputs x two vectors of rows; a
-// forward block's rows are padded to a multiple of kRowPad, the widest
-// build's two vectors.
+// forward block's rows are padded to a multiple of kRowPad, two vectors.
 constexpr size_t kOutTile = 4;
-constexpr size_t kRowPad = 2 * kLanesOf<V4>;
+constexpr size_t kRowPad = 2 * kLanes;
 
 #define HAMLET_MLP_INLINE inline __attribute__((always_inline))
 // Fully unrolls a loop over a register tile, so its accumulators stay in
@@ -54,13 +46,9 @@ constexpr size_t kRowPad = 2 * kLanesOf<V4>;
 #define HAMLET_MLP_UNROLL _Pragma("GCC unroll 16")
 #endif
 
-// Vectors travel by reference: a 32-byte vector passed by value has a
-// different calling convention in the baseline and AVX2 builds.
-template <typename V>
 HAMLET_MLP_INLINE void Load(V& v, const double* p) {
   std::memcpy(&v, p, sizeof(v));
 }
-template <typename V>
 HAMLET_MLP_INLINE void Store(double* p, const V& v) {
   std::memcpy(p, &v, sizeof(v));
 }
@@ -70,7 +58,6 @@ HAMLET_MLP_INLINE double Relu(double x) { return x > 0.0 ? x : 0.0; }
 /// v where gate > 0, else +0.0, lane by lane: ReLU when gate is v, and
 /// the ReLU derivative mask on a delta when gate is the post-ReLU
 /// activation (never NaN, so `gate > 0` is exactly `!(gate <= 0)`).
-template <typename V>
 HAMLET_MLP_INLINE void KeepWherePositive(V& v, const V& gate) {
   const V zero = {};
   using Mask = decltype(gate > zero);
@@ -79,11 +66,8 @@ HAMLET_MLP_INLINE void KeepWherePositive(V& v, const V& gate) {
 
 /// One row's first hidden layer: h = ReLU(b1 + sum of the active units'
 /// columns), summed in unit order.
-template <typename V>
-HAMLET_MLP_INLINE void SparseForward(const double* b1, const double* cols,
-                                     const uint32_t* units, size_t n_units,
-                                     size_t h1, double* h) {
-  constexpr size_t kLanes = kLanesOf<V>;
+void SparseForward(const double* b1, const double* cols, const uint32_t* units,
+                   size_t n_units, size_t h1, double* h) {
   size_t k = 0;
   for (; k + kTile * kLanes <= h1; k += kTile * kLanes) {
     V acc[kTile];
@@ -117,12 +101,11 @@ HAMLET_MLP_INLINE void SparseForward(const double* b1, const double* cols,
 /// z[o][r] = b[o] + sum_k w[o][k] * x[k][r], each sum in input order, then
 /// ReLU when `relu`. x and z are row-minor with row stride `padded`; w
 /// points at the first output's row of the out x in row-major weights.
-template <typename V, size_t kOuts>
+template <size_t kOuts>
 HAMLET_MLP_INLINE void DenseForwardTile(const double* w, const double* b,
                                         const double* x, size_t in,
                                         size_t padded, bool relu,
                                         double* z) {
-  constexpr size_t kLanes = kLanesOf<V>;
   V acc[kOuts][2];
   HAMLET_MLP_UNROLL
   for (size_t i = 0; i < kOuts; ++i) {
@@ -155,18 +138,16 @@ HAMLET_MLP_INLINE void DenseForwardTile(const double* w, const double* b,
 /// A dense layer's forward pass over a block of `padded` rows (a multiple
 /// of kRowPad; x: in x padded, z: out x padded). Each weight load serves
 /// two vectors of rows.
-template <typename V>
-HAMLET_MLP_INLINE void DenseForward(const double* w, const double* b,
-                                    const double* x, size_t in, size_t out,
-                                    size_t padded, bool relu, double* z) {
-  for (size_t r = 0; r < padded; r += 2 * kLanesOf<V>) {
+void DenseForward(const double* w, const double* b, const double* x, size_t in,
+                  size_t out, size_t padded, bool relu, double* z) {
+  for (size_t r = 0; r < padded; r += kRowPad) {
     size_t o = 0;
     for (; o + kOutTile <= out; o += kOutTile) {
-      DenseForwardTile<V, kOutTile>(w + o * in, b + o, x + r, in, padded,
+      DenseForwardTile<kOutTile>(w + o * in, b + o, x + r, in, padded,
                                     relu, z + o * padded + r);
     }
     for (; o < out; ++o) {
-      DenseForwardTile<V, 1>(w + o * in, b + o, x + r, in, padded, relu,
+      DenseForwardTile<1>(w + o * in, b + o, x + r, in, padded, relu,
                              z + o * padded + r);
     }
   }
@@ -175,12 +156,8 @@ HAMLET_MLP_INLINE void DenseForward(const double* w, const double* b,
 /// Weight gradients of a dense layer for a block of rows (a: rows x in,
 /// the layer's input activations): gw[o][k] += delta * a[row][k] over
 /// output o's nonzero deltas, in row order.
-template <typename V>
-HAMLET_MLP_INLINE void WeightGrads(const double* a, size_t in, size_t out,
-                                   const uint32_t* start,
-                                   const uint32_t* rows,
-                                   const double* deltas, double* gw) {
-  constexpr size_t kLanes = kLanesOf<V>;
+void WeightGrads(const double* a, size_t in, size_t out, const uint32_t* start,
+                 const uint32_t* rows, const double* deltas, double* gw) {
   size_t k = 0;
   for (; k + kTile * kLanes <= in; k += kTile * kLanes) {
     for (size_t o = 0; o < out; ++o) {
@@ -216,13 +193,9 @@ HAMLET_MLP_INLINE void WeightGrads(const double* a, size_t in, size_t out,
 /// Input deltas of a dense layer for a block of rows: din[r][k] = sum over
 /// row r's nonzero output deltas, in output order, of delta * w[o][k],
 /// kept where a[r][k] > 0 (the ReLU derivative of the layer's input).
-template <typename V>
-HAMLET_MLP_INLINE void InputDeltas(const double* w, const double* a,
-                                   size_t in, size_t num_rows,
-                                   const uint32_t* start,
-                                   const uint32_t* outs,
-                                   const double* deltas, double* din) {
-  constexpr size_t kLanes = kLanesOf<V>;
+void InputDeltas(const double* w, const double* a, size_t in, size_t num_rows,
+                 const uint32_t* start, const uint32_t* outs,
+                 const double* deltas, double* din) {
   size_t k = 0;
   for (; k + kTile * kLanes <= in; k += kTile * kLanes) {
     for (size_t r = 0; r < num_rows; ++r) {
@@ -260,12 +233,8 @@ HAMLET_MLP_INLINE void InputDeltas(const double* w, const double* a,
 /// One row's first-layer gradient: the first hidden layer's delta d1 is
 /// the gradient of its bias and of every active unit's column (the one-hot
 /// input is 1 there), so g_b1 += d1 and unit_grads[j] += d1.
-template <typename V>
-HAMLET_MLP_INLINE void SparseBackward(const double* d1,
-                                      double* const* unit_grads,
-                                      size_t n_units, size_t h1,
-                                      double* g_b1) {
-  constexpr size_t kLanes = kLanesOf<V>;
+void SparseBackward(const double* d1, double* const* unit_grads, size_t n_units,
+                    size_t h1, double* g_b1) {
   size_t k = 0;
   for (; k + kTile * kLanes <= h1; k += kTile * kLanes) {
     V d[kTile];
@@ -306,11 +275,8 @@ struct AdamCoeffs {
 /// One Adam step on n parameters from their summed minibatch gradients
 /// g: grad = g * inv_bs (+ lambda * p with `decay`), then the moment
 /// updates and p -= lr * mhat / (sqrt(vhat) + eps).
-template <typename V>
-HAMLET_MLP_INLINE void AdamStep(const AdamCoeffs& c, bool decay,
-                                const double* g, size_t n, double* p,
-                                double* m, double* v) {
-  constexpr size_t kLanes = kLanesOf<V>;
+void AdamStep(const AdamCoeffs& c, bool decay, const double* g, size_t n,
+              double* p, double* m, double* v) {
   size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     V gv, pv, mv, vv;
@@ -343,51 +309,6 @@ HAMLET_MLP_INLINE void AdamStep(const AdamCoeffs& c, bool decay,
     p[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
   }
 }
-
-// Every kernel is compiled from its one always-inline body twice: for the
-// baseline ISA on V2 (Name##Generic) and, on x86-64, with AVX2 on V4
-// (Name##Avx2).
-#ifdef HAMLET_MLP_X86_AVX2
-#define HAMLET_MLP_KERNEL(Name, Params, ...)           \
-  void Name##Generic Params { Name<V2>(__VA_ARGS__); } \
-  __attribute__((target("avx2"))) void Name##Avx2 Params { \
-    Name<V4>(__VA_ARGS__);                              \
-  }
-#else
-#define HAMLET_MLP_KERNEL(Name, Params, ...) \
-  void Name##Generic Params { Name<V2>(__VA_ARGS__); }
-#endif
-
-HAMLET_MLP_KERNEL(SparseForward,
-                  (const double* b1, const double* cols,
-                   const uint32_t* units, size_t n_units, size_t h1,
-                   double* h),
-                  b1, cols, units, n_units, h1, h)
-HAMLET_MLP_KERNEL(DenseForward,
-                  (const double* w, const double* b, const double* x,
-                   size_t in, size_t out, size_t padded, bool relu,
-                   double* z),
-                  w, b, x, in, out, padded, relu, z)
-HAMLET_MLP_KERNEL(WeightGrads,
-                  (const double* a, size_t in, size_t out,
-                   const uint32_t* start, const uint32_t* rows,
-                   const double* deltas, double* gw),
-                  a, in, out, start, rows, deltas, gw)
-HAMLET_MLP_KERNEL(InputDeltas,
-                  (const double* w, const double* a, size_t in,
-                   size_t num_rows, const uint32_t* start,
-                   const uint32_t* outs, const double* deltas, double* din),
-                  w, a, in, num_rows, start, outs, deltas, din)
-HAMLET_MLP_KERNEL(SparseBackward,
-                  (const double* d1, double* const* unit_grads,
-                   size_t n_units, size_t h1, double* g_b1),
-                  d1, unit_grads, n_units, h1, g_b1)
-HAMLET_MLP_KERNEL(AdamStep,
-                  (const AdamCoeffs& c, bool decay, const double* g,
-                   size_t n, double* p, double* m, double* v),
-                  c, decay, g, n, p, m, v)
-
-#undef HAMLET_MLP_KERNEL
 
 double Sigmoid(double z) {
   if (z >= 0) {
@@ -481,15 +402,6 @@ class ColumnPages {
 
 }  // namespace
 
-struct MlpKernels {
-  decltype(&SparseForwardGeneric) sparse_forward;
-  decltype(&DenseForwardGeneric) dense_forward;
-  decltype(&WeightGradsGeneric) weight_grads;
-  decltype(&InputDeltasGeneric) input_deltas;
-  decltype(&SparseBackwardGeneric) sparse_backward;
-  decltype(&AdamStepGeneric) adam_step;
-};
-
 /// A block of rows through the network. acts holds each hidden layer's
 /// activations, rows x width row-major, layer after layer; in_t/out_t
 /// hold one dense layer's input and output transposed (width x padded,
@@ -500,31 +412,6 @@ struct MlpBlock {
   std::vector<double> in_t, out_t;
 };
 
-namespace {
-
-const MlpKernels kGenericKernels = {
-    SparseForwardGeneric, DenseForwardGeneric,    WeightGradsGeneric,
-    InputDeltasGeneric,   SparseBackwardGeneric, AdamStepGeneric};
-#ifdef HAMLET_MLP_X86_AVX2
-const MlpKernels kAvx2Kernels = {SparseForwardAvx2, DenseForwardAvx2,
-                                 WeightGradsAvx2,   InputDeltasAvx2,
-                                 SparseBackwardAvx2, AdamStepAvx2};
-#endif
-
-/// The AVX2 build where HAMLET_SIMD resolves to native and the CPU has
-/// AVX2, else the baseline build. Both produce identical bits.
-const MlpKernels& ActiveKernels() {
-#ifdef HAMLET_MLP_X86_AVX2
-  static const bool has_avx2 = __builtin_cpu_supports("avx2");
-  if (has_avx2 && simd::ActiveBackend() == simd::Backend::kNative) {
-    return kAvx2Kernels;
-  }
-#endif
-  return kGenericKernels;
-}
-
-}  // namespace
-
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {}
 
 void Mlp::RowUnits(const uint32_t* codes, uint32_t* units) const {
@@ -533,8 +420,8 @@ void Mlp::RowUnits(const uint32_t* codes, uint32_t* units) const {
   }
 }
 
-void Mlp::ForwardBlock(const MlpKernels& kernels, const uint32_t* units,
-                       size_t rows, MlpBlock& block) const {
+void Mlp::ForwardBlock(const uint32_t* units, size_t rows,
+                       MlpBlock& block) const {
   const size_t d = one_hot_.num_features();
   const size_t padded = (rows + kRowPad - 1) / kRowPad * kRowPad;
   size_t hidden = h1_, widest = h1_;
@@ -549,7 +436,7 @@ void Mlp::ForwardBlock(const MlpKernels& kernels, const uint32_t* units,
 
   double* a = block.acts.data();
   for (size_t r = 0; r < rows; ++r) {
-    kernels.sparse_forward(b1_.data(), col_w_.data(), units + r * d, d, h1_,
+    SparseForward(b1_.data(), col_w_.data(), units + r * d, d, h1_,
                            a + r * h1_);
   }
   // Transpose into the dense kernels' layout; the padding rows are zero
@@ -562,7 +449,7 @@ void Mlp::ForwardBlock(const MlpKernels& kernels, const uint32_t* units,
   for (size_t l = 0; l < layers_.size(); ++l) {
     const DenseLayer& layer = layers_[l];
     const bool last = l + 1 == layers_.size();
-    kernels.dense_forward(layer.w.data(), layer.b.data(), block.in_t.data(),
+    DenseForward(layer.w.data(), layer.b.data(), block.in_t.data(),
                           layer.in, layer.out, padded, !last,
                           block.out_t.data());
     if (last) {
@@ -619,8 +506,6 @@ Status Mlp::Fit(const DataView& train) {
     layers_.push_back(std::move(layer));
     prev = size;
   }
-
-  const MlpKernels& kernels = ActiveKernels();
 
   // Materialise the rows once and build every row's unit list up front:
   // row i's d active units at units[i * d].
@@ -710,7 +595,7 @@ Status Mlp::Fit(const DataView& train) {
       // Weights stay fixed within a minibatch, so its rows run forward as
       // one block; every gradient below still accumulates row by row in
       // minibatch order.
-      ForwardBlock(kernels, batch_units.data(), count, block);
+      ForwardBlock(batch_units.data(), count, block);
       for (size_t r = 0; r < count; ++r) {
         // Output delta for sigmoid + cross-entropy.
         out_deltas[r] = Sigmoid(block.logits[r]) -
@@ -733,11 +618,11 @@ Status Mlp::Fit(const DataView& train) {
             t.gb[o] += nonzero.by_out_delta[e];
           }
         }
-        kernels.weight_grads(block.acts.data() + at, layer.in, layer.out,
+        WeightGrads(block.acts.data() + at, layer.in, layer.out,
                              nonzero.by_out_start.data(),
                              nonzero.by_out_row.data(),
                              nonzero.by_out_delta.data(), t.gw.data());
-        kernels.input_deltas(layer.w.data(), block.acts.data() + at,
+        InputDeltas(layer.w.data(), block.acts.data() + at,
                              layer.in, count, nonzero.by_row_start.data(),
                              nonzero.by_row_out.data(),
                              nonzero.by_row_delta.data(), deltas.data() + at);
@@ -750,7 +635,7 @@ Status Mlp::Fit(const DataView& train) {
           unit_grads[j] = g_cols.column(
               static_cast<size_t>(unit_slot[batch_units[r * d + j]]));
         }
-        kernels.sparse_backward(deltas.data() + r * h1_, unit_grads.data(), d,
+        SparseBackward(deltas.data() + r * h1_, unit_grads.data(), d,
                                 h1_, g_b1.data());
       }
 
@@ -764,19 +649,19 @@ Status Mlp::Fit(const DataView& train) {
       for (size_t l = 0; l < layers_.size(); ++l) {
         DenseLayer& layer = layers_[l];
         DenseTraining& t = dense[l];
-        kernels.adam_step(coeffs, /*decay=*/true, t.gw.data(), layer.w.size(),
+        AdamStep(coeffs, /*decay=*/true, t.gw.data(), layer.w.size(),
                           layer.w.data(), t.mw.data(), t.vw.data());
-        kernels.adam_step(coeffs, /*decay=*/false, t.gb.data(),
+        AdamStep(coeffs, /*decay=*/false, t.gb.data(),
                           layer.b.size(), layer.b.data(), t.mb.data(),
                           t.vb.data());
       }
-      kernels.adam_step(coeffs, /*decay=*/false, g_b1.data(), h1_,
+      AdamStep(coeffs, /*decay=*/false, g_b1.data(), h1_,
                         b1_.data(), b1_m.data(), b1_v.data());
       // Lazy per-column update: only columns touched by this batch move
       // (their Adam moments update with the current timestep correction).
       for (size_t slot = 0; slot < g_units.size(); ++slot) {
         const size_t u = g_units[slot];
-        kernels.adam_step(coeffs, /*decay=*/true, g_cols.column(slot), h1_,
+        AdamStep(coeffs, /*decay=*/true, g_cols.column(slot), h1_,
                           col_w_.data() + u * h1_, col_m.column(u),
                           col_v.column(u));
       }
@@ -883,7 +768,7 @@ double Mlp::PredictProbability(const DataView& view, size_t i) const {
   std::vector<uint32_t> units(one_hot_.num_features());
   RowUnits(view.ScratchRowCodes(i), units.data());
   MlpBlock block;
-  ForwardBlock(ActiveKernels(), units.data(), 1, block);
+  ForwardBlock(units.data(), 1, block);
   return Sigmoid(block.logits[0]);
 }
 
@@ -893,23 +778,30 @@ uint8_t Mlp::Predict(const DataView& view, size_t i) const {
 
 std::vector<uint8_t> Mlp::PredictAll(const DataView& view) const {
   assert(one_hot_.num_features() == view.num_features());
-  const MlpKernels& kernels = ActiveKernels();
+  // Chunks of rows run forward as one block each. A chunk costs far more
+  // than the pool's dispatch, so even a few chunks fan out; each writes
+  // only its own rows, so the result is the same at any thread count.
+  constexpr size_t kChunkRows = 64;
   const size_t d = one_hot_.num_features();
-  return DensePredictChunks(
-      view, [&](const CodeMatrix& queries, size_t begin, size_t end,
-                uint8_t* out) {
-        std::vector<uint32_t> units((end - begin) * d);
-        for (size_t i = begin; i < end; ++i) {
-          RowUnits(queries.row(i), units.data() + (i - begin) * d);
-        }
-        MlpBlock block;
-        ForwardBlock(kernels, units.data(), end - begin, block);
-        // Row-independent lanes, so each row's logit and probability are
-        // bit-identical to Predict's one-row block.
-        for (size_t r = 0; r < end - begin; ++r) {
-          out[r] = Sigmoid(block.logits[r]) >= 0.5 ? 1 : 0;
-        }
-      });
+  const CodeMatrix queries(view);
+  std::vector<uint8_t> out(queries.num_rows());
+  const size_t chunks = (out.size() + kChunkRows - 1) / kChunkRows;
+  parallel::ParallelFor(chunks, [&](size_t c) {
+    const size_t begin = c * kChunkRows;
+    const size_t rows = std::min(out.size() - begin, kChunkRows);
+    std::vector<uint32_t> units(rows * d);
+    for (size_t r = 0; r < rows; ++r) {
+      RowUnits(queries.row(begin + r), units.data() + r * d);
+    }
+    MlpBlock block;
+    ForwardBlock(units.data(), rows, block);
+    // Row-independent lanes, so each row's logit and probability are
+    // bit-identical to Predict's one-row block.
+    for (size_t r = 0; r < rows; ++r) {
+      out[begin + r] = Sigmoid(block.logits[r]) >= 0.5 ? 1 : 0;
+    }
+  });
+  return out;
 }
 
 }  // namespace ml

@@ -10,13 +10,11 @@
 // layer is one flat unit-major slab, unit u's h1-wide column at
 // [u * h1, (u + 1) * h1); dense weights are row-major. A minibatch runs
 // through the dense layers as one block of rows, so each weight is loaded
-// once per register tile of rows (8 on AVX2, 4 on SSE2) instead of once
-// per row. The loops are vectorised
-// across independent elements only: every floating-point sum keeps the
-// operand order of the plain one-row-at-a-time algorithm and nothing is
-// fused, so a fit and its predictions are bit-identical on every ISA
-// build (an AVX2 build of the same kernels runs when HAMLET_SIMD resolves
-// to native on an AVX2 host). tests/ann_test.cc pins the bits.
+// once per register tile of four rows instead of once per row. The loops
+// are vectorised across independent elements only: every floating-point
+// sum keeps the operand order of the plain one-row-at-a-time algorithm
+// and nothing is fused, so a fit and its predictions are bit-identical to
+// that algorithm's. tests/ann_test.cc pins the bits.
 
 #ifndef HAMLET_ML_ANN_MLP_H_
 #define HAMLET_ML_ANN_MLP_H_
@@ -32,8 +30,7 @@
 namespace hamlet {
 namespace ml {
 
-struct MlpKernels;  // one ISA build of the MLP's loops (mlp.cc)
-struct MlpBlock;    // activations of a block of rows (mlp.cc)
+struct MlpBlock;  // activations of a block of rows (mlp.cc)
 
 /// Hyper-parameters; defaults follow the paper's architecture and the
 /// midpoints of its tuning grids.
@@ -58,8 +55,8 @@ class Mlp : public Classifier {
   Status Fit(const DataView& train) override;
   uint8_t Predict(const DataView& view, size_t i) const override;
   /// Dense batch path: materialises `view` into a CodeMatrix once and
-  /// reuses one activation scratch per chunk of rows; bit-identical to
-  /// per-row Predict.
+  /// runs chunks of rows forward as blocks, one activation scratch per
+  /// chunk; bit-identical to per-row Predict.
   std::vector<uint8_t> PredictAll(const DataView& view) const override;
   std::string name() const override { return "ann-mlp"; }
 
@@ -85,8 +82,8 @@ class Mlp : public Classifier {
   /// Forward pass for `rows` rows at once, row r's active units at
   /// units[r * num_features]: fills `block` with every hidden layer's
   /// (post-ReLU) activations and each row's output logit.
-  void ForwardBlock(const MlpKernels& kernels, const uint32_t* units,
-                    size_t rows, MlpBlock& block) const;
+  void ForwardBlock(const uint32_t* units, size_t rows,
+                    MlpBlock& block) const;
 
   /// Active one-hot unit per feature for a row of codes, each code
   /// clamped into its own feature's unit range.

@@ -8,7 +8,6 @@
 #ifndef HAMLET_ML_CLASSIFIER_H_
 #define HAMLET_ML_CLASSIFIER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -47,10 +46,6 @@ enum class ModelFamily : uint32_t {
 /// Human-readable name for a ModelFamily ("decision-tree", ...).
 const char* ModelFamilyName(ModelFamily family);
 
-/// Row count below which batch prediction runs serially: under it the
-/// pool's dispatch overhead dominates per-row prediction cost.
-inline constexpr size_t kSerialPredictRows = 512;
-
 /// Runs body(i) for every row index in [0, n): serially below a threshold
 /// where the pool's dispatch overhead dominates per-row prediction cost,
 /// on the parallel pool above it. Results must be keyed by index, so the
@@ -62,7 +57,8 @@ inline constexpr size_t kSerialPredictRows = 512;
 /// the ParallelFor boundary.
 template <typename Body>
 void ForEachPredictRow(size_t n, Body&& body) {
-  if (n < kSerialPredictRows) {
+  constexpr size_t kSerialRowThreshold = 512;
+  if (n < kSerialRowThreshold) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -81,32 +77,6 @@ std::vector<uint8_t> DensePredictAll(const DataView& view,
   ForEachPredictRow(out.size(), [&](size_t i) {
     out[i] = predict_row(queries, i);
   });
-  return out;
-}
-
-/// DensePredictAll for learners that score rows a block at a time:
-/// `predict_chunk(matrix, begin, end, out)` fills out[0, end - begin)
-/// for rows [begin, end) of the materialised view, one contiguous chunk
-/// per call. Chunks fan out on the parallel pool from kSerialPredictRows
-/// rows; each writes only its own rows, so the result is identical at
-/// any thread count.
-template <typename ChunkPredictor>
-std::vector<uint8_t> DensePredictChunks(const DataView& view,
-                                        ChunkPredictor&& predict_chunk) {
-  constexpr size_t kChunkRows = 64;
-  const CodeMatrix queries(view);
-  std::vector<uint8_t> out(queries.num_rows());
-  const size_t chunks = (out.size() + kChunkRows - 1) / kChunkRows;
-  auto run_chunk = [&](size_t c) {
-    const size_t begin = c * kChunkRows;
-    const size_t end = std::min(out.size(), begin + kChunkRows);
-    predict_chunk(queries, begin, end, out.data() + begin);
-  };
-  if (out.size() < kSerialPredictRows) {
-    for (size_t c = 0; c < chunks; ++c) run_chunk(c);
-  } else {
-    parallel::ParallelFor(chunks, run_chunk);
-  }
   return out;
 }
 

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -181,89 +179,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1e-3, 1e-2, 1e-1),
                        ::testing::Values(1e-4, 1e-3, 1e-2)));
 
-/// SHA-256 (FIPS 180-4) of a byte string, as lowercase hex. The pin test
-/// below compares whole model files and probability bit patterns by digest.
-std::string Sha256Hex(const std::string& bytes) {
-  static constexpr uint32_t kK[64] = {
-      0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-      0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-      0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-      0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-      0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-      0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-      0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-      0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-      0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-      0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-      0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-  uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  auto rotr = [](uint32_t x, int n) { return (x >> n) | (x << (32 - n)); };
-  std::string msg = bytes;
-  const uint64_t bit_len = static_cast<uint64_t>(bytes.size()) * 8;
-  msg.push_back(static_cast<char>(0x80));
-  while (msg.size() % 64 != 56) msg.push_back('\0');
-  for (int b = 7; b >= 0; --b) {
-    msg.push_back(static_cast<char>((bit_len >> (8 * b)) & 0xff));
+/// 64-bit FNV-1a over a byte string. The pin test below compares whole
+/// model files and probability bit patterns by digest.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
   }
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
-    uint32_t w[64];
-    for (int t = 0; t < 16; ++t) {
-      w[t] = 0;
-      for (int b = 0; b < 4; ++b) {
-        w[t] = (w[t] << 8) |
-               static_cast<uint8_t>(msg[chunk + static_cast<size_t>(4 * t + b)]);
-      }
-    }
-    for (int t = 16; t < 64; ++t) {
-      const uint32_t s0 =
-          rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
-      const uint32_t s1 =
-          rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
-      w[t] = w[t - 16] + s0 + w[t - 7] + s1;
-    }
-    uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4], f = h[5],
-             g = h[6], hh = h[7];
-    for (int t = 0; t < 64; ++t) {
-      const uint32_t t1 = hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) +
-                          ((e & f) ^ (~e & g)) + kK[t] + w[t];
-      const uint32_t t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) +
-                          ((a & b) ^ (a & c) ^ (b & c));
-      hh = g;
-      g = f;
-      f = e;
-      e = d + t1;
-      d = c;
-      c = b;
-      b = a;
-      a = t1 + t2;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
-    h[5] += f;
-    h[6] += g;
-    h[7] += hh;
-  }
-  std::string hex;
-  char buf[9];
-  for (uint32_t v : h) {
-    std::snprintf(buf, sizeof(buf), "%08x", v);
-    hex += buf;
-  }
-  return hex;
-}
-
-TEST(Sha256Test, MatchesFipsVectors) {
-  EXPECT_EQ(Sha256Hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(Sha256Hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(
-      Sha256Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  return h;
 }
 
 /// A four-feature dataset with a large foreign-key column and a label that
@@ -294,9 +217,9 @@ std::string SavedBytes(const Mlp& model) {
   return os.str();
 }
 
-/// SHA-256 over the little-endian IEEE-754 bit patterns of
+/// FNV-1a over the little-endian IEEE-754 bit patterns of
 /// PredictProbability for every row of `view`.
-std::string ProbabilityBitsSha(const Mlp& model, const DataView& view) {
+uint64_t ProbabilityBitsHash(const Mlp& model, const DataView& view) {
   std::string bytes;
   for (size_t i = 0; i < view.num_rows(); ++i) {
     const double p = model.PredictProbability(view, i);
@@ -306,15 +229,15 @@ std::string ProbabilityBitsSha(const Mlp& model, const DataView& view) {
       bytes.push_back(static_cast<char>((bits >> (8 * b)) & 0xff));
     }
   }
-  return Sha256Hex(bytes);
+  return Fnv1a(bytes);
 }
 
 struct PinnedFit {
   const char* name;
   MlpConfig config;
   size_t train_rows;
-  const char* model_sha;  // SHA-256 of the SaveModel bytes
-  const char* proba_sha;  // SHA-256 of the held-out probability bits
+  uint64_t model_hash;  // Fnv1a of the SaveModel bytes
+  uint64_t proba_hash;  // Fnv1a of the held-out probability bits
 };
 
 MlpConfig PinConfig(std::vector<size_t> hidden, double lr, double l2,
@@ -341,14 +264,11 @@ MlpConfig PinConfig(std::vector<size_t> hidden, double lr, double l2,
 TEST(MlpTest, FitBitsPinnedFromParent) {
   const PinnedFit cases[] = {
       {"paper-256-64", PinConfig({256, 64}, 1e-2, 1e-3, 3, 32, 5), 203,
-       "7c2309c8e618b437750c38b9716e1acf88915dfc2491fd61a4585cbeac1fc3c0",
-       "4c3ddbdcdb6015707bf5dc3ad6f539a742c9006a625339b67714d724beef9b6e"},
+       0xca08095a1e81fa5cull, 0xff194ce9ffb3880aull},
       {"dead-relu-deep", PinConfig({24, 12, 6}, 1e-1, 1e-4, 6, 10, 7), 157,
-       "fc5b30910c92038222212478835d762e3a3f7786835dd2fc2e6b5ccf94e78b3b",
-       "b0d9c9c000e46e313ad3c4651ed23aad809b13a06e2a9ce5267dd52f3db96948"},
+       0xaf77a819f699e622ull, 0xde1ec34663c26666ull},
       {"single-hidden-batch1", PinConfig({32}, 1e-2, 1e-2, 2, 1, 9), 50,
-       "2c1ce184b46bcdc8600d8710acbe305ee6d84dfdc76643002554daf318cb1baf",
-       "c05aaa5dd52a4782042ed27926e7b316e73242bab69cb3d2b6b7ccd75ad86062"},
+       0xfb799ea8b3699afeull, 0xfb4f3ff753b5518cull},
   };
   const Dataset held_out = MakeMixed(97, 1234);
   const DataView eval(&held_out);
@@ -358,22 +278,22 @@ TEST(MlpTest, FitBitsPinnedFromParent) {
     Mlp mlp(pin.config);
     ASSERT_TRUE(mlp.Fit(DataView(&train)).ok());
     const std::string bytes = SavedBytes(mlp);
-    EXPECT_EQ(Sha256Hex(bytes), pin.model_sha);
-    EXPECT_EQ(ProbabilityBitsSha(mlp, eval), pin.proba_sha);
+    EXPECT_EQ(Fnv1a(bytes), pin.model_hash);
+    EXPECT_EQ(ProbabilityBitsHash(mlp, eval), pin.proba_hash);
 
     std::istringstream is(bytes);
     auto loaded = io::LoadModel(is);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     const auto* restored = dynamic_cast<const Mlp*>(loaded.value().get());
     ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(ProbabilityBitsSha(*restored, eval), pin.proba_sha);
-    EXPECT_EQ(Sha256Hex(SavedBytes(*restored)), pin.model_sha);
+    EXPECT_EQ(ProbabilityBitsHash(*restored, eval), pin.proba_hash);
+    EXPECT_EQ(Fnv1a(SavedBytes(*restored)), pin.model_hash);
   }
 }
 
 TEST(MlpTest, PredictAllMatchesPerRowPredict) {
-  // 700 rows: past the serial cutoff, so the 64-row chunks fan out on the
-  // pool, and the last chunk is ragged (700 = 10 x 64 + 60).
+  // 700 rows: eleven 64-row chunks fan out on the pool, and the last
+  // chunk is ragged (700 = 10 x 64 + 60).
   const Dataset train = MakeMixed(300, 21);
   const Dataset test = MakeMixed(700, 22);
   Mlp mlp(PinConfig({32, 8}, 1e-2, 1e-3, 5, 32, 4));
