@@ -218,7 +218,7 @@ class PackedStatsScope {
 /// Prints the packed-code layer's counters accumulated since `scope` was
 /// constructed, in a stable, machine-parseable form. The match-counting
 /// benches (1-NN and SVM families) call this after their tables so
-/// run_all.py can record the active backend and packed work volume in
+/// run_all.py can record the CPU-picked popcount and packed work volume in
 /// BENCH_results.json across commits (schema v7, see
 /// docs/BENCH_SCHEMA.md). words_per_row is the mean packed row width
 /// (build words / rows packed); n/a when nothing was packed inside the

@@ -61,7 +61,7 @@ SERVING_RE = re.compile(
 # (words_per_row=n/a when nothing was packed inside the stats scope).
 # The full schema is documented in docs/BENCH_SCHEMA.md.
 PACKED_RE = re.compile(
-    r"^\[packed\] backend=(scalar|swar|native) builds=(\d+) rows=(\d+) "
+    r"^\[packed\] backend=(swar|native) builds=(\d+) rows=(\d+) "
     r"words_per_row=(n/a|[0-9.]+) evals=(\d+) eval_words=(\d+)$")
 
 # Baselines from reports older than this schema lack the packed-code

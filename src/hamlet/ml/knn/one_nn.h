@@ -55,8 +55,7 @@ class OneNearestNeighbor : public Classifier {
   /// per-feature loop — the surviving (best, best_dist) pair is
   /// bit-identical to the scalar scan, including ties breaking toward
   /// the earliest training row.
-  size_t NearestIndexOfPacked(simd::Backend backend,
-                              const uint64_t* query) const;
+  size_t NearestIndexOfPacked(const uint64_t* query) const;
 
   // Training data is materialised row-major for scan locality, with a
   // bit-packed mirror (built at Fit/LoadBody) for the distance scan.

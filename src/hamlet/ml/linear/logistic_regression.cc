@@ -37,7 +37,9 @@ LogisticRegressionL1::LogisticRegressionL1(LogisticRegressionConfig config)
 double LogisticRegressionL1::MarginOfCodes(const uint32_t* codes) const {
   double z = intercept_;
   for (size_t j = 0; j < one_hot_.num_features(); ++j) {
-    const uint32_t u = one_hot_.UnitIndex(j, codes[j]);
+    // A code past feature j's training domain scores as that feature's
+    // last code, never as a unit of the next feature.
+    const uint32_t u = one_hot_.ClampedUnitIndex(j, codes[j]);
     if (u < weights_.size()) z += weights_[u];
   }
   return z;

@@ -51,10 +51,10 @@ double KernelEval(const KernelConfig& config, const uint32_t* a,
   return KernelFromMatches(config, MatchCount(a, b, d), d);
 }
 
-double PackedKernelEval(const KernelConfig& config, simd::Backend backend,
+double PackedKernelEval(const KernelConfig& config,
                         const simd::PackedLayout& layout, const uint64_t* a,
                         const uint64_t* b) {
-  const size_t matches = simd::PackedMatchCount(backend, layout, a, b);
+  const size_t matches = simd::PackedMatchCount(layout, a, b);
   return KernelFromMatches(config, matches, layout.num_features);
 }
 
@@ -69,13 +69,12 @@ std::vector<float> ComputeGram(const KernelConfig& config,
   for (const uint32_t c : rows) max_code = std::max(max_code, c);
   const simd::PackedLayout layout = simd::PackedLayout::ForMaxCode(max_code, d);
   const PackedCodeMatrix packed(layout, rows.data(), n);
-  const simd::Backend backend = simd::ActiveBackend();
   std::vector<float> gram(n * n);
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* ri = packed.row(i);
     for (size_t j = i; j < n; ++j) {
       const float v = static_cast<float>(
-          PackedKernelEval(config, backend, layout, ri, packed.row(j)));
+          PackedKernelEval(config, layout, ri, packed.row(j)));
       gram[i * n + j] = v;
       gram[j * n + i] = v;
     }

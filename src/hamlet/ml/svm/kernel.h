@@ -54,9 +54,9 @@ double KernelEval(const KernelConfig& config, const uint32_t* a,
 
 /// Kernel value for two rows packed under `layout` (see
 /// data/packed_code_matrix.h). Bit-identical to KernelEval on the
-/// unpacked codes: the backends produce exact match counts and the float
-/// math is shared via KernelFromMatches.
-double PackedKernelEval(const KernelConfig& config, simd::Backend backend,
+/// unpacked codes: the packed match count is exact and the float math is
+/// shared via KernelFromMatches.
+double PackedKernelEval(const KernelConfig& config,
                         const simd::PackedLayout& layout, const uint64_t* a,
                         const uint64_t* b);
 

@@ -64,7 +64,6 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
                          size_t cache_bytes)
     : matrix_(std::move(matrix)),
       packed_(matrix_),
-      backend_(simd::ActiveBackend()),
       kernel_(kernel) {
   const size_t n = matrix_.num_rows();
   if (cache_bytes == 0) cache_bytes = KernelCacheBytesFromEnv();
@@ -81,7 +80,7 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* ri = packed_.row(i);
     diag_[i] = static_cast<float>(
-        PackedKernelEval(kernel_, backend_, packed_.layout(), ri, ri));
+        PackedKernelEval(kernel_, packed_.layout(), ri, ri));
   }
   packed_evals_ += n;
   packed_words_ += static_cast<uint64_t>(n) * packed_.layout().words_per_row;
@@ -118,14 +117,14 @@ void KernelCache::ComputeRow(size_t i, float* out) const {
     const size_t n = matrix_.num_rows();
     for (size_t t = 0; t < n; ++t) {
       out[t] = static_cast<float>(
-          PackedKernelEval(kernel_, backend_, layout, ri, packed_.row(t)));
+          PackedKernelEval(kernel_, layout, ri, packed_.row(t)));
     }
     cols = n;
   } else {
     for (const int32_t col : restrict_idx_) {
       const size_t t = static_cast<size_t>(col);
       out[t] = static_cast<float>(
-          PackedKernelEval(kernel_, backend_, layout, ri, packed_.row(t)));
+          PackedKernelEval(kernel_, layout, ri, packed_.row(t)));
     }
     cols = restrict_idx_.size();
   }
@@ -183,7 +182,7 @@ float KernelCache::At(size_t i, size_t j) const {
   ++packed_evals_;
   packed_words_ += packed_.layout().words_per_row;
   return static_cast<float>(PackedKernelEval(
-      kernel_, backend_, packed_.layout(), packed_.row(i), packed_.row(j)));
+      kernel_, packed_.layout(), packed_.row(i), packed_.row(j)));
 }
 
 const float* KernelCache::PeekRow(size_t i) const {

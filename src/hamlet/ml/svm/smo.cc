@@ -4,13 +4,8 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
-#include <string>
-
-#include "hamlet/common/logging.h"
 
 namespace hamlet {
 namespace ml {
@@ -25,45 +20,7 @@ std::atomic<uint64_t> g_smo_iterations{0};
 std::atomic<uint64_t> g_smo_shrink_events{0};
 std::atomic<uint64_t> g_smo_unshrink_events{0};
 
-/// Shared parser for the HAMLET_SMO_WSS2 / HAMLET_SMO_SHRINK booleans:
-/// unset/empty and the usual truthy spellings mean ON; falsy spellings
-/// mean OFF; garbage warns once per distinct value and stays ON.
-bool SmoBoolFromEnv(const char* name, const char* warn_key) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return true;
-  const std::string v(value);
-  if (v == "1" || v == "on" || v == "true" || v == "yes") return true;
-  if (v == "0" || v == "off" || v == "false" || v == "no") return false;
-  if (FirstOccurrence(std::string(warn_key) + v)) {
-    std::fprintf(stderr,
-                 "hamlet: unrecognized %s=\"%s\" (expected 0/1, on/off, "
-                 "true/false); leaving it enabled\n",
-                 name, value);
-  }
-  return true;
-}
-
-bool ResolveToggle(SmoToggle toggle, bool (*env_fn)()) {
-  switch (toggle) {
-    case SmoToggle::kOn:
-      return true;
-    case SmoToggle::kOff:
-      return false;
-    case SmoToggle::kEnv:
-      break;
-  }
-  return env_fn();
-}
-
 }  // namespace
-
-bool SmoWss2FromEnv() {
-  return SmoBoolFromEnv("HAMLET_SMO_WSS2", "smo_wss2:");
-}
-
-bool SmoShrinkFromEnv() {
-  return SmoBoolFromEnv("HAMLET_SMO_SHRINK", "smo_shrink:");
-}
 
 SmoTotals GlobalSmoTotals() {
   SmoTotals totals;
@@ -182,16 +139,11 @@ inline bool PairStep(double lo, double hi, double ai_old, double aj_old,
 }
 
 /// SMO state: alpha, the error cache (f(x_i) - y_i) and the active set.
-/// With shrinking off the active set is permanently [0, n) and every
-/// loop below visits t = 0..n-1 in order, reproducing the historical
-/// full-scan solver arithmetic exactly.
 struct Solver {
   KernelRowSource& rows;
   const std::vector<int8_t>& y;
   const SmoConfig& cfg;
   size_t n;
-  bool wss2;
-  bool shrinking;
   std::vector<double> alpha;
   std::vector<double> error;  // f(x_i) - y_i; with alpha = 0, f = bias = 0
   std::vector<float> row_i;   // scratch copy of kernel row i (see below)
@@ -204,9 +156,9 @@ struct Solver {
   double bias = 0.0;
 
   Solver(KernelRowSource& kernel_rows, const std::vector<int8_t>& labels,
-         const SmoConfig& config, bool use_wss2, bool use_shrinking)
+         const SmoConfig& config)
       : rows(kernel_rows), y(labels), cfg(config), n(labels.size()),
-        wss2(use_wss2), shrinking(use_shrinking), alpha(n, 0.0), error(n),
+        alpha(n, 0.0), error(n),
         row_i(n), active(n), in_active(n, 1) {
     for (size_t i = 0; i < n; ++i) error[i] = -static_cast<double>(y[i]);
     std::iota(active.begin(), active.end(), 0);
@@ -254,12 +206,6 @@ struct Solver {
     ScanScores(up_best, up_idx, low_best, low_idx);
     if (up_idx == n || low_idx == n) return false;
     if (up_best - low_best < cfg.tolerance) return false;
-    if (!wss2) {
-      // First-order WSS1: the maximal violating pair itself.
-      out_i = up_idx;
-      out_j = low_idx;
-      return true;
-    }
     // WSS2: fetch i's kernel row once and pick j by quadratic gain. The
     // row is read in place (no need to survive a second fetch here);
     // UpdatePair re-fetches it, which is a cache hit for any source
@@ -512,15 +458,12 @@ Result<SmoSolution> SolveSmo(KernelRowSource& rows,
     return sol;
   }
 
-  const bool use_wss2 = ResolveToggle(config.use_wss2, &SmoWss2FromEnv);
-  const bool use_shrinking =
-      ResolveToggle(config.use_shrinking, &SmoShrinkFromEnv);
-  Solver solver(rows, y, config, use_wss2, use_shrinking);
+  Solver solver(rows, y, config);
   const size_t shrink_period = std::min(n, size_t{1000});
   size_t shrink_counter = shrink_period;
   size_t it = 0;
   for (; it < config.max_iterations; ++it) {
-    if (use_shrinking && --shrink_counter == 0) {
+    if (--shrink_counter == 0) {
       solver.DoShrink();
       shrink_counter = shrink_period;
     }

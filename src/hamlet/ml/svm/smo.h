@@ -4,17 +4,13 @@
 //          s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0
 // using Platt-style pairwise updates with an error cache maintained over
 // an active set. Working-set selection is LIBSVM-style second-order
-// (WSS2) by default: i maximises the gradient violation over I_up, j
-// maximises the quadratic gain (G_i - G_j)^2 / max(eta, tau) over the
-// violating I_low candidates, using the cached kernel diagonal plus the
-// single kernel row for i. Shrinking periodically deactivates
-// bound-pinned points whose gradients cannot re-enter the working set;
-// before convergence is declared the solver reconstructs the full
-// gradient and unshrinks, so the returned solution is tolerance-exact on
-// the full problem. Both accelerations can be disabled
-// (SmoConfig::use_wss2 / use_shrinking, env HAMLET_SMO_WSS2 /
-// HAMLET_SMO_SHRINK); with both off the solver runs the historical
-// first-order max-violating-pair loop bit-identically.
+// (WSS2): i maximises the gradient violation over I_up, j maximises the
+// quadratic gain (G_i - G_j)^2 / max(eta, tau) over the violating I_low
+// candidates, using the cached kernel diagonal plus the single kernel
+// row for i. Shrinking periodically deactivates bound-pinned points
+// whose gradients cannot re-enter the working set; before convergence
+// is declared the solver reconstructs the full gradient and unshrinks,
+// so the returned solution is tolerance-exact on the full problem.
 //
 // Kernel rows are supplied by a KernelRowSource: either the lazy LRU
 // KernelCache (the production path, see kernel_cache.h) or a precomputed
@@ -36,25 +32,6 @@
 namespace hamlet {
 namespace ml {
 
-/// Tri-state switch for solver accelerations that default to an
-/// environment lookup. kEnv resolves HAMLET_SMO_WSS2 /
-/// HAMLET_SMO_SHRINK at solve time (both default ON when unset); tests
-/// and callers that must pin a path use kOn/kOff, which ignore the
-/// environment entirely.
-enum class SmoToggle : uint8_t {
-  kEnv = 0,
-  kOn,
-  kOff,
-};
-
-/// HAMLET_SMO_WSS2 resolved to a bool: unset/empty/1/on/true/yes = true,
-/// 0/off/false/no = false; anything else warns on stderr once per
-/// distinct value and falls back to true (the default).
-bool SmoWss2FromEnv();
-
-/// HAMLET_SMO_SHRINK with the same grammar and default as SmoWss2FromEnv.
-bool SmoShrinkFromEnv();
-
 /// Solver parameters.
 struct SmoConfig {
   double C = 1.0;
@@ -65,15 +42,6 @@ struct SmoConfig {
   /// the 64 MiB default (KernelCacheBytesFromEnv). The solver itself is
   /// agnostic: it uses whatever KernelRowSource it is handed.
   size_t cache_bytes = 0;
-  /// Second-order working-set selection. kOff restores the historical
-  /// first-order max-violating-pair loop (bit-identical when
-  /// use_shrinking is also off).
-  SmoToggle use_wss2 = SmoToggle::kEnv;
-  /// Periodic deactivation of bound-pinned points (LIBSVM shrinking).
-  /// The solver always reconstructs the full gradient and unshrinks
-  /// before declaring convergence, so the solution is tolerance-exact on
-  /// the full problem either way.
-  SmoToggle use_shrinking = SmoToggle::kEnv;
 };
 
 /// Solver output: dual coefficients and intercept.

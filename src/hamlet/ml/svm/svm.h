@@ -38,12 +38,6 @@ struct SvmConfig {
   /// default. The solve is bit-identical at any budget; only speed and
   /// memory change. Tests pin tiny budgets through this knob.
   size_t smo_cache_bytes = 0;
-  /// Solver accelerations (see SmoConfig): second-order working-set
-  /// selection and shrinking, both defaulting to the environment
-  /// (HAMLET_SMO_WSS2 / HAMLET_SMO_SHRINK, on unless disabled). Tests
-  /// pin kOn/kOff to compare the paths.
-  SmoToggle smo_wss2 = SmoToggle::kEnv;
-  SmoToggle smo_shrinking = SmoToggle::kEnv;
 };
 
 /// C-SVC with categorical-native kernels.
@@ -97,8 +91,7 @@ class KernelSvm : public Classifier {
   void PackSupportVectors(const std::vector<uint32_t>& domains);
   /// Decision value for a query already packed under sv_layout_; the
   /// shared kernel-sum loop of Predict/PredictAll/DecisionValue.
-  double DecisionValueOfPacked(simd::Backend backend,
-                               const uint64_t* query) const;
+  double DecisionValueOfPacked(const uint64_t* query) const;
 
   SvmConfig config_;
   bool fitted_ = false;

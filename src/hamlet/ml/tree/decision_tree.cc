@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "hamlet/io/model_io.h"
+#include "hamlet/simd/simd.h"
 
 namespace hamlet {
 namespace ml {
@@ -42,7 +43,6 @@ Status DecisionTree::Fit(const DataView& train) {
   root_ = -1;
   num_features_ = m.num_features();
 
-  fit_backend_ = simd::ActiveBackend();
   scratch_count_.assign(num_features_, {});
   scratch_pos_.assign(num_features_, {});
   for (size_t j = 0; j < num_features_; ++j) {
@@ -201,10 +201,10 @@ int DecisionTree::BuildNode(const CodeMatrix& train,
     // Per-code stats for this node; track touched codes for cheap reset.
     // The gather runs through the simd split-scan helper (unrolled row
     // loads, updates in row order), so counts and first-seen order are
-    // identical to a plain per-row loop on every backend.
+    // identical to a plain per-row loop.
     std::vector<uint32_t> touched;
     touched.reserve(std::min<size_t>(n, domain));
-    simd::SplitStatsScan(fit_backend_, train.codes().data(), num_features_,
+    simd::SplitStatsScan(train.codes().data(), num_features_,
                          train.labels().data(), rows.data() + begin, n, j,
                          count.data(), pos_count.data(), touched);
     if (touched.size() >= 2) {

@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 
-#include "hamlet/common/logging.h"
 #include "hamlet/simd/simd_native.h"
 
 namespace hamlet {
@@ -23,90 +19,6 @@ std::atomic<uint64_t> g_packed_build_words{0};
 std::atomic<uint64_t> g_packed_evals{0};
 std::atomic<uint64_t> g_packed_eval_words{0};
 
-/// Bit-twiddling population count (Hacker's Delight); the kSwar backend
-/// and the fallback for hosts without a hardware popcount.
-inline uint32_t PopcountSwar(uint64_t x) {
-  x = x - ((x >> 1) & 0x5555555555555555ull);
-  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-  return static_cast<uint32_t>((x * 0x0101010101010101ull) >> 56);
-}
-
-/// Mismatched fields of one XOR word, counted one field at a time (the
-/// reference the other backends must agree with bit for bit).
-inline size_t WordMismatchScalar(uint64_t x, uint32_t field_bits,
-                                 size_t fields_per_word) {
-  const uint64_t field_mask = (uint64_t{1} << field_bits) - 1;
-  size_t mismatches = 0;
-  for (size_t f = 0; f < fields_per_word; ++f) {
-    mismatches += ((x >> (f * field_bits)) & field_mask) != 0;
-  }
-  return mismatches;
-}
-
-/// Mismatched fields of one XOR word via the guard-bit carry trick: a
-/// field of x + add_mask carries into its guard bit iff the field of x is
-/// non-zero, and the carry cannot cross fields (max field sum is
-/// 2^field_bits - 2). Padding fields are zero in both rows, so they never
-/// carry.
-inline uint64_t MismatchGuardBits(uint64_t x, const PackedLayout& layout) {
-  return (x + layout.add_mask) & layout.guard_mask;
-}
-
-size_t MismatchScalar(const PackedLayout& layout, const uint64_t* a,
-                      const uint64_t* b) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += WordMismatchScalar(a[w] ^ b[w], layout.field_bits,
-                                     layout.fields_per_word);
-  }
-  return mismatches;
-}
-
-size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
-                    const uint64_t* b) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
-  }
-  return mismatches;
-}
-
-size_t MismatchScalarBounded(const PackedLayout& layout, const uint64_t* a,
-                             const uint64_t* b, size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += WordMismatchScalar(a[w] ^ b[w], layout.field_bits,
-                                     layout.fields_per_word);
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
-}
-
-size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
-                           const uint64_t* b, size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
-}
-
-/// kNative on a host without hardware popcount runs the SWAR word math;
-/// resolving here keeps every entry point (including tests that force
-/// each enum value) safe on any machine.
-inline Backend ResolveNative(Backend backend) {
-  if (backend == Backend::kNative && !detail::NativeSupported()) {
-    return Backend::kSwar;
-  }
-  return backend;
-}
-
-Backend DefaultBackend() {
-  return NativeAvailable() ? Backend::kNative : Backend::kSwar;
-}
-
 /// One (row, feature) pass of the NB counting loop; shared by every lane.
 inline void CountOneRow(const uint32_t* row, uint8_t label, size_t d,
                         const size_t* offsets, uint32_t* counts) {
@@ -118,44 +30,11 @@ inline void CountOneRow(const uint32_t* row, uint8_t label, size_t d,
 }  // namespace
 
 const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kSwar:
-      return "swar";
-    case Backend::kNative:
-      return "native";
-  }
-  return "unknown";
+  return backend == Backend::kNative ? "native" : "swar";
 }
 
-bool NativeAvailable() { return detail::NativeSupported(); }
-
 Backend ActiveBackend() {
-  const char* value = std::getenv("HAMLET_SIMD");
-  if (value == nullptr || *value == '\0') return DefaultBackend();
-  const std::string v(value);
-  if (v == "scalar") return Backend::kScalar;
-  if (v == "swar") return Backend::kSwar;
-  if (v == "native") {
-    if (!NativeAvailable()) {
-      if (FirstOccurrence("simd:native-unavailable")) {
-        std::fprintf(stderr,
-                     "hamlet: HAMLET_SIMD=native requested but this host "
-                     "has no hardware popcount; using swar\n");
-      }
-      return Backend::kSwar;
-    }
-    return Backend::kNative;
-  }
-  if (v == "auto") return DefaultBackend();
-  if (FirstOccurrence(std::string("simd:") + v)) {
-    std::fprintf(stderr,
-                 "hamlet: unrecognized HAMLET_SIMD=\"%s\" (expected scalar, "
-                 "swar, native or auto); using auto\n",
-                 value);
-  }
-  return DefaultBackend();
+  return detail::NativeSupported() ? Backend::kNative : Backend::kSwar;
 }
 
 PackedLayout PackedLayout::ForMaxCode(uint32_t max_code, size_t d) {
@@ -209,55 +88,44 @@ uint32_t PackedLayout::UnpackCode(const uint64_t* row, size_t j) const {
   return static_cast<uint32_t>((row[w] >> (f * field_bits)) & value_mask);
 }
 
-size_t PackedMismatchCount(Backend backend, const PackedLayout& layout,
-                           const uint64_t* a, const uint64_t* b) {
-  switch (ResolveNative(backend)) {
-    case Backend::kScalar:
-      return MismatchScalar(layout, a, b);
-    case Backend::kSwar:
-      return MismatchSwar(layout, a, b);
-    case Backend::kNative:
-      return detail::MismatchNative(layout, a, b);
+size_t PackedMismatchCount(const PackedLayout& layout, const uint64_t* a,
+                           const uint64_t* b) {
+  if (!detail::NativeSupported()) return detail::MismatchSwar(layout, a, b);
+#ifdef HAMLET_X86_NATIVE
+  if (layout.words_per_row >= 8 && detail::Avx2Supported()) {
+    return detail::MismatchAvx2(layout, a, b);
   }
-  return MismatchScalar(layout, a, b);
+#endif
+  return detail::MismatchPopcount(layout, a, b);
 }
 
-size_t PackedMismatchCountBounded(Backend backend, const PackedLayout& layout,
+size_t PackedMismatchCountBounded(const PackedLayout& layout,
                                   const uint64_t* a, const uint64_t* b,
                                   size_t limit) {
-  switch (ResolveNative(backend)) {
-    case Backend::kScalar:
-      return MismatchScalarBounded(layout, a, b, limit);
-    case Backend::kSwar:
-      return MismatchSwarBounded(layout, a, b, limit);
-    case Backend::kNative:
-      return detail::MismatchNativeBounded(layout, a, b, limit);
-  }
-  return MismatchScalarBounded(layout, a, b, limit);
+  return detail::NativeSupported()
+             ? detail::MismatchPopcountBounded(layout, a, b, limit)
+             : detail::MismatchSwarBounded(layout, a, b, limit);
 }
 
-void CountCodeLabelPairs(Backend backend, const uint32_t* codes,
-                         const uint8_t* labels, size_t n, size_t d,
-                         const size_t* offsets, uint32_t* counts) {
+void CountCodeLabelPairs(const uint32_t* codes, const uint8_t* labels,
+                         size_t n, size_t d, const size_t* offsets,
+                         uint32_t* counts) {
   // Lane splitting breaks the store-to-load dependency between adjacent
   // rows hitting the same histogram cell; the lane sums are integers, so
-  // any lane count gives bit-identical totals.
-  const Backend effective = ResolveNative(backend);
-  const size_t lanes = effective == Backend::kScalar ? 1
-                       : effective == Backend::kSwar ? 2
-                                                     : 4;
+  // the totals equal a plain row-order loop's.
+  constexpr size_t kLanes = 4;
   const size_t total = offsets[d];
-  if (lanes == 1 || d == 0 || n < lanes * 4) {
+  if (d == 0 || n < kLanes * 4) {
     for (size_t i = 0; i < n; ++i) {
       CountOneRow(codes + i * d, labels[i], d, offsets, counts);
     }
     return;
   }
-  std::vector<uint32_t> extra((lanes - 1) * total, 0);
+  std::vector<uint32_t> extra((kLanes - 1) * total, 0);
   size_t i = 0;
-  for (; i + lanes <= n; i += lanes) {
+  for (; i + kLanes <= n; i += kLanes) {
     CountOneRow(codes + i * d, labels[i], d, offsets, counts);
-    for (size_t l = 1; l < lanes; ++l) {
+    for (size_t l = 1; l < kLanes; ++l) {
       CountOneRow(codes + (i + l) * d, labels[i + l], d, offsets,
                   extra.data() + (l - 1) * total);
     }
@@ -265,41 +133,35 @@ void CountCodeLabelPairs(Backend backend, const uint32_t* codes,
   for (; i < n; ++i) {
     CountOneRow(codes + i * d, labels[i], d, offsets, counts);
   }
-  for (size_t l = 1; l < lanes; ++l) {
+  for (size_t l = 1; l < kLanes; ++l) {
     const uint32_t* lane = extra.data() + (l - 1) * total;
     for (size_t k = 0; k < total; ++k) counts[k] += lane[k];
   }
 }
 
-void SplitStatsScan(Backend backend, const uint32_t* codes,
-                    size_t num_features, const uint8_t* labels,
-                    const uint32_t* row_ids, size_t n, size_t feature,
-                    uint32_t* count, uint32_t* pos_count,
+void SplitStatsScan(const uint32_t* codes, size_t num_features,
+                    const uint8_t* labels, const uint32_t* row_ids, size_t n,
+                    size_t feature, uint32_t* count, uint32_t* pos_count,
                     std::vector<uint32_t>& touched) {
   // The gathers (row id -> code, label) are unrolled so several loads are
   // in flight; the stat updates stay in row order, which keeps `touched`
-  // (first-seen order) and all counts identical to the scalar loop.
-  const Backend effective = ResolveNative(backend);
-  const size_t unroll = effective == Backend::kScalar ? 1
-                        : effective == Backend::kSwar ? 2
-                                                      : 4;
+  // (first-seen order) and all counts identical to a per-row loop.
+  constexpr size_t kUnroll = 4;
   const auto update = [&](uint32_t c, uint8_t label) {
     if (count[c] == 0) touched.push_back(c);
     ++count[c];
     pos_count[c] += label;
   };
   size_t i = 0;
-  if (unroll > 1) {
-    uint32_t c[4];
-    uint8_t l[4];
-    for (; i + unroll <= n; i += unroll) {
-      for (size_t u = 0; u < unroll; ++u) {
-        const size_t r = row_ids[i + u];
-        c[u] = codes[r * num_features + feature];
-        l[u] = labels[r];
-      }
-      for (size_t u = 0; u < unroll; ++u) update(c[u], l[u]);
+  uint32_t c[kUnroll];
+  uint8_t l[kUnroll];
+  for (; i + kUnroll <= n; i += kUnroll) {
+    for (size_t u = 0; u < kUnroll; ++u) {
+      const size_t r = row_ids[i + u];
+      c[u] = codes[r * num_features + feature];
+      l[u] = labels[r];
     }
+    for (size_t u = 0; u < kUnroll; ++u) update(c[u], l[u]);
   }
   for (; i < n; ++i) {
     const size_t r = row_ids[i];

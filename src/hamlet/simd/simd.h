@@ -1,36 +1,30 @@
-// Runtime-dispatched vector backends for the packed-code hot loops.
+// Packed-code layout and the match-counting hot loops.
 //
 // Every inner loop the paper's experiments live in — 1-NN Hamming
 // distance, the linear/overlap SVM kernels, NB counting, tree split
 // scans — is a scan over uint32_t categorical codes. Packing the codes
 // into fixed-width bit fields (see PackedLayout) turns match counting
 // into XOR + carry-trick + popcount over uint64_t words: 16-64 codes per
-// cache line instead of one per 4 bytes. Three interchangeable backends
-// implement the word-level counting:
+// cache line instead of one per 4 bytes.
 //
-//   kScalar  per-field shift/mask test; the portable reference.
-//   kSwar    guard-bit carry trick + bit-twiddling popcount (any 64-bit
-//            host, no intrinsics).
-//   kNative  same word math with hardware popcount (x86-64 POPCNT with
-//            an AVX2 block path for long rows; on aarch64 the compiler
-//            lowers __builtin_popcountll to NEON cnt).
+// There is one match-counting path, and it is integer-exact: every count
+// equals the field-by-field definition, so every downstream float
+// computation consumes identical integers on any host. Only the popcount
+// is picked, from the CPU alone (never from a setting):
 //
-// All three return exactly the same integer counts for every input, so
-// every downstream float computation consumes identical integers and the
-// repo's bit-identical determinism contract holds across backends — the
-// parity suite (tests/packed_parity_test.cc) enforces this.
+//   native  hardware popcount (x86-64 POPCNT, with an AVX2 block for
+//           rows of 8 words or more where the CPU has it; on aarch64
+//           the compiler lowers __builtin_popcountll to NEON cnt).
+//   swar    bit-twiddling popcount on hosts without one.
 //
-// Selection: HAMLET_SIMD=scalar|swar|native|auto (unset/auto picks the
-// best available; unknown values warn once and fall back to auto;
-// "native" on hardware without popcount warns once and runs swar).
-// Callers resolve ActiveBackend() once per fit/batch and pass the enum
-// down; the per-pair dispatch is a branch on that enum.
+// The parity suite (tests/packed_parity_test.cc) checks each of these
+// word routines directly against a field-by-field oracle.
 //
 // The word-level helpers here are layout math on raw pointers only; the
 // owning container is data/packed_code_matrix.h.
 
-#ifndef HAMLET_SIMD_SIMD_H_
-#define HAMLET_SIMD_SIMD_H_
+#ifndef HAMLET_PACKED_SIMD_H_
+#define HAMLET_PACKED_SIMD_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -39,22 +33,17 @@
 namespace hamlet {
 namespace simd {
 
+/// The popcount the match-counting path runs on this host.
 enum class Backend {
-  kScalar,
   kSwar,
   kNative,
 };
 
+/// "swar" or "native" (bench reports and fingerprints).
 const char* BackendName(Backend backend);
 
-/// True when the hardware-popcount backend is usable on this host (POPCNT
-/// on x86-64, always on aarch64). When false, requests for kNative run
-/// the SWAR path instead.
-bool NativeAvailable();
-
-/// Backend selected by HAMLET_SIMD (warn-once grammar, see file comment).
-/// Unset or "auto" resolves to kNative when available, else kSwar. Cheap
-/// enough to call per fit/batch; not meant for per-pair calls.
+/// kNative when this host has a hardware popcount (POPCNT on x86-64,
+/// always on aarch64), else kSwar. Reports the CPU; changes nothing.
 Backend ActiveBackend();
 
 /// Bit-field layout shared by every packed row that must be comparable.
@@ -99,53 +88,51 @@ struct PackedLayout {
 };
 
 /// Number of mismatching features between two packed rows of the same
-/// layout. All backends return the same count for every input.
-size_t PackedMismatchCount(Backend backend, const PackedLayout& layout,
-                           const uint64_t* a, const uint64_t* b);
+/// layout; exact on every host.
+size_t PackedMismatchCount(const PackedLayout& layout, const uint64_t* a,
+                           const uint64_t* b);
 
 /// Early-exit variant for 1-NN: stops scanning words once the running
 /// mismatch count reaches `limit` and returns a value >= limit. For
 /// results < limit the count is exact; callers must treat any returned
 /// value >= limit as "not better".
-size_t PackedMismatchCountBounded(Backend backend, const PackedLayout& layout,
+size_t PackedMismatchCountBounded(const PackedLayout& layout,
                                   const uint64_t* a, const uint64_t* b,
                                   size_t limit);
 
 /// Matching features between two packed rows (num_features - mismatches);
 /// the quantity the linear/poly kernels consume directly.
-inline size_t PackedMatchCount(Backend backend, const PackedLayout& layout,
-                               const uint64_t* a, const uint64_t* b) {
-  return layout.num_features -
-         PackedMismatchCount(backend, layout, a, b);
+inline size_t PackedMatchCount(const PackedLayout& layout, const uint64_t* a,
+                               const uint64_t* b) {
+  return layout.num_features - PackedMismatchCount(layout, a, b);
 }
 
 /// NB fit counting: for every (row i, feature j) increments
 /// counts[offsets[j] + codes[i*d + j] * 2 + labels[i]]. `offsets` has
 /// d + 1 entries (prefix sums of 2 * domain_size); `counts` has
-/// offsets[d] entries. Backends differ only in how many interleaved
-/// accumulator lanes they use (1/2/4); lane sums are integers, so every
-/// backend produces identical counts in any order.
-void CountCodeLabelPairs(Backend backend, const uint32_t* codes,
-                         const uint8_t* labels, size_t n, size_t d,
-                         const size_t* offsets, uint32_t* counts);
+/// offsets[d] entries. Rows are spread over four interleaved accumulator
+/// lanes; lane sums are integers, so the counts equal those of a plain
+/// row-order loop.
+void CountCodeLabelPairs(const uint32_t* codes, const uint8_t* labels,
+                         size_t n, size_t d, const size_t* offsets,
+                         uint32_t* counts);
 
 /// Tree split scan: per-code stats of `feature` over the node's rows
 /// (row_ids[0..n)). Increments count[c] / pos_count[c] and appends each
 /// code to `touched` the first time it is seen (count[c] == 0 before the
-/// increment), exactly like the scalar loop in DecisionTree::BuildNode.
-/// Backends unroll the row loads differently but apply the updates in
-/// row order, so `touched` order and all counts are identical.
-void SplitStatsScan(Backend backend, const uint32_t* codes,
-                    size_t num_features, const uint8_t* labels,
-                    const uint32_t* row_ids, size_t n, size_t feature,
-                    uint32_t* count, uint32_t* pos_count,
+/// increment), exactly like a plain per-row loop. The row loads are
+/// unrolled four at a time but the updates apply in row order, so
+/// `touched` order and all counts are identical to that loop.
+void SplitStatsScan(const uint32_t* codes, size_t num_features,
+                    const uint8_t* labels, const uint32_t* row_ids, size_t n,
+                    size_t feature, uint32_t* count, uint32_t* pos_count,
                     std::vector<uint32_t>& touched);
 
 /// Process-wide packed-path counters for bench reporting, summed with
 /// relaxed atomics (same pattern as GlobalKernelCacheTotals): matrix
 /// builds, rows packed and the words holding them (build_words / rows =
-/// average words per row), pairwise evaluations routed through a packed
-/// backend, and the words those evaluations scanned (an upper bound
+/// average words per row), pairwise evaluations routed through the packed
+/// path, and the words those evaluations scanned (an upper bound
 /// where early exit applies).
 struct PackedStats {
   uint64_t builds = 0;
@@ -172,4 +159,4 @@ void AccumulatePackedEvals(uint64_t evals, uint64_t words);
 }  // namespace simd
 }  // namespace hamlet
 
-#endif  // HAMLET_SIMD_SIMD_H_
+#endif  // HAMLET_PACKED_SIMD_H_

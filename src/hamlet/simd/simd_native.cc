@@ -1,14 +1,14 @@
-// Hardware-popcount backend. Isolated in its own translation unit so the
-// x86-64 functions can carry __attribute__((target(...))) — the rest of
-// the library still compiles for the baseline ISA and the dispatcher
-// only routes here after __builtin_cpu_supports confirms the feature.
+// The match-counting word routines. Isolated in their own translation
+// unit so the x86-64 functions can carry __attribute__((target(...))) —
+// the rest of the library still compiles for the baseline ISA, and
+// simd.cc only routes here after __builtin_cpu_supports confirms the
+// feature.
 
 #include "hamlet/simd/simd_native.h"
 
 #include "hamlet/simd/simd.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HAMLET_SIMD_X86_NATIVE 1
+#ifdef HAMLET_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -18,27 +18,57 @@ namespace detail {
 
 namespace {
 
-/// Same guard-bit carry trick as the SWAR backend (see simd.cc): the
-/// word math is shared verbatim, only the popcount differs, so the two
-/// backends agree bit for bit.
+/// Mismatched fields of one XOR word via the guard-bit carry trick: a
+/// field of x + add_mask carries into its guard bit iff the field of x is
+/// non-zero, and the carry cannot cross fields (max field sum is
+/// 2^field_bits - 2). Padding fields are zero in both rows, so they never
+/// carry. Shared by every routine below; only the popcount differs.
 inline uint64_t MismatchGuardBits(uint64_t x, const PackedLayout& layout) {
   return (x + layout.add_mask) & layout.guard_mask;
 }
 
-#if !defined(HAMLET_SIMD_X86_NATIVE) && !defined(__aarch64__)
-/// Bit-twiddling popcount for the defensive fallback on hosts with no
-/// native path (the dispatcher normally resolves kNative away first).
+/// Bit-twiddling population count (Hacker's Delight).
 inline uint32_t PopcountSwar(uint64_t x) {
   x = x - ((x >> 1) & 0x5555555555555555ull);
   x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
   x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
   return static_cast<uint32_t>((x * 0x0101010101010101ull) >> 56);
 }
-#endif
 
-#ifdef HAMLET_SIMD_X86_NATIVE
+}  // namespace
 
-__attribute__((target("popcnt"))) size_t MismatchPopcnt(
+size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
+                    const uint64_t* b) {
+  size_t mismatches = 0;
+  for (size_t w = 0; w < layout.words_per_row; ++w) {
+    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
+  }
+  return mismatches;
+}
+
+size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
+                           const uint64_t* b, size_t limit) {
+  size_t mismatches = 0;
+  for (size_t w = 0; w < layout.words_per_row; ++w) {
+    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
+    if (mismatches >= limit) return mismatches;
+  }
+  return mismatches;
+}
+
+#ifdef HAMLET_X86_NATIVE
+
+bool NativeSupported() {
+  static const bool supported = __builtin_cpu_supports("popcnt");
+  return supported;
+}
+
+bool Avx2Supported() {
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported;
+}
+
+__attribute__((target("popcnt"))) size_t MismatchPopcount(
     const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
@@ -48,7 +78,7 @@ __attribute__((target("popcnt"))) size_t MismatchPopcnt(
   return mismatches;
 }
 
-__attribute__((target("popcnt"))) size_t MismatchPopcntBounded(
+__attribute__((target("popcnt"))) size_t MismatchPopcountBounded(
     const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
     size_t limit) {
   size_t mismatches = 0;
@@ -60,9 +90,9 @@ __attribute__((target("popcnt"))) size_t MismatchPopcntBounded(
   return mismatches;
 }
 
-/// Block path for long rows: four words per iteration through AVX2
-/// XOR/add/and, popcounted from a spilled register. Only worth the lane
-/// shuffling once rows span several cache lines.
+/// Four words per iteration through AVX2 XOR/add/and, popcounted from a
+/// spilled register. Only worth the lane shuffling once rows span
+/// several cache lines.
 __attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
     const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
   const __m256i add =
@@ -91,86 +121,41 @@ __attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
   return mismatches;
 }
 
-bool HasAvx2() {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported;
-}
-
-#endif  // HAMLET_SIMD_X86_NATIVE
-
-}  // namespace
-
-#ifdef HAMLET_SIMD_X86_NATIVE
-
-bool NativeSupported() {
-  static const bool supported = __builtin_cpu_supports("popcnt");
-  return supported;
-}
-
-size_t MismatchNative(const PackedLayout& layout, const uint64_t* a,
-                      const uint64_t* b) {
-  if (layout.words_per_row >= 8 && HasAvx2()) {
-    return MismatchAvx2(layout, a, b);
-  }
-  return MismatchPopcnt(layout, a, b);
-}
-
-size_t MismatchNativeBounded(const PackedLayout& layout, const uint64_t* a,
-                             const uint64_t* b, size_t limit) {
-  return MismatchPopcntBounded(layout, a, b, limit);
-}
-
-#elif defined(__aarch64__)
+#else  // !HAMLET_X86_NATIVE
 
 // aarch64 has no runtime feature question: __builtin_popcountll lowers
-// to the NEON cnt/addv sequence on every ARMv8 core.
-bool NativeSupported() { return true; }
-
-size_t MismatchNative(const PackedLayout& layout, const uint64_t* a,
-                      const uint64_t* b) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
-  }
-  return mismatches;
-}
-
-size_t MismatchNativeBounded(const PackedLayout& layout, const uint64_t* a,
-                             const uint64_t* b, size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
-}
-
+// to the NEON cnt/addv sequence on every ARMv8 core. Other hosts report
+// no hardware popcount, so simd.cc never routes them here.
+bool NativeSupported() {
+#ifdef __aarch64__
+  return true;
 #else
+  return false;
+#endif
+}
 
-bool NativeSupported() { return false; }
-
-size_t MismatchNative(const PackedLayout& layout, const uint64_t* a,
-                      const uint64_t* b) {
+size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
+                        const uint64_t* b) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
+    mismatches += static_cast<size_t>(
+        __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
   }
   return mismatches;
 }
 
-size_t MismatchNativeBounded(const PackedLayout& layout, const uint64_t* a,
-                             const uint64_t* b, size_t limit) {
+size_t MismatchPopcountBounded(const PackedLayout& layout, const uint64_t* a,
+                               const uint64_t* b, size_t limit) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
+    mismatches += static_cast<size_t>(
+        __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
     if (mismatches >= limit) return mismatches;
   }
   return mismatches;
 }
 
-#endif
+#endif  // HAMLET_X86_NATIVE
 
 }  // namespace detail
 }  // namespace simd

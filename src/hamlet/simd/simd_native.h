@@ -1,14 +1,19 @@
-// Internal interface between the backend dispatcher (simd.cc) and the
-// hardware-popcount translation unit (simd_native.cc). The native word
-// math is identical to the SWAR backend's — only the popcount differs —
-// so the counts are bit-identical by construction. Not part of the
-// public simd API; include hamlet/simd/simd.h instead.
+// Internal interface between the public match-counting entry points
+// (simd.cc) and the word routines (simd_native.cc). Every routine runs
+// the same guard-bit carry trick per word — only the popcount differs —
+// so all of them return the same count for every input. Exposed so the
+// parity suite can check each one directly; include hamlet/simd/simd.h
+// for the public API.
 
-#ifndef HAMLET_SIMD_SIMD_NATIVE_H_
-#define HAMLET_SIMD_SIMD_NATIVE_H_
+#ifndef HAMLET_PACKED_SIMD_NATIVE_H_
+#define HAMLET_PACKED_SIMD_NATIVE_H_
 
 #include <cstddef>
 #include <cstdint>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HAMLET_X86_NATIVE 1
+#endif
 
 namespace hamlet {
 namespace simd {
@@ -17,23 +22,40 @@ struct PackedLayout;
 
 namespace detail {
 
-/// True when this host can run the hardware-popcount path (POPCNT on
-/// x86-64, unconditional on aarch64, false elsewhere). Cached after the
-/// first call.
-bool NativeSupported();
-
-/// Mismatch count over packed rows using hardware popcount; only called
-/// when NativeSupported(). Long rows take an AVX2 block path where the
-/// CPU has it.
-size_t MismatchNative(const PackedLayout& layout, const uint64_t* a,
-                      const uint64_t* b);
+/// Portable fallback: bit-twiddling popcount, any 64-bit host.
+size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
+                    const uint64_t* b);
 
 /// Early-exit variant: stops once the running count reaches `limit`.
-size_t MismatchNativeBounded(const PackedLayout& layout, const uint64_t* a,
-                             const uint64_t* b, size_t limit);
+size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
+                           const uint64_t* b, size_t limit);
+
+/// True when this host has a hardware popcount (POPCNT on x86-64,
+/// unconditional on aarch64, false elsewhere). Cached after the first
+/// call.
+bool NativeSupported();
+
+/// Hardware popcount, one word at a time; only call when
+/// NativeSupported().
+size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
+                        const uint64_t* b);
+
+/// Early-exit variant: stops once the running count reaches `limit`.
+size_t MismatchPopcountBounded(const PackedLayout& layout, const uint64_t* a,
+                               const uint64_t* b, size_t limit);
+
+#ifdef HAMLET_X86_NATIVE
+/// True when the CPU has AVX2. Cached after the first call.
+bool Avx2Supported();
+
+/// Block path for long rows: four words per AVX2 step; only call when
+/// NativeSupported() and Avx2Supported().
+size_t MismatchAvx2(const PackedLayout& layout, const uint64_t* a,
+                    const uint64_t* b);
+#endif
 
 }  // namespace detail
 }  // namespace simd
 }  // namespace hamlet
 
-#endif  // HAMLET_SIMD_SIMD_NATIVE_H_
+#endif  // HAMLET_PACKED_SIMD_NATIVE_H_

@@ -20,6 +20,7 @@
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
 #include "parity_util.h"
+#include "smo_oracle.h"
 
 namespace hamlet {
 namespace ml {
@@ -312,48 +313,42 @@ TEST(KernelCacheEnvTest, GarbageAndZeroFallBackToDefault) {
 
 /// The cached solver must be bit-identical to the full-Gram adapter:
 /// same alpha bits, same bias, same iteration count, same support-vector
-/// set, at every cache size — on BOTH solver paths (second-order +
-/// shrinking, and the legacy first-order loop) — because the solver
-/// stages rows through a scratch copy, never branches on cache
-/// residency, and the cache serves ComputeGram-identical floats (partial
-/// rows included: the restricted entries are the only ones read).
+/// set, at every cache size — because the solver stages rows through a
+/// scratch copy, never branches on cache residency, and the cache serves
+/// ComputeGram-identical floats (partial rows included: the restricted
+/// entries are the only ones read).
 TEST(SmoCacheParityTest, SolutionBitIdenticalAtAllCacheSizes) {
   const SmoProblem p(21);
-  for (const bool modern : {false, true}) {
-    SmoConfig cfg;
-    cfg.C = 5.0;
-    cfg.use_wss2 = modern ? SmoToggle::kOn : SmoToggle::kOff;
-    cfg.use_shrinking = modern ? SmoToggle::kOn : SmoToggle::kOff;
-    for (const KernelConfig& kc : AllKernels()) {
-      const CodeMatrix m(p.train);
-      const size_t n = m.num_rows();
-      const std::vector<float> gram =
-          ComputeGram(kc, m.codes(), n, m.num_features());
-      const Result<SmoSolution> base = SolveSmo(gram, p.y, cfg);
-      ASSERT_TRUE(base.ok());
-      ASSERT_GT(base.value().num_support_vectors, 0u);
+  SmoConfig cfg;
+  cfg.C = 5.0;
+  for (const KernelConfig& kc : AllKernels()) {
+    const CodeMatrix m(p.train);
+    const size_t n = m.num_rows();
+    const std::vector<float> gram =
+        ComputeGram(kc, m.codes(), n, m.num_features());
+    const Result<SmoSolution> base = SolveSmo(gram, p.y, cfg);
+    ASSERT_TRUE(base.ok());
+    ASSERT_GT(base.value().num_support_vectors, 0u);
 
-      for (size_t cache_bytes :
-           {BytesForRows(1, n), BytesForRows(2, n), kUnbounded}) {
-        KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
-        const Result<SmoSolution> cached = SolveSmo(cache, p.y, cfg);
-        ASSERT_TRUE(cached.ok());
-        const SmoSolution& a = base.value();
-        const SmoSolution& b = cached.value();
-        EXPECT_EQ(a.alpha, b.alpha)
-            << KernelTypeName(kc.type) << " modern=" << modern;  // bitwise
-        EXPECT_EQ(a.bias, b.bias) << KernelTypeName(kc.type);
-        EXPECT_EQ(a.iterations, b.iterations);
-        EXPECT_EQ(a.converged, b.converged);
-        EXPECT_EQ(a.num_support_vectors, b.num_support_vectors);
-        EXPECT_EQ(a.shrink_events, b.shrink_events);
-        EXPECT_EQ(a.unshrink_events, b.unshrink_events);
-        // Identical iterate sequences fetch identical row sequences: the
-        // adapter counts every fetch as a hit, the cache splits the same
-        // total into hits + misses.
-        EXPECT_EQ(a.cache_hits, b.cache_hits + b.cache_misses);
-        EXPECT_GT(b.cache_misses, 0u);
-      }
+    for (size_t cache_bytes :
+         {BytesForRows(1, n), BytesForRows(2, n), kUnbounded}) {
+      KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
+      const Result<SmoSolution> cached = SolveSmo(cache, p.y, cfg);
+      ASSERT_TRUE(cached.ok());
+      const SmoSolution& a = base.value();
+      const SmoSolution& b = cached.value();
+      EXPECT_EQ(a.alpha, b.alpha) << KernelTypeName(kc.type);  // bitwise
+      EXPECT_EQ(a.bias, b.bias) << KernelTypeName(kc.type);
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.converged, b.converged);
+      EXPECT_EQ(a.num_support_vectors, b.num_support_vectors);
+      EXPECT_EQ(a.shrink_events, b.shrink_events);
+      EXPECT_EQ(a.unshrink_events, b.unshrink_events);
+      // Identical iterate sequences fetch identical row sequences: the
+      // adapter counts every fetch as a hit, the cache splits the same
+      // total into hits + misses.
+      EXPECT_EQ(a.cache_hits, b.cache_hits + b.cache_misses);
+      EXPECT_GT(b.cache_misses, 0u);
     }
   }
 }
@@ -371,8 +366,6 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   starved.C = 5.0;
   starved.tolerance = 1e-6;  // prolong the solve past the shrink pass
   starved.max_iterations = probe.num_rows() + 10;
-  starved.use_wss2 = SmoToggle::kOn;
-  starved.use_shrinking = SmoToggle::kOn;
 
   KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
   const Result<SmoSolution> aborted = SolveSmo(cache, p.y, starved);
@@ -415,12 +408,11 @@ uint64_t Bits(double v) {
 /// A problem whose solve gets stuck: an alpha ends up a rounding error
 /// below C, the selected pair cannot move, and nearly every iteration
 /// goes through the fallback partner scan (both of its loops commit
-/// updates here) until the iteration budget runs out. The pins were
+/// updates here) until the iteration budget runs out. The pin was
 /// recorded with the original scan, which sent every partner through a
 /// full UpdatePair probe; alpha, bias, iteration count and the number of
-/// row fetches must stay
-/// bit-identical for every row source, both cache extremes, and WSS2 and
-/// shrinking on and off.
+/// row fetches must stay bit-identical for every row source and both
+/// cache extremes.
 TEST(SmoStuckPairRegressionTest, FallbackRegimeMatchesPinnedSolution) {
   const Dataset data =
       test::MakeParityDataset(240, {6, 4, 2, 5, 3, 2, 4}, 4);
@@ -433,87 +425,67 @@ TEST(SmoStuckPairRegressionTest, FallbackRegimeMatchesPinnedSolution) {
   const std::vector<float> gram =
       ComputeGram(kc, m.codes(), n, m.num_features());
 
-  struct Pin {
-    bool wss2, shrink;
-    uint64_t alpha_hash, bias_bits;
-    size_t iterations;
-    uint64_t fetches;
-  };
-  const Pin pins[] = {
-      {true, true, 0x96083e6762424be1ull, 0xbf7dac8a3aef465dull, 5000, 15143},
-      {true, false, 0x96083e6762424be1ull, 0xbf7dac8a3aef465dull, 5000, 15000},
-      {false, true, 0x6849e3239b97b6dfull, 0xbf80e1ce6fbab4ccull, 5000, 10143},
-      {false, false, 0x6849e3239b97b6dfull, 0xbf80e1ce6fbab4ccull, 5000, 10000},
-  };
+  // Recorded with WSS2 and shrinking on (wss2=on shrink=on).
+  constexpr uint64_t kAlphaHash = 0x96083e6762424be1ull;
+  constexpr uint64_t kBiasBits = 0xbf7dac8a3aef465dull;
+  constexpr size_t kIterations = 5000;
+  constexpr uint64_t kFetches = 15143;
   test::ScopedEnvVar full_budget("HAMLET_SMO_CACHE_MB", "64");
-  for (const Pin& pin : pins) {
-    SmoConfig cfg;
-    cfg.C = 1.0;
-    cfg.max_iterations = 5000;
-    cfg.use_wss2 = pin.wss2 ? SmoToggle::kOn : SmoToggle::kOff;
-    cfg.use_shrinking = pin.shrink ? SmoToggle::kOn : SmoToggle::kOff;
-    KernelCache full_cache(CodeMatrix(views.train), kc, 0);
-    KernelCache one_row(CodeMatrix(views.train), kc, BytesForRows(1, n));
-    FullGramRowSource full_gram(gram, n);
-    ASSERT_EQ(full_cache.capacity_rows(), n);
-    ASSERT_EQ(one_row.capacity_rows(), 1u);
-    KernelRowSource* sources[] = {&full_cache, &one_row, &full_gram};
-    for (KernelRowSource* source : sources) {
-      const Result<SmoSolution> sol = SolveSmo(*source, y, cfg);
-      ASSERT_TRUE(sol.ok());
-      const SmoSolution& s = sol.value();
-      const std::string where = std::string("wss2=") +
-                                (pin.wss2 ? "on" : "off") + " shrink=" +
-                                (pin.shrink ? "on" : "off") + " source=" +
-                                std::to_string(source == &full_cache ? 0
-                                               : source == &one_row ? 1
-                                                                     : 2);
-      EXPECT_FALSE(s.converged) << where;
-      EXPECT_EQ(s.iterations, pin.iterations) << where;
-      EXPECT_EQ(BitsHash(s.alpha), pin.alpha_hash)
-          << where << " alpha hash 0x" << std::hex << BitsHash(s.alpha);
-      EXPECT_EQ(Bits(s.bias), pin.bias_bits)
-          << where << " bias bits 0x" << std::hex << Bits(s.bias);
-      EXPECT_EQ(s.cache_hits + s.cache_misses, pin.fetches) << where;
-    }
+  SmoConfig cfg;
+  cfg.C = 1.0;
+  cfg.max_iterations = 5000;
+  KernelCache full_cache(CodeMatrix(views.train), kc, 0);
+  KernelCache one_row(CodeMatrix(views.train), kc, BytesForRows(1, n));
+  FullGramRowSource full_gram(gram, n);
+  ASSERT_EQ(full_cache.capacity_rows(), n);
+  ASSERT_EQ(one_row.capacity_rows(), 1u);
+  KernelRowSource* sources[] = {&full_cache, &one_row, &full_gram};
+  for (KernelRowSource* source : sources) {
+    const Result<SmoSolution> sol = SolveSmo(*source, y, cfg);
+    ASSERT_TRUE(sol.ok());
+    const SmoSolution& s = sol.value();
+    const std::string where =
+        "source=" + std::to_string(source == &full_cache ? 0
+                                   : source == &one_row  ? 1
+                                                         : 2);
+    EXPECT_FALSE(s.converged) << where;
+    EXPECT_EQ(s.iterations, kIterations) << where;
+    EXPECT_EQ(BitsHash(s.alpha), kAlphaHash)
+        << where << " alpha hash 0x" << std::hex << BitsHash(s.alpha);
+    EXPECT_EQ(Bits(s.bias), kBiasBits)
+        << where << " bias bits 0x" << std::hex << Bits(s.bias);
+    EXPECT_EQ(s.cache_hits + s.cache_misses, kFetches) << where;
   }
 }
 
-/// WSS2 + shrinking reach a different (usually much shorter) iterate
-/// sequence than the first-order loop, but both stop at a
-/// tolerance-exact optimum of the same dual, so the fitted classifiers
-/// must agree on every prediction — across all three kernels, a 1-row
-/// and an unbounded cache, and HAMLET_THREADS 1 and 4.
-TEST(SmoWss2ParityTest, PredictionsMatchFirstOrderAcrossKernelsCachesThreads) {
+/// With the first-order loop gone there is no second solver to compare
+/// against; the reference is the solver-independent full-problem KKT
+/// check instead. Every solve must converge, and its alpha must be
+/// tolerance-optimal on the full problem recomputed from scratch — for
+/// all three kernels, with a 1-row cache and an unbounded one.
+TEST(SmoOptimalityTest, ConvergesToFullProblemOptimumAcrossKernelsAndCaches) {
   const SmoProblem p(23);
   const CodeMatrix m(p.train);
   const size_t n = m.num_rows();
+  SmoConfig cfg;
+  cfg.C = 5.0;
   for (const KernelConfig& kc : AllKernels()) {
-    for (const char* threads : {"1", "4"}) {
-      test::ScopedThreads scoped(threads);
-      for (size_t cache_bytes : {BytesForRows(1, n), kUnbounded}) {
-        auto fit = [&](SmoToggle wss2, SmoToggle shrink) {
-          SvmConfig cfg;
-          cfg.kernel = kc;
-          cfg.C = 5.0;
-          cfg.smo_cache_bytes = cache_bytes;
-          cfg.smo_wss2 = wss2;
-          cfg.smo_shrinking = shrink;
-          auto svm = std::make_unique<KernelSvm>(cfg);
-          EXPECT_TRUE(svm->Fit(p.train).ok());
-          EXPECT_TRUE(svm->converged());
-          return svm;
-        };
-        const auto legacy = fit(SmoToggle::kOff, SmoToggle::kOff);
-        const auto modern = fit(SmoToggle::kOn, SmoToggle::kOn);
-        EXPECT_GT(modern->last_iterations(), 0u);
-        EXPECT_EQ(modern->PredictAll(p.train), legacy->PredictAll(p.train))
-            << KernelTypeName(kc.type) << " threads=" << threads
-            << " cache_bytes=" << cache_bytes;
-        EXPECT_EQ(modern->PredictAll(p.test), legacy->PredictAll(p.test))
-            << KernelTypeName(kc.type) << " threads=" << threads
-            << " cache_bytes=" << cache_bytes;
-      }
+    const std::vector<float> gram =
+        ComputeGram(kc, m.codes(), n, m.num_features());
+    for (size_t cache_bytes : {BytesForRows(1, n), kUnbounded}) {
+      KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
+      const Result<SmoSolution> sol = SolveSmo(cache, p.y, cfg);
+      ASSERT_TRUE(sol.ok());
+      const std::string where = std::string(KernelTypeName(kc.type)) +
+                                " cache_bytes=" + std::to_string(cache_bytes);
+      EXPECT_TRUE(sol.value().converged) << where;
+      EXPECT_GT(sol.value().iterations, 0u) << where;
+      // Small slack for the float drift between the solver's incremental
+      // error cache and the from-scratch recomputation.
+      EXPECT_LT(test::FullProblemViolation(gram, p.y, sol.value().alpha,
+                                           cfg.C),
+                cfg.tolerance + 1e-6)
+          << where;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
@@ -123,6 +124,38 @@ TEST(LogRegTest, DeterministicFit) {
     EXPECT_DOUBLE_EQ(a.PredictProbability(view, i),
                      b.PredictProbability(view, i));
   }
+}
+
+TEST(LogRegTest, OutOfDomainCodeClampsWithinItsOwnFeature) {
+  // Training domains {3, 4}: feature 0 owns units 0-2, feature 1 units 3-6.
+  // Both features carry signal, so every unit holds a distinct weight.
+  Dataset train({{"a", 3, FeatureRole::kHome, -1},
+                 {"b", 4, FeatureRole::kHome, -1}});
+  Rng rng(31);
+  for (int i = 0; i < 400; ++i) {
+    const uint32_t a = static_cast<uint32_t>(rng.UniformInt(3));
+    const uint32_t b = static_cast<uint32_t>(rng.UniformInt(4));
+    const bool label = a + b >= 3 ? !rng.Bernoulli(0.1) : rng.Bernoulli(0.1);
+    train.AppendRowUnchecked({a, b}, static_cast<uint8_t>(label));
+  }
+  LogisticRegressionL1 lr(SmallConfig());
+  ASSERT_TRUE(lr.Fit(DataView(&train)).ok());
+
+  // Feature 0's codes 4 and 9 lie past its domain. Unclamped, 4 would
+  // read unit 4 (feature 1's code 1) and 9 would run off the table; both
+  // must score exactly like feature 0's last in-domain code, 2.
+  Dataset query({{"a", 10, FeatureRole::kHome, -1},
+                 {"b", 4, FeatureRole::kHome, -1}});
+  query.AppendRowUnchecked({2, 0}, 0);
+  query.AppendRowUnchecked({4, 0}, 0);
+  query.AppendRowUnchecked({9, 0}, 0);
+  const DataView view(&query);
+  const double clamped = lr.PredictProbability(view, 0);
+  EXPECT_EQ(lr.PredictProbability(view, 1), clamped);
+  EXPECT_EQ(lr.PredictProbability(view, 2), clamped);
+  const std::vector<uint8_t> all = lr.PredictAll(view);
+  EXPECT_EQ(all[1], all[0]);
+  EXPECT_EQ(all[2], all[0]);
 }
 
 // Path-length sweep: more path points never hurt badly and always produce

@@ -1,11 +1,12 @@
-// Cross-backend parity harness for the packed-code hot loops (PR 10).
+// Parity harness for the packed-code hot loops.
 //
-// The contract under test: the scalar, SWAR and native simd backends
-// return bit-identical integer counts for every input, and therefore
-// every learner family fits and predicts bit-identically whichever
-// backend HAMLET_SIMD selects, at any thread count. Plus the
-// PackedCodeMatrix layout/round-trip/bounds edge cases and the pinned
-// 1-NN early-exit + tie-break semantics.
+// The contract under test: every match-counting word routine the CPU
+// can select — hardware popcount, the AVX2 block path and the portable
+// SWAR fallback — returns the definitional integer count for every
+// input, whichever of them this host's dispatch picks; and every
+// learner family fits and predicts bit-identically at any thread count.
+// Plus the PackedCodeMatrix layout/round-trip/bounds edge cases and the
+// pinned 1-NN early-exit + tie-break semantics.
 
 #include <gtest/gtest.h>
 
@@ -21,21 +22,52 @@
 #include "hamlet/ml/knn/one_nn.h"
 #include "hamlet/ml/svm/kernel.h"
 #include "hamlet/simd/simd.h"
+#include "hamlet/simd/simd_native.h"
 #include "parity_util.h"
 
 namespace hamlet {
 namespace test {
 namespace {
 
-constexpr simd::Backend kAllBackends[] = {
-    simd::Backend::kScalar, simd::Backend::kSwar, simd::Backend::kNative};
-
-/// The definitional mismatch count the packed backends must reproduce.
+/// The definitional mismatch count every packed routine must reproduce.
 size_t ReferenceMismatch(const uint32_t* a, const uint32_t* b, size_t d) {
   size_t mismatches = 0;
   for (size_t j = 0; j < d; ++j) mismatches += a[j] != b[j];
   return mismatches;
 }
+
+/// One match-counting routine under test: an exact count and, where the
+/// routine has one, its early-exit variant.
+struct WordRoutine {
+  const char* name;
+  size_t (*exact)(const simd::PackedLayout&, const uint64_t*,
+                  const uint64_t*);
+  size_t (*bounded)(const simd::PackedLayout&, const uint64_t*,
+                    const uint64_t*, size_t);
+};
+
+/// The public entry points plus every word routine this host can run,
+/// called directly — so the SWAR fallback is covered on a POPCNT host,
+/// and the AVX2 block path wherever the CPU has AVX2.
+std::vector<WordRoutine> HostWordRoutines() {
+  std::vector<WordRoutine> routines = {
+      {"dispatch", &simd::PackedMismatchCount,
+       &simd::PackedMismatchCountBounded},
+      {"swar", &simd::detail::MismatchSwar,
+       &simd::detail::MismatchSwarBounded},
+  };
+  if (simd::detail::NativeSupported()) {
+    routines.push_back({"popcount", &simd::detail::MismatchPopcount,
+                        &simd::detail::MismatchPopcountBounded});
+#ifdef HAMLET_X86_NATIVE
+    if (simd::detail::Avx2Supported()) {
+      routines.push_back({"avx2", &simd::detail::MismatchAvx2, nullptr});
+    }
+#endif
+  }
+  return routines;
+}
+
 
 /// Random row-major codes for `rows` rows over per-feature domains.
 std::vector<uint32_t> RandomCodes(Rng& rng, size_t rows,
@@ -145,10 +177,10 @@ TEST(PackedCodeMatrixTest, ZeroRowAndZeroFeatureBuilds) {
   const PackedCodeMatrix empty_rows(no_features, nullptr, 2);
   EXPECT_EQ(empty_rows.num_rows(), 2u);
   EXPECT_EQ(empty_rows.num_words(), 0u);
-  for (const simd::Backend backend : kAllBackends) {
-    EXPECT_EQ(simd::PackedMismatchCount(backend, no_features,
-                                        empty_rows.row(0), empty_rows.row(1)),
-              0u);
+  for (const WordRoutine& routine : HostWordRoutines()) {
+    EXPECT_EQ(routine.exact(no_features, empty_rows.row(0), empty_rows.row(1)),
+              0u)
+        << routine.name;
   }
 }
 
@@ -172,14 +204,17 @@ TEST(PackedCodeMatrixDeathTest, OutOfBoundsAborts) {
 #endif
 
 // ---------------------------------------------------------------------
-// Backend agreement on the counting primitives.
+// Every word routine against the definitional count.
 
 TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
   Rng rng(77);
+  const std::vector<WordRoutine> routines = HostWordRoutines();
   // Shapes stress the layout edges: no features, one feature, feature
   // counts that are not a multiple of the word lane count, a single row,
-  // max-domain codes (one field per word), and long rows (words_per_row
-  // >= 8 drives the native AVX2 block path where the host has it).
+  // max-domain codes (one field per word), long rows (words_per_row
+  // >= 8, where the dispatch takes the AVX2 block path if the CPU has
+  // it), and many rows of a few words each, so early-exit scans stop at
+  // every word boundary.
   const std::vector<std::pair<size_t, std::vector<uint32_t>>> shapes = {
       {3, {}},
       {6, std::vector<uint32_t>(1, 2)},
@@ -189,6 +224,7 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
       {4, {0xFFFFFFFFu, 0xFFFFFFFFu, 7}},
       {3, std::vector<uint32_t>(300, 2)},
       {3, std::vector<uint32_t>(517, 23)},
+      {8, std::vector<uint32_t>(41, 6)},
   };
   for (const auto& [rows, domains] : shapes) {
     const size_t d = domains.size();
@@ -200,15 +236,27 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
       for (size_t j = 0; j < rows; ++j) {
         const size_t ref =
             ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
-        for (const simd::Backend backend : kAllBackends) {
-          EXPECT_EQ(simd::PackedMismatchCount(backend, layout, packed.row(i),
-                                              packed.row(j)),
-                    ref)
-              << "d=" << d << " backend=" << simd::BackendName(backend);
-          EXPECT_EQ(simd::PackedMatchCount(backend, layout, packed.row(i),
-                                           packed.row(j)),
-                    d - ref);
+        for (const WordRoutine& routine : routines) {
+          EXPECT_EQ(routine.exact(layout, packed.row(i), packed.row(j)), ref)
+              << "d=" << d << " routine=" << routine.name;
+          if (routine.bounded == nullptr) continue;
+          // The early-exit contract: partial sums never exceed the true
+          // count; a result below the limit must be exact, and an
+          // abandoned scan must prove the true count reached the limit.
+          for (const size_t limit :
+               {size_t{0}, size_t{1}, ref, ref + 1, d + 1}) {
+            const size_t bounded =
+                routine.bounded(layout, packed.row(i), packed.row(j), limit);
+            EXPECT_LE(bounded, ref) << routine.name << " limit=" << limit;
+            if (bounded < limit) {
+              EXPECT_EQ(bounded, ref) << routine.name << " limit=" << limit;
+            } else {
+              EXPECT_GE(ref, limit) << routine.name << " limit=" << limit;
+            }
+          }
         }
+        EXPECT_EQ(simd::PackedMatchCount(layout, packed.row(i), packed.row(j)),
+                  d - ref);
       }
     }
   }
@@ -223,41 +271,10 @@ TEST(PackedPrimitiveParity, AllEqualRowsHaveZeroMismatches) {
   const simd::PackedLayout layout =
       simd::PackedLayout::ForDomains(domains.data(), domains.size());
   const PackedCodeMatrix packed(layout, codes.data(), 4);
-  for (const simd::Backend backend : kAllBackends) {
+  for (const WordRoutine& routine : HostWordRoutines()) {
     for (size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(simd::PackedMismatchCount(backend, layout, packed.row(0),
-                                          packed.row(i)),
-                0u);
-    }
-  }
-}
-
-TEST(PackedPrimitiveParity, BoundedCountHonoursItsContract) {
-  Rng rng(31);
-  const std::vector<uint32_t> domains(41, 6);  // 41 features, 3-bit fields
-  const size_t d = domains.size();
-  const std::vector<uint32_t> codes = RandomCodes(rng, 8, domains);
-  const simd::PackedLayout layout =
-      simd::PackedLayout::ForDomains(domains.data(), d);
-  const PackedCodeMatrix packed(layout, codes.data(), 8);
-  for (size_t i = 0; i < 8; ++i) {
-    for (size_t j = 0; j < 8; ++j) {
-      const size_t ref = ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
-      for (const size_t limit : {size_t{0}, size_t{1}, ref, ref + 1, d + 1}) {
-        for (const simd::Backend backend : kAllBackends) {
-          const size_t bounded = simd::PackedMismatchCountBounded(
-              backend, layout, packed.row(i), packed.row(j), limit);
-          // Partial sums never exceed the true count; a result below the
-          // limit must be exact, and an abandoned scan must prove the
-          // true count reached the limit too.
-          EXPECT_LE(bounded, ref);
-          if (bounded < limit) {
-            EXPECT_EQ(bounded, ref);
-          } else {
-            EXPECT_GE(ref, limit);
-          }
-        }
-      }
+      EXPECT_EQ(routine.exact(layout, packed.row(0), packed.row(i)), 0u)
+          << routine.name;
     }
   }
 }
@@ -285,15 +302,12 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
       for (size_t j = 0; j < rows; ++j) {
         const double scalar_value =
             ml::KernelEval(config, codes.data() + i * d, codes.data() + j * d, d);
-        for (const simd::Backend backend : kAllBackends) {
-          // EXPECT_EQ, not NEAR: equal match counts through the shared
-          // KernelFromMatches must give the same bits.
-          EXPECT_EQ(ml::PackedKernelEval(config, backend, layout,
-                                         packed.row(i), packed.row(j)),
-                    scalar_value)
-              << ml::KernelTypeName(config.type) << " backend="
-              << simd::BackendName(backend);
-        }
+        // EXPECT_EQ, not NEAR: equal match counts through the shared
+        // KernelFromMatches must give the same bits.
+        EXPECT_EQ(ml::PackedKernelEval(config, layout, packed.row(i),
+                                       packed.row(j)),
+                  scalar_value)
+            << ml::KernelTypeName(config.type);
       }
     }
   }
@@ -304,29 +318,29 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
 
 TEST(PackedOneNnSemantics, TieBreaksToLowestIndex) {
   // Rows 1 and 3 are identical; both are nearest to the query. The scan
-  // must return index 1 on every backend.
+  // must return index 1 at every thread count.
   const std::vector<uint32_t> domains = {4, 4, 4};
   const Dataset data = MakeDatasetFromRows(
       domains,
       {{0, 0, 0}, {2, 1, 3}, {3, 3, 3}, {2, 1, 3}, {2, 1, 0}},
       {0, 1, 0, 1, 0});
-  for (const char* backend : {"scalar", "swar", "native"}) {
-    ScopedEnvVar simd_env("HAMLET_SIMD", backend);
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads threads_env(threads);
     ml::OneNearestNeighbor model;
     ASSERT_TRUE(model.Fit(DataView(&data)).ok());
     const uint32_t query[] = {2, 1, 3};
-    EXPECT_EQ(model.NearestIndexOfCodes(query), 1u) << backend;
+    EXPECT_EQ(model.NearestIndexOfCodes(query), 1u) << threads;
     // A query matching row 0 exactly must short-circuit to index 0 even
     // though later rows tie at distance 0.
     const uint32_t zero_query[] = {0, 0, 0};
-    EXPECT_EQ(model.NearestIndexOfCodes(zero_query), 0u) << backend;
+    EXPECT_EQ(model.NearestIndexOfCodes(zero_query), 0u) << threads;
   }
 }
 
 TEST(PackedOneNnSemantics, EarlyExitMatchesBruteForceScan) {
   // The packed scan abandons rows at word granularity once the running
   // distance reaches the incumbent best; the winner (and its tie-break)
-  // must still match an exhaustive argmin on every backend.
+  // must still match an exhaustive argmin at every thread count.
   Rng rng(909);
   const std::vector<uint32_t> domains = {6, 6, 3, 9, 2, 17, 4, 6, 2, 5,
                                          3, 7, 2};
@@ -345,8 +359,8 @@ TEST(PackedOneNnSemantics, EarlyExitMatchesBruteForceScan) {
   rows[40] = rows[7];
   const Dataset data = MakeDatasetFromRows(domains, rows, labels);
 
-  for (const char* backend : {"scalar", "swar", "native"}) {
-    ScopedEnvVar simd_env("HAMLET_SIMD", backend);
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads threads_env(threads);
     ml::OneNearestNeighbor model;
     ASSERT_TRUE(model.Fit(DataView(&data)).ok());
     Rng query_rng(4242);
@@ -368,40 +382,20 @@ TEST(PackedOneNnSemantics, EarlyExitMatchesBruteForceScan) {
         }
       }
       EXPECT_EQ(model.NearestIndexOfCodes(query.data()), best)
-          << "backend=" << backend << " query=" << q;
+          << "threads=" << threads << " query=" << q;
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Env grammar and backend availability.
+// The backend report follows the CPU.
 
-TEST(SimdEnvTest, BackendGrammar) {
-  const simd::Backend auto_backend = simd::NativeAvailable()
-                                         ? simd::Backend::kNative
-                                         : simd::Backend::kSwar;
-  {
-    ScopedEnvVar env("HAMLET_SIMD", "scalar");
-    EXPECT_EQ(simd::ActiveBackend(), simd::Backend::kScalar);
-  }
-  {
-    ScopedEnvVar env("HAMLET_SIMD", "swar");
-    EXPECT_EQ(simd::ActiveBackend(), simd::Backend::kSwar);
-  }
-  {
-    ScopedEnvVar env("HAMLET_SIMD", "native");
-    // On hosts without hardware popcount the request degrades (with a
-    // one-time warning) to swar.
-    EXPECT_EQ(simd::ActiveBackend(), auto_backend);
-  }
-  for (const char* value : {"auto", "", "SCALAR", "avx512", "0"}) {
-    ScopedEnvVar env("HAMLET_SIMD", value);
-    EXPECT_EQ(simd::ActiveBackend(), auto_backend) << "\"" << value << "\"";
-  }
-  {
-    ScopedEnvVar env("HAMLET_SIMD", nullptr);
-    EXPECT_EQ(simd::ActiveBackend(), auto_backend);
-  }
+TEST(SimdBackendTest, ReportsTheCpuPopcount) {
+  const simd::Backend backend = simd::ActiveBackend();
+  EXPECT_EQ(backend == simd::Backend::kNative,
+            simd::detail::NativeSupported());
+  EXPECT_STREQ(simd::BackendName(simd::Backend::kNative), "native");
+  EXPECT_STREQ(simd::BackendName(simd::Backend::kSwar), "swar");
 }
 
 // ---------------------------------------------------------------------
@@ -435,9 +429,9 @@ TEST(PackedStatsTest, CountersAccumulateAndReset) {
 }
 
 // ---------------------------------------------------------------------
-// Every learner family, every backend, multiple thread counts.
+// Every learner family, multiple thread counts.
 
-TEST(PackedBackendParity, LearnersBitIdenticalAcrossBackendsAndThreads) {
+TEST(PackedBackendParity, LearnersBitIdenticalAcrossThreads) {
   const std::vector<uint32_t> domains = {4, 9, 3, 17, 2, 33, 5};
   const Dataset data = MakeParityDataset(180, domains, 0xBADC0DE);
   const ParityViews views = MakeParityViews(data, 99);
@@ -445,22 +439,18 @@ TEST(PackedBackendParity, LearnersBitIdenticalAcrossBackendsAndThreads) {
   for (const ParityLearner& learner : ParityLearners()) {
     std::vector<uint8_t> baseline;
     bool have_baseline = false;
-    for (const char* backend : {"scalar", "swar", "native"}) {
-      for (const char* threads : {"1", "4"}) {
-        ScopedEnvVar simd_env("HAMLET_SIMD", backend);
-        ScopedThreads threads_env(threads);
-        auto model = learner.make();
-        ASSERT_TRUE(model->Fit(views.train).ok()) << learner.name;
-        const std::vector<uint8_t> predictions =
-            ExpectPredictParity(*model, views.test);
-        if (!have_baseline) {
-          baseline = predictions;
-          have_baseline = true;
-        } else {
-          EXPECT_EQ(predictions, baseline)
-              << learner.name << " diverges at backend=" << backend
-              << " threads=" << threads;
-        }
+    for (const char* threads : {"1", "2", "4"}) {
+      ScopedThreads threads_env(threads);
+      auto model = learner.make();
+      ASSERT_TRUE(model->Fit(views.train).ok()) << learner.name;
+      const std::vector<uint8_t> predictions =
+          ExpectPredictParity(*model, views.test);
+      if (!have_baseline) {
+        baseline = predictions;
+        have_baseline = true;
+      } else {
+        EXPECT_EQ(predictions, baseline)
+            << learner.name << " diverges at threads=" << threads;
       }
     }
   }

@@ -12,7 +12,7 @@
 #include "hamlet/ml/svm/kernel.h"
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
-#include "parity_util.h"
+#include "smo_oracle.h"
 
 namespace hamlet {
 namespace ml {
@@ -317,64 +317,6 @@ TEST(SmoWss2SelectTest, NoViolatingCandidateReturnsSentinel) {
             std::numeric_limits<size_t>::max());
 }
 
-// ----------------------------------------- HAMLET_SMO_WSS2 / _SHRINK env --
-
-TEST(SmoEnvTest, ToggleGrammar) {
-  {
-    test::ScopedEnvVar unset("HAMLET_SMO_WSS2", nullptr);
-    EXPECT_TRUE(SmoWss2FromEnv());
-  }
-  for (const char* v : {"1", "on", "true", "yes"}) {
-    test::ScopedEnvVar env("HAMLET_SMO_WSS2", v);
-    EXPECT_TRUE(SmoWss2FromEnv()) << v;
-  }
-  for (const char* v : {"0", "off", "false", "no"}) {
-    test::ScopedEnvVar env("HAMLET_SMO_WSS2", v);
-    EXPECT_FALSE(SmoWss2FromEnv()) << v;
-    test::ScopedEnvVar shrink_env("HAMLET_SMO_SHRINK", v);
-    EXPECT_FALSE(SmoShrinkFromEnv()) << v;
-  }
-  {
-    // Garbage warns (once) and keeps the acceleration enabled.
-    test::ScopedEnvVar env("HAMLET_SMO_WSS2", "definitely-bogus");
-    EXPECT_TRUE(SmoWss2FromEnv());
-    test::ScopedEnvVar shrink_env("HAMLET_SMO_SHRINK", "2");
-    EXPECT_TRUE(SmoShrinkFromEnv());
-  }
-}
-
-TEST(SmoEnvTest, EnvTogglesMatchExplicitConfig) {
-  // kEnv with the vars set to 0 must reproduce the explicit kOff run
-  // bit-for-bit (and therefore the historical first-order solver).
-  Rng rng(31);
-  const size_t n = 50, d = 5;
-  std::vector<uint32_t> rows(n * d);
-  for (auto& v : rows) v = static_cast<uint32_t>(rng.UniformInt(3));
-  std::vector<int8_t> y(n);
-  for (auto& v : y) v = rng.Bernoulli(0.5) ? 1 : -1;
-  const std::vector<float> gram =
-      ComputeGram({KernelType::kRbf, 0.3, 2}, rows, n, d);
-
-  SmoConfig pinned;
-  pinned.C = 2.0;
-  pinned.use_wss2 = SmoToggle::kOff;
-  pinned.use_shrinking = SmoToggle::kOff;
-  const Result<SmoSolution> off = SolveSmo(gram, y, pinned);
-  ASSERT_TRUE(off.ok());
-
-  test::ScopedEnvVar wss2_env("HAMLET_SMO_WSS2", "0");
-  test::ScopedEnvVar shrink_env("HAMLET_SMO_SHRINK", "0");
-  SmoConfig from_env;
-  from_env.C = 2.0;  // toggles left at kEnv
-  const Result<SmoSolution> env = SolveSmo(gram, y, from_env);
-  ASSERT_TRUE(env.ok());
-  EXPECT_EQ(off.value().alpha, env.value().alpha);  // bitwise
-  EXPECT_EQ(off.value().bias, env.value().bias);
-  EXPECT_EQ(off.value().iterations, env.value().iterations);
-  EXPECT_EQ(env.value().shrink_events, 0u);
-  EXPECT_EQ(env.value().unshrink_events, 0u);
-}
-
 TEST(SmoWss2SelectTest, ZeroToleranceStopsAtExactOptimumInsteadOfCrashing) {
   // tolerance = 0 lets SelectPair pass its violation check at an EXACT
   // active-set optimum (up_best == low_best), where no candidate
@@ -384,40 +326,12 @@ TEST(SmoWss2SelectTest, ZeroToleranceStopsAtExactOptimumInsteadOfCrashing) {
   SmoConfig cfg;
   cfg.C = 10.0;
   cfg.tolerance = 0.0;
-  cfg.use_wss2 = SmoToggle::kOn;
   const Result<SmoSolution> sol = SolveSmo(gram, {1, -1}, cfg);
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol.value().alpha[0], sol.value().alpha[1], 1e-9);
 }
 
 // ------------------------------------------------------------- shrinking --
-
-/// Max KKT violation m - M of (alpha, bias) on the FULL problem,
-/// recomputed from scratch (no solver state): the solver may only claim
-/// convergence when this is below tolerance, shrink schedule or not.
-double FullProblemViolation(const std::vector<float>& gram,
-                            const std::vector<int8_t>& y,
-                            const std::vector<double>& alpha, double C) {
-  const size_t n = y.size();
-  double up_best = -std::numeric_limits<double>::infinity();
-  double low_best = std::numeric_limits<double>::infinity();
-  for (size_t t = 0; t < n; ++t) {
-    double f = 0.0;
-    for (size_t s = 0; s < n; ++s) {
-      f += alpha[s] * y[s] * static_cast<double>(gram[t * n + s]);
-    }
-    // score = -(f + b - y_t); the bias shift is common to every score
-    // and cancels in m - M, so it is dropped here.
-    const double score = static_cast<double>(y[t]) - f;
-    const bool in_up = (y[t] > 0 && alpha[t] < C) ||
-                       (y[t] < 0 && alpha[t] > 0.0);
-    const bool in_low = (y[t] > 0 && alpha[t] > 0.0) ||
-                        (y[t] < 0 && alpha[t] < C);
-    if (in_up && score > up_best) up_best = score;
-    if (in_low && score < low_best) low_best = score;
-  }
-  return up_best - low_best;
-}
 
 TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
   // Overlapping classes (25% flipped labels) with a large C: many points
@@ -442,8 +356,6 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
   SmoConfig cfg;
   cfg.C = 50.0;
   cfg.max_iterations = 2000000;
-  cfg.use_wss2 = SmoToggle::kOn;
-  cfg.use_shrinking = SmoToggle::kOn;
   const Result<SmoSolution> sol = SolveSmo(gram, y, cfg);
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol.value().converged);
@@ -456,7 +368,7 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
   // Exactness: tolerance-optimal on the full problem, from scratch
   // (small slack for the float drift between the solver's incremental
   // error cache and this recomputation).
-  EXPECT_LT(FullProblemViolation(gram, y, sol.value().alpha, cfg.C),
+  EXPECT_LT(test::FullProblemViolation(gram, y, sol.value().alpha, cfg.C),
             cfg.tolerance + 1e-6);
 
   // Feasibility on the full problem.
@@ -467,26 +379,6 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
     eq += sol.value().alpha[i] * y[i];
   }
   EXPECT_NEAR(eq, 0.0, 1e-6);
-
-  // The shrink-free run converges to the same optimum: identical
-  // decision-function signs everywhere (the solutions themselves may
-  // differ within tolerance).
-  SmoConfig no_shrink = cfg;
-  no_shrink.use_shrinking = SmoToggle::kOff;
-  const Result<SmoSolution> base = SolveSmo(gram, y, no_shrink);
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(base.value().converged);
-  EXPECT_EQ(base.value().shrink_events, 0u);
-  for (size_t t = 0; t < n; ++t) {
-    double f_shrink = sol.value().bias, f_base = base.value().bias;
-    for (size_t s = 0; s < n; ++s) {
-      f_shrink += sol.value().alpha[s] * y[s] *
-                  static_cast<double>(gram[t * n + s]);
-      f_base += base.value().alpha[s] * y[s] *
-                static_cast<double>(gram[t * n + s]);
-    }
-    EXPECT_EQ(f_shrink >= 0.0, f_base >= 0.0) << "point " << t;
-  }
 }
 
 // --------------------------------------------------------- solver totals --
@@ -600,16 +492,17 @@ TEST(KernelSvmTest, ExposesSolverCounters) {
   cfg.kernel.type = KernelType::kRbf;
   cfg.kernel.gamma = 1.0;
   cfg.C = 10.0;
-  cfg.smo_shrinking = SmoToggle::kOff;
   KernelSvm svm(cfg);
   const SmoTotals before = GlobalSmoTotals();
   ASSERT_TRUE(svm.Fit(view).ok());
   EXPECT_GT(svm.last_iterations(), 0u);
-  EXPECT_EQ(svm.last_shrink_events(), 0u);  // shrinking pinned off
-  EXPECT_EQ(svm.last_unshrink_events(), 0u);
   const SmoTotals after = GlobalSmoTotals();
   EXPECT_EQ(after.fits - before.fits, 1u);
   EXPECT_EQ(after.iterations - before.iterations, svm.last_iterations());
+  EXPECT_EQ(after.shrink_events - before.shrink_events,
+            svm.last_shrink_events());
+  EXPECT_EQ(after.unshrink_events - before.unshrink_events,
+            svm.last_unshrink_events());
 }
 
 TEST(KernelSvmTest, DecisionValueSignMatchesPrediction) {

@@ -7,8 +7,8 @@ Rules
                   README environment-variable table, and every table row
                   must have a live getenv site (doc drift in either
                   direction fails). Indirect readers that take the variable
-                  name as a string literal (e.g. SmoBoolFromEnv(
-                  "HAMLET_SMO_WSS2", ...)) count as sites.
+                  name as a string literal (e.g. a helper call
+                  BoolFromEnv("HAMLET_FOO", ...)) count as sites.
   determinism     No raw std::thread construction, rand()/srand(),
                   std::random_device, or wall-clock reads
                   (std::chrono::system_clock, time(), gettimeofday,
