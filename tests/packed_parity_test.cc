@@ -5,8 +5,9 @@
 // SWAR fallback — returns the definitional integer count for every
 // input, whichever of them this host's dispatch picks; and every
 // learner family fits and predicts bit-identically at any thread count.
-// Plus the PackedCodeMatrix layout/round-trip/bounds edge cases and the
-// pinned 1-NN early-exit + tie-break semantics.
+// The NB and tree counting helpers must equal their plain row-order
+// loops. Plus the PackedCodeMatrix layout/round-trip/bounds edge cases
+// and the pinned 1-NN early-exit + tie-break semantics.
 
 #include <gtest/gtest.h>
 
@@ -211,10 +212,9 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
   const std::vector<WordRoutine> routines = HostWordRoutines();
   // Shapes stress the layout edges: no features, one feature, feature
   // counts that are not a multiple of the word lane count, a single row,
-  // max-domain codes (one field per word), long rows (words_per_row
+  // max-domain codes (one field per word), and long rows (words_per_row
   // >= 8, where the dispatch takes the AVX2 block path if the CPU has
-  // it), and many rows of a few words each, so early-exit scans stop at
-  // every word boundary.
+  // it).
   const std::vector<std::pair<size_t, std::vector<uint32_t>>> shapes = {
       {3, {}},
       {6, std::vector<uint32_t>(1, 2)},
@@ -224,7 +224,6 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
       {4, {0xFFFFFFFFu, 0xFFFFFFFFu, 7}},
       {3, std::vector<uint32_t>(300, 2)},
       {3, std::vector<uint32_t>(517, 23)},
-      {8, std::vector<uint32_t>(41, 6)},
   };
   for (const auto& [rows, domains] : shapes) {
     const size_t d = domains.size();
@@ -257,6 +256,38 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
         }
         EXPECT_EQ(simd::PackedMatchCount(layout, packed.row(i), packed.row(j)),
                   d - ref);
+      }
+    }
+  }
+}
+
+TEST(PackedPrimitiveParity, BoundedCountHonoursItsContract) {
+  Rng rng(31);
+  const std::vector<uint32_t> domains(41, 6);  // 41 features, 3-bit fields
+  const size_t d = domains.size();
+  const std::vector<uint32_t> codes = RandomCodes(rng, 8, domains);
+  const simd::PackedLayout layout =
+      simd::PackedLayout::ForDomains(domains.data(), d);
+  const PackedCodeMatrix packed(layout, codes.data(), 8);
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t j = 0; j < 8; ++j) {
+      const size_t ref =
+          ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
+      for (const size_t limit : {size_t{0}, size_t{1}, ref, ref + 1, d + 1}) {
+        for (const WordRoutine& routine : HostWordRoutines()) {
+          if (routine.bounded == nullptr) continue;
+          const size_t bounded =
+              routine.bounded(layout, packed.row(i), packed.row(j), limit);
+          // Partial sums never exceed the true count; a result below the
+          // limit must be exact, and an abandoned scan must prove the
+          // true count reached the limit too.
+          EXPECT_LE(bounded, ref) << routine.name;
+          if (bounded < limit) {
+            EXPECT_EQ(bounded, ref) << routine.name;
+          } else {
+            EXPECT_GE(ref, limit) << routine.name;
+          }
+        }
       }
     }
   }
@@ -309,6 +340,74 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
                   scalar_value)
             << ml::KernelTypeName(config.type);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// NB and tree counting against plain row-order loops.
+
+TEST(PackedPrimitiveParity, CodeLabelCountsMatchRowOrderLoop) {
+  Rng rng(515);
+  const std::vector<uint32_t> domains = {3, 1, 7, 2, 12};
+  const size_t d = domains.size();
+  std::vector<size_t> offsets(d + 1, 0);
+  for (size_t j = 0; j < d; ++j) offsets[j + 1] = offsets[j] + 2 * domains[j];
+  // Row counts on both sides of the lane split's minimum, with tails
+  // that are not a multiple of the lane count.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{15},
+                         size_t{16}, size_t{17}, size_t{38}}) {
+    const std::vector<uint32_t> codes = RandomCodes(rng, n, domains);
+    std::vector<uint8_t> labels(n);
+    for (auto& label : labels) label = static_cast<uint8_t>(rng.Bernoulli(0.4));
+    // Both buffers start non-zero: the routine adds to what is there.
+    std::vector<uint32_t> expected(offsets[d]);
+    for (size_t k = 0; k < expected.size(); ++k) {
+      expected[k] = static_cast<uint32_t>(k % 5);
+    }
+    std::vector<uint32_t> counts = expected;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) {
+        ++expected[offsets[j] + codes[i * d + j] * 2 + labels[i]];
+      }
+    }
+    simd::CountCodeLabelPairs(codes.data(), labels.data(), n, d,
+                              offsets.data(), counts.data());
+    EXPECT_EQ(counts, expected) << "n=" << n;
+  }
+}
+
+TEST(PackedPrimitiveParity, SplitStatsScanMatchesRowOrderLoop) {
+  Rng rng(616);
+  const std::vector<uint32_t> domains = {5, 9, 2};
+  const size_t d = domains.size();
+  const size_t rows = 40;
+  const std::vector<uint32_t> codes = RandomCodes(rng, rows, domains);
+  std::vector<uint8_t> labels(rows);
+  for (auto& label : labels) label = static_cast<uint8_t>(rng.Bernoulli(0.5));
+  for (size_t feature = 0; feature < d; ++feature) {
+    // Node row subsets in scrambled order, with lengths that leave every
+    // possible tail after the four-row unroll.
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{4}, size_t{6},
+                           size_t{7}, size_t{29}}) {
+      std::vector<uint32_t> row_ids(n);
+      for (auto& id : row_ids) id = static_cast<uint32_t>(rng.UniformInt(rows));
+      const uint32_t domain = domains[feature];
+      std::vector<uint32_t> expected_count(domain, 0), expected_pos(domain, 0);
+      std::vector<uint32_t> expected_touched;
+      for (const uint32_t r : row_ids) {
+        const uint32_t c = codes[r * d + feature];
+        if (expected_count[c] == 0) expected_touched.push_back(c);
+        ++expected_count[c];
+        expected_pos[c] += labels[r];
+      }
+      std::vector<uint32_t> count(domain, 0), pos(domain, 0), touched;
+      simd::SplitStatsScan(codes.data(), d, labels.data(), row_ids.data(), n,
+                           feature, count.data(), pos.data(), touched);
+      EXPECT_EQ(count, expected_count) << "feature=" << feature << " n=" << n;
+      EXPECT_EQ(pos, expected_pos) << "feature=" << feature << " n=" << n;
+      EXPECT_EQ(touched, expected_touched)
+          << "feature=" << feature << " n=" << n;
     }
   }
 }
