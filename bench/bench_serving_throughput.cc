@@ -12,11 +12,10 @@
 //   [serving] model=dt-gini rows=12000 runs=3 seconds=0.042
 //       preds_per_sec=285714.3 p50_us=350.0 p99_us=420.0 errors=0
 //       (one line)
-// run_all.py records them into BENCH_results.json (schema v6, see
-// docs/BENCH_SCHEMA.md). errors counts rejected request lines; this
-// bench feeds pre-validated batches, so it reports the StatsSummary
-// counter (0 unless a run goes wrong) to keep the line schema identical
-// to hamlet_serve's [serve] line fields.
+// errors counts rejected request lines; this bench feeds pre-validated
+// batches, so it reports the StatsSummary counter (0 unless a run goes
+// wrong) to keep the line's fields identical to hamlet_serve's [serve]
+// line.
 //
 // A socket section follows (model=net-<family>): the same query stream
 // served end to end through the serve/net TCP front-end — four

@@ -168,11 +168,11 @@ class SvmStatsScope {
 /// Prints the SMO kernel-row cache and solver counters accumulated since
 /// `scope` was constructed, in a stable, machine-parseable form. The
 /// SVM-heavy benches (fig1, fig3, fig8, table3, table6) call this after
-/// their tables so run_all.py can record cache effectiveness and
-/// iteration counts in BENCH_results.json across commits (schema v4, see
-/// docs/BENCH_SCHEMA.md). Counters cover every fit inside the scope (all
-/// grid cells, all Monte-Carlo runs); hit_rate is n/a when no SVM fit
-/// ran (e.g. fig1's smoke roster).
+/// their tables, so the goldens pin cache effectiveness and iteration
+/// counts (fields in docs/ARCHITECTURE.md, "The bench counter lines").
+/// Counters cover every fit inside the scope (all grid cells, all
+/// Monte-Carlo runs); hit_rate is n/a when no SVM fit ran (e.g. fig1's
+/// smoke roster).
 inline void PrintSvmCacheStats(const SvmStatsScope& scope) {
   const ml::KernelCacheTotals cache = scope.CacheDelta();
   const ml::SmoTotals smo = scope.SmoDelta();
@@ -217,10 +217,9 @@ class PackedStatsScope {
 
 /// Prints the packed-code layer's counters accumulated since `scope` was
 /// constructed, in a stable, machine-parseable form. The match-counting
-/// benches (1-NN and SVM families) call this after their tables so
-/// run_all.py can record the CPU-picked popcount and packed work volume in
-/// BENCH_results.json across commits (schema v7, see
-/// docs/BENCH_SCHEMA.md). words_per_row is the mean packed row width
+/// benches (1-NN and SVM families) call this after their tables, so the
+/// goldens pin the packed work volume; the golden filter masks the
+/// CPU-picked backend name. words_per_row is the mean packed row width
 /// (build words / rows packed); n/a when nothing was packed inside the
 /// scope.
 inline void PrintPackedStats(const PackedStatsScope& scope) {

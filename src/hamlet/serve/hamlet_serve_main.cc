@@ -281,7 +281,7 @@ std::function<const hamlet::ml::Classifier*()> MakeReloadPoll(
 void PrintServeSummary(const hamlet::serve::StatsSummary& s,
                        const std::string& model_name) {
   // Machine-parseable run summary; keep key=value, space-separated
-  // (bench/run_all.py-style contract, asserted by the serve smoke test).
+  // (asserted by the serve smoke test).
   std::fprintf(stderr,
                "[serve] model=%s rows=%llu batches=%llu errors=%llu "
                "model_seconds=%.6f preds_per_sec=%.1f p50_us=%.1f "
