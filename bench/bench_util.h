@@ -167,12 +167,11 @@ class SvmStatsScope {
 
 /// Prints the SMO kernel-row cache and solver counters accumulated since
 /// `scope` was constructed, in a stable, machine-parseable form. The
-/// SVM-heavy benches (fig1, fig3, fig8, table3, table6) call this after
-/// their tables, so the goldens pin cache effectiveness and iteration
-/// counts (fields in docs/ARCHITECTURE.md, "The bench counter lines").
-/// Counters cover every fit inside the scope (all grid cells, all
-/// Monte-Carlo runs); hit_rate is n/a when no SVM fit ran (e.g. fig1's
-/// smoke roster).
+/// SVM-heavy benches (fig1, fig3, fig8, table3) call this after their
+/// tables, so the goldens pin cache effectiveness and iteration counts
+/// (fields in docs/ARCHITECTURE.md, "The bench counter lines"). Counters
+/// cover every fit inside the scope (all grid cells, all Monte-Carlo
+/// runs); hit_rate is n/a when no SVM fit ran (e.g. fig1's smoke roster).
 inline void PrintSvmCacheStats(const SvmStatsScope& scope) {
   const ml::KernelCacheTotals cache = scope.CacheDelta();
   const ml::SmoTotals smo = scope.SmoDelta();
