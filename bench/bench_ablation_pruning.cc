@@ -44,7 +44,10 @@ void Sweep(size_t nr) {
   for (double cp : {0.0, 1e-4, 1e-3, 0.01, 0.1}) {
     for (size_t minsplit : {size_t{1}, size_t{10}, size_t{100}}) {
       ml::DecisionTree tree({.minsplit = minsplit, .cp = cp});
-      (void)tree.Fit(views.train);
+      if (!tree.Fit(views.train).ok()) {
+        bench::ReportFailure();
+        continue;
+      }
       std::printf("%-10g %-10zu %-12.4f %-12.4f %-10zu\n", cp, minsplit,
                   ml::ErrorRate(tree, views.test),
                   ml::ErrorRate(tree, views.train), tree.num_nodes());

@@ -56,9 +56,11 @@ void Sweep(const char* dataset) {
     const auto cols = core::SelectPartialAvoidance(p.data, full_train, k);
     SplitViews views = MakeSplitViews(p.data, p.split, cols);
     ml::NaiveBayes nb;
-    (void)nb.Fit(views.train);
     ml::DecisionTree tree({.minsplit = 10, .cp = 0.001});
-    (void)tree.Fit(views.train);
+    if (!nb.Fit(views.train).ok() || !tree.Fit(views.train).ok()) {
+      bench::ReportFailure();
+      continue;
+    }
     std::printf("%-22zu %-10zu %-12.4f %-12.4f\n", k, cols.size(),
                 ml::Accuracy(nb, views.test), ml::Accuracy(tree, views.test));
   }

@@ -98,7 +98,10 @@ void RunDataset(const char* name) {
       p.data, p.split,
       core::SelectVariant(p.data, core::FeatureVariant::kNoJoin));
   ml::DecisionTree tree({.minsplit = 10, .cp = 0.001});
-  (void)tree.Fit(views.train);
+  if (!tree.Fit(views.train).ok()) {
+    bench::ReportFailure();
+    return;
+  }
   std::printf("(uncompressed NoJoin reference: %.4f)\n\n",
               ml::Accuracy(tree, views.test));
 }

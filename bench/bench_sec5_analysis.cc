@@ -49,7 +49,10 @@ void NearestNeighbourFkMatch() {
     SplitViews views = MakeSplitViews(p.data, p.split, features);
 
     ml::OneNearestNeighbor knn;
-    (void)knn.Fit(views.train);
+    if (!knn.Fit(views.train).ok()) {
+      bench::ReportFailure();
+      continue;
+    }
     // FK is the last NoJoin feature (home features come first).
     size_t fk_j = features.size();
     for (size_t j = 0; j < features.size(); ++j) {
@@ -116,7 +119,10 @@ void TreeFkUsage() {
       const auto features = core::SelectVariant(p.data, variant);
       SplitViews views = MakeSplitViews(p.data, p.split, features);
       ml::DecisionTree tree({.minsplit = 10, .cp = 0.001});
-      (void)tree.Fit(views.train);
+      if (!tree.Fit(views.train).ok()) {
+        bench::ReportFailure();
+        continue;
+      }
       const auto use = tree.FeatureUseCounts();
       size_t fk_nodes = 0, total = 0;
       for (size_t j = 0; j < use.size(); ++j) {

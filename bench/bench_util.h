@@ -282,8 +282,9 @@ ml::BiasVariance SimulateVariant(MakeStar&& make_star,
   // Monte-Carlo driver: every piece of per-run state (data seed, split
   // seed, models) derives from the run index r, so the callback is
   // thread-safe and the decomposition is bit-identical at any
-  // HAMLET_THREADS. A failed run returns an empty prediction vector,
-  // which the decomposition rejects as a size mismatch below.
+  // HAMLET_THREADS. A failed run (prepare or fit) returns an empty
+  // prediction vector, which the decomposition rejects as a size
+  // mismatch below.
   auto run_one = [&](size_t r) -> std::vector<uint8_t> {
     StarSchema star = make_star(r);
     Result<core::PreparedData> prep = core::Prepare(star, 31 * r + 7);
@@ -304,13 +305,19 @@ ml::BiasVariance SimulateVariant(MakeStar&& make_star,
     switch (model) {
       case SimModel::kTreeGini: {
         ml::DecisionTree m({.minsplit = 10, .cp = 0.001});
-        (void)m.Fit(train);
+        if (!m.Fit(train).ok()) {
+          ReportFailure();
+          return {};
+        }
         run_preds = m.PredictAll(fixed_test);
         break;
       }
       case SimModel::kOneNn: {
         ml::OneNearestNeighbor m;
-        (void)m.Fit(train);
+        if (!m.Fit(train).ok()) {
+          ReportFailure();
+          return {};
+        }
         run_preds = m.PredictAll(fixed_test);
         break;
       }
@@ -327,7 +334,10 @@ ml::BiasVariance SimulateVariant(MakeStar&& make_star,
           cfg.C = 10.0;
           cfg.max_train_rows = 1500;
           ml::KernelSvm m(cfg);
-          (void)m.Fit(train);
+          if (!m.Fit(train).ok()) {
+            ReportFailure();
+            return {};
+          }
           const double acc = ml::Accuracy(m, val);
           if (acc > best_acc) {
             best_acc = acc;
