@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "hamlet/common/stringx.h"
 #include "hamlet/core/experiment.h"
 #include "hamlet/core/variants.h"
 #include "hamlet/data/split.h"
@@ -122,9 +121,13 @@ inline void PrintHeader(const std::string& title) {
   std::printf("mode: %s\n\n", BenchModeName(ModeFromEnv()));
 }
 
+/// Prints `cells` left-aligned in columns of `width` characters. A cell
+/// too wide for its column is printed whole, pushing the rest of the row
+/// right; every cell is followed by at least one space.
 inline void PrintRow(const std::vector<std::string>& cells, size_t width) {
+  const int field = width > 0 ? static_cast<int>(width) - 1 : 0;
   for (const auto& cell : cells) {
-    std::printf("%s", PadRight(cell, width).c_str());
+    std::printf("%-*s ", field, cell.c_str());
   }
   std::printf("\n");
 }
