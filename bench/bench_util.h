@@ -125,9 +125,8 @@ inline void PrintHeader(const std::string& title) {
 /// too wide for its column is printed whole, pushing the rest of the row
 /// right; every cell is followed by at least one space.
 inline void PrintRow(const std::vector<std::string>& cells, size_t width) {
-  const int field = width > 0 ? static_cast<int>(width) - 1 : 0;
   for (const auto& cell : cells) {
-    std::printf("%-*s ", field, cell.c_str());
+    std::printf("%-*s ", static_cast<int>(width) - 1, cell.c_str());
   }
   std::printf("\n");
 }
