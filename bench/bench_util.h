@@ -159,6 +159,7 @@ class SvmStatsScope {
     d.iterations = now.iterations - smo_start_.iterations;
     d.shrink_events = now.shrink_events - smo_start_.shrink_events;
     d.unshrink_events = now.unshrink_events - smo_start_.unshrink_events;
+    d.unconverged = now.unconverged - smo_start_.unconverged;
     return d;
   }
 
@@ -187,11 +188,13 @@ inline void PrintSvmCacheStats(const SvmStatsScope& scope) {
     std::printf("%.4f", static_cast<double>(cache.hits) /
                             static_cast<double>(accesses));
   }
-  std::printf(" fits=%llu iters=%llu shrinks=%llu unshrinks=%llu\n",
-              static_cast<unsigned long long>(smo.fits),
-              static_cast<unsigned long long>(smo.iterations),
-              static_cast<unsigned long long>(smo.shrink_events),
-              static_cast<unsigned long long>(smo.unshrink_events));
+  std::printf(
+      " fits=%llu iters=%llu shrinks=%llu unshrinks=%llu unconverged=%llu\n",
+      static_cast<unsigned long long>(smo.fits),
+      static_cast<unsigned long long>(smo.iterations),
+      static_cast<unsigned long long>(smo.shrink_events),
+      static_cast<unsigned long long>(smo.unshrink_events),
+      static_cast<unsigned long long>(smo.unconverged));
 }
 
 /// Snapshot scope over the process-wide packed-code counters

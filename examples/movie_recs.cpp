@@ -17,13 +17,26 @@
 #include "hamlet/ml/tree/decision_tree.h"
 #include "hamlet/synth/realworld.h"
 
+namespace {
+
+/// Prints the Status of a failed step; true when `st` is an error.
+bool Failed(const char* step, const hamlet::Status& st) {
+  if (st.ok()) return false;
+  std::printf("%s failed: %s\n", step, st.ToString().c_str());
+  return true;
+}
+
+}  // namespace
+
 int main() {
   using namespace hamlet;
 
   auto spec = synth::RealWorldSpecByName("Movies", 0.5);
+  if (Failed("spec lookup", spec.status())) return 1;
   StarSchema star = synth::GenerateRealWorld(spec.value());
   Result<core::PreparedData> prepared = core::Prepare(
       star, 33, synth::RealWorldJoinOptions(spec.value()));
+  if (Failed("prepare", prepared.status())) return 1;
   core::PreparedData& p = prepared.value();
 
   // Induce unseen movie FKs: drop training rows whose movie code is in the
@@ -50,7 +63,7 @@ int main() {
                            .cp = 0.001,
                            .unseen_policy =
                                ml::UnseenPolicy::kMajorityBranch});
-    (void)tree.Fit(views.train);
+    if (Failed("tree fit", tree.Fit(views.train))) return 1;
     std::printf("majority-branch routing: accuracy=%.4f\n",
                 ml::Accuracy(tree, views.test));
   }
@@ -72,11 +85,15 @@ int main() {
             ? core::BuildRandomSmoothing(seen, 77)
             : core::BuildXrSmoothing(
                   seen, star.dimension(1).table);  // movies = dim 1
+    if (Failed("smoothing", map.status())) return 1;
     Dataset smoothed = p.data;
-    (void)core::ApplySmoothing(smoothed, movie_fk, map.value());
+    if (Failed("smoothing",
+               core::ApplySmoothing(smoothed, movie_fk, map.value()))) {
+      return 1;
+    }
     SplitViews views = MakeSplitViews(smoothed, p.split, nojoin);
     ml::DecisionTree tree({.minsplit = 10, .cp = 0.001});
-    (void)tree.Fit(views.train);
+    if (Failed("tree fit", tree.Fit(views.train))) return 1;
     std::printf("%-22s: accuracy=%.4f (reassigned %zu unseen codes)\n",
                 m.label, ml::Accuracy(tree, views.test),
                 map.value().num_unseen);

@@ -18,20 +18,33 @@
 #include "hamlet/ml/tree/tree_printer.h"
 #include "hamlet/synth/realworld.h"
 
+namespace {
+
+/// Prints the Status of a failed step; true when `st` is an error.
+bool Failed(const char* step, const hamlet::Status& st) {
+  if (st.ok()) return false;
+  std::printf("%s failed: %s\n", step, st.ToString().c_str());
+  return true;
+}
+
+}  // namespace
+
 int main() {
   using namespace hamlet;
 
   auto spec = synth::RealWorldSpecByName("Walmart", 0.5);
+  if (Failed("spec lookup", spec.status())) return 1;
   StarSchema star = synth::GenerateRealWorld(spec.value());
   Result<core::PreparedData> prepared = core::Prepare(
       star, 21, synth::RealWorldJoinOptions(spec.value()));
+  if (Failed("prepare", prepared.status())) return 1;
   core::PreparedData& p = prepared.value();
 
   // Baseline: NoJoin tree on the raw FK domains.
   const auto nojoin = core::SelectVariant(p.data, core::FeatureVariant::kNoJoin);
   SplitViews views = MakeSplitViews(p.data, p.split, nojoin);
   ml::DecisionTree raw_tree({.minsplit = 10, .cp = 0.001});
-  (void)raw_tree.Fit(views.train);
+  if (Failed("tree fit", raw_tree.Fit(views.train))) return 1;
   std::printf("Raw FK domains:    accuracy=%.4f, tree nodes=%zu\n",
               ml::Accuracy(raw_tree, views.test), raw_tree.num_nodes());
 
@@ -41,19 +54,18 @@ int main() {
     DataView train_col(&compressed, p.split.train, {col});
     Result<core::DomainMapping> map =
         core::BuildSortedEntropyMapping(train_col, 0, 8);
-    if (!map.ok()) {
-      std::printf("compression failed: %s\n",
-                  map.status().ToString().c_str());
+    if (Failed("compression", map.status())) return 1;
+    if (Failed("compression",
+               core::ApplyMapping(compressed, col, map.value()))) {
       return 1;
     }
-    (void)core::ApplyMapping(compressed, col, map.value());
   }
   SplitViews cviews = MakeSplitViews(compressed, p.split,
                                      core::SelectVariant(
                                          compressed,
                                          core::FeatureVariant::kNoJoin));
   ml::DecisionTree small_tree({.minsplit = 10, .cp = 0.001});
-  (void)small_tree.Fit(cviews.train);
+  if (Failed("tree fit", small_tree.Fit(cviews.train))) return 1;
   std::printf("Budget-8 domains:  accuracy=%.4f, tree nodes=%zu\n\n",
               ml::Accuracy(small_tree, cviews.test),
               small_tree.num_nodes());

@@ -39,6 +39,10 @@ struct KernelConfig {
   int degree = 2;
 };
 
+/// Largest `degree` a saved SVM model may carry (KernelSvm::LoadBody
+/// rejects others). The paper's grid uses degree 2.
+constexpr int kMaxKernelDegree = 16;
+
 /// Number of matching positions between two code vectors of length d.
 size_t MatchCount(const uint32_t* a, const uint32_t* b, size_t d);
 

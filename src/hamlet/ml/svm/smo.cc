@@ -19,6 +19,7 @@ std::atomic<uint64_t> g_smo_fits{0};
 std::atomic<uint64_t> g_smo_iterations{0};
 std::atomic<uint64_t> g_smo_shrink_events{0};
 std::atomic<uint64_t> g_smo_unshrink_events{0};
+std::atomic<uint64_t> g_smo_unconverged{0};
 
 }  // namespace
 
@@ -30,6 +31,7 @@ SmoTotals GlobalSmoTotals() {
       g_smo_shrink_events.load(std::memory_order_relaxed);
   totals.unshrink_events =
       g_smo_unshrink_events.load(std::memory_order_relaxed);
+  totals.unconverged = g_smo_unconverged.load(std::memory_order_relaxed);
   return totals;
 }
 
@@ -38,6 +40,7 @@ void ResetGlobalSmoTotals() {
   g_smo_iterations.store(0, std::memory_order_relaxed);
   g_smo_shrink_events.store(0, std::memory_order_relaxed);
   g_smo_unshrink_events.store(0, std::memory_order_relaxed);
+  g_smo_unconverged.store(0, std::memory_order_relaxed);
 }
 
 double DegenerateEndpointAj(double lo, double hi, double ai_old,
@@ -67,6 +70,13 @@ double DegenerateEndpointAj(double lo, double hi, double ai_old,
   if (lobj < hobj - eps) return lo;
   if (hobj < lobj - eps) return hi;
   return aj_old;
+}
+
+double SnapToBoxBound(double a, double C) {
+  const double eps = 1e-12 * C;
+  if (std::abs(a) <= eps) return 0.0;
+  if (std::abs(C - a) <= eps) return C;
+  return a;
 }
 
 size_t SelectWss2J(const float* row_i, const float* diag,
@@ -260,7 +270,10 @@ struct Solver {
     }
     const float* gj = rows.Row(j);
 
-    const double ai_new = ai_old + yi * yj * (aj_old - aj_new);
+    // Snapped before it is stored, so the bias branch and the error
+    // refresh below see the value alpha[i] holds.
+    const double ai_new =
+        SnapToBoxBound(ai_old + yi * yj * (aj_old - aj_new), cfg.C);
     alpha[i] = ai_new;
     alpha[j] = aj_new;
 
@@ -524,6 +537,9 @@ Result<SmoSolution> SolveSmo(KernelRowSource& rows,
                                 std::memory_order_relaxed);
   g_smo_unshrink_events.fetch_add(solver.unshrink_events,
                                   std::memory_order_relaxed);
+  if (!sol.converged) {
+    g_smo_unconverged.fetch_add(1, std::memory_order_relaxed);
+  }
   return sol;
 }
 

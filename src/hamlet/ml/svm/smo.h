@@ -11,6 +11,11 @@
 // whose gradients cannot re-enter the working set; before convergence
 // is declared the solver reconstructs the full gradient and unshrinks,
 // so the returned solution is tolerance-exact on the full problem.
+// Each pair update snaps the alpha it derives from the equality
+// constraint onto a bound it lands within rounding of (SnapToBoxBound).
+// A selected pair that still cannot move goes through a fallback scan
+// for another partner; a solve that runs out of max_iterations returns
+// converged == false and is counted in SmoTotals::unconverged.
 //
 // Kernel rows are supplied by a KernelRowSource: either the lazy LRU
 // KernelCache (the production path, see kernel_cache.h) or a precomputed
@@ -71,12 +76,14 @@ struct SmoSolution {
 /// Process-wide SMO counters summed over completed solves; the SVM-heavy
 /// benches report deltas of these per bench run (see
 /// bench::SvmStatsScope). fits counts solves that entered the pairwise
-/// loop (single-class early returns are excluded).
+/// loop (single-class early returns are excluded); unconverged counts
+/// those of them that returned converged == false.
 struct SmoTotals {
   uint64_t fits = 0;
   uint64_t iterations = 0;
   uint64_t shrink_events = 0;
   uint64_t unshrink_events = 0;
+  uint64_t unconverged = 0;
 };
 
 /// Snapshot of the totals accumulated so far (all solves in this
@@ -190,6 +197,15 @@ double DegenerateEndpointAj(double lo, double hi, double ai_old,
                             double aj_old, double yi, double yj,
                             double error_i, double error_j, double bias,
                             double kii, double kjj, double kij);
+
+/// Returns exactly 0 or C when `a` lies within 1e-12*C of that bound
+/// (the solver's rounding scale, shared with the pair step's
+/// no-progress threshold and WSS2's tau), else `a` unchanged. A pair
+/// update derives alpha_i = ai_old + yi*yj*(aj_old - aj_new) by
+/// cancellation, which can stop a rounding error inside the box; left
+/// there, WSS2 keeps selecting a pair that can never move. Exposed for
+/// direct unit testing.
+double SnapToBoxBound(double a, double C);
 
 /// Second-order (WSS2) j-step: given i's kernel row and up-score
 /// `up_best` (= -error_i), returns the original index of the I_low

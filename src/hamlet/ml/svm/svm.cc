@@ -1,7 +1,10 @@
 #include "hamlet/ml/svm/svm.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "hamlet/io/model_io.h"
@@ -129,6 +132,18 @@ Result<std::unique_ptr<KernelSvm>> KernelSvm::LoadBody(
   config.kernel.type = static_cast<KernelType>(kernel_type);
   HAMLET_RETURN_IF_ERROR(reader.ReadF64(&config.kernel.gamma));
   HAMLET_RETURN_IF_ERROR(reader.ReadI32(&config.kernel.degree));
+  // Each poly kernel evaluation loops `degree` times, so an unchecked
+  // degree from the file (v1 files carry no checksum) could stall every
+  // prediction.
+  if (config.kernel.degree < 1 || config.kernel.degree > kMaxKernelDegree) {
+    return Status::InvalidArgument(
+        "corrupt model: svm kernel degree " +
+        std::to_string(config.kernel.degree) + " outside [1, " +
+        std::to_string(kMaxKernelDegree) + "]");
+  }
+  if (!std::isfinite(config.kernel.gamma)) {
+    return Status::InvalidArgument("corrupt model: svm gamma not finite");
+  }
   auto model = std::make_unique<KernelSvm>(config);
   uint64_t d;
   uint8_t is_constant, converged;
@@ -146,6 +161,12 @@ Result<std::unique_ptr<KernelSvm>> KernelSvm::LoadBody(
   HAMLET_RETURN_IF_ERROR(reader.ReadF64(&model->bias_));
   HAMLET_RETURN_IF_ERROR(reader.ReadF64Vec(&model->sv_coeff_));
   HAMLET_RETURN_IF_ERROR(reader.ReadU32Vec(&model->sv_rows_));
+  if (!std::isfinite(model->bias_) ||
+      !std::all_of(model->sv_coeff_.begin(), model->sv_coeff_.end(),
+                   [](double c) { return std::isfinite(c); })) {
+    return Status::InvalidArgument(
+        "corrupt model: svm bias or coefficient not finite");
+  }
   if (model->sv_rows_.size() != model->sv_coeff_.size() * model->d_) {
     return Status::InvalidArgument(
         "corrupt model: svm support-vector rows do not match coefficients");

@@ -388,32 +388,13 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   EXPECT_EQ(reused.value().iterations, baseline.value().iterations);
 }
 
-/// FNV-1a over the bit patterns of `values`.
-uint64_t BitsHash(const std::vector<double>& values) {
-  uint64_t h = 1469598103934665603ull;
-  for (const double v : values) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    h = (h ^ bits) * 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-/// A problem whose solve gets stuck: an alpha ends up a rounding error
-/// below C, the selected pair cannot move, and nearly every iteration
-/// goes through the fallback partner scan (both of its loops commit
-/// updates here) until the iteration budget runs out. The pin was
-/// recorded with the original scan, which sent every partner through a
-/// full UpdatePair probe; alpha, bias, iteration count and the number of
-/// row fetches must stay bit-identical for every row source and both
-/// cache extremes.
-TEST(SmoStuckPairRegressionTest, FallbackRegimeMatchesPinnedSolution) {
+/// A problem that used to get stuck: a pair update left an alpha a
+/// rounding error below C, WSS2 kept selecting a pair that could not
+/// move, and the fallback scan burned the whole 5000-iteration budget.
+/// With the derived alpha snapped onto its bound the solve converges to
+/// the full-problem optimum, and the solution stays bit-identical across
+/// the full cache, a 1-row cache and the full Gram matrix.
+TEST(SmoStuckPairRegressionTest, SnappedAlphaConvergesOnEverySource) {
   const Dataset data =
       test::MakeParityDataset(240, {6, 4, 2, 5, 3, 2, 4}, 4);
   const test::ParityViews views = test::MakeParityViews(data, 5);
@@ -425,11 +406,6 @@ TEST(SmoStuckPairRegressionTest, FallbackRegimeMatchesPinnedSolution) {
   const std::vector<float> gram =
       ComputeGram(kc, m.codes(), n, m.num_features());
 
-  // Recorded with WSS2 and shrinking on (wss2=on shrink=on).
-  constexpr uint64_t kAlphaHash = 0x96083e6762424be1ull;
-  constexpr uint64_t kBiasBits = 0xbf7dac8a3aef465dull;
-  constexpr size_t kIterations = 5000;
-  constexpr uint64_t kFetches = 15143;
   test::ScopedEnvVar full_budget("HAMLET_SMO_CACHE_MB", "64");
   SmoConfig cfg;
   cfg.C = 1.0;
@@ -439,22 +415,24 @@ TEST(SmoStuckPairRegressionTest, FallbackRegimeMatchesPinnedSolution) {
   FullGramRowSource full_gram(gram, n);
   ASSERT_EQ(full_cache.capacity_rows(), n);
   ASSERT_EQ(one_row.capacity_rows(), 1u);
-  KernelRowSource* sources[] = {&full_cache, &one_row, &full_gram};
-  for (KernelRowSource* source : sources) {
+  const Result<SmoSolution> reference = SolveSmo(full_cache, y, cfg);
+  ASSERT_TRUE(reference.ok());
+  const SmoSolution& r = reference.value();
+  EXPECT_TRUE(r.converged);
+  EXPECT_LT(r.iterations, cfg.max_iterations);
+  EXPECT_LT(test::FullProblemViolation(gram, y, r.alpha, cfg.C),
+            cfg.tolerance + 1e-6);
+  KernelRowSource* others[] = {&one_row, &full_gram};
+  for (KernelRowSource* source : others) {
     const Result<SmoSolution> sol = SolveSmo(*source, y, cfg);
     ASSERT_TRUE(sol.ok());
     const SmoSolution& s = sol.value();
     const std::string where =
-        "source=" + std::to_string(source == &full_cache ? 0
-                                   : source == &one_row  ? 1
-                                                         : 2);
-    EXPECT_FALSE(s.converged) << where;
-    EXPECT_EQ(s.iterations, kIterations) << where;
-    EXPECT_EQ(BitsHash(s.alpha), kAlphaHash)
-        << where << " alpha hash 0x" << std::hex << BitsHash(s.alpha);
-    EXPECT_EQ(Bits(s.bias), kBiasBits)
-        << where << " bias bits 0x" << std::hex << Bits(s.bias);
-    EXPECT_EQ(s.cache_hits + s.cache_misses, kFetches) << where;
+        source == &one_row ? "source=one_row" : "source=full_gram";
+    EXPECT_EQ(s.alpha, r.alpha) << where;  // bitwise
+    EXPECT_EQ(s.bias, r.bias) << where;
+    EXPECT_EQ(s.iterations, r.iterations) << where;
+    EXPECT_EQ(s.converged, r.converged) << where;
   }
 }
 

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +21,7 @@
 #include "hamlet/io/serialize.h"
 #include "hamlet/ml/majority.h"
 #include "hamlet/ml/nb/backward_selection.h"
+#include "hamlet/ml/svm/svm.h"
 #include "parity_util.h"
 
 namespace hamlet {
@@ -175,6 +179,87 @@ TEST(ModelIoTest, V1ModelStillLoads) {
     // Re-saving writes the current (v2) format.
     EXPECT_EQ(SaveToString(*loaded.value())[4], 2);
   }
+}
+
+/// The low `width` bytes of `v`, little-endian: the model format's
+/// integer encoding.
+std::string Le(uint64_t v, size_t width) {
+  std::string out(width, '\0');
+  for (size_t b = 0; b < width; ++b) {
+    out[b] = static_cast<char>((v >> (8 * b)) & 0xff);
+  }
+  return out;
+}
+
+/// A double's model-format encoding: its IEEE-754 bits as a u64.
+std::string LeF64(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return Le(bits, 8);
+}
+
+/// Crafted SVM bodies in a v1 file, which has no checksum: only the
+/// body validation stands between the bytes and a loaded model. A huge
+/// poly degree would make every prediction loop ~2e9 times, and a
+/// non-finite gamma, bias or coefficient would poison every decision
+/// value; each must fail the load with InvalidArgument instead.
+TEST(ModelIoTest, CraftedSvmKernelAndCoefficientsAreRejected) {
+  const Dataset data = MakeParityDataset(120, {4, 3, 5}, 41);
+  ml::SvmConfig cfg;
+  cfg.kernel.type = ml::KernelType::kPoly;
+  cfg.kernel.gamma = 0.5;
+  ml::KernelSvm model(cfg);
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  ASSERT_GT(model.num_support_vectors(), 0u);
+  const std::string v1 = AsV1Bytes(SaveToString(model));
+
+  // Header: magic, version, family, domain count, 3 domains. The body
+  // follows: kernel type u32, gamma f64, degree i32, d u64, three u8
+  // flags, bias f64, coefficient count u64, coefficients f64 ...
+  const size_t body = 20 + 4 * 3;
+  const size_t gamma_at = body + 4, degree_at = body + 12,
+               d_at = body + 16, bias_at = body + 27, coeff_at = body + 43;
+  ASSERT_EQ(v1.substr(body, 4),
+            Le(static_cast<uint64_t>(ml::KernelType::kPoly), 4));
+  ASSERT_EQ(v1.substr(gamma_at, 8), LeF64(0.5));
+  ASSERT_EQ(v1.substr(degree_at, 4), Le(2, 4));
+  ASSERT_EQ(v1.substr(d_at, 8), Le(3, 8));
+  ASSERT_EQ(v1.substr(coeff_at - 8, 8), Le(model.num_support_vectors(), 8));
+
+  const auto expect_rejected = [](const std::string& bytes,
+                                  const std::string& field) {
+    const auto loaded = LoadFromString(bytes);
+    ASSERT_FALSE(loaded.ok()) << field;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(loaded.status().message().find(field), std::string::npos)
+        << loaded.status().ToString();
+  };
+  for (const int32_t degree :
+       {0, -1, ml::kMaxKernelDegree + 1,
+        std::numeric_limits<int32_t>::max()}) {
+    std::string bad = v1;
+    bad.replace(degree_at, 4, Le(static_cast<uint32_t>(degree), 4));
+    expect_rejected(bad, "degree");
+  }
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    std::string bad_gamma = v1, bad_bias = v1, bad_coeff = v1;
+    bad_gamma.replace(gamma_at, 8, LeF64(v));
+    bad_bias.replace(bias_at, 8, LeF64(v));
+    bad_coeff.replace(coeff_at, 8, LeF64(v));
+    expect_rejected(bad_gamma, "gamma");
+    expect_rejected(bad_bias, "bias");
+    expect_rejected(bad_coeff, "coefficient");
+  }
+
+  // The largest accepted degree still loads and predicts.
+  std::string max_degree = v1;
+  max_degree.replace(degree_at, 4, Le(ml::kMaxKernelDegree, 4));
+  const auto loaded = LoadFromString(max_degree);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value()->PredictAll(DataView(&data)).size(),
+            data.num_rows());
 }
 
 TEST(ModelIoTest, EverySingleBitFlipIsRejected) {

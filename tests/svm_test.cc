@@ -238,6 +238,25 @@ TEST(SmoDegenerateTest, LinearCaseAgreesWithGradientSign) {
             lo);
 }
 
+TEST(SmoSnapTest, SnapsOnlyWithinRoundingOfABound) {
+  for (const double C : {1.0, 100.0}) {
+    const double window = 1e-12 * C;
+    // Inside the window on either side of each bound: exactly the bound.
+    EXPECT_EQ(SnapToBoxBound(0.0, C), 0.0);
+    EXPECT_EQ(SnapToBoxBound(0.5 * window, C), 0.0);
+    EXPECT_EQ(SnapToBoxBound(-0.5 * window, C), 0.0);
+    EXPECT_EQ(SnapToBoxBound(C, C), C);
+    EXPECT_EQ(SnapToBoxBound(C - 0.5 * window, C), C);
+    EXPECT_EQ(SnapToBoxBound(C + 0.5 * window, C), C);
+    // Outside the window: unchanged, bit for bit.
+    EXPECT_EQ(SnapToBoxBound(2.0 * window, C), 2.0 * window);
+    EXPECT_EQ(SnapToBoxBound(C - 2.0 * window, C), C - 2.0 * window);
+    EXPECT_EQ(SnapToBoxBound(0.5 * C, C), 0.5 * C);
+  }
+  // The residue a cancelling pair update leaves below C = 1.
+  EXPECT_EQ(SnapToBoxBound(1.0 - 1.1e-16, 1.0), 1.0);
+}
+
 TEST(SmoDegenerateTest, DuplicateRowProblemStaysStableAndFeasible) {
   // Integration guard: a training set dominated by exactly duplicated
   // rows (every eta for a duplicate pair is exactly 0) must converge
@@ -393,12 +412,23 @@ TEST(SmoTotalsTest, GlobalTotalsTrackSolvesAndReset) {
   const SmoTotals after = GlobalSmoTotals();
   EXPECT_EQ(after.fits - before.fits, 1u);
   EXPECT_EQ(after.iterations - before.iterations, sol.value().iterations);
+  EXPECT_EQ(after.unconverged, before.unconverged);  // it converged
+  // A budget-starved solve returns converged == false and is counted.
+  SmoConfig starved = cfg;
+  starved.max_iterations = 1;
+  const Result<SmoSolution> cut = SolveSmo(gram, {1, -1}, starved);
+  ASSERT_TRUE(cut.ok());
+  ASSERT_FALSE(cut.value().converged);
+  const SmoTotals after_cut = GlobalSmoTotals();
+  EXPECT_EQ(after_cut.fits - after.fits, 1u);
+  EXPECT_EQ(after_cut.unconverged - after.unconverged, 1u);
   ResetGlobalSmoTotals();
   const SmoTotals reset = GlobalSmoTotals();
   EXPECT_EQ(reset.fits, 0u);
   EXPECT_EQ(reset.iterations, 0u);
   EXPECT_EQ(reset.shrink_events, 0u);
   EXPECT_EQ(reset.unshrink_events, 0u);
+  EXPECT_EQ(reset.unconverged, 0u);
 }
 
 // ------------------------------------------------------------------- SVM --

@@ -35,11 +35,17 @@ Rules
                   hamlet's results are pinned bit for bit (the MLP's
                   vectorised loops keep every sum's operand order); a
                   fused or reassociated sum changes the bits.
+  status-discard  No `(void)` discard of a `.Fit(`/`->Fit(` or
+                  `Apply*(` call in bench/ or examples/. Those calls
+                  return a Status; a discarded failure lets a bench or
+                  example print numbers from an unfitted model and still
+                  exit 0. Check it, print it and exit non-zero instead.
 
 Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line,
 or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
-cross-file properties with no meaningful per-line waiver.
+cross-file properties with no meaningful per-line waiver, and a
+discarded Status has no legitimate use in status-discard's scope.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -111,6 +117,10 @@ UNORDERED_DECL_RE = re.compile(
 
 TEST_REG_RE = re.compile(r"([A-Za-z0-9_]+_test\.cc)")
 
+STATUS_DISCARD_RE = re.compile(
+    r"\(\s*void\s*\)\s*[^;]*?(?:(?:\.|->)Fit|\bApply\w*)\s*\(")
+STATUS_DISCARD_DIRS = ("bench", "examples")
+
 
 def strip_line_comment(line):
     """Drops a // comment but keeps string literals (a `//` inside a
@@ -158,6 +168,35 @@ def strip_comments_and_strings(line):
         out.append(c)
         i += 1
     return "".join(out)
+
+
+def read_code(path):
+    """Returns (raw lines, code lines with comments and strings removed,
+    code lines with only comments removed) for a C++ file; block
+    comments are tracked across lines."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    stripped_lines = []
+    uncommented_lines = []
+    in_block_comment = False
+    for raw in lines:
+        line = raw
+        if in_block_comment:
+            end = line.find("*/")
+            if end < 0:
+                stripped_lines.append("")
+                uncommented_lines.append("")
+                continue
+            line = line[end + 2:]
+            in_block_comment = False
+        # Remove complete /* ... */ spans, then detect an opener.
+        line = re.sub(r"/\*.*?\*/", "", line)
+        start = line.find("/*")
+        if start >= 0:
+            line = line[:start]
+            in_block_comment = True
+        stripped_lines.append(strip_comments_and_strings(line))
+        uncommented_lines.append(strip_line_comment(line))
+    return lines, stripped_lines, uncommented_lines
 
 
 class Linter:
@@ -209,28 +248,7 @@ class Linter:
         for path in self.source_files("src"):
             rel = self.rel(path)
             decl_names = set()
-            in_block_comment = False
-            lines = open(path, encoding="utf-8").read().splitlines()
-            stripped_lines = []
-            uncommented_lines = []  # comments gone, strings kept
-            for raw in lines:
-                line = raw
-                if in_block_comment:
-                    end = line.find("*/")
-                    if end < 0:
-                        stripped_lines.append("")
-                        uncommented_lines.append("")
-                        continue
-                    line = line[end + 2:]
-                    in_block_comment = False
-                # Remove complete /* ... */ spans, then detect an opener.
-                line = re.sub(r"/\*.*?\*/", "", line)
-                start = line.find("/*")
-                if start >= 0:
-                    line = line[:start]
-                    in_block_comment = True
-                stripped_lines.append(strip_comments_and_strings(line))
-                uncommented_lines.append(strip_line_comment(line))
+            lines, stripped_lines, uncommented_lines = read_code(path)
             for code in stripped_lines:
                 for name in UNORDERED_DECL_RE.findall(code):
                     decl_names.add(name)
@@ -295,6 +313,19 @@ class Linter:
                                  "reassociated floating-point math, which "
                                  "breaks the bit-identity pins" % flag)
 
+    # -- status-discard ------------------------------------------------
+    def check_status_discard(self):
+        for subdir in STATUS_DISCARD_DIRS:
+            for path in self.source_files(subdir, exts=(".h", ".cc", ".cpp")):
+                rel = self.rel(path)
+                _, stripped_lines, _ = read_code(path)
+                for lineno, code in enumerate(stripped_lines, 1):
+                    if STATUS_DISCARD_RE.search(code):
+                        self.add(rel, lineno, "status-discard",
+                                 "(void) discards the Status of a Fit/"
+                                 "Apply call; check it, print it and "
+                                 "exit non-zero")
+
     # -- test-reg ------------------------------------------------------
     def check_test_registration(self):
         tests_dir = os.path.join(self.root, "tests")
@@ -316,6 +347,7 @@ class Linter:
         self.check_env_docs()
         self.check_source_rules()
         self.check_cmake_fp_flags()
+        self.check_status_discard()
         self.check_test_registration()
         return self.findings
 

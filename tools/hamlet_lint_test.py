@@ -219,6 +219,35 @@ def main():
         code, out = flags_quiet.lint()
         check("safe flags, comments and CMake waiver pass", code == 0, out)
 
+        # status-discard: a (void)-discarded Fit/Apply* Status in bench/
+        # or examples/ fires; a checked call, a comment, a discard of
+        # another call, and the same discard under src/ stay quiet.
+        for rel, snippet, what in [
+            ("bench/a.cc", "(void)tree.Fit(views.train);\n", "bench .Fit"),
+            ("examples/a.cpp", "(void) model->Fit(train);\n",
+             "example ->Fit"),
+            ("examples/a.cpp",
+             "(void)core::ApplySmoothing(d, col, map.value());\n",
+             "example Apply*"),
+        ]:
+            fix = Fixture(base, "discard_" + what.replace(" ", "_")
+                          .replace(".", "").replace("->", "")
+                          .replace("*", ""))
+            fix.write(rel, snippet)
+            code, out = fix.lint()
+            check("status-discard fires on %s" % what,
+                  code == 1 and "status-discard" in out and rel in out, out)
+
+        discard_quiet = (Fixture(base, "discard_quiet")
+                         .write("examples/a.cpp",
+                                "if (!tree.Fit(train).ok()) return 1;\n"
+                                "// never (void)tree.Fit(train);\n"
+                                "(void)star.AppendFact({1}, {2}, 0);\n")
+                         .write("src/hamlet/a.cc",
+                                "(void)tree.Fit(train);\n"))
+        code, out = discard_quiet.lint()
+        check("checked calls, comments, other discards pass", code == 0, out)
+
         # test-reg: an unregistered tests/*_test.cc fires.
         unreg = (Fixture(base, "unreg")
                  .write("tests/orphan_test.cc", "int main() {}\n")
