@@ -73,6 +73,10 @@ class PackedCodeMatrix {
     return words_.data() + i * layout_.words_per_row;
   }
 
+  /// The whole slab: row i starts at data() + i * layout().words_per_row
+  /// (the batched counts of simd::PackedMatchCounts index it directly).
+  const uint64_t* data() const { return words_.data(); }
+
   /// Unpacks the code of (row i, feature j) — round-trip checks and
   /// debugging; hot loops compare whole rows instead.
   uint32_t code_at(size_t i, size_t j) const {

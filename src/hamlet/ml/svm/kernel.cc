@@ -21,12 +21,11 @@ const char* KernelTypeName(KernelType type) {
   return "unknown";
 }
 
-size_t MatchCount(const uint32_t* a, const uint32_t* b, size_t d) {
-  size_t matches = 0;
-  for (size_t j = 0; j < d; ++j) matches += a[j] == b[j];
-  return matches;
-}
+namespace {
 
+/// Kernel value from a match count (0 <= matches <= d): the single site
+/// of the kernel float math. Both public routes below read it, so equal
+/// match counts give bit-identical values.
 double KernelFromMatches(const KernelConfig& config, size_t matches,
                          size_t d) {
   switch (config.type) {
@@ -46,16 +45,24 @@ double KernelFromMatches(const KernelConfig& config, size_t matches,
   return 0.0;
 }
 
+}  // namespace
+
+size_t MatchCount(const uint32_t* a, const uint32_t* b, size_t d) {
+  size_t matches = 0;
+  for (size_t j = 0; j < d; ++j) matches += a[j] == b[j];
+  return matches;
+}
+
+std::vector<double> KernelValuesByMatches(const KernelConfig& config,
+                                          size_t d) {
+  std::vector<double> table(d + 1);
+  for (size_t m = 0; m <= d; ++m) table[m] = KernelFromMatches(config, m, d);
+  return table;
+}
+
 double KernelEval(const KernelConfig& config, const uint32_t* a,
                   const uint32_t* b, size_t d) {
   return KernelFromMatches(config, MatchCount(a, b, d), d);
-}
-
-double PackedKernelEval(const KernelConfig& config,
-                        const simd::PackedLayout& layout, const uint64_t* a,
-                        const uint64_t* b) {
-  const size_t matches = simd::PackedMatchCount(layout, a, b);
-  return KernelFromMatches(config, matches, layout.num_features);
 }
 
 std::vector<float> ComputeGram(const KernelConfig& config,
@@ -69,12 +76,15 @@ std::vector<float> ComputeGram(const KernelConfig& config,
   for (const uint32_t c : rows) max_code = std::max(max_code, c);
   const simd::PackedLayout layout = simd::PackedLayout::ForMaxCode(max_code, d);
   const PackedCodeMatrix packed(layout, rows.data(), n);
+  const std::vector<double> table = KernelValuesByMatches(config, d);
+  std::vector<uint32_t> counts(n);
   std::vector<float> gram(n * n);
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t* ri = packed.row(i);
+    // Row i against rows i..n-1, one contiguous run of the slab.
+    simd::PackedMatchCounts(layout, packed.row(i), packed.row(i), nullptr,
+                            n - i, counts.data());
     for (size_t j = i; j < n; ++j) {
-      const float v = static_cast<float>(
-          PackedKernelEval(config, layout, ri, packed.row(j)));
+      const float v = static_cast<float>(table[counts[j - i]]);
       gram[i * n + j] = v;
       gram[j * n + i] = v;
     }

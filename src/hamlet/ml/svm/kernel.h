@@ -4,7 +4,15 @@
 // the paper). For one-hot vectors u(x), u(z):
 //   u(x)·u(z)       = #matching features           (linear kernel)
 //   ||u(x)-u(z)||^2 = 2 × #mismatching features    (RBF exponent)
-// so kernels run in O(d) per pair without materialising the encoding.
+// so every kernel is a function of the match count m alone, and over d
+// features it takes only d+1 distinct values. The hot paths (KernelCache
+// rows, SVM scoring, ComputeGram) build those values once per fit or
+// model with KernelValuesByMatches, count matches for a whole row or
+// query with one simd::PackedMatchCounts call, and read each kernel
+// value as table[count]. The kernel float math lives in one function in
+// kernel.cc, which KernelValuesByMatches and KernelEval share, so a
+// table entry and the scalar KernelEval of a pair with the same match
+// count are the same bits.
 // The paper's grid kernels: linear, quadratic polynomial, Gaussian RBF.
 
 #ifndef HAMLET_ML_SVM_KERNEL_H_
@@ -13,8 +21,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "hamlet/simd/simd.h"
 
 namespace hamlet {
 namespace ml {
@@ -46,23 +52,18 @@ constexpr int kMaxKernelDegree = 16;
 /// Number of matching positions between two code vectors of length d.
 size_t MatchCount(const uint32_t* a, const uint32_t* b, size_t d);
 
-/// Kernel value from a precomputed match count (0 <= matches <= d). The
-/// single site of the kernel float math: the scalar and packed paths both
-/// route through it, so equal match counts give bit-identical values.
-double KernelFromMatches(const KernelConfig& config, size_t matches,
-                         size_t d);
+/// Kernel value by match count over d features: table[m] is the kernel
+/// of any pair with m matching features, for m = 0..d (d + 1 entries).
+/// table[PackedMatchCount(...)] is bit-identical to KernelEval on the
+/// unpacked codes: the packed count is exact and both read the same
+/// float math.
+std::vector<double> KernelValuesByMatches(const KernelConfig& config,
+                                          size_t d);
 
-/// Kernel value for two code vectors of length d.
+/// Kernel value for two code vectors of length d (the scalar reference
+/// the table paths are tested against).
 double KernelEval(const KernelConfig& config, const uint32_t* a,
                   const uint32_t* b, size_t d);
-
-/// Kernel value for two rows packed under `layout` (see
-/// data/packed_code_matrix.h). Bit-identical to KernelEval on the
-/// unpacked codes: the packed match count is exact and the float math is
-/// shared via KernelFromMatches.
-double PackedKernelEval(const KernelConfig& config,
-                        const simd::PackedLayout& layout, const uint64_t* a,
-                        const uint64_t* b);
 
 /// Dense symmetric Gram matrix over `rows` (n rows of length d, row-major),
 /// stored row-major as n*n floats. The production fit path computes rows

@@ -64,7 +64,8 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
                          size_t cache_bytes)
     : matrix_(std::move(matrix)),
       packed_(matrix_),
-      kernel_(kernel) {
+      kernel_by_matches_(
+          KernelValuesByMatches(kernel, matrix_.num_features())) {
   const size_t n = matrix_.num_rows();
   if (cache_bytes == 0) cache_bytes = KernelCacheBytesFromEnv();
   const size_t row_bytes = (n == 0 ? 1 : n) * sizeof(float);
@@ -80,8 +81,9 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* ri = packed_.row(i);
     diag_[i] = static_cast<float>(
-        PackedKernelEval(kernel_, packed_.layout(), ri, ri));
+        kernel_by_matches_[simd::PackedMatchCount(packed_.layout(), ri, ri)]);
   }
+  counts_.resize(n);
   packed_evals_ += n;
   packed_words_ += static_cast<uint64_t>(n) * packed_.layout().words_per_row;
   slot_of_row_.assign(n, -1);
@@ -108,6 +110,8 @@ bool KernelCache::Cached(size_t i) const {
 void KernelCache::ComputeRow(size_t i, float* out) const {
   const simd::PackedLayout& layout = packed_.layout();
   const uint64_t* ri = packed_.row(i);
+  const double* table = kernel_by_matches_.data();
+  uint32_t* counts = counts_.data();
   // Same double->float narrowing as ComputeGram, so a cached row entry is
   // bit-identical to the corresponding full-Gram entry. Under an active
   // restriction only the restricted columns are computed; the others stay
@@ -115,18 +119,18 @@ void KernelCache::ComputeRow(size_t i, float* out) const {
   size_t cols;
   if (restrict_idx_.empty()) {
     const size_t n = matrix_.num_rows();
+    simd::PackedMatchCounts(layout, ri, packed_.data(), nullptr, n, counts);
     for (size_t t = 0; t < n; ++t) {
-      out[t] = static_cast<float>(
-          PackedKernelEval(kernel_, layout, ri, packed_.row(t)));
+      out[t] = static_cast<float>(table[counts[t]]);
     }
     cols = n;
   } else {
-    for (const int32_t col : restrict_idx_) {
-      const size_t t = static_cast<size_t>(col);
-      out[t] = static_cast<float>(
-          PackedKernelEval(kernel_, layout, ri, packed_.row(t)));
-    }
+    const int32_t* idx = restrict_idx_.data();
     cols = restrict_idx_.size();
+    simd::PackedMatchCounts(layout, ri, packed_.data(), idx, cols, counts);
+    for (size_t k = 0; k < cols; ++k) {
+      out[static_cast<size_t>(idx[k])] = static_cast<float>(table[counts[k]]);
+    }
   }
   packed_evals_ += cols;
   packed_words_ += static_cast<uint64_t>(cols) * layout.words_per_row;
@@ -181,8 +185,8 @@ float KernelCache::At(size_t i, size_t j) const {
   if (const float* row_j = PeekRow(j)) return row_j[i];
   ++packed_evals_;
   packed_words_ += packed_.layout().words_per_row;
-  return static_cast<float>(PackedKernelEval(
-      kernel_, packed_.layout(), packed_.row(i), packed_.row(j)));
+  return static_cast<float>(kernel_by_matches_[simd::PackedMatchCount(
+      packed_.layout(), packed_.row(i), packed_.row(j))]);
 }
 
 const float* KernelCache::PeekRow(size_t i) const {

@@ -3,12 +3,13 @@
 // The previous SVM fit path materialised the full n x n Gram matrix
 // upfront even though SMO only touches a handful of rows per working-set
 // pass. KernelCache owns the dense CodeMatrix snapshot of the training
-// view and computes kernel rows on demand via KernelEval, keeping the
-// most-recently-used rows resident under a byte budget. Peak memory drops
-// from O(n^2) to O(min(n, budget/row)) and early-converging grid cells
-// skip most of the Gram entirely; because grid search fits many (C,
-// gamma) cells concurrently over the same training view, the saving
-// multiplies across the whole grid.
+// view and computes kernel rows on demand — one batched match count per
+// row, then a lookup in the per-fit KernelValuesByMatches table —
+// keeping the most-recently-used rows resident under a byte budget. Peak
+// memory drops from O(n^2) to O(min(n, budget/row)) and early-converging
+// grid cells skip most of the Gram entirely; because grid search fits
+// many (C, gamma) cells concurrently over the same training view, the
+// saving multiplies across the whole grid.
 //
 // Not thread-safe: one cache belongs to one fit, matching the solver's
 // serial inner loop. Process-wide hit/miss totals (for bench reporting
@@ -84,8 +85,8 @@ class KernelCache : public KernelRowSource {
   /// Serves diagonal entries from a precomputed per-fit array (libsvm's
   /// QD — the diagonal never changes), reads a resident row when either
   /// i's or j's row is cached (the matrix is symmetric) and falls back
-  /// to a single O(d) KernelEval otherwise. Never computes or evicts a
-  /// row and never counts as a hit or miss.
+  /// to a single packed match count and table lookup otherwise. Never
+  /// computes or evicts a row and never counts as a hit or miss.
   float At(size_t i, size_t j) const override;
 
   /// Row i's slot when it is resident and usable (computed full, or in
@@ -151,7 +152,10 @@ class KernelCache : public KernelRowSource {
   PackedCodeMatrix packed_;
   mutable uint64_t packed_evals_ = 0;
   mutable uint64_t packed_words_ = 0;
-  KernelConfig kernel_;
+  // Kernel value by match count (KernelValuesByMatches), fixed per fit,
+  // and ComputeRow's per-row match counts (n entries).
+  std::vector<double> kernel_by_matches_;
+  mutable std::vector<uint32_t> counts_;
   std::vector<float> diag_;  // K(x_i, x_i), fixed per fit
   size_t capacity_rows_ = 1;
   std::vector<std::vector<float>> slots_;  // grown lazily up to capacity

@@ -13,6 +13,19 @@
 namespace hamlet {
 namespace ml {
 
+namespace {
+
+/// Per-thread match-count buffer of at least `n` entries for scoring one
+/// query (like ThreadLocalPackScratch, valid until the next call on the
+/// same thread).
+uint32_t* ThreadLocalCountScratch(size_t n) {
+  thread_local std::vector<uint32_t> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
+}
+
+}  // namespace
+
 KernelSvm::KernelSvm(SvmConfig config) : config_(config) {}
 
 std::string KernelSvm::name() const {
@@ -101,6 +114,7 @@ void KernelSvm::PackSupportVectors(const std::vector<uint32_t>& domains) {
     sv_layout_.PackRow(sv_rows_.data() + s * d_,
                        sv_packed_.data() + s * words_per_row);
   }
+  sv_kernel_by_matches_ = KernelValuesByMatches(config_.kernel, d_);
   simd::AccumulatePackedBuild(num_sv, sv_packed_.size());
 }
 
@@ -190,22 +204,25 @@ Result<std::unique_ptr<KernelSvm>> KernelSvm::LoadBody(
 }
 
 double KernelSvm::DecisionValueOfPacked(const uint64_t* query) const {
-  double f = bias_;
   const size_t num_sv = sv_coeff_.size();
-  const size_t words_per_row = sv_layout_.words_per_row;
-  for (size_t s = 0; s < num_sv; ++s) {
-    f += sv_coeff_[s] *
-         PackedKernelEval(config_.kernel, sv_layout_,
-                          sv_packed_.data() + s * words_per_row, query);
-  }
-  simd::AccumulatePackedEvals(
-      num_sv, static_cast<uint64_t>(num_sv) * words_per_row);
+  uint32_t* counts = ThreadLocalCountScratch(num_sv);
+  simd::PackedMatchCounts(sv_layout_, query, sv_packed_.data(), nullptr,
+                          num_sv, counts);
+  const double* table = sv_kernel_by_matches_.data();
+  double f = bias_;
+  for (size_t s = 0; s < num_sv; ++s) f += sv_coeff_[s] * table[counts[s]];
   return f;
+}
+
+void KernelSvm::CountPackedEvals(uint64_t queries) const {
+  const uint64_t evals = queries * sv_coeff_.size();
+  simd::AccumulatePackedEvals(evals, evals * sv_layout_.words_per_row);
 }
 
 double KernelSvm::DecisionValueOfCodes(const uint32_t* query) const {
   uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
   sv_layout_.PackRow(query, packed_query);
+  CountPackedEvals(1);
   return DecisionValueOfPacked(packed_query);
 }
 
@@ -225,12 +242,16 @@ std::vector<uint8_t> KernelSvm::PredictAll(const DataView& view) const {
   }
   assert(view.num_features() == d_);
   // Each worker thread packs its query row into its own scratch slab.
-  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
-    uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
-    sv_layout_.PackRow(queries.row(i), packed_query);
-    return DecisionValueOfPacked(packed_query) >= 0.0 ? uint8_t{1}
-                                                      : uint8_t{0};
-  });
+  std::vector<uint8_t> out =
+      DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
+        uint64_t* packed_query =
+            ThreadLocalPackScratch(sv_layout_.words_per_row);
+        sv_layout_.PackRow(queries.row(i), packed_query);
+        return DecisionValueOfPacked(packed_query) >= 0.0 ? uint8_t{1}
+                                                          : uint8_t{0};
+      });
+  CountPackedEvals(out.size());
+  return out;
 }
 
 }  // namespace ml

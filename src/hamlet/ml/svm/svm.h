@@ -68,6 +68,15 @@ class KernelSvm : public Classifier {
   double DecisionValueOfCodes(const uint32_t* query) const;
 
   size_t num_support_vectors() const { return sv_rows_.size() / (d_ ? d_ : 1); }
+
+  /// The fitted decision function f(x) = bias + sum_s coeff[s] * K(sv_s, x):
+  /// support-vector codes (row-major, num_features each), their alpha*y
+  /// coefficients and the bias, in the order scoring sums them.
+  const std::vector<uint32_t>& support_vector_codes() const {
+    return sv_rows_;
+  }
+  const std::vector<double>& coefficients() const { return sv_coeff_; }
+  double bias() const { return bias_; }
   bool converged() const { return converged_; }
 
   /// Kernel-row cache counters of the most recent Fit (0 before any fit
@@ -85,13 +94,17 @@ class KernelSvm : public Classifier {
 
  private:
   /// Rebuilds the packed support-vector slab (sv_layout_ / sv_packed_)
-  /// from sv_rows_ under the canonical layout for `domains`; called at
-  /// the end of Fit and LoadBody. Queries are packed into the same
-  /// layout at prediction time.
+  /// from sv_rows_ under the canonical layout for `domains`, and the
+  /// kernel-by-match-count table; called at the end of Fit and LoadBody.
+  /// Queries are packed into the same layout at prediction time.
   void PackSupportVectors(const std::vector<uint32_t>& domains);
   /// Decision value for a query already packed under sv_layout_; the
-  /// shared kernel-sum loop of Predict/PredictAll/DecisionValue.
+  /// shared kernel-sum loop of Predict/PredictAll/DecisionValue. Adds
+  /// nothing to the packed eval counters: each caller flushes its own
+  /// total (one query for DecisionValueOfCodes, a batch for PredictAll).
   double DecisionValueOfPacked(const uint64_t* query) const;
+  /// Flushes `queries` scored queries to the packed eval counters.
+  void CountPackedEvals(uint64_t queries) const;
 
   SvmConfig config_;
   bool fitted_ = false;
@@ -100,6 +113,7 @@ class KernelSvm : public Classifier {
   std::vector<double> sv_coeff_;     // alpha_i * y_i per support vector
   simd::PackedLayout sv_layout_;     // packing layout shared with queries
   std::vector<uint64_t> sv_packed_;  // sv_rows_ packed, words_per_row each
+  std::vector<double> sv_kernel_by_matches_;  // KernelValuesByMatches
   double bias_ = 0.0;
   uint8_t constant_prediction_ = 0;  // used when training was single-class
   bool is_constant_ = false;

@@ -99,6 +99,22 @@ size_t PackedMismatchCount(const PackedLayout& layout, const uint64_t* a,
   return detail::MismatchPopcount(layout, a, b);
 }
 
+void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
+                       const uint64_t* rows, const int32_t* indices,
+                       size_t n, uint32_t* counts) {
+  if (!detail::NativeSupported()) {
+    detail::MatchCountsSwar(layout, query, rows, indices, n, counts);
+    return;
+  }
+#ifdef HAMLET_X86_NATIVE
+  if (layout.words_per_row >= 8 && detail::Avx2Supported()) {
+    detail::MatchCountsAvx2(layout, query, rows, indices, n, counts);
+    return;
+  }
+#endif
+  detail::MatchCountsPopcount(layout, query, rows, indices, n, counts);
+}
+
 size_t PackedMismatchCountBounded(const PackedLayout& layout,
                                   const uint64_t* a, const uint64_t* b,
                                   size_t limit) {

@@ -107,6 +107,16 @@ inline size_t PackedMatchCount(const PackedLayout& layout, const uint64_t* a,
   return layout.num_features - PackedMismatchCount(layout, a, b);
 }
 
+/// Batched match counting: counts[k] = PackedMatchCount(layout, query,
+/// row_k) for k in [0, n). Row k is rows + r * words_per_row, where
+/// r = indices[k] when `indices` is given (an ascending list of row
+/// numbers) and r = k when it is null (a contiguous slab). Overwrites
+/// counts[0 .. n). The popcount is picked once per call, not per row, so
+/// kernel rows and SVM scoring pay one dispatch per query.
+void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
+                       const uint64_t* rows, const int32_t* indices,
+                       size_t n, uint32_t* counts);
+
 /// NB fit counting: for every (row i, feature j) increments
 /// counts[offsets[j] + codes[i*d + j] * 2 + labels[i]]. `offsets` has
 /// d + 1 entries (prefix sums of 2 * domain_size); `counts` has

@@ -35,15 +35,38 @@ inline uint32_t PopcountSwar(uint64_t x) {
   return static_cast<uint32_t>((x * 0x0101010101010101ull) >> 56);
 }
 
-}  // namespace
+/// Row k of a batched count: rows[indices[k]] with an index list,
+/// rows[k] without one.
+inline const uint64_t* BatchRow(const uint64_t* rows, const int32_t* indices,
+                                size_t k, size_t words_per_row) {
+  const size_t r = indices != nullptr ? static_cast<size_t>(indices[k]) : k;
+  return rows + r * words_per_row;
+}
 
-size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
-                    const uint64_t* b) {
+inline size_t RowMismatchSwar(const PackedLayout& layout, const uint64_t* a,
+                              const uint64_t* b) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
     mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
   }
   return mismatches;
+}
+
+}  // namespace
+
+size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
+                    const uint64_t* b) {
+  return RowMismatchSwar(layout, a, b);
+}
+
+void MatchCountsSwar(const PackedLayout& layout, const uint64_t* query,
+                     const uint64_t* rows, const int32_t* indices, size_t n,
+                     uint32_t* counts) {
+  const size_t d = layout.num_features;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
+    counts[k] = static_cast<uint32_t>(d - RowMismatchSwar(layout, query, row));
+  }
 }
 
 size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
@@ -68,7 +91,9 @@ bool Avx2Supported() {
   return supported;
 }
 
-__attribute__((target("popcnt"))) size_t MismatchPopcount(
+namespace {
+
+__attribute__((target("popcnt"))) inline size_t RowMismatchPopcount(
     const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
@@ -78,22 +103,10 @@ __attribute__((target("popcnt"))) size_t MismatchPopcount(
   return mismatches;
 }
 
-__attribute__((target("popcnt"))) size_t MismatchPopcountBounded(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
-    size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        _mm_popcnt_u64(MismatchGuardBits(a[w] ^ b[w], layout)));
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
-}
-
 /// Four words per iteration through AVX2 XOR/add/and, popcounted from a
 /// spilled register. Only worth the lane shuffling once rows span
 /// several cache lines.
-__attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
+__attribute__((target("avx2,popcnt"))) inline size_t RowMismatchAvx2(
     const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
   const __m256i add =
       _mm256_set1_epi64x(static_cast<long long>(layout.add_mask));
@@ -121,6 +134,51 @@ __attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
   return mismatches;
 }
 
+}  // namespace
+
+__attribute__((target("popcnt"))) size_t MismatchPopcount(
+    const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
+  return RowMismatchPopcount(layout, a, b);
+}
+
+__attribute__((target("popcnt"))) void MatchCountsPopcount(
+    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
+    const int32_t* indices, size_t n, uint32_t* counts) {
+  const size_t d = layout.num_features;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
+    counts[k] =
+        static_cast<uint32_t>(d - RowMismatchPopcount(layout, query, row));
+  }
+}
+
+__attribute__((target("popcnt"))) size_t MismatchPopcountBounded(
+    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
+    size_t limit) {
+  size_t mismatches = 0;
+  for (size_t w = 0; w < layout.words_per_row; ++w) {
+    mismatches += static_cast<size_t>(
+        _mm_popcnt_u64(MismatchGuardBits(a[w] ^ b[w], layout)));
+    if (mismatches >= limit) return mismatches;
+  }
+  return mismatches;
+}
+
+__attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
+    const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
+  return RowMismatchAvx2(layout, a, b);
+}
+
+__attribute__((target("avx2,popcnt"))) void MatchCountsAvx2(
+    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
+    const int32_t* indices, size_t n, uint32_t* counts) {
+  const size_t d = layout.num_features;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
+    counts[k] = static_cast<uint32_t>(d - RowMismatchAvx2(layout, query, row));
+  }
+}
+
 #else  // !HAMLET_X86_NATIVE
 
 // aarch64 has no runtime feature question: __builtin_popcountll lowers
@@ -134,14 +192,34 @@ bool NativeSupported() {
 #endif
 }
 
-size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
-                        const uint64_t* b) {
+namespace {
+
+inline size_t RowMismatchPopcount(const PackedLayout& layout,
+                                  const uint64_t* a, const uint64_t* b) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
     mismatches += static_cast<size_t>(
         __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
   }
   return mismatches;
+}
+
+}  // namespace
+
+size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
+                        const uint64_t* b) {
+  return RowMismatchPopcount(layout, a, b);
+}
+
+void MatchCountsPopcount(const PackedLayout& layout, const uint64_t* query,
+                         const uint64_t* rows, const int32_t* indices,
+                         size_t n, uint32_t* counts) {
+  const size_t d = layout.num_features;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
+    counts[k] =
+        static_cast<uint32_t>(d - RowMismatchPopcount(layout, query, row));
+  }
 }
 
 size_t MismatchPopcountBounded(const PackedLayout& layout, const uint64_t* a,

@@ -44,6 +44,16 @@ size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
 size_t MismatchPopcountBounded(const PackedLayout& layout, const uint64_t* a,
                                const uint64_t* b, size_t limit);
 
+/// Batched match counts (the contract of simd::PackedMatchCounts), one
+/// per word routine: SWAR on any host, hardware popcount only when
+/// NativeSupported().
+void MatchCountsSwar(const PackedLayout& layout, const uint64_t* query,
+                     const uint64_t* rows, const int32_t* indices, size_t n,
+                     uint32_t* counts);
+void MatchCountsPopcount(const PackedLayout& layout, const uint64_t* query,
+                         const uint64_t* rows, const int32_t* indices,
+                         size_t n, uint32_t* counts);
+
 #ifdef HAMLET_X86_NATIVE
 /// True when the CPU has AVX2. Cached after the first call.
 bool Avx2Supported();
@@ -52,6 +62,9 @@ bool Avx2Supported();
 /// NativeSupported() and Avx2Supported().
 size_t MismatchAvx2(const PackedLayout& layout, const uint64_t* a,
                     const uint64_t* b);
+void MatchCountsAvx2(const PackedLayout& layout, const uint64_t* query,
+                     const uint64_t* rows, const int32_t* indices, size_t n,
+                     uint32_t* counts);
 #endif
 
 }  // namespace detail

@@ -92,6 +92,54 @@ TEST(ModelIoTest, RoundTripIsBitIdenticalForEveryFamily) {
   }
 }
 
+/// A loaded SVM rebuilds its packed support vectors and kernel table
+/// (LoadBody -> PackSupportVectors): its decision values must be the
+/// fitted model's bits, and both must equal the scalar sum
+/// bias + sum_s coeff_s * KernelEval(sv_s, x) taken in support-vector
+/// order.
+TEST(ModelIoTest, SvmDecisionValuesSurviveRoundTripBitForBit) {
+  const Dataset data = MakeParityDataset(200, {6, 3, 8, 4, 5}, 23);
+  const auto views = MakeParityViews(data, 29);
+  const auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  for (const ml::KernelType type :
+       {ml::KernelType::kLinear, ml::KernelType::kPoly,
+        ml::KernelType::kRbf}) {
+    SCOPED_TRACE(ml::KernelTypeName(type));
+    ml::SvmConfig cfg;
+    cfg.kernel.type = type;
+    cfg.kernel.gamma = type == ml::KernelType::kPoly ? 0.4 : 0.15;
+    ml::KernelSvm model(cfg);
+    ASSERT_TRUE(model.Fit(views.train).ok());
+    ASSERT_GT(model.num_support_vectors(), 0u);
+
+    auto loaded = LoadFromString(SaveToString(model));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const auto* svm = dynamic_cast<const ml::KernelSvm*>(loaded.value().get());
+    ASSERT_NE(svm, nullptr);
+
+    const size_t d = views.test.num_features();
+    const std::vector<uint32_t>& sv = model.support_vector_codes();
+    const std::vector<double>& coeff = model.coefficients();
+    std::vector<uint32_t> query(d);
+    for (size_t i = 0; i < views.test.num_rows(); ++i) {
+      for (size_t j = 0; j < d; ++j) query[j] = views.test.feature(i, j);
+      double oracle = model.bias();
+      for (size_t s = 0; s < coeff.size(); ++s) {
+        oracle += coeff[s] *
+                  ml::KernelEval(cfg.kernel, sv.data() + s * d, query.data(), d);
+      }
+      const double fitted = model.DecisionValue(views.test, i);
+      EXPECT_EQ(bits(fitted), bits(oracle)) << "row " << i;
+      EXPECT_EQ(bits(svm->DecisionValue(views.test, i)), bits(fitted))
+          << "row " << i;
+    }
+  }
+}
+
 TEST(ModelIoTest, FileRoundTrip) {
   const Dataset data = MakeParityDataset(120, {5, 6, 4}, 3);
   const auto views = MakeParityViews(data, 4);

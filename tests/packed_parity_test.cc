@@ -2,9 +2,11 @@
 //
 // The contract under test: every match-counting word routine the CPU
 // can select — hardware popcount, the AVX2 block path and the portable
-// SWAR fallback — returns the definitional integer count for every
-// input, whichever of them this host's dispatch picks; and every
-// learner family fits and predicts bit-identically at any thread count.
+// SWAR fallback, per pair and batched — returns the definitional integer
+// count for every input, whichever of them this host's dispatch picks;
+// the SVM kernel table read at a packed match count gives the scalar
+// KernelEval's bits; and every learner family fits and predicts
+// bit-identically at any thread count.
 // The NB and tree counting helpers must equal their plain row-order
 // loops. Plus the PackedCodeMatrix layout/round-trip/bounds edge cases
 // and the pinned 1-NN early-exit + tie-break semantics.
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,40 @@ std::vector<WordRoutine> HostWordRoutines() {
 #endif
   }
   return routines;
+}
+
+/// A batched match-count routine under test (simd::PackedMatchCounts's
+/// signature).
+struct BatchRoutine {
+  const char* name;
+  void (*counts)(const simd::PackedLayout&, const uint64_t*, const uint64_t*,
+                 const int32_t*, size_t, uint32_t*);
+};
+
+/// The public batched entry point plus every batched word routine this
+/// host can run, called directly (as HostWordRoutines does).
+std::vector<BatchRoutine> HostBatchRoutines() {
+  std::vector<BatchRoutine> routines = {
+      {"dispatch", &simd::PackedMatchCounts},
+      {"swar", &simd::detail::MatchCountsSwar},
+  };
+  if (simd::detail::NativeSupported()) {
+    routines.push_back({"popcount", &simd::detail::MatchCountsPopcount});
+#ifdef HAMLET_X86_NATIVE
+    if (simd::detail::Avx2Supported()) {
+      routines.push_back({"avx2", &simd::detail::MatchCountsAvx2});
+    }
+#endif
+  }
+  return routines;
+}
+
+/// The bit pattern of a double: EXPECT_EQ on the bits, not the values,
+/// is the "same bits" check.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
 }
 
 
@@ -329,16 +366,118 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
   configs[2].gamma = 0.07;
 
   for (const ml::KernelConfig& config : configs) {
+    const std::vector<double> table = ml::KernelValuesByMatches(config, d);
     for (size_t i = 0; i < rows; ++i) {
       for (size_t j = 0; j < rows; ++j) {
         const double scalar_value =
             ml::KernelEval(config, codes.data() + i * d, codes.data() + j * d, d);
-        // EXPECT_EQ, not NEAR: equal match counts through the shared
-        // KernelFromMatches must give the same bits.
-        EXPECT_EQ(ml::PackedKernelEval(config, layout, packed.row(i),
-                                       packed.row(j)),
-                  scalar_value)
+        // Bits, not NEAR: the table and KernelEval share the kernel float
+        // math, so equal match counts must give the same bits.
+        const size_t m =
+            simd::PackedMatchCount(layout, packed.row(i), packed.row(j));
+        EXPECT_EQ(Bits(table[m]), Bits(scalar_value))
             << ml::KernelTypeName(config.type);
+      }
+    }
+  }
+}
+
+TEST(PackedPrimitiveParity, KernelTableCoversEveryMatchCount) {
+  std::vector<ml::KernelConfig> configs;
+  ml::KernelConfig linear;
+  linear.type = ml::KernelType::kLinear;
+  configs.push_back(linear);
+  for (int degree = 1; degree <= ml::kMaxKernelDegree; ++degree) {
+    ml::KernelConfig poly;
+    poly.type = ml::KernelType::kPoly;
+    poly.gamma = 0.3;
+    poly.degree = degree;
+    configs.push_back(poly);
+  }
+  ml::KernelConfig rbf;
+  rbf.type = ml::KernelType::kRbf;
+  rbf.gamma = 0.07;
+  configs.push_back(rbf);
+  // exp(-2 * gamma) is already below the smallest subnormal, so every
+  // entry but the full match underflows to exactly 0.
+  ml::KernelConfig rbf_underflow = rbf;
+  rbf_underflow.gamma = 1000.0;
+  configs.push_back(rbf_underflow);
+
+  for (const size_t d : {size_t{1}, size_t{7}, size_t{64}, size_t{257}}) {
+    for (const ml::KernelConfig& config : configs) {
+      SCOPED_TRACE(std::string(ml::KernelTypeName(config.type)) +
+                   " degree=" + std::to_string(config.degree) +
+                   " gamma=" + std::to_string(config.gamma) +
+                   " d=" + std::to_string(d));
+      const std::vector<double> table = ml::KernelValuesByMatches(config, d);
+      ASSERT_EQ(table.size(), d + 1);
+      // A pair with exactly m matches: equal codes on the first m
+      // features, different on the rest.
+      const std::vector<uint32_t> a(d, 0);
+      for (size_t m = 0; m <= d; ++m) {
+        std::vector<uint32_t> b(d, 0);
+        for (size_t j = m; j < d; ++j) b[j] = 1;
+        EXPECT_EQ(Bits(table[m]),
+                  Bits(ml::KernelEval(config, a.data(), b.data(), d)))
+            << "m=" << m;
+      }
+      if (config.type == ml::KernelType::kPoly) continue;
+      EXPECT_EQ(table[d], 1.0);
+      if (config.type == ml::KernelType::kLinear) {
+        EXPECT_EQ(table[0], 0.0);
+      }
+      if (config.gamma == rbf_underflow.gamma) {
+        for (size_t m = 0; m < d; ++m) EXPECT_EQ(Bits(table[m]), Bits(0.0));
+      }
+    }
+  }
+}
+
+TEST(PackedPrimitiveParity, BatchedMatchCountsMatchPerPairCounts) {
+  Rng rng(58);
+  constexpr uint32_t kUntouched = 0xDEADBEEFu;
+  for (const size_t words : {1, 2, 3, 8, 9}) {
+    // Domain 6 -> 3-bit values + guard = 4-bit fields, 16 per word; a
+    // partial last word keeps padding fields in play.
+    const std::vector<uint32_t> domains(16 * words - 5, 6);
+    const size_t d = domains.size();
+    const simd::PackedLayout layout =
+        simd::PackedLayout::ForDomains(domains.data(), d);
+    ASSERT_EQ(layout.words_per_row, words);
+    for (const size_t n : {0, 1, 3, 17}) {
+      // A slab of 2n + 1 rows: the slab form counts its first n rows,
+      // the index-list form the odd rows 1, 3, ..., 2n - 1.
+      const size_t slab_rows = 2 * n + 1;
+      const std::vector<uint32_t> codes = RandomCodes(rng, slab_rows, domains);
+      const PackedCodeMatrix slab(layout, codes.data(), slab_rows);
+      const std::vector<uint32_t> query_codes = RandomCodes(rng, 1, domains);
+      std::vector<uint64_t> query(words);
+      layout.PackRow(query_codes.data(), query.data());
+      std::vector<int32_t> odd(n);
+      for (size_t k = 0; k < n; ++k) odd[k] = static_cast<int32_t>(2 * k + 1);
+
+      for (const BatchRoutine& routine : HostBatchRoutines()) {
+        for (const bool indexed : {false, true}) {
+          SCOPED_TRACE(std::string(routine.name) +
+                       (indexed ? " indexed" : " slab") +
+                       " words=" + std::to_string(words) +
+                       " n=" + std::to_string(n));
+          // One spare entry past n must stay untouched; the rest start
+          // non-zero so a routine that accumulates instead of
+          // overwriting fails.
+          std::vector<uint32_t> counts(n + 1, kUntouched);
+          routine.counts(layout, query.data(), slab.data(),
+                         indexed ? odd.data() : nullptr, n, counts.data());
+          for (size_t k = 0; k < n; ++k) {
+            const size_t r = indexed ? 2 * k + 1 : k;
+            EXPECT_EQ(counts[k],
+                      d - simd::PackedMismatchCount(layout, query.data(),
+                                                    slab.row(r)))
+                << "k=" << k;
+          }
+          EXPECT_EQ(counts[n], kUntouched);
+        }
       }
     }
   }

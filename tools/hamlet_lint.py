@@ -40,12 +40,20 @@ Rules
                   return a Status; a discarded failure lets a bench or
                   example print numbers from an unfitted model and still
                   exit 0. Check it, print it and exit non-zero instead.
+  kernel-math     `KernelFromMatches(` appears only in
+                  src/hamlet/ml/svm/kernel.cc (checked in src/, bench/,
+                  examples/, tests/ and perfbench/). It is the one site
+                  of the SVM kernel float math; everything else reads
+                  kernel values from a KernelValuesByMatches table built
+                  once per fit or model, which keeps per-pair exp/pow out
+                  of the hot loops.
 
 Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line,
 or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
-cross-file properties with no meaningful per-line waiver, and a
-discarded Status has no legitimate use in status-discard's scope.
+cross-file properties with no meaningful per-line waiver, a discarded
+Status has no legitimate use in status-discard's scope, and a second
+kernel-math site is exactly what kernel-math exists to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -120,6 +128,10 @@ TEST_REG_RE = re.compile(r"([A-Za-z0-9_]+_test\.cc)")
 STATUS_DISCARD_RE = re.compile(
     r"\(\s*void\s*\)\s*[^;]*?(?:(?:\.|->)Fit|\bApply\w*)\s*\(")
 STATUS_DISCARD_DIRS = ("bench", "examples")
+
+KERNEL_MATH_RE = re.compile(r"\bKernelFromMatches\s*\(")
+KERNEL_MATH_HOME = "src/hamlet/ml/svm/kernel.cc"
+KERNEL_MATH_DIRS = ("src", "bench", "examples", "tests", "perfbench")
 
 
 def strip_line_comment(line):
@@ -326,6 +338,22 @@ class Linter:
                                  "Apply call; check it, print it and "
                                  "exit non-zero")
 
+    # -- kernel-math ---------------------------------------------------
+    def check_kernel_math(self):
+        for subdir in KERNEL_MATH_DIRS:
+            for path in self.source_files(subdir, exts=(".h", ".cc", ".cpp")):
+                rel = self.rel(path)
+                if rel == KERNEL_MATH_HOME:
+                    continue
+                _, stripped_lines, _ = read_code(path)
+                for lineno, code in enumerate(stripped_lines, 1):
+                    if KERNEL_MATH_RE.search(code):
+                        self.add(rel, lineno, "kernel-math",
+                                 "KernelFromMatches outside %s; read "
+                                 "kernel values from a "
+                                 "KernelValuesByMatches table"
+                                 % KERNEL_MATH_HOME)
+
     # -- test-reg ------------------------------------------------------
     def check_test_registration(self):
         tests_dir = os.path.join(self.root, "tests")
@@ -348,6 +376,7 @@ class Linter:
         self.check_source_rules()
         self.check_cmake_fp_flags()
         self.check_status_discard()
+        self.check_kernel_math()
         self.check_test_registration()
         return self.findings
 

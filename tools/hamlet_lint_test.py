@@ -248,6 +248,27 @@ def main():
         code, out = discard_quiet.lint()
         check("checked calls, comments, other discards pass", code == 0, out)
 
+        # kernel-math: KernelFromMatches( outside ml/svm/kernel.cc fires
+        # in src/ and tests/; its home, prose, strings and the table
+        # builder stay quiet.
+        for rel in ["src/hamlet/ml/svm/svm.cc", "tests/svm_test.cc"]:
+            fix = Fixture(base, "kmath_" + rel.split("/")[0])
+            fix.write(rel, "double k = KernelFromMatches(cfg, m, d);\n")
+            code, out = fix.lint()
+            check("kernel-math fires in %s" % rel,
+                  code == 1 and "kernel-math" in out and rel in out, out)
+
+        kmath_quiet = (Fixture(base, "kmath_quiet")
+                       .write("src/hamlet/ml/svm/kernel.cc",
+                              "table[m] = KernelFromMatches(config, m, d);\n")
+                       .write("src/hamlet/ml/svm/svm.cc",
+                              "// table[m] = KernelFromMatches(config, m, d)\n"
+                              'const char* s = "KernelFromMatches(";\n'
+                              "auto t = KernelValuesByMatches(config, d);\n"))
+        code, out = kmath_quiet.lint()
+        check("kernel.cc, comments, strings and the table pass", code == 0,
+              out)
+
         # test-reg: an unregistered tests/*_test.cc fires.
         unreg = (Fixture(base, "unreg")
                  .write("tests/orphan_test.cc", "int main() {}\n")
