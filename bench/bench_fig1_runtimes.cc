@@ -41,7 +41,7 @@ void RunEndToEnd(benchmark::State& state, const std::string& dataset,
   const core::PreparedData& prepared = PreparedFor(dataset);
   for (auto _ : state) {
     Result<core::VariantResult> r =
-        core::RunVariant(prepared, kind, variant, bench::EffortFromMode());
+        core::RunVariant(prepared, kind, variant, core::EffortFromEnv());
     if (!r.ok()) {
       // SkipWithError only annotates the report; flag the process too.
       bench::ReportFailure();

@@ -11,49 +11,25 @@
 #include "bench_util.h"
 #include "hamlet/synth/onexr.h"
 
-namespace {
-
-using namespace hamlet;
-
-void RunModelPanel(const char* title, bench::SimModel model,
-                   const std::vector<double>& nrs) {
-  std::printf("--- %s ---\n", title);
-  std::printf("%-12s %-10s %-10s %-10s\n", "nR", "JoinAll", "NoJoin",
-              "NoFK");
-  for (double nr : nrs) {
-    std::printf("%-12g", nr);
-    for (auto variant :
-         {core::FeatureVariant::kJoinAll, core::FeatureVariant::kNoJoin,
-          core::FeatureVariant::kNoFK}) {
-      auto make = [&](size_t run) {
-        synth::OneXrConfig cfg;
-        cfg.nr = static_cast<size_t>(nr);
-        cfg.seed = 8811 + 131 * run;
-        return synth::GenerateOneXr(cfg);
-      };
-      const ml::BiasVariance bv =
-          bench::SimulateVariant(make, variant, model, bench::NumRuns());
-      std::printf(" %-10.4f", bv.mean_error);
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
-}
-
-}  // namespace
-
 int main() {
-  const hamlet::bench::SvmStatsScope svm_stats;
-  const hamlet::bench::PackedStatsScope packed_stats;
+  using namespace hamlet;
+  const bench::SvmStatsScope svm_stats;
+  const bench::PackedStatsScope packed_stats;
   bench::PrintHeader("Figure 3: OneXr vary nR, 1-NN (A) and RBF-SVM (B)");
-  const bool full = bench::IsFullMode();
   const std::vector<double> nrs =
-      full ? std::vector<double>{1, 10, 40, 100, 250, 500, 1000}
-           : std::vector<double>{10, 40, 170, 500};
+      bench::IsFullMode() ? std::vector<double>{1, 10, 40, 100, 250, 500, 1000}
+                          : std::vector<double>{10, 40, 170, 500};
+  auto onexr = [](double nr, size_t run) {
+    synth::OneXrConfig cfg;
+    cfg.nr = static_cast<size_t>(nr);
+    cfg.seed = 8811 + 131 * run;
+    return synth::GenerateOneXr(cfg);
+  };
 
-  RunModelPanel("(A) 1-NN", bench::SimModel::kOneNn, nrs);
-  RunModelPanel("(B) RBF-SVM", bench::SimModel::kSvmRbf, nrs);
+  bench::RunSimulationPanel("(A) 1-NN", "nR", nrs, bench::SimModel::kOneNn,
+                            onexr);
+  bench::RunSimulationPanel("(B) RBF-SVM", "nR", nrs,
+                            bench::SimModel::kSvmRbf, onexr);
 
   std::printf(
       "Expected shape (paper Fig. 3): 1-NN NoJoin degrades early (already\n"

@@ -11,78 +11,57 @@
 #include "bench_util.h"
 #include "hamlet/synth/xsxr.h"
 
-namespace {
-
-using namespace hamlet;
-
-void RunPanel(const char* title, const char* x_name,
-              const std::vector<double>& xs,
-              const std::function<synth::XsxrConfig(double)>& config_for) {
-  std::printf("--- %s ---\n", title);
-  std::printf("%-12s %-10s %-10s %-10s\n", x_name, "JoinAll", "NoJoin",
-              "NoFK");
-  for (double x : xs) {
-    std::printf("%-12g", x);
-    for (auto variant :
-         {core::FeatureVariant::kJoinAll, core::FeatureVariant::kNoJoin,
-          core::FeatureVariant::kNoFK}) {
-      auto make = [&](size_t run) {
-        synth::XsxrConfig cfg = config_for(x);
-        cfg.seed = 6161 + 131 * run;
-        return synth::GenerateXsxr(cfg);
-      };
-      const ml::BiasVariance bv = bench::SimulateVariant(
-          make, variant, bench::SimModel::kTreeGini, bench::NumRuns());
-      std::printf(" %-10.4f", bv.mean_error);
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
-}
-
-}  // namespace
-
 int main() {
+  using namespace hamlet;
   using synth::XsxrConfig;
   bench::PrintHeader("Figure 6: XSXR simulations, decision tree (gini)");
   const bool full = bench::IsFullMode();
+  // Each panel sweeps one XsxrConfig field; run r draws seed 6161 + 131 r.
+  auto xsxr = [](auto config_for) {
+    return [config_for](double x, size_t run) {
+      XsxrConfig cfg = config_for(x);
+      cfg.seed = 6161 + 131 * run;
+      return synth::GenerateXsxr(cfg);
+    };
+  };
 
-  RunPanel("(A) vary nS", "nS",
-           full ? std::vector<double>{100, 500, 1000, 2000, 5000, 10000}
-                : std::vector<double>{200, 1000, 4000},
-           [](double x) {
-             XsxrConfig cfg;
-             cfg.ns = static_cast<size_t>(x);
-             return cfg;
-           });
+  bench::RunSimulationPanel(
+      "(A) vary nS", "nS",
+      full ? std::vector<double>{100, 500, 1000, 2000, 5000, 10000}
+           : std::vector<double>{200, 1000, 4000},
+      bench::SimModel::kTreeGini, xsxr([](double x) {
+        XsxrConfig cfg;
+        cfg.ns = static_cast<size_t>(x);
+        return cfg;
+      }));
 
-  RunPanel("(B) vary nR = |D_FK|", "nR",
-           full ? std::vector<double>{10, 40, 100, 250, 500, 1000}
-                : std::vector<double>{10, 40, 400},
-           [](double x) {
-             XsxrConfig cfg;
-             cfg.nr = static_cast<size_t>(x);
-             return cfg;
-           });
+  bench::RunSimulationPanel(
+      "(B) vary nR = |D_FK|", "nR",
+      full ? std::vector<double>{10, 40, 100, 250, 500, 1000}
+           : std::vector<double>{10, 40, 400},
+      bench::SimModel::kTreeGini, xsxr([](double x) {
+        XsxrConfig cfg;
+        cfg.nr = static_cast<size_t>(x);
+        return cfg;
+      }));
 
-  RunPanel("(C) vary dR", "dR",
-           full ? std::vector<double>{1, 4, 7, 10}
-                : std::vector<double>{1, 4, 8},
-           [](double x) {
-             XsxrConfig cfg;
-             cfg.dr = static_cast<size_t>(x);
-             return cfg;
-           });
+  bench::RunSimulationPanel(
+      "(C) vary dR", "dR",
+      full ? std::vector<double>{1, 4, 7, 10} : std::vector<double>{1, 4, 8},
+      bench::SimModel::kTreeGini, xsxr([](double x) {
+        XsxrConfig cfg;
+        cfg.dr = static_cast<size_t>(x);
+        return cfg;
+      }));
 
-  RunPanel("(D) vary dS", "dS",
-           full ? std::vector<double>{1, 4, 7, 10}
-                : std::vector<double>{1, 4, 8},
-           [](double x) {
-             XsxrConfig cfg;
-             cfg.ds = static_cast<size_t>(x);
-             return cfg;
-           });
+  bench::RunSimulationPanel(
+      "(D) vary dS", "dS",
+      full ? std::vector<double>{1, 4, 7, 10} : std::vector<double>{1, 4, 8},
+      bench::SimModel::kTreeGini, xsxr([](double x) {
+        XsxrConfig cfg;
+        cfg.ds = static_cast<size_t>(x);
+        return cfg;
+      }));
 
   std::printf(
       "Expected shape (paper Fig. 6): NoJoin ~ JoinAll in every panel (max\n"

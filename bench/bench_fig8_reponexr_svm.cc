@@ -8,50 +8,29 @@
 #include "bench_util.h"
 #include "hamlet/synth/reponexr.h"
 
-namespace {
-
-using namespace hamlet;
-
-void RunPanel(const char* title, size_t nr,
-              const std::vector<double>& drs) {
-  std::printf("--- %s ---\n", title);
-  std::printf("%-12s %-10s %-10s %-10s\n", "dR", "JoinAll", "NoJoin",
-              "NoFK");
-  for (double dr : drs) {
-    std::printf("%-12g", dr);
-    for (auto variant :
-         {core::FeatureVariant::kJoinAll, core::FeatureVariant::kNoJoin,
-          core::FeatureVariant::kNoFK}) {
-      auto make = [&](size_t run) {
-        synth::RepOneXrConfig cfg;
-        cfg.nr = nr;
-        cfg.dr = static_cast<size_t>(dr);
-        cfg.seed = 8181 + 131 * run;
-        return synth::GenerateRepOneXr(cfg);
-      };
-      const ml::BiasVariance bv = bench::SimulateVariant(
-          make, variant, bench::SimModel::kSvmRbf, bench::NumRuns());
-      std::printf(" %-10.4f", bv.mean_error);
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
-}
-
-}  // namespace
-
 int main() {
-  const hamlet::bench::SvmStatsScope svm_stats;
-  const hamlet::bench::PackedStatsScope packed_stats;
+  using namespace hamlet;
+  const bench::SvmStatsScope svm_stats;
+  const bench::PackedStatsScope packed_stats;
   bench::PrintHeader("Figure 8: RepOneXr simulations, RBF-SVM");
-  const bool full = bench::IsFullMode();
-  const std::vector<double> drs = full
+  const std::vector<double> drs = bench::IsFullMode()
                                       ? std::vector<double>{1, 6, 11, 16}
                                       : std::vector<double>{1, 8, 16};
+  // Panels (A) and (B) differ only in nR; run r draws seed 8181 + 131 r.
+  auto reponexr = [](size_t nr) {
+    return [nr](double dr, size_t run) {
+      synth::RepOneXrConfig cfg;
+      cfg.nr = nr;
+      cfg.dr = static_cast<size_t>(dr);
+      cfg.seed = 8181 + 131 * run;
+      return synth::GenerateRepOneXr(cfg);
+    };
+  };
 
-  RunPanel("(A) nR = 40 (tuple ratio ~25)", 40, drs);
-  RunPanel("(B) nR = 200 (tuple ratio ~5)", 200, drs);
+  bench::RunSimulationPanel("(A) nR = 40 (tuple ratio ~25)", "dR", drs,
+                            bench::SimModel::kSvmRbf, reponexr(40));
+  bench::RunSimulationPanel("(B) nR = 200 (tuple ratio ~5)", "dR", drs,
+                            bench::SimModel::kSvmRbf, reponexr(200));
 
   std::printf(
       "Expected shape (paper Fig. 8): NoJoin ~ JoinAll in (A); a visible\n"

@@ -9,49 +9,28 @@
 #include "bench_util.h"
 #include "hamlet/synth/reponexr.h"
 
-namespace {
-
-using namespace hamlet;
-
-void RunPanel(const char* title, size_t nr,
-              const std::vector<double>& drs) {
-  std::printf("--- %s ---\n", title);
-  std::printf("%-12s %-10s %-10s %-10s\n", "dR", "JoinAll", "NoJoin",
-              "NoFK");
-  for (double dr : drs) {
-    std::printf("%-12g", dr);
-    for (auto variant :
-         {core::FeatureVariant::kJoinAll, core::FeatureVariant::kNoJoin,
-          core::FeatureVariant::kNoFK}) {
-      auto make = [&](size_t run) {
-        synth::RepOneXrConfig cfg;
-        cfg.nr = nr;
-        cfg.dr = static_cast<size_t>(dr);
-        cfg.seed = 9191 + 131 * run;
-        return synth::GenerateRepOneXr(cfg);
-      };
-      const ml::BiasVariance bv = bench::SimulateVariant(
-          make, variant, bench::SimModel::kOneNn, bench::NumRuns());
-      std::printf(" %-10.4f", bv.mean_error);
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
-}
-
-}  // namespace
-
 int main() {
+  using namespace hamlet;
   bench::PrintHeader("Figure 9: RepOneXr simulations, 1-NN");
-  const hamlet::bench::PackedStatsScope packed_stats;
-  const bool full = bench::IsFullMode();
-  const std::vector<double> drs = full
+  const bench::PackedStatsScope packed_stats;
+  const std::vector<double> drs = bench::IsFullMode()
                                       ? std::vector<double>{1, 6, 11, 16}
                                       : std::vector<double>{1, 8, 16};
+  // Panels (A) and (B) differ only in nR; run r draws seed 9191 + 131 r.
+  auto reponexr = [](size_t nr) {
+    return [nr](double dr, size_t run) {
+      synth::RepOneXrConfig cfg;
+      cfg.nr = nr;
+      cfg.dr = static_cast<size_t>(dr);
+      cfg.seed = 9191 + 131 * run;
+      return synth::GenerateRepOneXr(cfg);
+    };
+  };
 
-  RunPanel("(A) nR = 40 (tuple ratio ~25)", 40, drs);
-  RunPanel("(B) nR = 200 (tuple ratio ~5)", 200, drs);
+  bench::RunSimulationPanel("(A) nR = 40 (tuple ratio ~25)", "dR", drs,
+                            bench::SimModel::kOneNn, reponexr(40));
+  bench::RunSimulationPanel("(B) nR = 200 (tuple ratio ~5)", "dR", drs,
+                            bench::SimModel::kOneNn, reponexr(200));
 
   bench::PrintPackedStats(packed_stats);
   std::printf(

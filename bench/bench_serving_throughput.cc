@@ -64,12 +64,12 @@ struct ServingSizes {
 };
 
 ServingSizes SizesFromMode() {
-  switch (bench::ModeFromEnv()) {
-    case bench::BenchMode::kSmoke:
+  switch (core::BenchModeFromEnv()) {
+    case core::BenchMode::kSmoke:
       return {400, 2000, 3};
-    case bench::BenchMode::kQuick:
+    case core::BenchMode::kQuick:
       return {1500, 20000, 5};
-    case bench::BenchMode::kFull:
+    case core::BenchMode::kFull:
       return {4000, 100000, 10};
   }
   return {1500, 20000, 5};

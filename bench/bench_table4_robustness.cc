@@ -16,7 +16,7 @@ int main() {
   using core::ModelKind;
   bench::PrintHeader("Table 4: drop-one-dimension robustness (dt-gini)");
 
-  const core::Effort effort = bench::EffortFromMode();
+  const core::Effort effort = core::EffortFromEnv();
   for (const auto& spec :
        bench::BenchSpecs()) {
     StarSchema star = synth::GenerateRealWorld(spec);

@@ -53,7 +53,7 @@ inline void PrintColumnLabels(const std::vector<TableColumn>& columns) {
 /// the training accuracies of the same fits for PrintTrainAccuracyTable.
 inline std::vector<TrainAccuracyRow> RunAccuracyTable(
     const std::vector<TableColumn>& columns) {
-  const core::Effort effort = EffortFromMode();
+  const core::Effort effort = core::EffortFromEnv();
   std::vector<TrainAccuracyRow> train_rows;
   PrintColumnLabels(columns);
   for (const auto& spec : BenchSpecs()) {

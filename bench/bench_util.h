@@ -37,8 +37,6 @@ namespace bench {
 /// core::BenchModeFromEnv() is the single parser of HAMLET_BENCH_MODE.
 using core::BenchMode;
 
-inline BenchMode ModeFromEnv() { return core::BenchModeFromEnv(); }
-
 inline const char* BenchModeName(BenchMode m) {
   switch (m) {
     case BenchMode::kSmoke:
@@ -51,11 +49,12 @@ inline const char* BenchModeName(BenchMode m) {
   return "?";
 }
 
-inline bool IsFullMode() { return ModeFromEnv() == BenchMode::kFull; }
-inline bool IsSmokeMode() { return ModeFromEnv() == BenchMode::kSmoke; }
-
-/// Grid effort for bench runs — same parse as the data-scale helpers.
-inline core::Effort EffortFromMode() { return core::EffortFromEnv(); }
+inline bool IsFullMode() {
+  return core::BenchModeFromEnv() == BenchMode::kFull;
+}
+inline bool IsSmokeMode() {
+  return core::BenchModeFromEnv() == BenchMode::kSmoke;
+}
 
 /// Process-wide failure flag. Bench binaries keep printing their tables
 /// when individual cells fail (ERR / -1 entries), but any reported
@@ -83,7 +82,7 @@ inline double TestAccuracyOrFail(const Result<core::VariantResult>& r) {
 
 /// Monte-Carlo runs per point: the paper uses 100; quick mode uses 12.
 inline size_t NumRuns() {
-  switch (ModeFromEnv()) {
+  switch (core::BenchModeFromEnv()) {
     case BenchMode::kSmoke:
       return 3;
     case BenchMode::kQuick:
@@ -96,7 +95,7 @@ inline size_t NumRuns() {
 
 /// Dataset scale for the real-world simulators (1.0 = ~6000 fact rows).
 inline double DataScale() {
-  switch (ModeFromEnv()) {
+  switch (core::BenchModeFromEnv()) {
     case BenchMode::kSmoke:
       return 0.2;
     case BenchMode::kQuick:
@@ -118,7 +117,7 @@ inline std::vector<synth::RealWorldSpec> BenchSpecs() {
 
 inline void PrintHeader(const std::string& title) {
   std::printf("=== %s ===\n", title.c_str());
-  std::printf("mode: %s\n\n", BenchModeName(ModeFromEnv()));
+  std::printf("mode: %s\n\n", BenchModeName(core::BenchModeFromEnv()));
 }
 
 /// Prints `cells` left-aligned in columns of `width` characters. A cell
@@ -246,26 +245,14 @@ inline void PrintPackedStats(const PackedStatsScope& scope) {
 /// Which model a figure bench trains inside its Monte-Carlo loop.
 enum class SimModel { kTreeGini, kOneNn, kSvmRbf };
 
-inline const char* SimModelName(SimModel m) {
-  switch (m) {
-    case SimModel::kTreeGini:
-      return "dt-gini";
-    case SimModel::kOneNn:
-      return "1nn";
-    case SimModel::kSvmRbf:
-      return "svm-rbf";
-  }
-  return "?";
-}
-
 /// Average holdout error and net variance of `model` on `variant`, over
 /// NumRuns() freshly generated star schemas. `make_star(run)` samples one
-/// dataset; a small validation grid tunes the tree's cp / the SVM's gamma
-/// per run (quick surrogate of the paper's full grid).
+/// dataset; a small validation grid tunes the SVM's gamma per run (quick
+/// surrogate of the paper's full grid).
 template <typename MakeStar>
 ml::BiasVariance SimulateVariant(MakeStar&& make_star,
                                  core::FeatureVariant variant,
-                                 SimModel model, size_t runs) {
+                                 SimModel model) {
   // Fixed test set from an independent draw: run index 10^6.
   StarSchema test_star = make_star(1000000);
   Result<core::PreparedData> test_prep = core::Prepare(test_star, 999);
@@ -355,13 +342,41 @@ ml::BiasVariance SimulateVariant(MakeStar&& make_star,
     return run_preds;
   };
   Result<ml::BiasVariance> bv =
-      ml::MonteCarloBiasVariance(runs, run_one, labels, labels);
+      ml::MonteCarloBiasVariance(NumRuns(), run_one, labels, labels);
   if (!bv.ok()) {
     std::printf("decompose failed: %s\n", bv.status().ToString().c_str());
     ReportFailure();
     return {};
   }
   return bv.value();
+}
+
+/// Prints one figure panel: a `--- title ---` header, then for each x in
+/// `xs` a row with the JoinAll / NoJoin / NoFK cells of SimulateVariant
+/// over `make_star(x, run)` — mean error in 10-wide columns, or net
+/// variance in 12-wide columns when `net_variance` is set (Figure 4).
+template <typename MakeStar>
+void RunSimulationPanel(const char* title, const char* x_name,
+                        const std::vector<double>& xs, SimModel model,
+                        MakeStar&& make_star, bool net_variance = false) {
+  const int width = net_variance ? 12 : 10;
+  std::printf("--- %s ---\n", title);
+  std::printf("%-12s %-*s %-*s %-*s\n", x_name, width, "JoinAll", width,
+              "NoJoin", width, "NoFK");
+  for (double x : xs) {
+    std::printf("%-12g", x);
+    for (auto variant :
+         {core::FeatureVariant::kJoinAll, core::FeatureVariant::kNoJoin,
+          core::FeatureVariant::kNoFK}) {
+      const ml::BiasVariance bv = SimulateVariant(
+          [&](size_t run) { return make_star(x, run); }, variant, model);
+      std::printf(" %-*.4f", width,
+                  net_variance ? bv.net_variance : bv.mean_error);
+      std::fflush(stdout);
+    }
+    std::printf("\n");
+  }
+  std::printf("\n");
 }
 
 }  // namespace bench
