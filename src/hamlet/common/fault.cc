@@ -1,12 +1,11 @@
 #include "hamlet/common/fault.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 
-#include "hamlet/common/logging.h"
+#include "hamlet/common/env.h"
 #include "hamlet/common/mutex.h"
 #include "hamlet/common/stringx.h"
 #include "hamlet/common/thread_annotations.h"
@@ -74,13 +73,12 @@ Status ParseClause(const std::string& clause, FaultState& state)
     HAMLET_REQUIRES(state.mu) {
   if (clause.rfind("seed=", 0) == 0) {
     const std::string value = clause.substr(5);
-    char* end = nullptr;
-    const unsigned long long seed = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || *end != '\0') {
+    const Result<uint64_t> seed = ParseUnsigned(value);
+    if (!seed.ok()) {
       return Status::InvalidArgument("fault spec: bad seed \"" + value +
                                      "\"");
     }
-    state.seed = seed;
+    state.seed = seed.value();
     return Status::OK();
   }
   const size_t colon = clause.find(':');
@@ -108,14 +106,12 @@ Status ParseClause(const std::string& clause, FaultState& state)
   if (trigger == "always") {
     rule.always = true;
   } else if (trigger.rfind("nth=", 0) == 0) {
-    const std::string value = trigger.substr(4);
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || *end != '\0' || n == 0) {
+    const Result<uint64_t> n = ParseUnsigned(trigger.substr(4));
+    if (!n.ok() || n.value() == 0) {
       return Status::InvalidArgument("fault spec: bad nth trigger \"" +
                                      trigger + "\" for site " + site);
     }
-    rule.nth = n;
+    rule.nth = n.value();
   } else if (trigger.rfind("p=", 0) == 0) {
     const std::string value = trigger.substr(2);
     char* end = nullptr;
@@ -158,13 +154,11 @@ Status InstallLocked(const std::string& spec, FaultState& state)
 }
 
 Status LoadEnvLocked(FaultState& state) HAMLET_REQUIRES(state.mu) {
-  const char* env = std::getenv("HAMLET_FAULT_SPEC");
-  const std::string spec = env == nullptr ? "" : env;
+  const std::string spec = StringFromEnv("HAMLET_FAULT_SPEC");
   const Status st = InstallLocked(spec, state);
-  if (!st.ok() && FirstOccurrence(std::string("fault_spec:") + spec)) {
-    std::fprintf(stderr,
-                 "hamlet: ignoring HAMLET_FAULT_SPEC=\"%s\": %s\n",
-                 spec.c_str(), st.ToString().c_str());
+  if (!st.ok()) {
+    WarnInvalidEnv("HAMLET_FAULT_SPEC", spec,
+                   "a spec in the fault.h grammar; " + st.message());
   }
   return st;
 }

@@ -81,10 +81,11 @@ HAMLET_NODISCARD Status Inject(const char* site,
 /// and leave injection disabled.
 HAMLET_NODISCARD Status InstallSpec(const std::string& spec);
 
-/// Re-reads HAMLET_FAULT_SPEC and installs it (unset/empty disables).
-/// The first ShouldFail/Enabled call does this implicitly once; tests
-/// that set the variable later call this to pick it up. A malformed env
-/// spec warns on stderr once per distinct value and disables injection.
+/// Re-reads HAMLET_FAULT_SPEC and installs it; the default (unset or
+/// empty) disables injection. The first ShouldFail/Enabled call does
+/// this implicitly once; tests that set the variable later call this to
+/// pick it up. A malformed spec is the default too, with the
+/// invalid-value warning of common/env.h naming the parse error.
 HAMLET_NODISCARD Status LoadSpecFromEnv();
 
 /// Disables injection and resets all counters.

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "hamlet/common/logging.h"
+#include "hamlet/common/env.h"
 #include "hamlet/common/mutex.h"
 #include "hamlet/common/thread_annotations.h"
 
@@ -32,22 +29,8 @@ size_t HardwareThreads() {
 }
 
 size_t ConfiguredThreads() {
-  const char* env = std::getenv("HAMLET_THREADS");
-  if (env == nullptr || *env == '\0') return HardwareThreads();
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 1 || parsed > 1024) {
-    // Warn once per distinct bad value; ConfiguredThreads is called on
-    // every pool (re)start and must not spam bench output.
-    if (FirstOccurrence(std::string("threads:") + env)) {
-      std::fprintf(stderr,
-                   "hamlet: invalid HAMLET_THREADS=\"%s\" (want an integer "
-                   "in [1, 1024]); using hardware concurrency (%zu)\n",
-                   env, HardwareThreads());
-    }
-    return HardwareThreads();
-  }
-  return static_cast<size_t>(parsed);
+  const std::optional<uint64_t> n = UnsignedFromEnv("HAMLET_THREADS", 1, 1024);
+  return n ? static_cast<size_t>(*n) : HardwareThreads();
 }
 
 struct ThreadPool::Impl {

@@ -32,9 +32,9 @@ namespace parallel {
 /// max(1, std::thread::hardware_concurrency()).
 size_t HardwareThreads();
 
-/// Thread count requested via HAMLET_THREADS: a positive integer, or unset
-/// for HardwareThreads(). Invalid values (non-numeric, < 1, > 1024) warn on
-/// stderr once per distinct value and fall back to HardwareThreads().
+/// Thread count requested via HAMLET_THREADS: an integer in [1, 1024];
+/// the default is HardwareThreads(). Grammar and the invalid-value
+/// warning are common/env.h's.
 size_t ConfiguredThreads();
 
 /// A fixed-size pool of worker threads executing index-range jobs. The

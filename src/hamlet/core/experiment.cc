@@ -1,11 +1,9 @@
 #include "hamlet/core/experiment.h"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "hamlet/common/logging.h"
+#include "hamlet/common/env.h"
 
 #include "hamlet/ml/ann/mlp.h"
 #include "hamlet/ml/knn/one_nn.h"
@@ -46,22 +44,11 @@ const char* ModelKindName(ModelKind kind) {
 }
 
 BenchMode BenchModeFromEnv() {
-  const char* mode = std::getenv("HAMLET_BENCH_MODE");
-  if (mode == nullptr || *mode == '\0') return BenchMode::kQuick;
-  const std::string value(mode);
-  if (value == "full") return BenchMode::kFull;
-  if (value == "smoke") return BenchMode::kSmoke;
-  if (value == "quick") return BenchMode::kQuick;
-  // A typo like "fulll" used to silently run quick mode; make the fallback
-  // explicit. Warn once per distinct value — this parser runs on every
-  // bench helper call and must not flood stderr.
-  if (FirstOccurrence("bench_mode:" + value)) {
-    std::fprintf(stderr,
-                 "hamlet: unrecognized HAMLET_BENCH_MODE=\"%s\" (expected "
-                 "smoke|quick|full); falling back to quick mode\n",
-                 value.c_str());
-  }
-  return BenchMode::kQuick;
+  constexpr BenchMode kModes[] = {BenchMode::kSmoke, BenchMode::kQuick,
+                                  BenchMode::kFull};
+  const std::optional<size_t> choice =
+      ChoiceFromEnv("HAMLET_BENCH_MODE", {"smoke", "quick", "full"});
+  return choice ? kModes[*choice] : BenchMode::kQuick;
 }
 
 Effort EffortFromEnv() {

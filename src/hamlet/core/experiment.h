@@ -44,8 +44,8 @@ const char* ModelKindName(ModelKind kind);
 enum class Effort { kQuick, kFull };
 
 /// The three bench tiers selected by HAMLET_BENCH_MODE: "smoke", "quick"
-/// and "full" are recognised; unset/empty means kQuick, and any other
-/// value falls back to kQuick with a one-time stderr warning.
+/// or "full"; the default is kQuick. Grammar and the invalid-value
+/// warning are common/env.h's.
 /// Grids only distinguish kQuick/kFull (see EffortFromEnv); the bench
 /// layer additionally uses kSmoke to shrink run counts and data sizes.
 enum class BenchMode { kSmoke, kQuick, kFull };

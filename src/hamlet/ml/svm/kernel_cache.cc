@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <string>
 
-#include "hamlet/common/logging.h"
+#include "hamlet/common/env.h"
 
 namespace hamlet {
 namespace ml {
@@ -36,28 +33,13 @@ void ResetGlobalKernelCacheTotals() {
 }
 
 size_t KernelCacheBytesFromEnv() {
-  const char* value = std::getenv("HAMLET_SMO_CACHE_MB");
-  if (value == nullptr || *value == '\0') return kDefaultKernelCacheBytes;
-  char* end = nullptr;
-  const unsigned long long mb = std::strtoull(value, &end, 10);
-  // Positive integer MiB only; the cap is 1 TiB or whatever keeps the
-  // byte product representable in size_t (4095 MiB on 32-bit hosts),
-  // whichever is smaller.
-  constexpr unsigned long long kMaxMb =
-      std::min(1ull << 20,
-               static_cast<unsigned long long>(
-                   std::numeric_limits<size_t>::max() >> 20));
-  if (end == value || *end != '\0' || mb == 0 || mb > kMaxMb) {
-    if (FirstOccurrence(std::string("smo_cache_mb:") + value)) {
-      std::fprintf(stderr,
-                   "hamlet: unrecognized HAMLET_SMO_CACHE_MB=\"%s\" "
-                   "(expected a positive integer number of MiB); using "
-                   "the default %zu MiB\n",
-                   value, kDefaultKernelCacheBytes >> 20);
-    }
-    return kDefaultKernelCacheBytes;
-  }
-  return static_cast<size_t>(mb) << 20;
+  // The cap is 1 TiB or whatever keeps the byte product representable in
+  // size_t (4095 MiB on 32-bit hosts), whichever is smaller.
+  constexpr uint64_t kMaxMb = std::min<uint64_t>(
+      uint64_t{1} << 20, std::numeric_limits<size_t>::max() >> 20);
+  const std::optional<uint64_t> mb =
+      UnsignedFromEnv("HAMLET_SMO_CACHE_MB", 1, kMaxMb);
+  return mb ? static_cast<size_t>(*mb) << 20 : kDefaultKernelCacheBytes;
 }
 
 KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,

@@ -36,11 +36,10 @@ namespace ml {
 /// default never recomputes a row while large ad-hoc problems stay capped.
 inline constexpr size_t kDefaultKernelCacheBytes = 64u << 20;
 
-/// Resolves the cache budget from HAMLET_SMO_CACHE_MB: a positive integer
-/// number of MiB, or unset/empty for kDefaultKernelCacheBytes. Anything
-/// unparseable (non-numeric, zero, > 1 TiB) warns on stderr once per
-/// distinct value and falls back to the default, mirroring
-/// core::BenchModeFromEnv.
+/// Resolves the cache budget from HAMLET_SMO_CACHE_MB: an integer number
+/// of MiB in [1, 1 TiB / 1 MiB] (less on 32-bit hosts, where the byte
+/// count must fit in size_t); the default is kDefaultKernelCacheBytes.
+/// Grammar and the invalid-value warning are common/env.h's.
 size_t KernelCacheBytesFromEnv();
 
 /// Process-wide kernel-cache counters, summed over destroyed caches.

@@ -1,16 +1,14 @@
 #include "hamlet/serve/server.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "hamlet/common/logging.h"
+#include "hamlet/common/env.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 
@@ -82,54 +80,22 @@ bool IsIgnorableRequestLine(const std::string& line) {
 }
 
 size_t ConfiguredBatchSize() {
-  const char* env = std::getenv("HAMLET_SERVE_BATCH");
-  if (env == nullptr || *env == '\0') return kDefaultBatchSize;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 1 || parsed > 10000000) {
-    if (FirstOccurrence(std::string("serve_batch:") + env)) {
-      std::fprintf(stderr,
-                   "hamlet: invalid HAMLET_SERVE_BATCH=\"%s\" (want an "
-                   "integer in [1, 1e7]); using the default (%zu)\n",
-                   env, kDefaultBatchSize);
-    }
-    return kDefaultBatchSize;
-  }
-  return static_cast<size_t>(parsed);
+  const std::optional<uint64_t> n =
+      UnsignedFromEnv("HAMLET_SERVE_BATCH", 1, 10000000);
+  return n ? static_cast<size_t>(*n) : kDefaultBatchSize;
 }
 
 OnError ConfiguredOnError() {
-  const char* env = std::getenv("HAMLET_SERVE_ON_ERROR");
-  if (env == nullptr || *env == '\0') return OnError::kAbort;
-  const std::string value = env;
-  if (value == "abort") return OnError::kAbort;
-  if (value == "skip") return OnError::kSkip;
-  if (FirstOccurrence(std::string("serve_on_error:") + value)) {
-    std::fprintf(stderr,
-                 "hamlet: invalid HAMLET_SERVE_ON_ERROR=\"%s\" (want "
-                 "\"abort\" or \"skip\"); using abort\n",
-                 env);
-  }
-  return OnError::kAbort;
+  const std::optional<size_t> choice =
+      ChoiceFromEnv("HAMLET_SERVE_ON_ERROR", {"abort", "skip"});
+  return choice == size_t{1} ? OnError::kSkip : OnError::kAbort;
 }
 
 size_t ConfiguredMaxErrors() {
-  const char* env = std::getenv("HAMLET_SERVE_MAX_ERRORS");
-  if (env == nullptr || *env == '\0') return kUnlimitedErrors;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  // 0 is a real budget ("tolerate no errors"); only non-numeric or
-  // negative values are invalid.
-  if (end == env || *end != '\0' || parsed < 0) {
-    if (FirstOccurrence(std::string("serve_max_errors:") + env)) {
-      std::fprintf(stderr,
-                   "hamlet: invalid HAMLET_SERVE_MAX_ERRORS=\"%s\" (want a "
-                   "non-negative integer); errors are unlimited\n",
-                   env);
-    }
-    return kUnlimitedErrors;
-  }
-  return static_cast<size_t>(parsed);
+  // 0 is a real budget ("tolerate no errors").
+  const std::optional<uint64_t> n =
+      UnsignedFromEnv("HAMLET_SERVE_MAX_ERRORS", 0, kUnlimitedErrors);
+  return n ? static_cast<size_t>(*n) : kUnlimitedErrors;
 }
 
 Status ValidateReloadedModel(const ml::Classifier& current,

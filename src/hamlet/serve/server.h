@@ -64,10 +64,9 @@
 namespace hamlet {
 namespace serve {
 
-/// Batch size requested via HAMLET_SERVE_BATCH: a positive integer, or
-/// unset for the default (2048). Invalid values (non-numeric, < 1,
-/// > 1e7) warn on stderr once per distinct value and fall back to the
-/// default.
+/// Batch size requested via HAMLET_SERVE_BATCH: an integer in [1, 1e7];
+/// the default is 2048. Grammar and the invalid-value warning are
+/// common/env.h's.
 size_t ConfiguredBatchSize();
 
 /// What ServeStream does with a malformed or out-of-domain request line.
@@ -80,14 +79,15 @@ enum class OnError {
 /// Unbounded error tolerance for ServeConfig::max_errors.
 inline constexpr size_t kUnlimitedErrors = static_cast<size_t>(-1);
 
-/// Error policy requested via HAMLET_SERVE_ON_ERROR: "abort" or "skip",
-/// unset for the default (kAbort). Unrecognised values warn on stderr
-/// once per distinct value and fall back to kAbort.
+/// Error policy requested via HAMLET_SERVE_ON_ERROR: "abort" or "skip";
+/// the default is kAbort. Grammar and the invalid-value warning are
+/// common/env.h's.
 OnError ConfiguredOnError();
 
-/// Error cap requested via HAMLET_SERVE_MAX_ERRORS: a non-negative
-/// integer (0 = tolerate no errors: the first rejected line aborts), or
-/// unset for unlimited. Invalid values warn once and mean unlimited.
+/// Error cap requested via HAMLET_SERVE_MAX_ERRORS: an integer in
+/// [0, kUnlimitedErrors] (0 = tolerate no errors: the first rejected
+/// line aborts); the default is kUnlimitedErrors. Grammar and the
+/// invalid-value warning are common/env.h's.
 size_t ConfiguredMaxErrors();
 
 struct ServeConfig {

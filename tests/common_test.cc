@@ -1,31 +1,140 @@
-// Tests for hamlet/common: Status/Result, RNG, string helpers.
+// Tests for hamlet/common: env knobs, Status/Result, RNG, string helpers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "hamlet/common/crc32.h"
-#include "hamlet/common/logging.h"
+#include "hamlet/common/env.h"
 #include "hamlet/common/rng.h"
 #include "hamlet/common/status.h"
 #include "hamlet/common/stringx.h"
+#include "parity_util.h"
 
 namespace hamlet {
 namespace {
 
-// --------------------------------------------------------------- logging --
+// ------------------------------------------------------------------- env --
 
-TEST(LoggingTest, FirstOccurrenceIsTrueExactlyOnce) {
-  // Keys are process-wide, so use ones no other test touches. Distinct
-  // keys stay independent even when observations alternate.
-  EXPECT_TRUE(FirstOccurrence("common_test:a"));
-  EXPECT_TRUE(FirstOccurrence("common_test:b"));
-  EXPECT_FALSE(FirstOccurrence("common_test:a"));
-  EXPECT_FALSE(FirstOccurrence("common_test:b"));
-  EXPECT_FALSE(FirstOccurrence("common_test:a"));
+// The warned-about set is process-wide, so every test below reads its
+// own variable names, which no other test (and no knob) uses.
+
+using test::ScopedEnvVar;
+
+/// UnsignedFromEnv(name, lo, hi) with `name` set to `value` (nullptr
+/// unsets it); the stderr it prints goes to `warning`.
+std::optional<uint64_t> ReadUnsigned(const char* name, const char* value,
+                                     uint64_t lo, uint64_t hi,
+                                     std::string* warning = nullptr) {
+  ScopedEnvVar env(name, value);
+  testing::internal::CaptureStderr();
+  const std::optional<uint64_t> n = UnsignedFromEnv(name, lo, hi);
+  const std::string err = testing::internal::GetCapturedStderr();
+  if (warning != nullptr) *warning = err;
+  return n;
+}
+
+TEST(EnvTest, UnsignedAcceptsDigitsInRangeOnly) {
+  const char* kName = "HAMLET_ENVTEST_UNSIGNED";
+  EXPECT_EQ(ReadUnsigned(kName, nullptr, 2, 9), std::nullopt);
+  EXPECT_EQ(ReadUnsigned(kName, "", 2, 9), std::nullopt);
+  EXPECT_EQ(ReadUnsigned(kName, "2", 2, 9), 2u);
+  EXPECT_EQ(ReadUnsigned(kName, "9", 2, 9), 9u);
+  EXPECT_EQ(ReadUnsigned(kName, "007", 2, 9), 7u);
+  for (const char* bad : {"1", "10", "+5", "-5", " 5", "5 ", "\t5", "5x",
+                          "0x5", "5.0", "-18446744073709551611",
+                          "18446744073709551621"}) {
+    std::string warning;
+    EXPECT_EQ(ReadUnsigned(kName, bad, 2, 9, &warning), std::nullopt)
+        << "value \"" << bad << "\"";
+    EXPECT_NE(warning, "") << "value \"" << bad << "\"";
+  }
+  // The full uint64 range is representable; one past it overflows.
+  EXPECT_EQ(ReadUnsigned(kName, "18446744073709551615", 0, UINT64_MAX),
+            UINT64_MAX);
+  EXPECT_EQ(ReadUnsigned(kName, "18446744073709551616", 0, UINT64_MAX),
+            std::nullopt);
+}
+
+TEST(EnvTest, ChoiceMatchesExactly) {
+  const char* kName = "HAMLET_ENVTEST_CHOICE";
+  const auto read = [&](const char* value) {
+    ScopedEnvVar env(kName, value);
+    testing::internal::CaptureStderr();
+    const std::optional<size_t> i = ChoiceFromEnv(kName, {"abort", "skip"});
+    (void)testing::internal::GetCapturedStderr();
+    return i;
+  };
+  EXPECT_EQ(read(nullptr), std::nullopt);
+  EXPECT_EQ(read(""), std::nullopt);
+  EXPECT_EQ(read("abort"), 0u);
+  EXPECT_EQ(read("skip"), 1u);
+  for (const char* bad : {"Skip", "SKIP", " skip", "skip ", "ski", "skips"}) {
+    EXPECT_EQ(read(bad), std::nullopt) << "value \"" << bad << "\"";
+  }
+}
+
+TEST(EnvTest, StringIsVerbatimAndEmptyWhenUnset) {
+  const char* kName = "HAMLET_ENVTEST_STRING";
+  {
+    ScopedEnvVar env(kName, nullptr);
+    EXPECT_EQ(StringFromEnv(kName), "");
+  }
+  ScopedEnvVar env(kName, " seed=7; io.load.open:p=0.5 ");
+  EXPECT_EQ(StringFromEnv(kName), " seed=7; io.load.open:p=0.5 ");
+}
+
+TEST(EnvTest, WarnsOncePerDistinctNameAndValue) {
+  const char* kName = "HAMLET_ENVTEST_WARN";
+  std::string warning;
+  // Alternating distinct values warn exactly once each.
+  ReadUnsigned(kName, "abc", 1, 8, &warning);
+  EXPECT_EQ(warning,
+            "hamlet: invalid HAMLET_ENVTEST_WARN=\"abc\" (want an integer "
+            "in [1, 8]); using the default\n");
+  ReadUnsigned(kName, "0", 1, 8, &warning);
+  EXPECT_NE(warning.find("HAMLET_ENVTEST_WARN=\"0\""), std::string::npos)
+      << warning;
+  ReadUnsigned(kName, "abc", 1, 8, &warning);
+  EXPECT_EQ(warning, "");
+  ReadUnsigned(kName, "0", 1, 8, &warning);
+  EXPECT_EQ(warning, "");
+  ReadUnsigned(kName, "abc", 1, 8, &warning);
+  EXPECT_EQ(warning, "");
+  // Valid values never warn.
+  ReadUnsigned(kName, "3", 1, 8, &warning);
+  EXPECT_EQ(warning, "");
+
+  // The same value under another name is a distinct pair.
+  ReadUnsigned("HAMLET_ENVTEST_WARN_OTHER", "abc", 1, 8, &warning);
+  EXPECT_NE(warning.find("HAMLET_ENVTEST_WARN_OTHER=\"abc\""),
+            std::string::npos)
+      << warning;
+
+  // A choice knob's warning lists the accepted choices.
+  ScopedEnvVar env("HAMLET_ENVTEST_WARN_CHOICE", "fulll");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(ChoiceFromEnv("HAMLET_ENVTEST_WARN_CHOICE",
+                          {"smoke", "quick", "full"}),
+            std::nullopt);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "hamlet: invalid HAMLET_ENVTEST_WARN_CHOICE=\"fulll\" (want one "
+            "of \"smoke\", \"quick\", \"full\"); using the default\n");
+
+  // WarnInvalidEnv shares the set with the readers.
+  testing::internal::CaptureStderr();
+  WarnInvalidEnv("HAMLET_ENVTEST_WARN", "abc", "anything");
+  WarnInvalidEnv("HAMLET_ENVTEST_SPEC", "x;y", "a spec");
+  WarnInvalidEnv("HAMLET_ENVTEST_SPEC", "x;y", "a spec");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "hamlet: invalid HAMLET_ENVTEST_SPEC=\"x;y\" (want a spec); "
+            "using the default\n");
 }
 
 // ---------------------------------------------------------------- Status --

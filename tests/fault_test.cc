@@ -64,6 +64,8 @@ TEST(FaultSpecTest, MalformedSpecsAreInvalidArgument) {
       "io.save.write:p=1.5",      // probability outside [0,1]
       "io.save.write:p=x",        // non-numeric probability
       "seed=donut",               // non-numeric seed
+      "seed=-1",                  // signed seed (strtoull wrapped it)
+      "io.save.write:nth=+3",     // signed nth
       "io.no.such.site:always",   // unknown site
   };
   for (const char* spec : bad) {

@@ -302,7 +302,10 @@ TEST(KernelCacheEnvTest, PositiveMibParses) {
 }
 
 TEST(KernelCacheEnvTest, GarbageAndZeroFallBackToDefault) {
-  for (const char* bad : {"abc", "0", "-3", "12MB", ""}) {
+  // Digits only: strtoull used to read "+8" and " 8" as 8 MiB, and
+  // negate "-18446744073709551608" into 8 MiB.
+  for (const char* bad : {"abc", "0", "-3", "12MB", "", "+8", " 8", "8 ",
+                          "-18446744073709551608"}) {
     test::ScopedEnvVar env("HAMLET_SMO_CACHE_MB", bad);
     EXPECT_EQ(KernelCacheBytesFromEnv(), kDefaultKernelCacheBytes)
         << "value \"" << bad << "\"";

@@ -138,7 +138,9 @@ TEST(ConfiguredThreadsTest, ParsesHamletThreads) {
 }
 
 TEST(ConfiguredThreadsTest, InvalidValuesFallBackToHardware) {
-  for (const char* bad : {"abc", "0", "-2", "4x", "9999", ""}) {
+  // Digits only: strtol used to read "+1000" and " 1000" as 1000.
+  for (const char* bad :
+       {"abc", "0", "-2", "4x", "9999", "", "+1000", " 1000", "1025"}) {
     ScopedThreads env(bad);
     EXPECT_EQ(ConfiguredThreads(), HardwareThreads())
         << "value \"" << bad << "\"";

@@ -151,10 +151,12 @@ TEST(ServeTest, BatchSizeEnvKnob) {
     ScopedEnvVar env("HAMLET_SERVE_BATCH", nullptr);
     EXPECT_EQ(serve::ConfiguredBatchSize(), 2048u);
   }
-  {
-    // Invalid values warn (once) and fall back to the default.
-    ScopedEnvVar env("HAMLET_SERVE_BATCH", "zero");
-    EXPECT_EQ(serve::ConfiguredBatchSize(), 2048u);
+  // Invalid values warn (once) and fall back to the default. Digits
+  // only: strtol used to read "+2" and " 2" as 2.
+  for (const char* bad : {"zero", "0", "10000001", "+2", " 2", "2 "}) {
+    ScopedEnvVar env("HAMLET_SERVE_BATCH", bad);
+    EXPECT_EQ(serve::ConfiguredBatchSize(), 2048u) << "value \"" << bad
+                                                   << "\"";
   }
 
   // The knob drives batching end to end.
@@ -296,10 +298,11 @@ TEST(ServeTest, OnErrorEnvKnobs) {
     ScopedEnvVar env("HAMLET_SERVE_ON_ERROR", nullptr);
     EXPECT_EQ(serve::ConfiguredOnError(), serve::OnError::kAbort);
   }
-  {
-    // Invalid values warn (once) and fall back to strict.
-    ScopedEnvVar env("HAMLET_SERVE_ON_ERROR", "retry");
-    EXPECT_EQ(serve::ConfiguredOnError(), serve::OnError::kAbort);
+  // Invalid values warn (once) and fall back to strict.
+  for (const char* bad : {"retry", "Skip", " skip", "skip "}) {
+    ScopedEnvVar env("HAMLET_SERVE_ON_ERROR", bad);
+    EXPECT_EQ(serve::ConfiguredOnError(), serve::OnError::kAbort)
+        << "value \"" << bad << "\"";
   }
   {
     ScopedEnvVar env("HAMLET_SERVE_MAX_ERRORS", "3");
@@ -309,9 +312,13 @@ TEST(ServeTest, OnErrorEnvKnobs) {
     ScopedEnvVar env("HAMLET_SERVE_MAX_ERRORS", nullptr);
     EXPECT_EQ(serve::ConfiguredMaxErrors(), serve::kUnlimitedErrors);
   }
-  {
-    ScopedEnvVar env("HAMLET_SERVE_MAX_ERRORS", "-1");
-    EXPECT_EQ(serve::ConfiguredMaxErrors(), serve::kUnlimitedErrors);
+  // Invalid values warn (once) and mean unlimited. Digits only, and no
+  // overflow: strtol used to read "+3" and " 3" as 3, and clamp
+  // "99999999999999999999" to LONG_MAX.
+  for (const char* bad : {"-1", "many", "+3", " 3", "99999999999999999999"}) {
+    ScopedEnvVar env("HAMLET_SERVE_MAX_ERRORS", bad);
+    EXPECT_EQ(serve::ConfiguredMaxErrors(), serve::kUnlimitedErrors)
+        << "value \"" << bad << "\"";
   }
   {
     // 0 is a real budget (tolerate no errors), not the old "invalid,

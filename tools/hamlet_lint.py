@@ -3,12 +3,13 @@
 
 Rules
 -----
-  env-docs        Every getenv("HAMLET_*") site in src/ must appear in the
-                  README environment-variable table, and every table row
-                  must have a live getenv site (doc drift in either
-                  direction fails). Indirect readers that take the variable
-                  name as a string literal (e.g. a helper call
-                  BoolFromEnv("HAMLET_FOO", ...)) count as sites.
+  env-docs        Every knob read in src/ must appear in the README
+                  environment-variable table, and every table row must
+                  have a live read (doc drift in either direction fails).
+                  A read is a common/env.h helper call that names the
+                  variable as a string literal (UnsignedFromEnv,
+                  ChoiceFromEnv or StringFromEnv("HAMLET_FOO", ...)) or
+                  a getenv("HAMLET_FOO") call.
   determinism     No raw std::thread construction, rand()/srand(),
                   std::random_device, or wall-clock reads
                   (std::chrono::system_clock, time(), gettimeofday,
@@ -47,13 +48,17 @@ Rules
                   kernel values from a KernelValuesByMatches table built
                   once per fit or model, which keeps per-pair exp/pow out
                   of the hot loops.
+  env-read        `getenv(` appears in src/ only in
+                  src/hamlet/common/env.cc. Every knob is read through
+                  the common/env.h helpers, so every knob has one
+                  grammar and one invalid-value warning.
 
 Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line,
 or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
-kernel-math site is exactly what kernel-math exists to stop.
+kernel-math or env-read site is exactly what those rules exist to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -129,9 +134,18 @@ STATUS_DISCARD_RE = re.compile(
     r"\(\s*void\s*\)\s*[^;]*?(?:(?:\.|->)Fit|\bApply\w*)\s*\(")
 STATUS_DISCARD_DIRS = ("bench", "examples")
 
-KERNEL_MATH_RE = re.compile(r"\bKernelFromMatches\s*\(")
-KERNEL_MATH_HOME = "src/hamlet/ml/svm/kernel.cc"
-KERNEL_MATH_DIRS = ("src", "bench", "examples", "tests", "perfbench")
+# One-home rules: a call that may appear in exactly one file. Each entry
+# is (rule, pattern, the one file, directories scanned, fix hint).
+ONE_HOME_RULES = [
+    ("kernel-math", re.compile(r"\bKernelFromMatches\s*\("),
+     "src/hamlet/ml/svm/kernel.cc",
+     ("src", "bench", "examples", "tests", "perfbench"),
+     "KernelFromMatches outside %s; read kernel values from a "
+     "KernelValuesByMatches table"),
+    ("env-read", re.compile(r"getenv\s*\("),
+     "src/hamlet/common/env.cc", ("src",),
+     "getenv outside %s; read knobs through the common/env.h helpers"),
+]
 
 
 def strip_line_comment(line):
@@ -338,21 +352,19 @@ class Linter:
                                  "Apply call; check it, print it and "
                                  "exit non-zero")
 
-    # -- kernel-math ---------------------------------------------------
-    def check_kernel_math(self):
-        for subdir in KERNEL_MATH_DIRS:
-            for path in self.source_files(subdir, exts=(".h", ".cc", ".cpp")):
-                rel = self.rel(path)
-                if rel == KERNEL_MATH_HOME:
-                    continue
-                _, stripped_lines, _ = read_code(path)
-                for lineno, code in enumerate(stripped_lines, 1):
-                    if KERNEL_MATH_RE.search(code):
-                        self.add(rel, lineno, "kernel-math",
-                                 "KernelFromMatches outside %s; read "
-                                 "kernel values from a "
-                                 "KernelValuesByMatches table"
-                                 % KERNEL_MATH_HOME)
+    # -- kernel-math + env-read ----------------------------------------
+    def check_one_home_rules(self):
+        for rule, pattern, home, dirs, hint in ONE_HOME_RULES:
+            for subdir in dirs:
+                for path in self.source_files(subdir,
+                                              exts=(".h", ".cc", ".cpp")):
+                    rel = self.rel(path)
+                    if rel == home:
+                        continue
+                    _, stripped_lines, _ = read_code(path)
+                    for lineno, code in enumerate(stripped_lines, 1):
+                        if pattern.search(code):
+                            self.add(rel, lineno, rule, hint % home)
 
     # -- test-reg ------------------------------------------------------
     def check_test_registration(self):
@@ -376,7 +388,7 @@ class Linter:
         self.check_source_rules()
         self.check_cmake_fp_flags()
         self.check_status_discard()
-        self.check_kernel_math()
+        self.check_one_home_rules()
         self.check_test_registration()
         return self.findings
 

@@ -22,7 +22,7 @@ README_WITH = """# fixture
 README_EXTRA_ROW = README_WITH + \
     "| `HAMLET_GHOST_VAR` | unset | documented but never read |\n"
 
-GETENV_CC = 'const char* v = std::getenv("HAMLET_FIXTURE_VAR");\n'
+KNOB_CC = 'auto n = UnsignedFromEnv("HAMLET_FIXTURE_VAR", 1, 8);\n'
 
 
 class Fixture:
@@ -64,7 +64,7 @@ def main():
         # test, orderly code. Expect exit 0.
         clean = (Fixture(base, "clean")
                  .write("README.md", README_WITH)
-                 .write("src/hamlet/a.cc", GETENV_CC)
+                 .write("src/hamlet/a.cc", KNOB_CC)
                  .write("tests/a_test.cc", "int main() {}\n")
                  .write("tests/CMakeLists.txt", "add_executable(t a_test.cc)"))
         code, out = clean.lint()
@@ -73,26 +73,51 @@ def main():
         # env-docs, drift in both directions.
         undoc = (Fixture(base, "undoc")
                  .write("README.md", "# no table\n")
-                 .write("src/hamlet/a.cc", GETENV_CC))
+                 .write("src/hamlet/a.cc", KNOB_CC))
         code, out = undoc.lint()
-        check("undocumented getenv fires",
+        check("undocumented knob read fires",
               code == 1 and "HAMLET_FIXTURE_VAR" in out and "env-docs" in out,
               out)
 
         ghost = (Fixture(base, "ghost")
                  .write("README.md", README_EXTRA_ROW)
-                 .write("src/hamlet/a.cc", GETENV_CC))
+                 .write("src/hamlet/a.cc", KNOB_CC))
         code, out = ghost.lint()
         check("stale README row fires",
               code == 1 and "HAMLET_GHOST_VAR" in out, out)
 
-        # Indirect FromEnv-style reads count as sites (no false drift).
-        indirect = (Fixture(base, "indirect")
-                    .write("README.md", README_WITH)
-                    .write("src/hamlet/a.cc",
-                           'bool b = BoolFromEnv("HAMLET_FIXTURE_VAR", 1);\n'))
-        code, out = indirect.lint()
-        check("FromEnv site counts as documented read", code == 0, out)
+        # A getenv with a literal name in env.cc counts as a read too.
+        direct = (Fixture(base, "direct")
+                  .write("README.md", README_WITH)
+                  .write("src/hamlet/common/env.cc",
+                         'const char* v = std::getenv("HAMLET_FIXTURE_VAR");\n'))
+        code, out = direct.lint()
+        check("getenv site in env.cc counts as a read", code == 0, out)
+
+        # env-read: getenv outside common/env.cc fires, waiver or not;
+        # env.cc itself, comments and strings stay quiet.
+        for name, snippet in [
+            ("plain", "const char* v = std::getenv(name);\n"),
+            ("waived", "const char* v = getenv(name);"
+                       "  // hamlet-lint: allow(env-read)\n"),
+            ("secure", "const char* v = secure_getenv(name);\n"),
+        ]:
+            fix = Fixture(base, "envread_" + name)
+            fix.write("src/hamlet/serve/a.cc", snippet)
+            code, out = fix.lint()
+            check("env-read fires on %s getenv" % name,
+                  code == 1 and "env-read" in out and
+                  "src/hamlet/serve/a.cc" in out, out)
+
+        envread_quiet = (Fixture(base, "envread_quiet")
+                         .write("src/hamlet/common/env.cc",
+                                "const char* v = std::getenv(name);\n")
+                         .write("src/hamlet/a.cc",
+                                "// never std::getenv(name) here\n"
+                                'const char* s = "getenv(";\n'
+                                "auto n = UnsignedFromEnv(name, 1, 8);\n"))
+        code, out = envread_quiet.lint()
+        check("env.cc, comments, strings and helpers pass", code == 0, out)
 
         # determinism: each banned construct, plus comment/string/waiver/
         # allowlist suppression.
