@@ -6,8 +6,8 @@
 //   ||u(x)-u(z)||^2 = 2 × #mismatching features    (RBF exponent)
 // so every kernel is a function of the match count m alone, and over d
 // features it takes only d+1 distinct values. The hot paths (KernelCache
-// rows, SVM scoring, ComputeGram) build those values once per fit or
-// model with KernelValuesByMatches, count matches for a whole row or
+// rows, SVM scoring) build those values once per fit or model with
+// KernelValuesByMatches, count matches for a whole row or
 // query with one simd::PackedMatchCounts call, and read each kernel
 // value as table[count]. The kernel float math lives in one function in
 // kernel.cc, which KernelValuesByMatches and KernelEval share, so a
@@ -64,14 +64,6 @@ std::vector<double> KernelValuesByMatches(const KernelConfig& config,
 /// the table paths are tested against).
 double KernelEval(const KernelConfig& config, const uint32_t* a,
                   const uint32_t* b, size_t d);
-
-/// Dense symmetric Gram matrix over `rows` (n rows of length d, row-major),
-/// stored row-major as n*n floats. The production fit path computes rows
-/// lazily instead (ml::KernelCache); this full materialisation remains
-/// for the FullGramRowSource adapter, parity tests and ad-hoc analysis.
-std::vector<float> ComputeGram(const KernelConfig& config,
-                               const std::vector<uint32_t>& rows, size_t n,
-                               size_t d);
 
 }  // namespace ml
 }  // namespace hamlet

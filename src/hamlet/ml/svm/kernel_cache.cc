@@ -94,10 +94,11 @@ void KernelCache::ComputeRow(size_t i, float* out) const {
   const uint64_t* ri = packed_.row(i);
   const double* table = kernel_by_matches_.data();
   uint32_t* counts = counts_.data();
-  // Same double->float narrowing as ComputeGram, so a cached row entry is
-  // bit-identical to the corresponding full-Gram entry. Under an active
-  // restriction only the restricted columns are computed; the others stay
-  // whatever the slot held before (callers must not read them).
+  // The double->float narrowing of static_cast<float>(KernelEval(...)),
+  // so a cached row entry is bit-identical to the scalar kernel's. Under
+  // an active restriction only the restricted columns are computed; the
+  // others stay whatever the slot held before (callers must not read
+  // them).
   size_t cols;
   if (restrict_idx_.empty()) {
     const size_t n = matrix_.num_rows();

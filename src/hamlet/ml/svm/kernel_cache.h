@@ -73,9 +73,9 @@ class KernelCache : public KernelRowSource {
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
 
-  /// Kernel row i (n floats, identical bit pattern to ComputeGram's row).
-  /// The pointer is valid until the next Row() call on this cache —
-  /// until the next call for a DIFFERENT row when CanServeTwoRows().
+  /// Kernel row i (n floats; entry t has the bits of
+  /// static_cast<float>(KernelEval(x_i, x_t))).
+  /// The pointer is valid until the next Row() call on this cache.
   /// While an active restriction is installed (RestrictActive), only the
   /// restricted entries of the returned row are valid: a miss computes
   /// just those columns, so shrunk SMO sweeps never fault in dead ones.
@@ -107,9 +107,6 @@ class KernelCache : public KernelRowSource {
   void ClearActiveRestriction() override;
 
   size_t size() const override { return matrix_.num_rows(); }
-  /// With capacity >= 2 the most-recently-used row is never the eviction
-  /// victim, so a fetched row survives one subsequent fetch.
-  bool CanServeTwoRows() const override { return capacity_rows_ >= 2; }
   uint64_t hits() const override { return hits_; }
   uint64_t misses() const override { return misses_; }
 

@@ -5,7 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
+
+#include "hamlet/simd/simd.h"
 
 namespace hamlet {
 namespace ml {
@@ -79,37 +80,6 @@ double SnapToBoxBound(double a, double C) {
   return a;
 }
 
-size_t SelectWss2J(const float* row_i, const float* diag,
-                   const double* error, const int8_t* y,
-                   const double* alpha, double C, const int32_t* active,
-                   size_t active_count, double kii, double up_best) {
-  // LIBSVM WSS2: among violating I_low candidates, maximise
-  //   (b_t)^2 / a_t,  b_t = up_best - score_t > 0,
-  //   a_t = kii + K_tt - 2 K_it clamped below by tau
-  // (the constant factor 2 in the paper's gain is argmax-invariant).
-  // Strict > keeps the first maximum, so equal-gain candidates resolve
-  // to the lowest original index.
-  constexpr double kTau = 1e-12;
-  double best_gain = -std::numeric_limits<double>::infinity();
-  size_t best = std::numeric_limits<size_t>::max();
-  for (size_t k = 0; k < active_count; ++k) {
-    const size_t t = static_cast<size_t>(active[k]);
-    const double diff = up_best + error[t];  // up_best - (-error_t)
-    double eta = kii + static_cast<double>(diag[t]) -
-                 2.0 * static_cast<double>(row_i[t]);
-    if (eta < kTau) eta = kTau;
-    const double gain = diff * diff / eta;
-    // The gain test goes first: it rarely passes once a strong candidate
-    // is found, so the data-dependent candidacy tests are mostly skipped.
-    if (gain > best_gain && diff > 0.0 &&
-        ((y[t] > 0 && alpha[t] > 0.0) || (y[t] < 0 && alpha[t] < C))) {
-      best_gain = gain;
-      best = t;
-    }
-  }
-  return best;
-}
-
 namespace {
 
 /// The feasible segment [lo, hi] of alpha_j for a pair step along the
@@ -148,18 +118,39 @@ inline bool PairStep(double lo, double hi, double ai_old, double aj_old,
   return !(std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12));
 }
 
-/// SMO state: alpha, the error cache (f(x_i) - y_i) and the active set.
+/// SMO state: alpha by original index, and the active set with its
+/// per-point state in active-position order (see smo.h).
 struct Solver {
+  static constexpr int32_t kInactive = -1;
+  static constexpr size_t kNone = simd::kNoPosition;
+
   KernelRowSource& rows;
   const std::vector<int8_t>& y;
   const SmoConfig& cfg;
   size_t n;
   std::vector<double> alpha;
-  std::vector<double> error;  // f(x_i) - y_i; with alpha = 0, f = bias = 0
-  std::vector<float> row_i;   // scratch copy of kernel row i (see below)
-  std::vector<int32_t> active;    // ascending original indices
-  std::vector<uint8_t> in_active;  // n flags mirroring `active`
-  bool shrunk = false;             // active.size() < n
+  // f(x_t) - y_t by original index; with alpha = 0, f = bias = 0. Holds
+  // the starting errors and Unshrink's reconstruction; between those,
+  // the authoritative active errors live in `err`.
+  std::vector<double> error;
+  // Active-position order: position k < count holds original index
+  // active[k] (ascending), its error, its I_up/I_low offsets and K_tt.
+  std::vector<int32_t> active;
+  std::vector<double> err;
+  std::vector<double> up_off;   // 0 in I_up, -inf outside
+  std::vector<double> low_off;  // 0 in I_low, +inf outside
+  std::vector<double> diag;
+  size_t count = 0;
+  std::vector<int32_t> position;  // n; position of t, or kInactive
+  // Row `compact_row` in position order, for the current active set: the
+  // WSS2 scan leaves row i here for the refresh that follows.
+  std::vector<float> row_compact;
+  size_t compact_row = kNone;
+  // The extremes of the current errors over the current active set:
+  // each refresh returns the next ones, a shrink or unshrink voids them.
+  simd::SmoExtremes extremes;
+  bool extremes_valid = false;
+  bool shrunk = false;               // count < n
   bool aggressive_unshrunk = false;  // one-time 10x-tolerance unshrink
   size_t shrink_events = 0;
   size_t unshrink_events = 0;
@@ -168,10 +159,10 @@ struct Solver {
   Solver(KernelRowSource& kernel_rows, const std::vector<int8_t>& labels,
          const SmoConfig& config)
       : rows(kernel_rows), y(labels), cfg(config), n(labels.size()),
-        alpha(n, 0.0), error(n),
-        row_i(n), active(n), in_active(n, 1) {
+        alpha(n, 0.0), error(n), active(n), err(n), up_off(n), low_off(n),
+        diag(n), position(n), row_compact(n) {
     for (size_t i = 0; i < n; ++i) error[i] = -static_cast<double>(y[i]);
-    std::iota(active.begin(), active.end(), 0);
+    ActivateAll();
   }
 
   bool InUp(size_t t) const {
@@ -181,28 +172,52 @@ struct Solver {
     return (y[t] > 0 && alpha[t] > 0.0) || (y[t] < 0 && alpha[t] < cfg.C);
   }
 
-  /// Max up-score / min low-score over the active set (the violation
-  /// m - M drives both the stopping rule and the shrink thresholds).
-  void ScanScores(double& up_best, size_t& up_idx, double& low_best,
-                  size_t& low_idx) const {
-    up_best = -std::numeric_limits<double>::infinity();
-    low_best = std::numeric_limits<double>::infinity();
-    up_idx = n;
-    low_idx = n;
-    for (size_t k = 0; k < active.size(); ++k) {
-      const size_t t = static_cast<size_t>(active[k]);
-      const double score = -error[t];
-      // The score test goes first: it rarely passes once the extremes
-      // settle, so the data-dependent set tests are mostly skipped.
-      if (score > up_best && InUp(t)) {
-        up_best = score;
-        up_idx = t;
-      }
-      if (score < low_best && InLow(t)) {
-        low_best = score;
-        low_idx = t;
-      }
+  /// Re-derives position k's set offsets from alpha.
+  void SetMembership(size_t k) {
+    const size_t t = static_cast<size_t>(active[k]);
+    up_off[k] = InUp(t) ? 0.0 : -std::numeric_limits<double>::infinity();
+    low_off[k] = InLow(t) ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+
+  /// Makes every point active at position = original index, with its
+  /// error taken from `error`.
+  void ActivateAll() {
+    const float* kdiag = rows.Diag();
+    count = n;
+    for (size_t t = 0; t < n; ++t) {
+      active[t] = static_cast<int32_t>(t);
+      position[t] = static_cast<int32_t>(t);
+      err[t] = error[t];
+      diag[t] = static_cast<double>(kdiag[t]);
+      SetMembership(t);
     }
+    extremes_valid = false;
+    compact_row = kNone;
+  }
+
+  simd::SmoActiveView View() {
+    return {err.data(),  up_off.data(), low_off.data(),
+            diag.data(), active.data(), count};
+  }
+
+  size_t PositionOf(size_t t) const {
+    assert(position[t] != kInactive);
+    return static_cast<size_t>(position[t]);
+  }
+
+  /// Max up-score / min low-score over the active set (the violation
+  /// m - M drives both the stopping rule and the shrink thresholds), at
+  /// the positions in `extremes`: the last refresh's, else a fresh scan.
+  /// False when either set is empty.
+  bool ExtremeScores(double& up_best, double& low_best) {
+    if (!extremes_valid) {
+      extremes = simd::SmoScanScores(View());
+      extremes_valid = true;
+    }
+    if (extremes.up == kNone || extremes.low == kNone) return false;
+    up_best = -err[extremes.up];
+    low_best = -err[extremes.low];
+    return true;
   }
 
   /// Selects the working pair over the active set; returns false at the
@@ -211,22 +226,19 @@ struct Solver {
   /// equals -error_t up to a constant bias shift that cancels in every
   /// comparison.
   bool SelectPair(size_t& out_i, size_t& out_j) {
-    double up_best, low_best;
-    size_t up_idx, low_idx;
-    ScanScores(up_best, up_idx, low_best, low_idx);
-    if (up_idx == n || low_idx == n) return false;
+    double up_best = 0.0, low_best = 0.0;
+    if (!ExtremeScores(up_best, low_best)) return false;
     if (up_best - low_best < cfg.tolerance) return false;
     // WSS2: fetch i's kernel row once and pick j by quadratic gain. The
-    // row is read in place (no need to survive a second fetch here);
-    // UpdatePair re-fetches it, which is a cache hit for any source
-    // that can hold a row.
-    const float* gi = rows.Row(up_idx);
-    const size_t j = SelectWss2J(gi, rows.Diag(), error.data(), y.data(),
-                                 alpha.data(), cfg.C, active.data(),
-                                 active.size(),
-                                 static_cast<double>(rows.Diag()[up_idx]),
-                                 up_best);
-    if (j == std::numeric_limits<size_t>::max()) {
+    // scan copies the row into position order as it goes, so the
+    // refresh reads it from there; UpdatePair still re-fetches the row,
+    // which is a cache hit for any source that can hold a row.
+    const size_t up_idx = static_cast<size_t>(active[extremes.up]);
+    const size_t kj = simd::SmoSelectJ(
+        View(), rows.Row(up_idx), static_cast<double>(rows.Diag()[up_idx]),
+        up_best, row_compact.data());
+    compact_row = up_idx;
+    if (kj == kNone) {
       // No candidate violates STRICTLY (diff > 0). With tolerance > 0
       // the check above guarantees one, but a caller-supplied
       // tolerance <= 0 reaches here at an exact active-set optimum —
@@ -234,13 +246,14 @@ struct Solver {
       return false;
     }
     out_i = up_idx;
-    out_j = j;
+    out_j = static_cast<size_t>(active[kj]);
     return true;
   }
 
   /// Analytic two-variable update (Platt). Returns false if no progress.
   bool UpdatePair(size_t i, size_t j) {
     if (i == j) return false;
+    const size_t ki = PositionOf(i), kj = PositionOf(j);
     const double yi = y[i], yj = y[j];
     const double ai_old = alpha[i], aj_old = alpha[j];
     double lo, hi;
@@ -252,21 +265,24 @@ struct Solver {
     const double kii = rows.At(i, i), kjj = rows.At(j, j),
                  kij = rows.At(i, j);
     double aj_new;
-    if (!PairStep(lo, hi, ai_old, aj_old, yi, yj, error[i], error[j], bias,
+    if (!PairStep(lo, hi, ai_old, aj_old, yi, yj, err[ki], err[kj], bias,
                   kii, kjj, kij, aj_new)) {
       return false;
     }
 
-    // Committed: fetch both kernel rows for the error-cache refresh. A
-    // source that cannot hold two rows at once (a 1-row cache reuses
-    // its storage immediately) has row i staged through a scratch copy
-    // first. Either way the arithmetic below reads the same float
-    // values in the same order as the full-Gram solver, keeping the
-    // iterate sequence bit-identical for any row source and cache size.
+    // Committed: fetch both kernel rows for the error-cache refresh. Row
+    // i is read in position order: the WSS2 scan already left it there
+    // unless i came from the fallback scan, in which case it is copied
+    // now — before row j is fetched, because a source that cannot hold
+    // two rows at once (a 1-row cache) reuses its storage immediately.
+    // Either way the refresh reads the same float values in the same
+    // order for any row source and cache size.
     const float* gi = rows.Row(i);
-    if (!rows.CanServeTwoRows()) {
-      std::copy_n(gi, n, row_i.begin());
-      gi = row_i.data();
+    if (compact_row != i) {
+      for (size_t k = 0; k < count; ++k) {
+        row_compact[k] = gi[static_cast<size_t>(active[k])];
+      }
+      compact_row = i;
     }
     const float* gj = rows.Row(j);
 
@@ -276,11 +292,13 @@ struct Solver {
         SnapToBoxBound(ai_old + yi * yj * (aj_old - aj_new), cfg.C);
     alpha[i] = ai_new;
     alpha[j] = aj_new;
+    SetMembership(ki);
+    SetMembership(kj);
 
     // Intercept update (standard SMO bookkeeping).
-    const double b1 = bias - error[i] - yi * (ai_new - ai_old) * kii -
+    const double b1 = bias - err[ki] - yi * (ai_new - ai_old) * kii -
                       yj * (aj_new - aj_old) * kij;
-    const double b2 = bias - error[j] - yi * (ai_new - ai_old) * kij -
+    const double b2 = bias - err[kj] - yi * (ai_new - ai_old) * kij -
                       yj * (aj_new - aj_old) * kjj;
     double new_bias;
     if (ai_new > 0.0 && ai_new < cfg.C) {
@@ -293,15 +311,15 @@ struct Solver {
     const double delta_b = new_bias - bias;
     bias = new_bias;
 
-    // Refresh the error cache over the active set: O(active) with the
-    // two fetched rows. Inactive errors go stale by design; Unshrink
-    // reconstructs them from scratch before they are ever read again.
-    const double di = yi * (ai_new - ai_old);
-    const double dj = yj * (aj_new - aj_old);
-    for (size_t k = 0; k < active.size(); ++k) {
-      const size_t t = static_cast<size_t>(active[k]);
-      error[t] += di * gi[t] + dj * gj[t] + delta_b;
-    }
+    // Refresh the error cache over the active set and find the next
+    // extremes in the same pass. Inactive errors go stale by design;
+    // Unshrink reconstructs them from scratch before they are ever read
+    // again.
+    const simd::SmoRefresh refresh{row_compact.data(), gj,
+                                   yi * (ai_new - ai_old),
+                                   yj * (aj_new - aj_old), delta_b};
+    extremes = simd::SmoRefreshScan(View(), refresh);
+    extremes_valid = true;
     return true;
   }
 
@@ -314,20 +332,25 @@ struct Solver {
   void Unshrink() {
     if (!shrunk) return;
     rows.ClearActiveRestriction();
+    for (size_t k = 0; k < count; ++k) {
+      error[static_cast<size_t>(active[k])] = err[k];
+    }
     for (size_t t = 0; t < n; ++t) {
-      if (!in_active[t]) error[t] = bias - static_cast<double>(y[t]);
+      if (position[t] == kInactive) {
+        error[t] = bias - static_cast<double>(y[t]);
+      }
     }
     for (size_t s = 0; s < n; ++s) {
       if (alpha[s] == 0.0) continue;
       const float* gs = rows.Row(s);
       const double c = alpha[s] * static_cast<double>(y[s]);
       for (size_t t = 0; t < n; ++t) {
-        if (!in_active[t]) error[t] += c * static_cast<double>(gs[t]);
+        if (position[t] == kInactive) {
+          error[t] += c * static_cast<double>(gs[t]);
+        }
       }
     }
-    active.resize(n);
-    std::iota(active.begin(), active.end(), 0);
-    std::fill(in_active.begin(), in_active.end(), uint8_t{1});
+    ActivateAll();
     shrunk = false;
     ++unshrink_events;
   }
@@ -337,23 +360,20 @@ struct Solver {
   /// aggressively (one time), then deactivate bound-pinned points whose
   /// score can no longer enter the working set — an I_up-only point
   /// with score below the min low-score, or an I_low-only point with
-  /// score above the max up-score.
+  /// score above the max up-score. The kept positions compact stably.
   void DoShrink() {
-    double up_best, low_best;
-    size_t up_idx, low_idx;
-    ScanScores(up_best, up_idx, low_best, low_idx);
-    if (up_idx == n || low_idx == n) return;  // SelectPair handles this
+    double up_best = 0.0, low_best = 0.0;
+    if (!ExtremeScores(up_best, low_best)) return;  // SelectPair handles it
     if (!aggressive_unshrunk && up_best - low_best <= cfg.tolerance * 10) {
       aggressive_unshrunk = true;
       Unshrink();
-      ScanScores(up_best, up_idx, low_best, low_idx);
-      if (up_idx == n || low_idx == n) return;
+      if (!ExtremeScores(up_best, low_best)) return;
     }
     size_t kept = 0;
-    for (size_t k = 0; k < active.size(); ++k) {
+    for (size_t k = 0; k < count; ++k) {
       const size_t t = static_cast<size_t>(active[k]);
       const bool up = InUp(t), low = InLow(t);
-      const double score = -error[t];
+      const double score = -err[k];
       bool drop = false;
       if (up && !low) {
         drop = score < low_best;
@@ -361,16 +381,24 @@ struct Solver {
         drop = score > up_best;
       }
       if (drop) {
-        in_active[t] = 0;
-      } else {
-        active[kept++] = active[k];
+        position[t] = kInactive;
+        continue;
       }
+      active[kept] = active[k];
+      err[kept] = err[k];
+      up_off[kept] = up_off[k];
+      low_off[kept] = low_off[k];
+      diag[kept] = diag[k];
+      position[t] = static_cast<int32_t>(kept);
+      ++kept;
     }
-    if (kept < active.size()) {
-      active.resize(kept);
-      shrunk = active.size() < n;
+    if (kept < count) {
+      count = kept;
+      shrunk = true;
       ++shrink_events;
-      rows.RestrictActive(active.data(), active.size());
+      extremes_valid = false;
+      compact_row = kNone;
+      rows.RestrictActive(active.data(), count);
     }
   }
 
@@ -387,15 +415,16 @@ struct Solver {
     // Out of line and over raw locals, so the loop's operands stay in
     // registers instead of spilling around the solver's main loop.
     const float* row_p = rows.PeekRow(p);
-    const float* diag = rows.Diag();
     const int8_t* ys = y.data();
     const double* as = alpha.data();
-    const double* es = error.data();
+    const double* es = err.data();
+    const double* ds = diag.data();
     const int32_t* act = active.data();
-    const size_t count = active.size();
+    const size_t size = count;
     const double C = cfg.C, b = bias;
-    const double yp = ys[p], ap = as[p], ep = es[p], kpp = diag[p];
-    for (size_t k = 0; k < count; ++k) {
+    const size_t kp = PositionOf(p);
+    const double yp = ys[p], ap = as[p], ep = es[kp], kpp = ds[kp];
+    for (size_t k = 0; k < size; ++k) {
       const size_t t = static_cast<size_t>(act[k]);
       if (t == i || t == j) continue;
       const double yt = ys[t], at = as[t];
@@ -403,15 +432,15 @@ struct Solver {
       if (kPinnedFirst) {
         if (!PairBox(yp, yt, ap, at, C, lo, hi)) continue;
         const double kpt = row_p != nullptr ? row_p[t] : rows.At(p, t);
-        if (PairStep(lo, hi, ap, at, yp, yt, ep, es[t], b, kpp, diag[t],
-                     kpt, aj_new)) {
+        if (PairStep(lo, hi, ap, at, yp, yt, ep, es[k], b, kpp, ds[k], kpt,
+                     aj_new)) {
           return t;
         }
       } else {
         if (!PairBox(yt, yp, at, ap, C, lo, hi)) continue;
         const double ktp = row_p != nullptr ? row_p[t] : rows.At(t, p);
-        if (PairStep(lo, hi, at, ap, yt, yp, es[t], ep, b, diag[t], kpp,
-                     ktp, aj_new)) {
+        if (PairStep(lo, hi, at, ap, yt, yp, es[k], ep, b, ds[k], kpp, ktp,
+                     aj_new)) {
           return t;
         }
       }
@@ -541,18 +570,6 @@ Result<SmoSolution> SolveSmo(KernelRowSource& rows,
     g_smo_unconverged.fetch_add(1, std::memory_order_relaxed);
   }
   return sol;
-}
-
-Result<SmoSolution> SolveSmo(const std::vector<float>& gram,
-                             const std::vector<int8_t>& y,
-                             const SmoConfig& config) {
-  const size_t n = y.size();
-  if (n == 0) return Status::InvalidArgument("empty problem");
-  if (gram.size() != n * n) {
-    return Status::InvalidArgument("gram size != n*n");
-  }
-  FullGramRowSource rows(gram, n);
-  return SolveSmo(rows, y, config);
 }
 
 }  // namespace ml

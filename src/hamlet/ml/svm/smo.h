@@ -17,14 +17,40 @@
 // for another partner; a solve that runs out of max_iterations returns
 // converged == false and is counted in SmoTotals::unconverged.
 //
-// Kernel rows are supplied by a KernelRowSource: either the lazy LRU
-// KernelCache (the production path, see kernel_cache.h) or a precomputed
-// full Gram matrix wrapped in FullGramRowSource. A source whose row
-// pointers cannot survive one subsequent fetch (CanServeTwoRows() ==
-// false, e.g. a 1-row cache) has row i staged through a solver-side
-// scratch copy; either way the arithmetic consumes identical float
-// values in identical order, so the solution is bit-identical for any
-// row source and any cache size.
+// Active-order layout. The solver keeps the per-point state its loop
+// reads — the error cache, I_up/I_low membership and the kernel
+// diagonal — in active-position order (simd::SmoActiveView): position k
+// holds the k-th smallest active original index, plus a map from
+// original index to position. Every O(active) pass is then a unit-stride
+// loop; only kernel-row reads go through the active index list. A shrink
+// compacts the arrays stably and an unshrink scatters them back, so a
+// lower position is always a lower original index and every
+// first-maximum tie-break still resolves to the lowest original index.
+// Membership is an additive offset on the score (0 for a member, -inf /
+// +inf outside I_up / I_low), so the scans need no per-point branches.
+//
+// One pass per pair update. Each iteration makes two O(active) passes,
+// both in simd/ (scalar and AVX2 versions, the backend picked from the
+// CPU): the WSS2 j-scan, which also copies row i into position order,
+// and the error refresh, which returns the next iteration's (up, low)
+// extremes in the same pass. A fresh score scan runs only after a
+// shrink or unshrink changes the active set.
+//
+// Division-free WSS2. The j-scan starts from -inf and skips a candidate
+// without dividing when d^2 <= fl(fl(best * eta) * (1 - 2^-50)), which
+// is exact while best * eta is a normal number: two roundings cannot
+// lift the bound to best * eta, so no skipped candidate could have
+// beaten best (simd/smo_scan.cc has the proof). Other candidates take
+// the exact division; until a positive gain is taken none is skipped,
+// so a zero-gain pick and the no-violator sentinel keep their meaning.
+//
+// Kernel rows are supplied by a KernelRowSource (in production the lazy
+// LRU KernelCache, see kernel_cache.h). Row i is copied into position
+// order by the j-scan, before row j is fetched, and the refresh reads
+// that copy, so a row pointer never has to survive a second fetch. The
+// arithmetic consumes identical float values in identical order, with
+// no fused multiply-add, so the solution is bit-identical for any row
+// source, any cache size and either SIMD backend.
 
 #ifndef HAMLET_ML_SVM_SMO_H_
 #define HAMLET_ML_SVM_SMO_H_
@@ -62,8 +88,8 @@ struct SmoSolution {
   size_t iterations = 0;
   bool converged = false;
   size_t num_support_vectors = 0;
-  /// Row-source counters (KernelCache hits/misses; a FullGramRowSource
-  /// counts every access as a hit). hits + misses = total row fetches.
+  /// Row-source counters (the source's hits()/misses(), e.g. the
+  /// KernelCache's). hits + misses = total row fetches.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Shrink passes that deactivated at least one point.
@@ -143,46 +169,8 @@ class KernelRowSource {
   /// Lifts the restriction: subsequent Row() calls serve fully valid
   /// rows again (gradient reconstruction needs the dead columns).
   virtual void ClearActiveRestriction() {}
-  /// True when a returned row pointer additionally survives ONE
-  /// subsequent Row() call for a different index (the source can hold
-  /// two rows at once). The solver then reads the pair (i, j) directly
-  /// instead of staging row i through a scratch copy; the float values
-  /// are identical either way, so solutions stay bit-identical.
-  virtual bool CanServeTwoRows() const { return true; }
   virtual uint64_t hits() const { return 0; }
   virtual uint64_t misses() const { return 0; }
-};
-
-/// Thin adapter presenting a precomputed n x n row-major Gram matrix as a
-/// row source. Keeps the historical SolveSmo(gram, ...) entry point and
-/// the tests' hand-crafted Gram matrices working; every access counts as
-/// a hit (the matrix is fully materialised) and active restrictions are
-/// no-ops (full rows are always valid).
-class FullGramRowSource : public KernelRowSource {
- public:
-  /// `gram` must outlive the adapter and hold n*n floats.
-  FullGramRowSource(const std::vector<float>& gram, size_t n)
-      : gram_(gram), n_(n), diag_(n) {
-    for (size_t i = 0; i < n; ++i) diag_[i] = gram[i * n + i];
-  }
-
-  const float* Row(size_t i) override {
-    ++hits_;
-    return gram_.data() + i * n_;
-  }
-  float At(size_t i, size_t j) const override { return gram_[i * n_ + j]; }
-  const float* PeekRow(size_t i) const override {
-    return gram_.data() + i * n_;
-  }
-  const float* Diag() const override { return diag_.data(); }
-  size_t size() const override { return n_; }
-  uint64_t hits() const override { return hits_; }
-
- private:
-  const std::vector<float>& gram_;
-  size_t n_;
-  std::vector<float> diag_;
-  uint64_t hits_ = 0;
 };
 
 /// Platt's endpoint-objective rule for a degenerate-curvature pair
@@ -207,30 +195,9 @@ double DegenerateEndpointAj(double lo, double hi, double ai_old,
 /// direct unit testing.
 double SnapToBoxBound(double a, double C);
 
-/// Second-order (WSS2) j-step: given i's kernel row and up-score
-/// `up_best` (= -error_i), returns the original index of the I_low
-/// candidate maximising the quadratic gain
-///   (up_best - score_t)^2 / max(kii + K_tt - 2*K_it, tau),  tau = 1e-12,
-/// over the `active_count` ascending original indices in `active`, or
-/// SIZE_MAX when no candidate violates (up_best - score_t <= 0 for all).
-/// Ties in gain break to the LOWEST original index (the scan keeps the
-/// first maximum), which pins the iterate sequence deterministically.
-/// Exposed for direct tie-break testing; the solver calls it with the
-/// row it fetched for i during selection.
-size_t SelectWss2J(const float* row_i, const float* diag,
-                   const double* error, const int8_t* y,
-                   const double* alpha, double C, const int32_t* active,
-                   size_t active_count, double kii, double up_best);
-
 /// Runs SMO against `rows` (n x n kernel values served row by row);
 /// `y` holds labels in {-1, +1} and y.size() must equal rows.size().
 Result<SmoSolution> SolveSmo(KernelRowSource& rows,
-                             const std::vector<int8_t>& y,
-                             const SmoConfig& config);
-
-/// Historical entry point: `gram` is the full n x n kernel matrix
-/// (row-major float). Wraps it in FullGramRowSource and solves.
-Result<SmoSolution> SolveSmo(const std::vector<float>& gram,
                              const std::vector<int8_t>& y,
                              const SmoConfig& config);
 

@@ -115,6 +115,31 @@ void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
   detail::MatchCountsPopcount(layout, query, rows, indices, n, counts);
 }
 
+SmoExtremes SmoScanScores(const SmoActiveView& view) {
+#ifdef HAMLET_X86_NATIVE
+  if (detail::Avx2Supported()) return detail::SmoScanAvx2(view, nullptr);
+#endif
+  return detail::SmoScanScalar(view, nullptr);
+}
+
+SmoExtremes SmoRefreshScan(const SmoActiveView& view,
+                           const SmoRefresh& refresh) {
+#ifdef HAMLET_X86_NATIVE
+  if (detail::Avx2Supported()) return detail::SmoScanAvx2(view, &refresh);
+#endif
+  return detail::SmoScanScalar(view, &refresh);
+}
+
+size_t SmoSelectJ(const SmoActiveView& view, const float* row_i,
+                  double kii, double up_best, float* row_i_out) {
+#ifdef HAMLET_X86_NATIVE
+  if (detail::Avx2Supported()) {
+    return detail::SmoSelectJAvx2(view, row_i, kii, up_best, row_i_out);
+  }
+#endif
+  return detail::SmoSelectJScalar(view, row_i, kii, up_best, row_i_out);
+}
+
 size_t PackedMismatchCountBounded(const PackedLayout& layout,
                                   const uint64_t* a, const uint64_t* b,
                                   size_t limit) {

@@ -22,6 +22,14 @@
 //
 // The word-level helpers here are layout math on raw pointers only; the
 // owning container is data/packed_code_matrix.h.
+//
+// The SMO solver's three per-iteration scans live here too (see
+// SmoActiveView below): the score scan, the fused error refresh + score
+// scan, and the WSS2 j-scan. Each has a portable scalar version and an
+// AVX2 version; the AVX2 one runs where the CPU has it, picked from the
+// CPU alone like the popcount. Both return the same positions and write
+// the same error bits for every input, so SMO is bit-identical across
+// backends (tests/smo_kernel_parity_test.cc).
 
 #ifndef HAMLET_PACKED_SIMD_H_
 #define HAMLET_PACKED_SIMD_H_
@@ -137,6 +145,70 @@ void SplitStatsScan(const uint32_t* codes, size_t num_features,
                     const uint8_t* labels, const uint32_t* row_ids, size_t n,
                     size_t feature, uint32_t* count, uint32_t* pos_count,
                     std::vector<uint32_t>& touched);
+
+/// "No position": the scans' result when no active position qualifies.
+inline constexpr size_t kNoPosition = static_cast<size_t>(-1);
+
+/// The SMO solver's per-point state in active-position order: position k
+/// holds original index active[k], with active ascending, so a lower
+/// position is a lower original index and "first position" tie-breaks
+/// are lowest-original-index tie-breaks. Set membership is stored as an
+/// additive offset on the selection score -err[k]: up_off[k] is 0 in
+/// I_up and -inf outside, low_off[k] is 0 in I_low and +inf outside, so
+/// a non-member's masked score can never win a max (up) or min (low)
+/// scan. Positions [0, count) are read.
+struct SmoActiveView {
+  double* err = nullptr;            ///< error cache f(x) - y
+  const double* up_off = nullptr;   ///< 0 in I_up, -inf outside
+  const double* low_off = nullptr;  ///< 0 in I_low, +inf outside
+  const double* diag = nullptr;     ///< K(x, x)
+  const int32_t* active = nullptr;  ///< original index at each position
+  size_t count = 0;
+};
+
+/// The positions of the working-set extremes: `up` is the first position
+/// maximising -err[k] + up_off[k], `low` the first minimising
+/// -err[k] + low_off[k] (kNoPosition when no score beats the infinite
+/// start, e.g. no member). A caller wanting the winner's score reads
+/// -err[up] itself: a masked score adds 0.0, which turns -0 into +0.
+struct SmoExtremes {
+  size_t up = kNoPosition;
+  size_t low = kNoPosition;
+};
+
+/// The error-cache refresh of one SMO pair update: at every position,
+///   err[k] = err[k] + ((di * gi[k] + dj * gj[active[k]]) + db)
+/// in exactly that association, with no fused multiply-add. `gi` is row
+/// i in position order (compact); `gj` is row j by original index.
+struct SmoRefresh {
+  const float* gi = nullptr;
+  const float* gj = nullptr;
+  double di = 0.0;
+  double dj = 0.0;
+  double db = 0.0;
+};
+
+/// Scans the view for the working-set extremes without changing it.
+SmoExtremes SmoScanScores(const SmoActiveView& view);
+
+/// Applies `refresh` to view.err and scans the refreshed errors for the
+/// extremes in the same pass.
+SmoExtremes SmoRefreshScan(const SmoActiveView& view,
+                           const SmoRefresh& refresh);
+
+/// The WSS2 j-step (LIBSVM's second-order selection; Fan, Chen & Lin,
+/// JMLR 2005): the first position maximising the quadratic gain
+///   d^2 / max(kii + diag[k] - 2 K_ik, 1e-12),
+///   d = (up_best + err[k]) - low_off[k],
+/// over the positions with d > 0 (I_low members violating against
+/// up_best), or kNoPosition when none has d > 0. K_ik is read from
+/// row_i[active[k]] (row i by original index) and copied to
+/// row_i_out[k], so the caller keeps row i in position order for the
+/// refresh that follows. Most divisions are skipped by an exact
+/// prefilter (smo_scan.cc states the argument); the chosen position is
+/// the one a plain divide-everywhere scan from -inf would choose.
+size_t SmoSelectJ(const SmoActiveView& view, const float* row_i,
+                  double kii, double up_best, float* row_i_out);
 
 /// Process-wide packed-path counters for bench reporting, summed with
 /// relaxed atomics (same pattern as GlobalKernelCacheTotals): matrix

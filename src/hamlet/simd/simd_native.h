@@ -1,8 +1,10 @@
-// Internal interface between the public match-counting entry points
-// (simd.cc) and the word routines (simd_native.cc). Every routine runs
-// the same guard-bit carry trick per word — only the popcount differs —
-// so all of them return the same count for every input. Exposed so the
-// parity suite can check each one directly; include hamlet/simd/simd.h
+// Internal interface between the public entry points (simd.cc) and the
+// routines behind them: the match-counting word routines
+// (simd_native.cc) and the SMO scans (smo_scan.cc). Every word routine
+// runs the same guard-bit carry trick per word — only the popcount
+// differs — so all of them return the same count for every input; every
+// SMO scan returns the same positions and error bits. Exposed so the
+// parity suites can check each one directly; include hamlet/simd/simd.h
 // for the public API.
 
 #ifndef HAMLET_PACKED_SIMD_NATIVE_H_
@@ -19,6 +21,9 @@ namespace hamlet {
 namespace simd {
 
 struct PackedLayout;
+struct SmoActiveView;
+struct SmoExtremes;
+struct SmoRefresh;
 
 namespace detail {
 
@@ -54,6 +59,14 @@ void MatchCountsPopcount(const PackedLayout& layout, const uint64_t* query,
                          const uint64_t* rows, const int32_t* indices,
                          size_t n, uint32_t* counts);
 
+/// The SMO scans (the contracts of simd::SmoScanScores / SmoRefreshScan,
+/// with refresh == nullptr for the former, and simd::SmoSelectJ), one
+/// position at a time; any host.
+SmoExtremes SmoScanScalar(const SmoActiveView& view,
+                          const SmoRefresh* refresh);
+size_t SmoSelectJScalar(const SmoActiveView& view, const float* row_i,
+                        double kii, double up_best, float* row_i_out);
+
 #ifdef HAMLET_X86_NATIVE
 /// True when the CPU has AVX2. Cached after the first call.
 bool Avx2Supported();
@@ -65,6 +78,13 @@ size_t MismatchAvx2(const PackedLayout& layout, const uint64_t* a,
 void MatchCountsAvx2(const PackedLayout& layout, const uint64_t* query,
                      const uint64_t* rows, const int32_t* indices, size_t n,
                      uint32_t* counts);
+
+/// The SMO scans, four positions per AVX2 step; only call when
+/// Avx2Supported().
+SmoExtremes SmoScanAvx2(const SmoActiveView& view,
+                        const SmoRefresh* refresh);
+size_t SmoSelectJAvx2(const SmoActiveView& view, const float* row_i,
+                      double kii, double up_best, float* row_i_out);
 #endif
 
 }  // namespace detail

@@ -18,6 +18,7 @@
 #include "hamlet/relational/csv.h"
 #include "hamlet/relational/join.h"
 #include "hamlet/synth/onexr.h"
+#include "gram_source.h"
 
 namespace hamlet {
 namespace {
@@ -83,13 +84,13 @@ TEST(SmoKktTest, ConvergedSolutionSatisfiesKkt) {
   std::vector<int8_t> y(n);
   for (auto& v : y) v = rng.Bernoulli(0.5) ? 1 : -1;
   ml::KernelConfig kc{ml::KernelType::kRbf, 0.4, 2};
-  const std::vector<float> gram = ml::ComputeGram(kc, rows, n, d);
+  const std::vector<float> gram = test::ComputeGram(kc, rows, n, d);
 
   ml::SmoConfig cfg;
   cfg.C = 3.0;
   cfg.tolerance = 1e-3;
   cfg.max_iterations = 200000;
-  Result<ml::SmoSolution> sol = ml::SolveSmo(gram, y, cfg);
+  Result<ml::SmoSolution> sol = test::SolveSmo(gram, y, cfg);
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol.value().converged);
 

@@ -19,6 +19,7 @@
 #include "hamlet/ml/svm/kernel_cache.h"
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
+#include "gram_source.h"
 #include "parity_util.h"
 #include "smo_oracle.h"
 
@@ -68,7 +69,7 @@ TEST(KernelCacheTest, RowsBitIdenticalToComputeGram) {
     const CodeMatrix m(p.train);
     const size_t n = m.num_rows();
     const std::vector<float> gram =
-        ComputeGram(kc, m.codes(), n, m.num_features());
+        test::ComputeGram(kc, m.codes(), n, m.num_features());
     // Capacity 1 forces a recompute on every access; recomputed rows must
     // still match the full Gram exactly.
     KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(1, n));
@@ -143,9 +144,9 @@ TEST(KernelCacheTest, DiagMatchesGramDiagonal) {
   const size_t n = probe.num_rows();
   for (const KernelConfig& kc : AllKernels()) {
     const std::vector<float> gram =
-        ComputeGram(kc, probe.codes(), n, probe.num_features());
+        test::ComputeGram(kc, probe.codes(), n, probe.num_features());
     KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
-    FullGramRowSource full(gram, n);
+    test::FullGramRowSource full(gram, n);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(cache.Diag()[i], gram[i * n + i])
           << KernelTypeName(kc.type) << " i=" << i;
@@ -161,7 +162,7 @@ TEST(KernelCacheTest, RestrictActiveComputesOnlyActiveColumns) {
   ASSERT_GE(n, 12u);
   const KernelConfig kc = AllKernels()[2];
   const std::vector<float> gram =
-      ComputeGram(kc, probe.codes(), n, probe.num_features());
+      test::ComputeGram(kc, probe.codes(), n, probe.num_features());
   KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
 
   // A row computed before any restriction is full and stays valid.
@@ -210,7 +211,7 @@ TEST(KernelCacheTest, PeekRowServesOnlyResidentValidRowsWithoutCounting) {
   ASSERT_GE(n, 6u);
   const KernelConfig kc = AllKernels()[2];
   const std::vector<float> gram =
-      ComputeGram(kc, probe.codes(), n, probe.num_features());
+      test::ComputeGram(kc, probe.codes(), n, probe.num_features());
   KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(2, n));
   auto same_bits = [&](const float* row, size_t i) {
     return std::memcmp(row, gram.data() + i * n, n * sizeof(float)) == 0;
@@ -254,7 +255,7 @@ TEST(KernelCacheTest, PeekRowServesOnlyResidentValidRowsWithoutCounting) {
   ASSERT_NE(cache.PeekRow(2), nullptr);  // full rows stay valid
   EXPECT_TRUE(same_bits(cache.PeekRow(2), 2));
 
-  FullGramRowSource full(gram, n);
+  test::FullGramRowSource full(gram, n);
   EXPECT_EQ(full.PeekRow(3), gram.data() + 3 * n);
   EXPECT_EQ(full.hits(), 0u);
 }
@@ -316,8 +317,9 @@ TEST(KernelCacheEnvTest, GarbageAndZeroFallBackToDefault) {
 
 /// The cached solver must be bit-identical to the full-Gram adapter:
 /// same alpha bits, same bias, same iteration count, same support-vector
-/// set, at every cache size — because the solver stages rows through a
-/// scratch copy, never branches on cache residency, and the cache serves
+/// set, at every cache size — because the solver copies row i into
+/// position order before fetching row j, never branches on cache
+/// residency, and the cache serves
 /// ComputeGram-identical floats (partial rows included: the restricted
 /// entries are the only ones read).
 TEST(SmoCacheParityTest, SolutionBitIdenticalAtAllCacheSizes) {
@@ -328,8 +330,8 @@ TEST(SmoCacheParityTest, SolutionBitIdenticalAtAllCacheSizes) {
     const CodeMatrix m(p.train);
     const size_t n = m.num_rows();
     const std::vector<float> gram =
-        ComputeGram(kc, m.codes(), n, m.num_features());
-    const Result<SmoSolution> base = SolveSmo(gram, p.y, cfg);
+        test::ComputeGram(kc, m.codes(), n, m.num_features());
+    const Result<SmoSolution> base = test::SolveSmo(gram, p.y, cfg);
     ASSERT_TRUE(base.ok());
     ASSERT_GT(base.value().num_support_vectors, 0u);
 
@@ -407,7 +409,7 @@ TEST(SmoStuckPairRegressionTest, SnappedAlphaConvergesOnEverySource) {
   for (size_t i = 0; i < n; ++i) y[i] = m.label(i) == 1 ? 1 : -1;
   const KernelConfig kc{KernelType::kRbf, 0.1, 2};
   const std::vector<float> gram =
-      ComputeGram(kc, m.codes(), n, m.num_features());
+      test::ComputeGram(kc, m.codes(), n, m.num_features());
 
   test::ScopedEnvVar full_budget("HAMLET_SMO_CACHE_MB", "64");
   SmoConfig cfg;
@@ -415,7 +417,7 @@ TEST(SmoStuckPairRegressionTest, SnappedAlphaConvergesOnEverySource) {
   cfg.max_iterations = 5000;
   KernelCache full_cache(CodeMatrix(views.train), kc, 0);
   KernelCache one_row(CodeMatrix(views.train), kc, BytesForRows(1, n));
-  FullGramRowSource full_gram(gram, n);
+  test::FullGramRowSource full_gram(gram, n);
   ASSERT_EQ(full_cache.capacity_rows(), n);
   ASSERT_EQ(one_row.capacity_rows(), 1u);
   const Result<SmoSolution> reference = SolveSmo(full_cache, y, cfg);
@@ -452,7 +454,7 @@ TEST(SmoOptimalityTest, ConvergesToFullProblemOptimumAcrossKernelsAndCaches) {
   cfg.C = 5.0;
   for (const KernelConfig& kc : AllKernels()) {
     const std::vector<float> gram =
-        ComputeGram(kc, m.codes(), n, m.num_features());
+        test::ComputeGram(kc, m.codes(), n, m.num_features());
     for (size_t cache_bytes : {BytesForRows(1, n), kUnbounded}) {
       KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
       const Result<SmoSolution> sol = SolveSmo(cache, p.y, cfg);

@@ -1,7 +1,8 @@
-// Solver-independent reference check for the SMO suites (svm_test.cc,
-// kernel_cache_test.cc): the full-problem KKT violation of a dual
-// iterate, recomputed from scratch over a full Gram matrix. It shares no
-// code with the solver, so it can judge any solution the solver returns.
+// Solver-independent references for the SMO suites (svm_test.cc,
+// kernel_cache_test.cc, smo_kernel_parity_test.cc): the full-problem KKT
+// violation of a dual iterate, recomputed from scratch over a full Gram
+// matrix, and the plain WSS2 j-step over original indices. They share no
+// code with the solver, so they can judge anything the solver returns.
 
 #ifndef HAMLET_TESTS_SMO_ORACLE_H_
 #define HAMLET_TESTS_SMO_ORACLE_H_
@@ -40,6 +41,40 @@ inline double FullProblemViolation(const std::vector<float>& gram,
     if (in_low && score < low_best) low_best = score;
   }
   return up_best - low_best;
+}
+
+/// The plain second-order (WSS2) j-step over original indices: given
+/// i's kernel row and up-score `up_best` (= -error_i), the I_low
+/// candidate maximising the quadratic gain
+///   (up_best - score_t)^2 / max(kii + K_tt - 2*K_it, tau),  tau = 1e-12,
+/// over the `active_count` ascending original indices in `active`, or
+/// SIZE_MAX when no candidate violates (up_best - score_t <= 0 for all).
+/// It starts from -inf and divides at every candidate; strict > keeps
+/// the first maximum, so equal gains resolve to the lowest original
+/// index. simd::SmoSelectJ must pick the same candidate.
+inline size_t SelectWss2J(const float* row_i, const float* diag,
+                          const double* error, const int8_t* y,
+                          const double* alpha, double C,
+                          const int32_t* active, size_t active_count,
+                          double kii, double up_best) {
+  constexpr double kTau = 1e-12;
+  double best_gain = -std::numeric_limits<double>::infinity();
+  size_t best = std::numeric_limits<size_t>::max();
+  for (size_t k = 0; k < active_count; ++k) {
+    const size_t t = static_cast<size_t>(active[k]);
+    const double diff = up_best + error[t];  // up_best - (-error_t)
+    double eta = kii + static_cast<double>(diag[t]) -
+                 2.0 * static_cast<double>(row_i[t]);
+    if (eta < kTau) eta = kTau;
+    const double gain = diff * diff / eta;
+    const bool in_low = (y[t] > 0 && alpha[t] > 0.0) ||
+                        (y[t] < 0 && alpha[t] < C);
+    if (gain > best_gain && diff > 0.0 && in_low) {
+      best_gain = gain;
+      best = t;
+    }
+  }
+  return best;
 }
 
 }  // namespace test

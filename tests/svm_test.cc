@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
@@ -12,6 +13,8 @@
 #include "hamlet/ml/svm/kernel.h"
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
+#include "hamlet/simd/simd.h"
+#include "gram_source.h"
 #include "smo_oracle.h"
 
 namespace hamlet {
@@ -66,7 +69,7 @@ TEST(KernelTest, GramIsSymmetricWithUnitDiagonalForRbf) {
   std::vector<uint32_t> rows(n * d);
   for (auto& v : rows) v = static_cast<uint32_t>(rng.UniformInt(4));
   KernelConfig cfg{KernelType::kRbf, 0.2, 2};
-  const std::vector<float> gram = ComputeGram(cfg, rows, n, d);
+  const std::vector<float> gram = test::ComputeGram(cfg, rows, n, d);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_FLOAT_EQ(gram[i * n + i], 1.0f);
     for (size_t j = 0; j < n; ++j) {
@@ -78,14 +81,14 @@ TEST(KernelTest, GramIsSymmetricWithUnitDiagonalForRbf) {
 // ------------------------------------------------------------------- SMO --
 
 TEST(SmoTest, RejectsBadInput) {
-  EXPECT_FALSE(SolveSmo({}, {}, {}).ok());
+  EXPECT_FALSE(test::SolveSmo({}, {}, {}).ok());
   std::vector<float> gram = {1.0f};
-  EXPECT_FALSE(SolveSmo(gram, {2}, {}).ok());  // bad label
+  EXPECT_FALSE(test::SolveSmo(gram, {2}, {}).ok());  // bad label
 }
 
 TEST(SmoTest, SingleClassDegenerates) {
   std::vector<float> gram = {1.0f, 0.0f, 0.0f, 1.0f};
-  Result<SmoSolution> sol = SolveSmo(gram, {1, 1}, {});
+  Result<SmoSolution> sol = test::SolveSmo(gram, {1, 1}, {});
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol.value().converged);
   EXPECT_EQ(sol.value().num_support_vectors, 0u);
@@ -96,7 +99,7 @@ TEST(SmoTest, SingleClassSolutionFieldsAreFullyPinned) {
   // deterministically, not just the ones it happens to touch.
   std::vector<float> gram = {1.0f, 0.0f, 0.0f, 1.0f};
   for (int8_t label : {int8_t{1}, int8_t{-1}}) {
-    Result<SmoSolution> sol = SolveSmo(gram, {label, label}, {});
+    Result<SmoSolution> sol = test::SolveSmo(gram, {label, label}, {});
     ASSERT_TRUE(sol.ok());
     const SmoSolution& s = sol.value();
     EXPECT_EQ(s.alpha, std::vector<double>(2, 0.0));
@@ -116,7 +119,7 @@ TEST(SmoTest, ExhaustedIterationBudgetStillPinsAllFields) {
   SmoConfig cfg;
   cfg.C = 10.0;
   cfg.max_iterations = 1;
-  Result<SmoSolution> sol = SolveSmo(gram, {1, -1}, cfg);
+  Result<SmoSolution> sol = test::SolveSmo(gram, {1, -1}, cfg);
   ASSERT_TRUE(sol.ok());
   const SmoSolution& s = sol.value();
   EXPECT_FALSE(s.converged);
@@ -132,7 +135,7 @@ TEST(SmoTest, SolvesTwoPointProblem) {
   std::vector<float> gram = {1.0f, 0.0f, 0.0f, 1.0f};
   SmoConfig cfg;
   cfg.C = 10.0;
-  Result<SmoSolution> sol = SolveSmo(gram, {1, -1}, cfg);
+  Result<SmoSolution> sol = test::SolveSmo(gram, {1, -1}, cfg);
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol.value().converged);
   EXPECT_NEAR(sol.value().alpha[0], sol.value().alpha[1], 1e-6);
@@ -153,7 +156,7 @@ TEST(SmoTest, AlphasRespectBoxAndEqualityConstraints) {
   SmoConfig cfg;
   cfg.C = 2.0;
   Result<SmoSolution> sol =
-      SolveSmo(ComputeGram(kc, rows, n, d), y, cfg);
+      test::SolveSmo(test::ComputeGram(kc, rows, n, d), y, cfg);
   ASSERT_TRUE(sol.ok());
   double eq = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -279,7 +282,8 @@ TEST(SmoDegenerateTest, DuplicateRowProblemStaysStableAndFeasible) {
   KernelConfig kc{KernelType::kRbf, 0.5, 2};
   SmoConfig cfg;
   cfg.C = 4.0;
-  Result<SmoSolution> sol = SolveSmo(ComputeGram(kc, rows, n, d), y, cfg);
+  Result<SmoSolution> sol =
+      test::SolveSmo(test::ComputeGram(kc, rows, n, d), y, cfg);
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol.value().converged);
   EXPECT_LT(sol.value().iterations, cfg.max_iterations);
@@ -294,6 +298,43 @@ TEST(SmoDegenerateTest, DuplicateRowProblemStaysStableAndFeasible) {
 
 // ----------------------------------------------- WSS2 working-set select --
 
+/// simd::SmoSelectJ on a problem given by original index (the oracle's
+/// signature): lays the active points out in position order the way the
+/// solver does, and maps the chosen position back to its original index
+/// (SIZE_MAX for none). Also checks the copied-out row and that the
+/// oracle picks the same candidate.
+size_t SelectJ(const float* row_i, const float* diag, const double* error,
+               const int8_t* y, const double* alpha, double C,
+               const int32_t* active, size_t count, double kii,
+               double up_best) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> err(count), up_off(count), low_off(count),
+      kdiag(count);
+  for (size_t k = 0; k < count; ++k) {
+    const size_t t = static_cast<size_t>(active[k]);
+    err[k] = error[t];
+    const bool in_up = (y[t] > 0 && alpha[t] < C) || (y[t] < 0 && alpha[t] > 0);
+    const bool in_low =
+        (y[t] > 0 && alpha[t] > 0) || (y[t] < 0 && alpha[t] < C);
+    up_off[k] = in_up ? 0.0 : -kInf;
+    low_off[k] = in_low ? 0.0 : kInf;
+    kdiag[k] = diag[t];
+  }
+  const simd::SmoActiveView view{err.data(),   up_off.data(), low_off.data(),
+                                 kdiag.data(), active,        count};
+  std::vector<float> row_out(count);
+  const size_t k = simd::SmoSelectJ(view, row_i, kii, up_best, row_out.data());
+  for (size_t p = 0; p < count; ++p) {
+    EXPECT_EQ(row_out[p], row_i[active[p]]) << "position " << p;
+  }
+  const size_t chosen = k == simd::kNoPosition
+                            ? std::numeric_limits<size_t>::max()
+                            : static_cast<size_t>(active[k]);
+  EXPECT_EQ(chosen, test::SelectWss2J(row_i, diag, error, y, alpha, C,
+                                      active, count, kii, up_best));
+  return chosen;
+}
+
 TEST(SmoWss2SelectTest, TieBreaksToLowestIndexOnEqualGain) {
   // Candidates 1 and 2 are exact clones (same error, diagonal, and row-i
   // entry), so their quadratic gains are bit-identical; candidate 3
@@ -304,8 +345,8 @@ TEST(SmoWss2SelectTest, TieBreaksToLowestIndexOnEqualGain) {
   const int8_t y[] = {1, -1, -1, -1};
   const double alpha[] = {0.0, 0.0, 0.0, 0.0};
   const int32_t active[] = {0, 1, 2, 3};
-  EXPECT_EQ(SelectWss2J(row_i, diag, error, y, alpha, /*C=*/10.0, active, 4,
-                        /*kii=*/1.0, /*up_best=*/1.0),
+  EXPECT_EQ(SelectJ(row_i, diag, error, y, alpha, /*C=*/10.0, active, 4,
+                    /*kii=*/1.0, /*up_best=*/1.0),
             1u);
 }
 
@@ -318,8 +359,8 @@ TEST(SmoWss2SelectTest, PicksMaxGainCandidate) {
   const int8_t y[] = {1, -1, -1, -1};
   const double alpha[] = {0.0, 0.0, 0.0, 0.0};
   const int32_t active[] = {0, 1, 2, 3};
-  EXPECT_EQ(SelectWss2J(row_i, diag, error, y, alpha, /*C=*/10.0, active, 4,
-                        /*kii=*/1.0, /*up_best=*/1.0),
+  EXPECT_EQ(SelectJ(row_i, diag, error, y, alpha, /*C=*/10.0, active, 4,
+                    /*kii=*/1.0, /*up_best=*/1.0),
             2u);
 }
 
@@ -331,21 +372,21 @@ TEST(SmoWss2SelectTest, NoViolatingCandidateReturnsSentinel) {
   const int8_t y[] = {1, -1};
   const double alpha[] = {0.0, 0.0};
   const int32_t active[] = {0, 1};
-  EXPECT_EQ(SelectWss2J(row_i, diag, error, y, alpha, /*C=*/10.0, active, 2,
-                        /*kii=*/1.0, /*up_best=*/1.0),
+  EXPECT_EQ(SelectJ(row_i, diag, error, y, alpha, /*C=*/10.0, active, 2,
+                    /*kii=*/1.0, /*up_best=*/1.0),
             std::numeric_limits<size_t>::max());
 }
 
 TEST(SmoWss2SelectTest, ZeroToleranceStopsAtExactOptimumInsteadOfCrashing) {
   // tolerance = 0 lets SelectPair pass its violation check at an EXACT
   // active-set optimum (up_best == low_best), where no candidate
-  // violates strictly and SelectWss2J returns its sentinel. The solver
+  // violates strictly and SmoSelectJ returns its sentinel. The solver
   // must treat that as optimality, not index with SIZE_MAX.
   std::vector<float> gram = {1.0f, 0.0f, 0.0f, 1.0f};
   SmoConfig cfg;
   cfg.C = 10.0;
   cfg.tolerance = 0.0;
-  const Result<SmoSolution> sol = SolveSmo(gram, {1, -1}, cfg);
+  const Result<SmoSolution> sol = test::SolveSmo(gram, {1, -1}, cfg);
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol.value().alpha[0], sol.value().alpha[1], 1e-9);
 }
@@ -370,12 +411,12 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
     y[i] = label ? 1 : -1;
   }
   const std::vector<float> gram =
-      ComputeGram({KernelType::kRbf, 0.15, 2}, rows, n, d);
+      test::ComputeGram({KernelType::kRbf, 0.15, 2}, rows, n, d);
 
   SmoConfig cfg;
   cfg.C = 50.0;
   cfg.max_iterations = 2000000;
-  const Result<SmoSolution> sol = SolveSmo(gram, y, cfg);
+  const Result<SmoSolution> sol = test::SolveSmo(gram, y, cfg);
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol.value().converged);
   // The schedule must have actually exercised shrink AND unshrink —
@@ -407,7 +448,7 @@ TEST(SmoTotalsTest, GlobalTotalsTrackSolvesAndReset) {
   SmoConfig cfg;
   cfg.C = 10.0;
   const SmoTotals before = GlobalSmoTotals();
-  const Result<SmoSolution> sol = SolveSmo(gram, {1, -1}, cfg);
+  const Result<SmoSolution> sol = test::SolveSmo(gram, {1, -1}, cfg);
   ASSERT_TRUE(sol.ok());
   const SmoTotals after = GlobalSmoTotals();
   EXPECT_EQ(after.fits - before.fits, 1u);
@@ -416,7 +457,7 @@ TEST(SmoTotalsTest, GlobalTotalsTrackSolvesAndReset) {
   // A budget-starved solve returns converged == false and is counted.
   SmoConfig starved = cfg;
   starved.max_iterations = 1;
-  const Result<SmoSolution> cut = SolveSmo(gram, {1, -1}, starved);
+  const Result<SmoSolution> cut = test::SolveSmo(gram, {1, -1}, starved);
   ASSERT_TRUE(cut.ok());
   ASSERT_FALSE(cut.value().converged);
   const SmoTotals after_cut = GlobalSmoTotals();

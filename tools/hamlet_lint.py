@@ -52,13 +52,21 @@ Rules
                   src/hamlet/common/env.cc. Every knob is read through
                   the common/env.h helpers, so every knob has one
                   grammar and one invalid-value warning.
+  simd-home       x86 intrinsics (`_mm*_` calls, `__m128`/`__m256`/
+                  `__m512` types, an `<*intrin.h>` include) and ISA
+                  target attributes (`target("avx2")`, `target("sse4.2")`,
+                  `target("popcnt")`, ...) appear in src/ only under
+                  src/hamlet/simd/. That directory holds every kernel
+                  with a scalar twin, a CPU-picked dispatch and a parity
+                  test; ISA code anywhere else has none of the three.
 
 Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line,
 or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
-kernel-math or env-read site is exactly what those rules exist to stop.
+kernel-math or env-read site, or ISA code outside simd/, is exactly what
+those rules exist to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -145,6 +153,20 @@ ONE_HOME_RULES = [
     ("env-read", re.compile(r"getenv\s*\("),
      "src/hamlet/common/env.cc", ("src",),
      "getenv outside %s; read knobs through the common/env.h helpers"),
+]
+
+
+# simd-home: ISA-specific code, allowed in src/ only under SIMD_HOME.
+SIMD_HOME = "src/hamlet/simd/"
+SIMD_CODE_PATTERNS = [
+    (re.compile(r"\b_mm\d*_\w+"), "an x86 intrinsic"),
+    (re.compile(r"\b__m(?:64|128|256|512)[di]?\b"), "an x86 vector type"),
+]
+SIMD_RAW_PATTERNS = [
+    (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "an intrinsics header"),
+    (re.compile(r'\btarget(?:_clones)?\s*\(\s*"[^)]*'
+                r'\b(?:avx\w*|sse\w*|popcnt|bmi\w*|lzcnt)'),
+     "an ISA target attribute"),
 ]
 
 
@@ -366,6 +388,25 @@ class Linter:
                         if pattern.search(code):
                             self.add(rel, lineno, rule, hint % home)
 
+    # -- simd-home -----------------------------------------------------
+    def check_simd_home(self):
+        for path in self.source_files("src"):
+            rel = self.rel(path)
+            if rel.startswith(SIMD_HOME):
+                continue
+            _, stripped_lines, uncommented_lines = read_code(path)
+            for lineno, (code, uncommented) in enumerate(
+                    zip(stripped_lines, uncommented_lines), 1):
+                hits = [what for pat, what in SIMD_CODE_PATTERNS
+                        if pat.search(code)]
+                hits += [what for pat, what in SIMD_RAW_PATTERNS
+                         if pat.search(uncommented)]
+                for what in hits:
+                    self.add(rel, lineno, "simd-home",
+                             "%s outside %s; put ISA code in a simd/ "
+                             "kernel with a scalar version and a parity "
+                             "test" % (what, SIMD_HOME))
+
     # -- test-reg ------------------------------------------------------
     def check_test_registration(self):
         tests_dir = os.path.join(self.root, "tests")
@@ -389,6 +430,7 @@ class Linter:
         self.check_cmake_fp_flags()
         self.check_status_discard()
         self.check_one_home_rules()
+        self.check_simd_home()
         self.check_test_registration()
         return self.findings
 

@@ -202,7 +202,7 @@ def main():
                   code == 1 and "fp-contract" in out, out)
 
         fma_quiet = (Fixture(base, "fma_quiet")
-                     .write("src/hamlet/a.cc",
+                     .write("src/hamlet/simd/a.cc",
                             '__attribute__((target("avx2,popcnt"))) '
                             "void F();\n"
                             "// never std::fma or target(\"fma\") here\n"
@@ -292,6 +292,47 @@ def main():
                               "auto t = KernelValuesByMatches(config, d);\n"))
         code, out = kmath_quiet.lint()
         check("kernel.cc, comments, strings and the table pass", code == 0,
+              out)
+
+        # simd-home: ISA code outside src/hamlet/simd/ fires, waiver or
+        # not; the same code under simd/, prose, strings, a plain target
+        # and code outside src/ stay quiet.
+        for what, snippet in [
+            ("intrinsic", "auto v = _mm256_add_pd(a, b);\n"),
+            ("sse intrinsic", "int m = _mm_movemask_ps(x);\n"),
+            ("vector type", "__m256d acc;\n"),
+            ("integer vector type", "__m128i idx;\n"),
+            ("intrinsics header", "#include <immintrin.h>\n"),
+            ("x86intrin header", "#include <x86intrin.h>\n"),
+            ("avx2 target", '__attribute__((target("avx2"))) void F();\n'),
+            ("popcnt target",
+             '__attribute__((target("popcnt"))) int G();\n'),
+            ("waived intrinsic", "auto v = _mm_add_pd(a, b);"
+                                 "  // hamlet-lint: allow(simd-home)\n"),
+        ]:
+            fix = Fixture(base, "simdhome_" + what.replace(" ", "_"))
+            fix.write("src/hamlet/ml/svm/a.cc", snippet)
+            code, out = fix.lint()
+            check("simd-home fires on %s" % what,
+                  code == 1 and "simd-home" in out and
+                  "src/hamlet/ml/svm/a.cc" in out, out)
+
+        simd_quiet = (Fixture(base, "simdhome_quiet")
+                      .write("src/hamlet/simd/k.cc",
+                             "#include <immintrin.h>\n"
+                             '__attribute__((target("avx2"))) void F() {\n'
+                             "  __m256d v = _mm256_setzero_pd();\n}\n")
+                      .write("src/hamlet/ml/a.cc",
+                             "// an _mm256_add_pd or __m256d in prose\n"
+                             'const char* s = "_mm_add_pd(";\n'
+                             "double mm_total = x_mm_y;\n"
+                             '__attribute__((target("default"))) void G();\n')
+                      .write("tests/k_test.cc",
+                             "__m256d v = _mm256_setzero_pd();\n")
+                      .write("tests/CMakeLists.txt",
+                             "add_executable(t k_test.cc)"))
+        code, out = simd_quiet.lint()
+        check("simd/, prose, strings and non-ISA targets pass", code == 0,
               out)
 
         # test-reg: an unregistered tests/*_test.cc fires.
