@@ -41,7 +41,6 @@ class HAMLET_CAPABILITY("mutex") Mutex {
 
   void Lock() HAMLET_ACQUIRE() { mu_.lock(); }
   void Unlock() HAMLET_RELEASE() { mu_.unlock(); }
-  bool TryLock() HAMLET_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // BasicLockable spelling so std::condition_variable_any (and generic
   // code) can drive this mutex directly.

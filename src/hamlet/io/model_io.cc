@@ -78,11 +78,6 @@ void ModelWriter::WriteF64(double v) {
   WriteU64(bits);
 }
 
-void ModelWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  WriteBytes(s.data(), s.size());
-}
-
 void ModelWriter::WriteU8Vec(const std::vector<uint8_t>& v) {
   WriteU64(v.size());
   WriteBytes(v.data(), v.size());
@@ -163,13 +158,6 @@ Status ModelReader::ReadF64(double* out) {
   HAMLET_RETURN_IF_ERROR(ReadU64(&bits));
   std::memcpy(out, &bits, sizeof(bits));
   return Status::OK();
-}
-
-Status ModelReader::ReadString(std::string* out) {
-  uint64_t n;
-  HAMLET_RETURN_IF_ERROR(ReadLength(&n, "string"));
-  out->resize(static_cast<size_t>(n));
-  return n == 0 ? Status::OK() : ReadBytes(&(*out)[0], static_cast<size_t>(n));
 }
 
 Status ModelReader::ReadU8Vec(std::vector<uint8_t>* out) {

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "hamlet/common/status.h"
@@ -56,8 +55,6 @@ class ModelWriter {
   void WriteI32(int32_t v);
   /// IEEE-754 bit pattern as a u64; exact round trip.
   void WriteF64(double v);
-  /// u64 length + raw bytes.
-  void WriteString(const std::string& s);
   /// u64 length + elements.
   void WriteU8Vec(const std::vector<uint8_t>& v);
   void WriteU32Vec(const std::vector<uint32_t>& v);
@@ -96,7 +93,6 @@ class ModelReader {
   HAMLET_NODISCARD Status ReadU64(uint64_t* out);
   HAMLET_NODISCARD Status ReadI32(int32_t* out);
   HAMLET_NODISCARD Status ReadF64(double* out);
-  HAMLET_NODISCARD Status ReadString(std::string* out);
   HAMLET_NODISCARD Status ReadU8Vec(std::vector<uint8_t>* out);
   HAMLET_NODISCARD Status ReadU32Vec(std::vector<uint32_t>* out);
   HAMLET_NODISCARD Status ReadF64Vec(std::vector<double>* out);

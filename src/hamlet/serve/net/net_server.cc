@@ -1,6 +1,7 @@
 #include "hamlet/serve/net/net_server.h"
 
 #include <algorithm>
+#include <cctype>
 #include <ostream>
 #include <utility>
 
@@ -22,20 +23,21 @@ constexpr std::chrono::milliseconds kPollInterval(50);
 // ---------------------------------------------------------------------
 // RequestQueue
 
-void NetServer::RequestQueue::Push(Request req) {
+void NetServer::RequestQueue::Push(Chunk chunk) {
   MutexLock lock(mu_);
-  // EOF/error markers always fit: a reader must be able to announce its
-  // exit even at capacity, or shutdown could deadlock against a full
-  // queue.
-  if (req.kind == Request::Kind::kLine) {
-    while (items_.size() >= capacity_) not_full_.Wait(mu_);
-  }
-  items_.push_back(std::move(req));
+  // EOF/error markers carry no lines and always fit: a reader must be
+  // able to announce its exit even at capacity, or shutdown could
+  // deadlock against a full queue. A chunk always fits an empty queue,
+  // so one larger than capacity still makes progress.
+  const size_t lines = chunk.lines.size();
+  while (!items_.empty() && lines_ + lines > capacity_) not_full_.Wait(mu_);
+  lines_ += lines;
+  items_.push_back(std::move(chunk));
   not_empty_.NotifyOne();
 }
 
 bool NetServer::RequestQueue::PopWithTimeout(
-    Request& req, std::chrono::milliseconds timeout) {
+    Chunk& chunk, std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(mu_);
   while (items_.empty()) {
@@ -43,18 +45,22 @@ bool NetServer::RequestQueue::PopWithTimeout(
       return false;
     }
   }
-  req = std::move(items_.front());
+  chunk = std::move(items_.front());
   items_.pop_front();
-  not_full_.NotifyOne();
+  lines_ -= chunk.lines.size();
+  // All: the space freed may fit a waiting reader's chunk but not the
+  // one a single wakeup would pick.
+  not_full_.NotifyAll();
   return true;
 }
 
-bool NetServer::RequestQueue::TryPop(Request& req) {
+bool NetServer::RequestQueue::TryPop(Chunk& chunk) {
   MutexLock lock(mu_);
   if (items_.empty()) return false;
-  req = std::move(items_.front());
+  chunk = std::move(items_.front());
   items_.pop_front();
-  not_full_.NotifyOne();
+  lines_ -= chunk.lines.size();
+  not_full_.NotifyAll();
   return true;
 }
 
@@ -105,7 +111,7 @@ NetServer::~NetServer() {
   }
   for (const ConnPtr& conn : to_join) {
     // Drain any reader blocked on a full queue, then join.
-    Request dropped;
+    Chunk dropped;
     while (!conn->reader_done.load() && queue_.TryPop(dropped)) {
     }
     if (conn->reader.joinable()) conn->reader.join();
@@ -170,33 +176,75 @@ void NetServer::AcceptLoop() {
   }
 }
 
+void NetServer::AddLine(Chunk& chunk, uint64_t line_no,
+                        std::string_view line, std::string& scratch,
+                        std::vector<uint32_t>& codes) const {
+  scratch.assign(line);
+  if (IsIgnorableRequestLine(scratch)) return;
+  ChunkLine entry;
+  entry.line_no = line_no;
+  const auto first = std::find_if(scratch.begin(), scratch.end(), [](char c) {
+    return !std::isspace(static_cast<unsigned char>(c));
+  });
+  std::string text;
+  if (first != scratch.end() && *first == '/') {
+    entry.kind = ChunkLine::Kind::kCommand;
+    text = TrimString(scratch);
+  } else {
+    const Status parsed = ParseRequest(scratch, domains_, codes);
+    if (parsed.ok()) {
+      entry.kind = ChunkLine::Kind::kRow;
+      entry.begin = static_cast<uint32_t>(chunk.codes.size());
+      chunk.codes.insert(chunk.codes.end(), codes.begin(), codes.end());
+      chunk.lines.push_back(entry);
+      return;
+    }
+    entry.kind = ChunkLine::Kind::kRejected;
+    text = parsed.message();
+  }
+  entry.begin = static_cast<uint32_t>(chunk.text.size());
+  entry.size = static_cast<uint32_t>(text.size());
+  chunk.text += text;
+  chunk.lines.push_back(entry);
+}
+
 void NetServer::ReaderLoop(ConnPtr conn) {
   LineReader reader(conn->sock.fd());
   uint64_t line_no = 0;
-  std::string line;
+  std::vector<std::string_view> lines;
+  std::string scratch;
+  std::vector<uint32_t> codes;
+  Chunk chunk;
+  auto push = [&] {
+    if (chunk.lines.empty()) return;
+    chunk.conn_id = conn->id;
+    queue_.Push(std::move(chunk));
+    chunk = Chunk();
+  };
   while (true) {
-    Result<bool> got = reader.ReadLine(line);
+    Result<bool> got = reader.ReadLines(lines);
     if (!got.ok()) {
-      Request req;
-      req.conn_id = conn->id;
-      req.line_no = ++line_no;
-      req.kind = Request::Kind::kReadError;
-      req.text = got.status().message();
-      queue_.Push(std::move(req));
+      Chunk error;
+      error.conn_id = conn->id;
+      error.kind = Chunk::Kind::kReadError;
+      error.text = got.status().message();
+      error.error_line_no = ++line_no;
+      queue_.Push(std::move(error));
       break;
     }
+    // One chunk per read, split only where it would exceed the queue.
+    chunk.lines.reserve(std::min(lines.size(), queue_.capacity()));
+    chunk.codes.reserve(chunk.lines.capacity() * domains_.size());
+    for (std::string_view line : lines) {
+      AddLine(chunk, ++line_no, line, scratch, codes);
+      if (chunk.lines.size() >= queue_.capacity()) push();
+    }
+    push();
     if (!got.value()) break;  // clean EOF
-    Request req;
-    req.conn_id = conn->id;
-    req.line_no = ++line_no;
-    req.kind = Request::Kind::kLine;
-    req.text = std::move(line);
-    queue_.Push(std::move(req));
-    line.clear();
   }
-  Request eof;
+  Chunk eof;
   eof.conn_id = conn->id;
-  eof.kind = Request::Kind::kEof;
+  eof.kind = Chunk::Kind::kEof;
   queue_.Push(std::move(eof));
   conn->reader_done.store(true);
 }
@@ -218,22 +266,59 @@ std::string NetServer::HealthzResponse() const {
          " errors=" + std::to_string(stats_.errors());
 }
 
+uint64_t NetServer::ReorderRing::Push(uint8_t cell) {
+  if (tail_ - head_ == cells_.size()) {
+    std::vector<uint8_t> grown(cells_.size() * 2);
+    for (uint64_t slot = head_; slot < tail_; ++slot) {
+      grown[slot & (grown.size() - 1)] = cells_[slot & mask()];
+    }
+    cells_ = std::move(grown);
+  }
+  cells_[tail_ & mask()] = cell;
+  return tail_++;
+}
+
+void NetServer::ReorderRing::PushText(std::string text) {
+  Push(kText);
+  texts_.push_back(std::move(text));
+}
+
+void NetServer::ReorderRing::Drain(std::string* out) {
+  for (; head_ != tail_; ++head_) {
+    const uint8_t cell = cells_[head_ & mask()];
+    if (cell == kPending) break;
+    if (out != nullptr) {
+      if (cell == kText) {
+        *out += texts_.front();
+      } else {
+        *out += static_cast<char>('0' + cell);
+      }
+      *out += '\n';
+    }
+    if (cell == kText) texts_.pop_front();
+  }
+}
+
+void NetServer::ReorderRing::Clear() {
+  texts_.clear();
+  head_ = tail_;
+}
+
 void NetServer::AssignImmediate(const ConnPtr& conn, std::string response) {
-  conn->ready[conn->next_slot++] = std::move(response);
+  conn->ring.PushText(std::move(response));
   DrainConn(conn);
 }
 
 void NetServer::RecordConnError(const ConnPtr& conn, uint64_t line_no,
-                                const std::string& reason) {
+                                std::string_view reason) {
   stats_.RecordError();
   ++conn->errors;
-  AssignImmediate(conn,
-                  "ERR " + std::to_string(line_no) + ": " + reason);
+  const std::string prefix = "ERR " + std::to_string(line_no) + ": ";
+  AssignImmediate(conn, prefix + std::string(reason));
   if (conn->errors > max_errors_) {
     // Per-connection isolation: only this client is cut off; the final
     // ERR tells it why before the FIN.
-    AssignImmediate(conn, "ERR " + std::to_string(line_no) +
-                              ": error budget exceeded (" +
+    AssignImmediate(conn, prefix + "error budget exceeded (" +
                               std::to_string(max_errors_) +
                               " rejected lines); closing connection");
     conn->poisoned = true;
@@ -241,64 +326,81 @@ void NetServer::RecordConnError(const ConnPtr& conn, uint64_t line_no,
   }
 }
 
-void NetServer::HandleLine(const ConnPtr& conn, uint64_t line_no,
-                           const std::string& line) {
-  if (conn->poisoned) return;
-  if (IsIgnorableRequestLine(line)) return;
-  const std::string trimmed = TrimString(line);
-  if (!trimmed.empty() && trimmed[0] == '/') {
-    if (trimmed == "/healthz") {
-      AssignImmediate(conn, HealthzResponse());
+void NetServer::HandleLine(const ConnPtr& conn, const Chunk& chunk,
+                           const ChunkLine& line) {
+  const std::string_view text(chunk.text.data() + line.begin, line.size);
+  switch (line.kind) {
+    case ChunkLine::Kind::kCommand:
+      if (text == "/healthz") {
+        AssignImmediate(conn, HealthzResponse());
+      } else {
+        RecordConnError(conn, line.line_no,
+                        "unknown command \"" + std::string(text) + "\"");
+      }
       return;
-    }
-    RecordConnError(conn, line_no,
-                    "unknown command \"" + trimmed + "\"");
-    return;
+    case ChunkLine::Kind::kRejected:
+      RecordConnError(conn, line.line_no, text);
+      return;
+    case ChunkLine::Kind::kRow:
+      break;
   }
-  std::vector<uint32_t> codes;
-  const Status parsed = ParseRequest(line, domains_, codes);
-  if (!parsed.ok()) {
-    RecordConnError(conn, line_no, parsed.message());
-    return;
+  if (!conn->in_batch) {
+    conn->in_batch = true;
+    batch_conns_.push_back(conn);
   }
-  const uint64_t slot = conn->next_slot++;
   const uint64_t tag = inflight_.size();
-  inflight_.emplace_back(conn, slot);
-  // Add can only fail on a malformed row, which ParseRequest just
+  inflight_.emplace_back(conn.get(), conn->ring.Push(ReorderRing::kPending));
+  const auto codes = chunk.codes.begin() + line.begin;
+  row_.assign(codes, codes + static_cast<std::ptrdiff_t>(domains_.size()));
+  // Add can only fail on a malformed row, which ParseRequest already
   // excluded; a failure here is a programming error worth surfacing,
   // but it must not tear down the other connections — record it
   // against this one.
-  const Status added = batcher_->Add(codes, tag);
+  const Status added = batcher_->Add(row_, tag);
   if (!added.ok()) {
-    conn->ready[slot] = "ERR " + std::to_string(line_no) + ": " +
-                        added.message();
-    DrainConn(conn);
+    // The row never joined the batch: its slot answers the ERR instead.
+    inflight_.pop_back();
+    conn->ring.Unpush();
+    AssignImmediate(conn, "ERR " + std::to_string(line.line_no) + ": " +
+                              added.message());
   }
 }
 
 void NetServer::DrainConn(const ConnPtr& conn) {
-  auto it = conn->ready.find(conn->next_emit);
-  while (it != conn->ready.end()) {
-    if (!conn->write_failed) {
-      std::string out = it->second + "\n";
-      if (!SendAll(conn->sock.fd(), out.data(), out.size()).ok()) {
-        // The client vanished: stop writing and reading, but let any
-        // rows already in the batch complete (their slots just drop).
-        conn->write_failed = true;
-        conn->poisoned = true;
-        conn->sock.ShutdownRead();
-      }
-    }
-    conn->ready.erase(it);
-    it = conn->ready.find(++conn->next_emit);
+  conn->ring.Drain(conn->write_failed ? nullptr : &conn->out);
+  if (!conn->out.empty() && !conn->dirty) {
+    conn->dirty = true;
+    dirty_.push_back(conn);
   }
 }
 
+void NetServer::FlushConn(Connection& conn) {
+  conn.dirty = false;
+  if (conn.out.empty()) return;
+  if (!conn.write_failed &&
+      !SendAll(conn.sock.fd(), conn.out.data(), conn.out.size()).ok()) {
+    // The client vanished: stop writing and reading, but let any rows
+    // already in the batch complete (their slots just drop).
+    conn.write_failed = true;
+    conn.poisoned = true;
+    conn.sock.ShutdownRead();
+  }
+  conn.out.clear();
+}
+
+void NetServer::FlushOutput() {
+  for (const ConnPtr& conn : dirty_) {
+    if (conn->dirty) FlushConn(*conn);
+  }
+  dirty_.clear();
+}
+
 void NetServer::MaybeRetire(const ConnPtr& conn) {
-  if (conn->retired || !conn->input_done) return;
-  if (conn->next_emit != conn->next_slot || !conn->ready.empty()) return;
+  if (conn->retired || !conn->input_done || !conn->ring.empty()) return;
   conn->retired = true;
-  // Every response is out: half-close so the client's read loop ends.
+  // Every response is out: send them, then half-close so the client's
+  // read loop ends.
+  FlushConn(*conn);
   conn->sock.ShutdownWrite();
   {
     MutexLock lock(conns_mu_);
@@ -317,22 +419,25 @@ void NetServer::ReapRetired() {
                  retired_.end());
 }
 
-void NetServer::Process(const Request& req, std::ostream& err) {
-  ConnPtr conn = FindConn(req.conn_id);
+void NetServer::Process(const Chunk& chunk, std::ostream& err) {
+  ConnPtr conn = FindConn(chunk.conn_id);
   if (conn == nullptr) return;  // already retired
-  switch (req.kind) {
-    case Request::Kind::kEof:
+  switch (chunk.kind) {
+    case Chunk::Kind::kEof:
       conn->input_done = true;
       MaybeRetire(conn);
       break;
-    case Request::Kind::kReadError:
-      err << "hamlet_serve: connection " << req.conn_id
-          << " read error: " << req.text << "\n";
-      RecordConnError(conn, req.line_no, req.text);
+    case Chunk::Kind::kReadError:
+      err << "hamlet_serve: connection " << chunk.conn_id
+          << " read error: " << chunk.text << "\n";
+      RecordConnError(conn, chunk.error_line_no, chunk.text);
       conn->poisoned = true;
       break;
-    case Request::Kind::kLine:
-      HandleLine(conn, req.line_no, req.text);
+    case Chunk::Kind::kLines:
+      for (const ChunkLine& line : chunk.lines) {
+        if (conn->poisoned) break;
+        HandleLine(conn, chunk, line);
+      }
       break;
   }
 }
@@ -351,36 +456,40 @@ Result<StatsSummary> NetServer::Run(std::ostream& err) {
       model_, domains_, config_.batch_size, config_.model_poll, stats_,
       [this](uint64_t tag, uint8_t pred) -> Status {
         const auto& [conn, slot] = inflight_[tag];
-        conn->ready[slot] = std::to_string(static_cast<int>(pred));
+        conn->ring.Set(slot, pred);
         return Status::OK();
       },
       [this, &ticker]() {
-        for (const auto& [conn, slot] : inflight_) {
-          (void)slot;
+        for (const ConnPtr& conn : batch_conns_) {
+          conn->in_batch = false;
           DrainConn(conn);
           MaybeRetire(conn);
         }
+        batch_conns_.clear();
         inflight_.clear();
+        FlushOutput();
         ticker.MaybeTick(stats_);
       });
   batcher_ = &batcher;
   Status loop_status = Status::OK();
 
   while (!ShouldStop()) {
-    Request req;
-    if (queue_.PopWithTimeout(req, kPollInterval)) {
-      Process(req, err);
+    Chunk chunk;
+    if (queue_.PopWithTimeout(chunk, kPollInterval)) {
+      Process(chunk, err);
       // Opportunistic batching: drain whatever already arrived, then
       // flush as soon as the queue goes idle so a quiet stream still
       // answers promptly. Sustained load fills batches to batch_size
       // inside Add.
-      Request more;
-      while (queue_.TryPop(more)) Process(more, err);
+      while (queue_.TryPop(chunk)) Process(chunk, err);
     }
     if (batcher.pending() > 0) {
       loop_status = batcher.Flush();
       if (!loop_status.ok()) break;
     }
+    // Responses that needed no batch (ERR, /healthz) go out before the
+    // next wait.
+    FlushOutput();
     ReapRetired();
   }
 
@@ -406,20 +515,20 @@ Result<StatsSummary> NetServer::Run(std::ostream& err) {
       for (const ConnPtr& conn : live) {
         conn->write_failed = true;
         conn->poisoned = true;
-        conn->ready.clear();
-        conn->next_emit = conn->next_slot;
+        conn->ring.Clear();
+        conn->out.clear();
         MaybeRetire(conn);
       }
     }
-    Request req;
-    if (queue_.PopWithTimeout(req, std::chrono::milliseconds(10))) {
-      Process(req, err);
-      Request more;
-      while (queue_.TryPop(more)) Process(more, err);
+    Chunk chunk;
+    if (queue_.PopWithTimeout(chunk, std::chrono::milliseconds(10))) {
+      Process(chunk, err);
+      while (queue_.TryPop(chunk)) Process(chunk, err);
     }
     if (loop_status.ok() && batcher.pending() > 0) {
       loop_status = batcher.Flush();
     }
+    FlushOutput();
     ReapRetired();
   }
   if (acceptor_.joinable()) acceptor_.join();
@@ -428,6 +537,9 @@ Result<StatsSummary> NetServer::Run(std::ostream& err) {
     if (conn->reader.joinable()) conn->reader.join();
   }
   retired_.clear();
+  batch_conns_.clear();
+  inflight_.clear();
+  dirty_.clear();
   batcher_ = nullptr;
   ticker.Finish();
 

@@ -27,11 +27,17 @@
 //     write, read until EOF" is a complete client.
 //
 // Threading: one acceptor thread, one reader thread per connection,
-// and the caller's Run() thread as the single batch/write loop. All
-// parsing, batching, stats, and socket writes happen on the Run()
-// thread; readers only frame lines into a bounded queue (back-pressure
-// lands on the sockets, not on memory). A stalled client can therefore
-// stall the write loop — acceptable at this rung, noted in
+// and the caller's Run() thread as the single batch/write loop. Readers
+// work a whole read(2) at a time: they frame every complete line it
+// delivered, classify each one (row, ignorable, command, rejected) and
+// run ParseRequest on the rows, then push the read as one chunk into a
+// queue bounded in request lines (back-pressure lands on the sockets,
+// not on memory). Batching, stats, response ordering and socket writes
+// happen on the Run() thread. Responses collect, in request order, in a
+// per-connection output buffer; each connection with new output gets
+// one blocking send per batch (and one per loop pass, so ERR and
+// /healthz answers go out promptly). A stalled client can therefore
+// still stall the write loop — acceptable at this rung, noted in
 // docs/ARCHITECTURE.md.
 //
 // Shutdown: RequestShutdown() (or a true stop_poll, wired to
@@ -52,6 +58,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,30 +117,90 @@ class NetServer {
   void RequestShutdown();
 
  private:
-  struct Request {
-    enum class Kind : uint8_t { kLine, kEof, kReadError };
-    uint64_t conn_id = 0;
+  /// One response-producing request line of a chunk.
+  struct ChunkLine {
+    enum class Kind : uint8_t { kRow, kCommand, kRejected };
     uint64_t line_no = 0;  ///< 1-based within the connection
-    Kind kind = Kind::kLine;
-    std::string text;      ///< the line, or the read-error reason
+    Kind kind = Kind::kRow;
+    /// kRow: offset of the row's codes in Chunk::codes. Otherwise the
+    /// command (trimmed) or the rejection reason, as a span of
+    /// Chunk::text.
+    uint32_t begin = 0;
+    uint32_t size = 0;
   };
 
-  /// Bounded MPSC queue: readers push (blocking at capacity), the Run()
-  /// thread pops. Back-pressure reaches clients through TCP.
+  /// What a reader hands the Run() thread: the request lines of one
+  /// read, already framed and parsed, or an end-of-input marker.
+  struct Chunk {
+    enum class Kind : uint8_t { kLines, kEof, kReadError };
+    uint64_t conn_id = 0;
+    Kind kind = Kind::kLines;
+    std::vector<ChunkLine> lines;  ///< blank and '#' lines take no entry
+    std::vector<uint32_t> codes;   ///< rows' codes, domains_.size() each
+    std::string text;              ///< command/reason bytes; kReadError:
+                                   ///< the reason
+    uint64_t error_line_no = 0;    ///< kReadError: the line it poisons
+  };
+
+  /// Bounded MPSC queue of chunks, counted in request lines: readers
+  /// push (blocking while the queue is non-empty and the chunk would
+  /// take it past capacity), the Run() thread pops. Back-pressure
+  /// reaches clients through TCP. Readers cap a chunk at capacity(), so
+  /// at most capacity() lines are ever queued.
   class RequestQueue {
    public:
     explicit RequestQueue(size_t capacity) : capacity_(capacity) {}
-    void Push(Request req);
-    bool PopWithTimeout(Request& req, std::chrono::milliseconds timeout);
-    bool TryPop(Request& req);
+    size_t capacity() const { return capacity_; }
+    void Push(Chunk chunk);
+    bool PopWithTimeout(Chunk& chunk, std::chrono::milliseconds timeout);
+    bool TryPop(Chunk& chunk);
     bool Empty();
 
    private:
     Mutex mu_;
     CondVar not_full_;
     CondVar not_empty_;
-    std::deque<Request> items_ HAMLET_GUARDED_BY(mu_);
+    std::deque<Chunk> items_ HAMLET_GUARDED_BY(mu_);
+    size_t lines_ HAMLET_GUARDED_BY(mu_) = 0;  ///< queued request lines
     const size_t capacity_;
+  };
+
+  /// A connection's response slots in request order, from the next to
+  /// write (head) to the next to assign (tail). A slot holds kPending
+  /// until its row's batch is scored, then the prediction, or kText for
+  /// an ERR/OK line queued in `texts_`. Slot s sits at cell s & mask of
+  /// a power-of-two ring, i.e. s - head cells past the head's. Text
+  /// lines are assigned and written in slot order, so `texts_` is a
+  /// FIFO.
+  class ReorderRing {
+   public:
+    static constexpr uint8_t kPending = 0xff;
+    static constexpr uint8_t kText = 0xfe;
+
+    /// Assigns the next slot, holding `cell`; returns the slot.
+    uint64_t Push(uint8_t cell);
+    /// Assigns the next slot to a ready text line.
+    void PushText(std::string text);
+    /// Takes back the newest slot, which must be pending.
+    void Unpush() { --tail_; }
+    /// Sets a pending slot's prediction.
+    void Set(uint64_t slot, uint8_t prediction) {
+      cells_[slot & mask()] = prediction;
+    }
+    bool empty() const { return head_ == tail_; }
+    /// Moves the ready prefix to `out`, one line per slot (`out` null:
+    /// discards it).
+    void Drain(std::string* out);
+    /// Drops every slot, ready or not.
+    void Clear();
+
+   private:
+    size_t mask() const { return cells_.size() - 1; }
+
+    std::vector<uint8_t> cells_ = std::vector<uint8_t>(64);
+    std::deque<std::string> texts_;
+    uint64_t head_ = 0;
+    uint64_t tail_ = 0;
   };
 
   /// Per-connection state. The socket is shared between its reader
@@ -145,9 +212,10 @@ class NetServer {
     std::thread reader;
     std::atomic<bool> reader_done{false};
 
-    uint64_t next_slot = 0;  ///< next response slot to assign
-    uint64_t next_emit = 0;  ///< next response slot to write
-    std::map<uint64_t, std::string> ready;  ///< completed out-of-order
+    ReorderRing ring;        ///< responses not yet written to `out`
+    std::string out;         ///< written responses not yet sent
+    bool dirty = false;      ///< `out` is on the dirty_ list
+    bool in_batch = false;   ///< on the batch_conns_ list
     uint64_t errors = 0;     ///< rejected lines on this connection
     bool input_done = false; ///< EOF marker consumed
     bool poisoned = false;   ///< budget/write failure: drop further input
@@ -158,15 +226,21 @@ class NetServer {
 
   void AcceptLoop();
   void ReaderLoop(ConnPtr conn);
+  /// Classifies one framed line into `chunk`; `scratch` and `codes` are
+  /// the reader's reusable buffers.
+  void AddLine(Chunk& chunk, uint64_t line_no, std::string_view line,
+               std::string& scratch, std::vector<uint32_t>& codes) const;
 
   // Run()-thread helpers.
-  void Process(const Request& req, std::ostream& err);
-  void HandleLine(const ConnPtr& conn, uint64_t line_no,
-                  const std::string& line);
+  void Process(const Chunk& chunk, std::ostream& err);
+  void HandleLine(const ConnPtr& conn, const Chunk& chunk,
+                  const ChunkLine& line);
   void AssignImmediate(const ConnPtr& conn, std::string response);
   void RecordConnError(const ConnPtr& conn, uint64_t line_no,
-                       const std::string& reason);
+                       std::string_view reason);
   void DrainConn(const ConnPtr& conn);
+  void FlushConn(Connection& conn);
+  void FlushOutput();
   void MaybeRetire(const ConnPtr& conn);
   void ReapRetired();
   bool ShouldStop();
@@ -175,7 +249,10 @@ class NetServer {
 
   const ml::Classifier& model_;
   NetServeConfig config_;
-  std::vector<uint32_t> domains_;
+  /// Read by every reader thread without a lock: it is set at
+  /// construction and never written again, and hot reload only installs
+  /// models whose domains are identical (ValidateReloadedModel).
+  const std::vector<uint32_t> domains_;
   size_t max_errors_ = kUnlimitedErrors;
 
   Socket listener_;
@@ -196,8 +273,15 @@ class NetServer {
   // Batch state, only valid inside Run().
   LatencyStats stats_;
   RequestBatcher* batcher_ = nullptr;
-  /// tag -> (connection, slot) for rows in the current batch.
-  std::vector<std::pair<ConnPtr, uint64_t>> inflight_;
+  /// tag -> (connection, slot) for rows in the current batch. The raw
+  /// pointers stay valid because batch_conns_ holds every connection
+  /// with a row in the batch.
+  std::vector<std::pair<Connection*, uint64_t>> inflight_;
+  std::vector<ConnPtr> batch_conns_;
+  /// Connections whose `out` holds unsent responses.
+  std::vector<ConnPtr> dirty_;
+  /// One row's codes, copied out of a chunk for RequestBatcher::Add.
+  std::vector<uint32_t> row_;
 };
 
 }  // namespace net

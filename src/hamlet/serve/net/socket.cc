@@ -19,6 +19,11 @@ std::string ErrnoText(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+std::string_view StripCr(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
+
 }  // namespace
 
 Socket& Socket::operator=(Socket&& other) noexcept {
@@ -84,7 +89,14 @@ Result<uint16_t> LocalPort(const Socket& sock) {
 Result<Socket> AcceptConnection(const Socket& listener) {
   while (true) {
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      // The server coalesces a batch's responses into one send, so
+      // Nagle would only hold the tail of that send until the client
+      // ACKs the previous one.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return Socket(fd);
+    }
     if (errno == EINTR) continue;
     return Status::Unavailable(ErrnoText("accept"));
   }
@@ -123,11 +135,37 @@ Status SendAll(int fd, const char* data, size_t len) {
   return Status::OK();
 }
 
+Status LineReader::Fill() {
+  char chunk[4096];
+  while (true) {
+    // read(2), not recv(2): the framing tests drive a LineReader over a
+    // pipe, and sockets read identically through it.
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable(std::string("read: ") +
+                                 std::strerror(errno));
+    }
+    if (n == 0) {
+      eof_ = true;
+    } else {
+      buffer_.append(chunk, static_cast<size_t>(n));
+    }
+    return Status::OK();
+  }
+}
+
+Status LineReader::CheckFragment(size_t size) const {
+  if (size <= max_line_bytes_) return Status::OK();
+  return Status::InvalidArgument("request line exceeds " +
+                                 std::to_string(max_line_bytes_) + " bytes");
+}
+
 Result<bool> LineReader::ReadLine(std::string& line) {
   while (true) {
     const size_t nl = buffer_.find('\n', pos_);
     if (nl != std::string::npos) {
-      line.assign(buffer_, pos_, nl - pos_);
+      line.assign(StripCr(std::string_view(buffer_).substr(pos_, nl - pos_)));
       pos_ = nl + 1;
       // Compact once the consumed prefix dominates, keeping the buffer
       // bounded without copying on every line.
@@ -135,38 +173,44 @@ Result<bool> LineReader::ReadLine(std::string& line) {
         buffer_.erase(0, pos_);
         pos_ = 0;
       }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
       return true;
     }
     if (eof_) {
       if (pos_ >= buffer_.size()) return false;
       // std::getline semantics: the trailing unterminated fragment is
       // still a line.
-      line.assign(buffer_, pos_, buffer_.size() - pos_);
+      line.assign(StripCr(std::string_view(buffer_).substr(pos_)));
       pos_ = buffer_.size();
-      if (!line.empty() && line.back() == '\r') line.pop_back();
       return true;
     }
-    if (buffer_.size() - pos_ > max_line_bytes_) {
-      return Status::InvalidArgument(
-          "request line exceeds " + std::to_string(max_line_bytes_) +
-          " bytes");
-    }
-    char chunk[4096];
-    // read(2), not recv(2): the framing tests drive a LineReader over a
-    // pipe, and sockets read identically through it.
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(
-          std::string("read: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      eof_ = true;
-      continue;
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
+    HAMLET_RETURN_IF_ERROR(CheckFragment(buffer_.size() - pos_));
+    HAMLET_RETURN_IF_ERROR(Fill());
   }
+}
+
+Result<bool> LineReader::ReadLines(std::vector<std::string_view>& lines) {
+  lines.clear();
+  // The previous call's views are dead: drop the bytes behind them.
+  // What remains is at most one unterminated fragment.
+  buffer_.erase(0, pos_);
+  pos_ = 0;
+  if (!eof_) {
+    HAMLET_RETURN_IF_ERROR(CheckFragment(buffer_.size()));
+    HAMLET_RETURN_IF_ERROR(Fill());
+  }
+  const std::string_view data(buffer_);
+  for (size_t nl; (nl = data.find('\n', pos_)) != std::string_view::npos;
+       pos_ = nl + 1) {
+    lines.push_back(StripCr(data.substr(pos_, nl - pos_)));
+  }
+  if (eof_) {
+    if (pos_ < data.size()) {
+      lines.push_back(StripCr(data.substr(pos_)));
+      pos_ = data.size();
+    }
+    return !lines.empty();
+  }
+  return true;
 }
 
 }  // namespace net

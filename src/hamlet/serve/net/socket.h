@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "hamlet/common/status.h"
 #include "hamlet/common/attributes.h"
@@ -64,8 +66,9 @@ HAMLET_NODISCARD Result<Socket> ListenTcp(uint16_t port, int backlog = 64);
 /// The locally bound port of a listening/connected socket.
 HAMLET_NODISCARD Result<uint16_t> LocalPort(const Socket& sock);
 
-/// Blocking accept. An error after the listener was closed is the
-/// normal shutdown path; callers treat it as "stop accepting".
+/// Blocking accept; the connection gets TCP_NODELAY. An error after the
+/// listener was closed is the normal shutdown path; callers treat it as
+/// "stop accepting".
 HAMLET_NODISCARD Result<Socket> AcceptConnection(const Socket& listener);
 
 /// Blocking connect to `host`:`port` (numeric IPv4 dotted quad).
@@ -95,7 +98,22 @@ class LineReader {
   /// read errors return a Status.
   HAMLET_NODISCARD Result<bool> ReadLine(std::string& line);
 
+  /// Whole-read framing: makes one read(2) and replaces `lines` with
+  /// every complete line now buffered (same framing as ReadLine; at EOF
+  /// the final unterminated fragment). The views point into the
+  /// reader's buffer and stay valid until the next call. True while the
+  /// stream continues (`lines` may be empty when the read ended
+  /// mid-line), false once EOF was reached and every line was handed
+  /// out. An oversized line or a read error returns a Status on the
+  /// call after the lines framed before it.
+  HAMLET_NODISCARD Result<bool> ReadLines(std::vector<std::string_view>& lines);
+
  private:
+  /// One read(2) appended to buffer_ (EINTR retried); sets eof_ on 0.
+  HAMLET_NODISCARD Status Fill();
+  /// The oversize Status for an unterminated fragment of `size` bytes.
+  HAMLET_NODISCARD Status CheckFragment(size_t size) const;
+
   int fd_;
   size_t max_line_bytes_;
   std::string buffer_;

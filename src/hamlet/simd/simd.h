@@ -86,13 +86,6 @@ struct PackedLayout {
 
   /// Unpacks feature j from a packed row (tests and debug checks).
   uint32_t UnpackCode(const uint64_t* row, size_t j) const;
-
-  /// Two layouts produce interchangeable packed rows iff all field
-  /// parameters agree.
-  bool Compatible(const PackedLayout& other) const {
-    return num_features == other.num_features &&
-           field_bits == other.field_bits;
-  }
 };
 
 /// Number of mismatching features between two packed rows of the same

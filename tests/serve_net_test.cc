@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -127,6 +128,82 @@ TEST(LineReaderTest, OversizedLinePoisonsTheStream) {
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// Every line `reader` yields through repeated ReadLine calls.
+std::vector<std::string> ReadAllLines(LineReader& reader) {
+  std::vector<std::string> lines;
+  std::string line;
+  while (true) {
+    const auto got = reader.ReadLine(line);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok() || !got.value()) return lines;
+    lines.push_back(line);
+  }
+}
+
+/// One ReadLines call, copied out of the reader's buffer.
+bool ReadLinesInto(LineReader& reader, std::vector<std::string>& out) {
+  std::vector<std::string_view> views;
+  const auto got = reader.ReadLines(views);
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
+  out.insert(out.end(), views.begin(), views.end());
+  return got.ok() && got.value();
+}
+
+TEST(LineReaderTest, ReadLinesMatchesReadLineAtEveryChunkBoundary) {
+  // CRLF and a bare '\r' mid-line, empty lines, a comment, and a final
+  // unterminated fragment whose trailing '\r' is stripped too.
+  const std::string stream = "1 2\r\n\n\r\n  \n# c\nlast\rline\nfinal\r";
+  std::vector<std::string> expected;
+  {
+    Pipe p;
+    ASSERT_TRUE(WriteAll(p.wr.fd(), stream.data(), stream.size()));
+    p.wr.Close();
+    LineReader reader(p.rd.fd());
+    expected = ReadAllLines(reader);
+  }
+  ASSERT_EQ(expected.size(), 7u);
+
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    Pipe p;
+    LineReader reader(p.rd.fd());
+    std::vector<std::string> lines;
+    // Over a pipe each read(2) returns what is buffered, so the first
+    // ReadLines sees exactly the bytes before `split`.
+    if (split > 0) {
+      ASSERT_TRUE(WriteAll(p.wr.fd(), stream.data(), split));
+      ASSERT_TRUE(ReadLinesInto(reader, lines));
+    }
+    ASSERT_TRUE(WriteAll(p.wr.fd(), stream.data() + split,
+                         stream.size() - split));
+    p.wr.Close();
+    while (ReadLinesInto(reader, lines)) {
+    }
+    EXPECT_EQ(lines, expected) << "split at byte " << split;
+    // EOF is sticky.
+    std::vector<std::string_view> views;
+    const auto again = reader.ReadLines(views);
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(again.value());
+    EXPECT_TRUE(views.empty());
+  }
+}
+
+TEST(LineReaderTest, ReadLinesYieldsLinesBeforeAnOversizedFragment) {
+  Pipe p;
+  LineReader reader(p.rd.fd(), /*max_line_bytes=*/16);
+  const std::string data = "ok\n" + std::string(40, 'x');
+  ASSERT_TRUE(WriteAll(p.wr.fd(), data.data(), data.size()));
+  p.wr.Close();
+
+  std::vector<std::string> lines;
+  ASSERT_TRUE(ReadLinesInto(reader, lines));
+  EXPECT_EQ(lines, (std::vector<std::string>{"ok"}));
+  std::vector<std::string_view> views;
+  const auto got = reader.ReadLines(views);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------- NetServer --
 
 /// Fits a model, starts a NetServer on an ephemeral port, and runs the
@@ -181,6 +258,15 @@ std::string RoundTrip(uint16_t port, const std::string& input) {
   }
   EXPECT_EQ(n, 0) << "connection error mid-read";
   return response;
+}
+
+/// Splits a response stream into lines.
+std::vector<std::string> Lines(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(is, line)) lines.push_back(line);
+  return lines;
 }
 
 /// Renders `view`'s rows as request lines in the serve wire format.
@@ -402,6 +488,172 @@ TEST(NetServerTest, ShutdownClosesStillOpenConnectionsAfterServing) {
   EXPECT_EQ(summary.value().rows, 3u);
   EXPECT_EQ(::read(sock.value().fd(), buf, sizeof(buf)), 0)
       << "expected EOF after shutdown";
+}
+
+TEST(NetServerTest, MixedBlockInOneSendMatchesTheSkipPath) {
+  const std::vector<uint32_t> domains = {6, 4, 7, 3};
+  const Dataset data = MakeParityDataset(400, domains, 41);
+  ml::DecisionTree model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  // Every line kind in one read: rows (one CRLF), a blank line, a
+  // comment, both commands, an out-of-domain row and a too-long row.
+  const std::vector<std::string> block = {
+      "1 2 3 1", "", "# comment", "/healthz", "2 0 1 2", "/reboot",
+      "9 0 0 0", "1 1 1 1 1", "0 3 6 2\r", "5 1 0 0"};
+  std::string request;
+  std::string stdin_request;  // the commands become comments
+  for (const std::string& line : block) {
+    request += line + "\n";
+    stdin_request += (line[0] == '/' ? "# command" : line) + "\n";
+  }
+  std::istringstream in(stdin_request);
+  std::ostringstream out, err;
+  serve::ServeConfig config;
+  config.on_error = serve::OnError::kSkip;
+  ASSERT_TRUE(serve::ServeStream(model, in, out, err, config).ok());
+  std::vector<std::string> expected = Lines(out.str());
+  // Splice the command answers into their slots: /healthz is the 2nd
+  // response, "/reboot" (line 6) the 4th once /healthz is in.
+  expected.insert(expected.begin() + 1, "OK model=");
+  expected.insert(expected.begin() + 3,
+                  "ERR 6: unknown command \"/reboot\"");
+  ASSERT_EQ(expected.size(), 8u);
+
+  ServerFixture fixture(model);
+  const std::vector<std::string> got =
+      Lines(RoundTrip(fixture.port(), request));
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (i == 1) {
+      EXPECT_EQ(got[i].rfind("OK model=" + model.name() + " rows=", 0), 0u)
+          << got[i];
+    } else {
+      EXPECT_EQ(got[i], expected[i]) << "response " << i;
+    }
+  }
+  const auto summary = fixture.Stop();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary.value().errors, 3u);
+}
+
+TEST(NetServerTest, ErrorBudgetTripsMidChunk) {
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  NetServeConfig config;
+  config.max_errors = 1;
+  ServerFixture fixture(model, config);
+
+  // A second connection, open across the trip, with rows on either side.
+  Result<Socket> other = ConnectTcp("127.0.0.1", fixture.port());
+  ASSERT_TRUE(other.ok());
+  const std::string first = "1 2\n3 1\n";
+  ASSERT_TRUE(SendAll(other.value().fd(), first.data(), first.size()).ok());
+
+  // The second rejected line trips the budget; the rows, the probe and
+  // the garbage after it in the same send get no response.
+  const std::vector<std::string> noisy = Lines(RoundTrip(
+      fixture.port(), "1 2\nbad\n3 1\nworse\n0 3\n/healthz\nnope\n1 1\n"));
+  ASSERT_EQ(noisy.size(), 5u);
+  EXPECT_TRUE(noisy[0] == "0" || noisy[0] == "1") << noisy[0];
+  EXPECT_EQ(noisy[1].rfind("ERR 2: ", 0), 0u) << noisy[1];
+  EXPECT_EQ(noisy[2], noisy[0]);  // a majority model answers alike
+  EXPECT_EQ(noisy[3].rfind("ERR 4: ", 0), 0u) << noisy[3];
+  EXPECT_EQ(noisy[4].rfind("ERR 4: error budget exceeded", 0), 0u)
+      << noisy[4];
+
+  const std::string second = "0 3\n1 1\n";
+  ASSERT_TRUE(SendAll(other.value().fd(), second.data(), second.size()).ok());
+  other.value().ShutdownWrite();
+  std::string response;
+  char buf[256];
+  ssize_t n;
+  while ((n = ::read(other.value().fd(), buf, sizeof(buf))) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0);
+  const std::string p = noisy[0] + "\n";
+  EXPECT_EQ(response, p + p + p + p);
+
+  const auto summary = fixture.Stop();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary.value().errors, 2u);
+  EXPECT_EQ(summary.value().rows, 6u);
+}
+
+TEST(NetServerTest, LinesBeforeAnOversizedLineAreAnsweredFirst) {
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  ServerFixture fixture(model);
+
+  // One byte past the cap and nothing after it: the reader consumes
+  // every byte before it gives up, so the close carries no reset.
+  const std::string request =
+      "1 2\n3 1\n" + std::string(serve::net::kMaxLineBytes + 1, 'x');
+  const std::vector<std::string> got =
+      Lines(RoundTrip(fixture.port(), request));
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_TRUE(got[0] == "0" || got[0] == "1") << got[0];
+  EXPECT_EQ(got[1], got[0]);
+  EXPECT_EQ(got[2], "ERR 3: request line exceeds " +
+                        std::to_string(serve::net::kMaxLineBytes) + " bytes");
+
+  const auto summary = fixture.Stop();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary.value().rows, 2u);
+  EXPECT_EQ(summary.value().errors, 1u);
+}
+
+TEST(NetServerTest, PipeliningPastTheQueueCapacityKeepsOrder) {
+  const std::vector<uint32_t> domains = {6, 4, 7, 3};
+  const Dataset data = MakeParityDataset(400, domains, 41);
+  ml::DecisionTree model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  // At batch_size 32 the queue holds max(1024, 2 * 32) = 1024 request
+  // lines; each row client sends more than three times that in one go.
+  // A fifth client sends two-byte rejected lines, so one read carries
+  // more request lines than the whole queue holds.
+  constexpr int kRowClients = 4;
+  constexpr int kClients = kRowClients + 1;
+  constexpr size_t kRows = 3 * 1024 + 200;
+  std::vector<std::string> requests(kClients);
+  for (int i = 0; i < kRowClients; ++i) {
+    const Dataset reqs = MakeParityDataset(kRows, domains, 300 + i);
+    requests[i] = RequestLines(DataView(&reqs));
+  }
+  for (size_t i = 0; i < kRows; ++i) requests[kRowClients] += "x\n";
+  std::vector<std::string> expected(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    std::istringstream in(requests[i]);
+    std::ostringstream out, err;
+    serve::ServeConfig config;
+    config.on_error = serve::OnError::kSkip;
+    ASSERT_TRUE(serve::ServeStream(model, in, out, err, config).ok());
+    expected[i] = out.str();
+  }
+
+  NetServeConfig config;
+  config.batch_size = 32;
+  ServerFixture fixture(model, config);
+  std::vector<std::string> responses(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      responses[i] = RoundTrip(fixture.port(), requests[i]);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_EQ(responses[i], expected[i]) << "client " << i;
+  }
+  const auto summary = fixture.Stop();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary.value().rows, kRowClients * kRows);
+  EXPECT_EQ(summary.value().errors, kRows);
 }
 
 }  // namespace
