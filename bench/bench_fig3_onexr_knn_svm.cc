@@ -13,8 +13,7 @@
 
 int main() {
   using namespace hamlet;
-  const bench::SvmStatsScope svm_stats;
-  const bench::PackedStatsScope packed_stats;
+  const bench::CounterScope counters;
   bench::PrintHeader("Figure 3: OneXr vary nR, 1-NN (A) and RBF-SVM (B)");
   const std::vector<double> nrs =
       bench::IsFullMode() ? std::vector<double>{1, 10, 40, 100, 250, 500, 1000}
@@ -35,7 +34,7 @@ int main() {
       "Expected shape (paper Fig. 3): 1-NN NoJoin degrades early (already\n"
       "at nR ~ 10); RBF-SVM NoJoin tracks JoinAll until the tuple ratio\n"
       "falls below ~6 (nR ~ 80+ at nS = 1000 -> 500 train rows).\n");
-  bench::PrintSvmCacheStats(svm_stats);
-  bench::PrintPackedStats(packed_stats);
+  bench::PrintSvmCacheStats(counters);
+  bench::PrintPackedStats(counters);
   return bench::ExitCode();
 }

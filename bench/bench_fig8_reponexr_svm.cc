@@ -10,8 +10,7 @@
 
 int main() {
   using namespace hamlet;
-  const bench::SvmStatsScope svm_stats;
-  const bench::PackedStatsScope packed_stats;
+  const bench::CounterScope counters;
   bench::PrintHeader("Figure 8: RepOneXr simulations, RBF-SVM");
   const std::vector<double> drs = bench::IsFullMode()
                                       ? std::vector<double>{1, 6, 11, 16}
@@ -35,7 +34,7 @@ int main() {
   std::printf(
       "Expected shape (paper Fig. 8): NoJoin ~ JoinAll in (A); a visible\n"
       "NoJoin deviation opens in (B), the ~5x tuple-ratio regime.\n");
-  bench::PrintSvmCacheStats(svm_stats);
-  bench::PrintPackedStats(packed_stats);
+  bench::PrintSvmCacheStats(counters);
+  bench::PrintPackedStats(counters);
   return bench::ExitCode();
 }

@@ -12,7 +12,7 @@
 int main() {
   using namespace hamlet;
   bench::PrintHeader("Figure 9: RepOneXr simulations, 1-NN");
-  const bench::PackedStatsScope packed_stats;
+  const bench::CounterScope counters;
   const std::vector<double> drs = bench::IsFullMode()
                                       ? std::vector<double>{1, 6, 11, 16}
                                       : std::vector<double>{1, 8, 16};
@@ -32,7 +32,7 @@ int main() {
   bench::RunSimulationPanel("(B) nR = 200 (tuple ratio ~5)", "dR", drs,
                             bench::SimModel::kOneNn, reponexr(200));
 
-  bench::PrintPackedStats(packed_stats);
+  bench::PrintPackedStats(counters);
   std::printf(
       "Expected shape (paper Fig. 9): 1-NN NoJoin deviates from JoinAll\n"
       "already in (A); both trail NoFK badly in (B).\n");

@@ -13,8 +13,7 @@
 #include "bench_tables.h"
 
 int main() {
-  const hamlet::bench::SvmStatsScope svm_stats;
-  const hamlet::bench::PackedStatsScope packed_stats;
+  const hamlet::bench::CounterScope counters;
   using namespace hamlet;
   using core::FeatureVariant;
   using core::ModelKind;
@@ -51,7 +50,7 @@ int main() {
   std::printf(
       "\nExpected shape (paper Table 6): JoinAll ~ NoJoin train accuracy\n"
       "within each model family; kernel SVMs overfit more than linear.\n");
-  bench::PrintSvmCacheStats(svm_stats);
-  bench::PrintPackedStats(packed_stats);
+  bench::PrintSvmCacheStats(counters);
+  bench::PrintPackedStats(counters);
   return bench::ExitCode();
 }

@@ -130,18 +130,19 @@ inline void PrintRow(const std::vector<std::string>& cells, size_t width) {
   std::printf("\n");
 }
 
-/// Snapshot scope over the process-wide SVM counters (kernel-row cache
-/// totals and SMO solver totals). The globals are monotone and never
-/// reset, so a bench that wants ITS OWN numbers — not whatever earlier
-/// fits in the same process accumulated — constructs one of these at the
-/// start of main and reports the deltas. This is the scoped-snapshot
-/// companion to ml::ResetGlobal{KernelCache,Smo}Totals(), preferred in
-/// benches because it composes with any fits that preceded the scope.
-class SvmStatsScope {
+/// Snapshot scope over the process-wide work counters: kernel-row cache
+/// totals, SMO solver totals and packed-code totals. The globals are
+/// monotone and never reset, so a bench that wants ITS OWN numbers — not
+/// whatever earlier fits in the same process accumulated — constructs one
+/// of these (at the start of main, or around one cell) and reports the
+/// deltas. Preferred in benches over ml::ResetGlobal{KernelCache,Smo}Totals()
+/// because scopes nest and compose with any fits that preceded them.
+class CounterScope {
  public:
-  SvmStatsScope()
+  CounterScope()
       : cache_start_(ml::GlobalKernelCacheTotals()),
-        smo_start_(ml::GlobalSmoTotals()) {}
+        smo_start_(ml::GlobalSmoTotals()),
+        packed_start_(simd::GlobalPackedStats()) {}
 
   ml::KernelCacheTotals CacheDelta() const {
     const ml::KernelCacheTotals now = ml::GlobalKernelCacheTotals();
@@ -162,9 +163,21 @@ class SvmStatsScope {
     return d;
   }
 
+  simd::PackedStats PackedDelta() const {
+    const simd::PackedStats now = simd::GlobalPackedStats();
+    simd::PackedStats d;
+    d.builds = now.builds - packed_start_.builds;
+    d.rows = now.rows - packed_start_.rows;
+    d.build_words = now.build_words - packed_start_.build_words;
+    d.evals = now.evals - packed_start_.evals;
+    d.eval_words = now.eval_words - packed_start_.eval_words;
+    return d;
+  }
+
  private:
   ml::KernelCacheTotals cache_start_;
   ml::SmoTotals smo_start_;
+  simd::PackedStats packed_start_;
 };
 
 /// Prints the SMO kernel-row cache and solver counters accumulated since
@@ -173,8 +186,8 @@ class SvmStatsScope {
 /// tables, so the goldens pin cache effectiveness and iteration counts
 /// (fields in docs/ARCHITECTURE.md, "The bench counter lines"). Counters
 /// cover every fit inside the scope (all grid cells, all Monte-Carlo
-/// runs); hit_rate is n/a when no SVM fit ran (e.g. fig1's smoke roster).
-inline void PrintSvmCacheStats(const SvmStatsScope& scope) {
+/// runs); hit_rate is n/a when no SVM fit ran.
+inline void PrintSvmCacheStats(const CounterScope& scope) {
   const ml::KernelCacheTotals cache = scope.CacheDelta();
   const ml::SmoTotals smo = scope.SmoDelta();
   const uint64_t accesses = cache.hits + cache.misses;
@@ -196,28 +209,6 @@ inline void PrintSvmCacheStats(const SvmStatsScope& scope) {
       static_cast<unsigned long long>(smo.unconverged));
 }
 
-/// Snapshot scope over the process-wide packed-code counters
-/// (simd::GlobalPackedStats), mirroring SvmStatsScope: construct at the
-/// start of main, report deltas at the end.
-class PackedStatsScope {
- public:
-  PackedStatsScope() : start_(simd::GlobalPackedStats()) {}
-
-  simd::PackedStats Delta() const {
-    const simd::PackedStats now = simd::GlobalPackedStats();
-    simd::PackedStats d;
-    d.builds = now.builds - start_.builds;
-    d.rows = now.rows - start_.rows;
-    d.build_words = now.build_words - start_.build_words;
-    d.evals = now.evals - start_.evals;
-    d.eval_words = now.eval_words - start_.eval_words;
-    return d;
-  }
-
- private:
-  simd::PackedStats start_;
-};
-
 /// Prints the packed-code layer's counters accumulated since `scope` was
 /// constructed, in a stable, machine-parseable form. The match-counting
 /// benches (1-NN and SVM families) call this after their tables, so the
@@ -225,8 +216,8 @@ class PackedStatsScope {
 /// CPU-picked backend name. words_per_row is the mean packed row width
 /// (build words / rows packed); n/a when nothing was packed inside the
 /// scope.
-inline void PrintPackedStats(const PackedStatsScope& scope) {
-  const simd::PackedStats d = scope.Delta();
+inline void PrintPackedStats(const CounterScope& scope) {
+  const simd::PackedStats d = scope.PackedDelta();
   std::printf("[packed] backend=%s builds=%llu rows=%llu words_per_row=",
               simd::BackendName(simd::ActiveBackend()),
               static_cast<unsigned long long>(d.builds),

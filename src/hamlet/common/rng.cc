@@ -73,20 +73,4 @@ Rng Rng::Fork(uint64_t stream) {
   return Rng(mix);
 }
 
-size_t SampleDiscrete(Rng& rng, const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-  double u = rng.UniformDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (u < acc) return i;
-  }
-  return weights.size() - 1;  // Guard against rounding at the boundary.
-}
-
 }  // namespace hamlet

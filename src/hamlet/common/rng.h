@@ -61,10 +61,6 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
-/// Samples an index from unnormalised non-negative weights.
-/// Requires at least one strictly positive weight.
-size_t SampleDiscrete(Rng& rng, const std::vector<double>& weights);
-
 }  // namespace hamlet
 
 #endif  // HAMLET_COMMON_RNG_H_

@@ -5,16 +5,6 @@
 
 namespace hamlet {
 
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::vector<std::string> SplitString(const std::string& s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -12,10 +12,6 @@
 
 namespace hamlet {
 
-/// Joins `parts` with `sep` ("a,b,c").
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        const std::string& sep);
-
 /// Splits `s` on `sep`; keeps empty fields. Splitting "" yields {""}.
 std::vector<std::string> SplitString(const std::string& s, char sep);
 

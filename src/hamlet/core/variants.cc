@@ -79,16 +79,5 @@ std::vector<uint32_t> ForeignKeyColumns(const Dataset& data) {
   return cols;
 }
 
-std::vector<uint32_t> ForeignFeatureColumns(const Dataset& data, int dim) {
-  std::vector<uint32_t> cols;
-  for (uint32_t c = 0; c < data.num_features(); ++c) {
-    const FeatureSpec& spec = data.feature_spec(c);
-    if (spec.role == FeatureRole::kForeign && spec.dim_index == dim) {
-      cols.push_back(c);
-    }
-  }
-  return cols;
-}
-
 }  // namespace core
 }  // namespace hamlet

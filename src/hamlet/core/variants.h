@@ -37,9 +37,6 @@ std::vector<uint32_t> SelectDroppingDimensions(
 /// Column ids of all FK columns (helper for compression/smoothing).
 std::vector<uint32_t> ForeignKeyColumns(const Dataset& data);
 
-/// Column ids of dimension `dim`'s foreign features.
-std::vector<uint32_t> ForeignFeatureColumns(const Dataset& data, int dim);
-
 }  // namespace core
 }  // namespace hamlet
 

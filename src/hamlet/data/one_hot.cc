@@ -1,7 +1,5 @@
 #include "hamlet/data/one_hot.h"
 
-#include <cassert>
-
 namespace hamlet {
 
 OneHotMap::OneHotMap(const DataView& view) {
@@ -22,15 +20,6 @@ OneHotMap::OneHotMap(const std::vector<uint32_t>& domain_sizes) {
     offset += domain_sizes[j];
   }
   dimension_ = offset;
-}
-
-void OneHotMap::ActiveUnits(const DataView& view, size_t i,
-                            std::vector<uint32_t>& out) const {
-  assert(view.num_features() == offsets_.size());
-  out.resize(offsets_.size());
-  for (size_t j = 0; j < offsets_.size(); ++j) {
-    out[j] = offsets_[j] + view.feature(i, j);
-  }
 }
 
 void OneHotMap::ActiveUnitsFromCodes(const uint32_t* codes,

@@ -52,15 +52,10 @@ class OneHotMap {
     return offsets_[j] + (code < last ? code : last);
   }
 
-  /// Fills `out` with the active unit index per feature for view-row i.
-  /// `out` is resized to num_features(); the encoding has exactly one
-  /// active unit per feature.
-  void ActiveUnits(const DataView& view, size_t i,
-                   std::vector<uint32_t>& out) const;
-
-  /// Same, from an already-materialised row of num_features() codes (a
-  /// CodeMatrix row); produces the unit indices in the same order as
-  /// ActiveUnits on the originating view.
+  /// Fills `out` with the active unit index per feature of one
+  /// materialised row of num_features() codes (a CodeMatrix row or
+  /// DataView::RowCodes). `out` is resized to num_features(); the
+  /// encoding has exactly one active unit per feature.
   void ActiveUnitsFromCodes(const uint32_t* codes,
                             std::vector<uint32_t>& out) const;
 

@@ -58,11 +58,4 @@ size_t DataView::OneHotDimension() const {
   return d;
 }
 
-double DataView::PositiveRate() const {
-  if (rows_.empty()) return 0.0;
-  size_t pos = 0;
-  for (size_t i = 0; i < rows_.size(); ++i) pos += label(i);
-  return static_cast<double>(pos) / static_cast<double>(rows_.size());
-}
-
 }  // namespace hamlet

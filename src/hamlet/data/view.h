@@ -75,9 +75,6 @@ class DataView {
   /// Sum of selected features' domain sizes.
   size_t OneHotDimension() const;
 
-  /// Fraction of rows labeled 1.
-  double PositiveRate() const;
-
  private:
   const Dataset* data_ = nullptr;
   std::vector<uint32_t> rows_;

@@ -1,7 +1,5 @@
 #include "hamlet/ml/metrics.h"
 
-#include <cassert>
-
 namespace hamlet {
 namespace ml {
 
@@ -56,17 +54,6 @@ double Accuracy(const Classifier& model, const DataView& view) {
 
 double ErrorRate(const Classifier& model, const DataView& view) {
   return 1.0 - Accuracy(model, view);
-}
-
-double PredictionAccuracy(const std::vector<uint8_t>& predictions,
-                          const std::vector<uint8_t>& labels) {
-  assert(predictions.size() == labels.size());
-  if (predictions.empty()) return 0.0;
-  size_t hits = 0;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    hits += predictions[i] == labels[i];
-  }
-  return static_cast<double>(hits) / static_cast<double>(predictions.size());
 }
 
 }  // namespace ml

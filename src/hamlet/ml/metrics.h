@@ -33,10 +33,6 @@ double Accuracy(const Classifier& model, const DataView& view);
 /// 1 - Accuracy.
 double ErrorRate(const Classifier& model, const DataView& view);
 
-/// Accuracy of fixed predictions against labels (sizes must match).
-double PredictionAccuracy(const std::vector<uint8_t>& predictions,
-                          const std::vector<uint8_t>& labels);
-
 }  // namespace ml
 }  // namespace hamlet
 

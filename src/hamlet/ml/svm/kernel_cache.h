@@ -51,7 +51,7 @@ struct KernelCacheTotals {
 /// Snapshot of the totals accumulated so far (all fits in this process).
 /// The totals are monotone and never reset implicitly, so multi-fit
 /// callers that want per-batch numbers must scope them: subtract two
-/// snapshots (bench::SvmStatsScope does this) or call
+/// snapshots (bench::CounterScope does this) or call
 /// ResetGlobalKernelCacheTotals between batches.
 KernelCacheTotals GlobalKernelCacheTotals();
 

@@ -101,7 +101,7 @@ struct SmoSolution {
 
 /// Process-wide SMO counters summed over completed solves; the SVM-heavy
 /// benches report deltas of these per bench run (see
-/// bench::SvmStatsScope). fits counts solves that entered the pairwise
+/// bench::CounterScope). fits counts solves that entered the pairwise
 /// loop (single-class early returns are excluded); unconverged counts
 /// those of them that returned converged == false.
 struct SmoTotals {

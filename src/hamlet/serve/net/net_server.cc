@@ -13,9 +13,10 @@ namespace net {
 
 namespace {
 
-/// How long the batch loop waits for a request before checking the
-/// shutdown flag and flushing a partial batch: bounds both signal
-/// latency and the tail latency of a quiet stream.
+/// How long the batch loop waits for a request before re-checking
+/// stop_poll. RequestShutdown wakes the wait at once, but stop_poll
+/// reads a flag that a signal handler sets, and a handler cannot
+/// notify, so this bounds the signal latency.
 constexpr std::chrono::milliseconds kPollInterval(50);
 
 }  // namespace
@@ -41,6 +42,10 @@ bool NetServer::RequestQueue::PopWithTimeout(
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(mu_);
   while (items_.empty()) {
+    if (wake_) {
+      wake_ = false;
+      return false;
+    }
     if (!not_empty_.WaitUntil(mu_, deadline) && items_.empty()) {
       return false;
     }
@@ -62,6 +67,12 @@ bool NetServer::RequestQueue::TryPop(Chunk& chunk) {
   lines_ -= chunk.lines.size();
   not_full_.NotifyAll();
   return true;
+}
+
+void NetServer::RequestQueue::Wake() {
+  MutexLock lock(mu_);
+  wake_ = true;
+  not_empty_.NotifyAll();
 }
 
 bool NetServer::RequestQueue::Empty() {
@@ -138,7 +149,10 @@ Status NetServer::Start() {
   return Status::OK();
 }
 
-void NetServer::RequestShutdown() { stop_.store(true); }
+void NetServer::RequestShutdown() {
+  stop_.store(true);
+  queue_.Wake();
+}
 
 bool NetServer::ShouldStop() {
   if (stop_.load()) return true;

@@ -113,7 +113,8 @@ class NetServer {
   /// `err` receives the live ticker and per-event log lines.
   HAMLET_NODISCARD Result<StatsSummary> Run(std::ostream& err);
 
-  /// Thread-safe, idempotent; Run() notices within its poll interval.
+  /// Thread-safe, idempotent; wakes Run() at once if it is waiting for
+  /// requests.
   void RequestShutdown();
 
  private:
@@ -155,6 +156,9 @@ class NetServer {
     bool PopWithTimeout(Chunk& chunk, std::chrono::milliseconds timeout);
     bool TryPop(Chunk& chunk);
     bool Empty();
+    /// Makes the current or next PopWithTimeout that finds the queue
+    /// empty return false at once, without waiting out its timeout.
+    void Wake();
 
    private:
     Mutex mu_;
@@ -162,6 +166,7 @@ class NetServer {
     CondVar not_empty_;
     std::deque<Chunk> items_ HAMLET_GUARDED_BY(mu_);
     size_t lines_ HAMLET_GUARDED_BY(mu_) = 0;  ///< queued request lines
+    bool wake_ HAMLET_GUARDED_BY(mu_) = false;
     const size_t capacity_;
   };
 

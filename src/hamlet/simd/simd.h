@@ -219,7 +219,7 @@ struct PackedStats {
 
 /// Snapshot of the totals accumulated so far; monotone, never reset
 /// implicitly. Benches scope them by subtracting two snapshots
-/// (bench::PackedStatsScope).
+/// (bench::CounterScope).
 PackedStats GlobalPackedStats();
 
 /// Zeroes the process-wide totals (test isolation).

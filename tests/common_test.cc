@@ -328,18 +328,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, original);
 }
 
-TEST(RngTest, SampleDiscreteRespectsWeights) {
-  Rng rng(23);
-  std::vector<double> w = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[SampleDiscrete(rng, w)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
 TEST(RngTest, SplitMix64KnownSequenceIsDeterministic) {
   uint64_t s1 = 0;
   uint64_t s2 = 0;
@@ -350,12 +338,6 @@ TEST(RngTest, SplitMix64KnownSequenceIsDeterministic) {
 
 // --------------------------------------------------------------- stringx --
 
-TEST(StringxTest, JoinStrings) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ","), "a,b,c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"solo"}, ", "), "solo");
-}
-
 TEST(StringxTest, SplitString) {
   EXPECT_EQ(SplitString("a,b,c", ',').size(), 3u);
   EXPECT_EQ(SplitString("a,,c", ',')[1], "");
@@ -365,7 +347,10 @@ TEST(StringxTest, SplitString) {
 
 TEST(StringxTest, SplitJoinRoundTrip) {
   const std::string s = "x,y,,z";
-  EXPECT_EQ(JoinStrings(SplitString(s, ','), ","), s);
+  const std::vector<std::string> parts = SplitString(s, ',');
+  std::string joined = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) joined += "," + parts[i];
+  EXPECT_EQ(joined, s);
 }
 
 TEST(StringxTest, TrimString) {

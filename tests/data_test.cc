@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/one_hot.h"
 #include "hamlet/data/split.h"
@@ -75,7 +76,6 @@ TEST(DataViewTest, FullViewSeesEverything) {
   EXPECT_EQ(v.num_features(), 3u);
   EXPECT_EQ(v.feature(3, 2), 2u);
   EXPECT_EQ(v.label(3), 0);
-  EXPECT_DOUBLE_EQ(v.PositiveRate(), 0.5);
 }
 
 TEST(DataViewTest, RowAndFeatureSubsets) {
@@ -260,7 +260,7 @@ TEST(OneHotTest, ActiveUnitsOnePerFeature) {
   DataView v(&d);
   OneHotMap map(v);
   std::vector<uint32_t> active;
-  map.ActiveUnits(v, 0, active);  // row 0: h=0, fk=4, r.x=2
+  map.ActiveUnitsFromCodes(v.RowCodes(0).data(), active);  // h=0, fk=4, r.x=2
   EXPECT_EQ(active, (std::vector<uint32_t>{0, 6, 9}));
 }
 
@@ -270,8 +270,28 @@ TEST(OneHotTest, RespectsFeatureSubset) {
   OneHotMap map(v);
   EXPECT_EQ(map.dimension(), 3u);
   std::vector<uint32_t> active;
-  map.ActiveUnits(v, 2, active);  // row 2: r.x = 1
+  map.ActiveUnitsFromCodes(v.RowCodes(2).data(), active);  // row 2: r.x = 1
   EXPECT_EQ(active, (std::vector<uint32_t>{1}));
+}
+
+TEST(OneHotTest, ActiveUnitsFromCodesAgreeAcrossRowSources) {
+  // A CodeMatrix row and DataView::RowCodes of the same view row give
+  // the same units, offsets_[j] + feature(i, j), on a reordered subset.
+  Dataset d = MakeDataset();
+  DataView v(&d, {3, 1, 2}, {2, 0});
+  OneHotMap map(v);
+  const CodeMatrix codes(v);
+  std::vector<uint32_t> from_matrix(7, 99), from_view;
+  for (size_t i = 0; i < v.num_rows(); ++i) {
+    map.ActiveUnitsFromCodes(codes.row(i), from_matrix);
+    map.ActiveUnitsFromCodes(v.RowCodes(i).data(), from_view);
+    std::vector<uint32_t> expected;
+    for (size_t j = 0; j < v.num_features(); ++j) {
+      expected.push_back(map.UnitIndex(j, v.feature(i, j)));
+    }
+    EXPECT_EQ(from_matrix, expected) << "row " << i;
+    EXPECT_EQ(from_view, expected) << "row " << i;
+  }
 }
 
 TEST(OneHotTest, DistancePropertyMatchesMismatchCount) {
@@ -280,8 +300,8 @@ TEST(OneHotTest, DistancePropertyMatchesMismatchCount) {
   DataView v(&d);
   OneHotMap map(v);
   std::vector<uint32_t> a, b;
-  map.ActiveUnits(v, 0, a);
-  map.ActiveUnits(v, 1, b);
+  map.ActiveUnitsFromCodes(v.RowCodes(0).data(), a);
+  map.ActiveUnitsFromCodes(v.RowCodes(1).data(), b);
   size_t mismatches = 0;
   for (size_t j = 0; j < v.num_features(); ++j) {
     mismatches += v.feature(0, j) != v.feature(1, j);

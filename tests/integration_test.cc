@@ -54,8 +54,8 @@ TEST(KernelIdentityTest, LinearKernelEqualsOneHotDotOverD) {
       const std::vector<uint32_t> ra = view.RowCodes(a);
       const std::vector<uint32_t> rb = view.RowCodes(b);
       // Explicit one-hot dot product: count shared active units.
-      map.ActiveUnits(view, a, ua);
-      map.ActiveUnits(view, b, ub);
+      map.ActiveUnitsFromCodes(ra.data(), ua);
+      map.ActiveUnitsFromCodes(rb.data(), ub);
       size_t dot = 0;
       for (size_t j = 0; j < d; ++j) dot += ua[j] == ub[j];
       EXPECT_DOUBLE_EQ(ml::KernelEval(lin, ra.data(), rb.data(), d),

@@ -60,11 +60,6 @@ TEST(MetricsTest, EmptyViewDegenerates) {
   EXPECT_DOUBLE_EQ(Accuracy(ones, empty), 0.0);
 }
 
-TEST(MetricsTest, PredictionAccuracy) {
-  EXPECT_DOUBLE_EQ(PredictionAccuracy({1, 0, 1}, {1, 1, 1}), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(PredictionAccuracy({}, {}), 0.0);
-}
-
 // ----------------------------------------------------------- grid search --
 
 TEST(ParamGridTest, EnumeratesCartesianProduct) {

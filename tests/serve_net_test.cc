@@ -303,6 +303,51 @@ TEST(NetServerTest, IdleStartStopYieldsZeroSummary) {
   EXPECT_EQ(summary.value().errors, 0u);
 }
 
+TEST(NetServerTest, ShutdownRequestedBeforeRunYieldsZeroSummary) {
+  // A request that lands before Run() first waits must still end it:
+  // the batch loop is skipped and the drain finds nothing to serve.
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  NetServer server(model, {});
+  ASSERT_TRUE(server.Start().ok());
+  server.RequestShutdown();
+  std::ostringstream err;
+  const auto summary = server.Run(err);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary.value().rows, 0u);
+  EXPECT_EQ(summary.value().errors, 0u);
+}
+
+TEST(NetServerTest, ConcurrentShutdownRequestsEndRunOnce) {
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  NetServer server(model, {});
+  ASSERT_TRUE(server.Start().ok());
+  std::ostringstream err;
+  Result<serve::StatsSummary> summary = Status::Internal("server never ran");
+  std::thread runner([&] { summary = server.Run(err); });
+
+  // One answered request proves Run() is inside its batch loop before
+  // the shutdown requests race each other.
+  const std::string answer = RoundTrip(server.port(), "1 2\n");
+  EXPECT_TRUE(answer == "0\n" || answer == "1\n") << answer;
+  std::vector<std::thread> stoppers;
+  for (int t = 0; t < 4; ++t) {
+    stoppers.emplace_back([&server] { server.RequestShutdown(); });
+  }
+  for (std::thread& t : stoppers) t.join();
+  runner.join();
+  server.RequestShutdown();  // after Run() returned: still harmless
+
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary.value().rows, 1u);
+  EXPECT_EQ(summary.value().errors, 0u);
+}
+
 TEST(NetServerTest, ConcurrentClientsMatchTheStdinPathBitForBit) {
   // A real (non-constant) model over multiple batches, so any
   // cross-connection row mixup or reordering flips an output bit.

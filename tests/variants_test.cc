@@ -54,12 +54,22 @@ TEST(VariantsTest, DropSingleDimensionKeepsItsFk) {
             SelectVariant(d, FeatureVariant::kJoinAll));
 }
 
+TEST(VariantsTest, DroppingAnUnknownDimensionKeepsEverything) {
+  // No foreign feature is tagged with dimension 7, and the home feature's
+  // -1 tag never drops it; a known dimension beside an unknown one still
+  // drops only its own features.
+  Dataset d = MakeJoined();
+  EXPECT_EQ(SelectDroppingDimensions(d, {7}),
+            SelectVariant(d, FeatureVariant::kJoinAll));
+  EXPECT_EQ(SelectDroppingDimensions(d, {-1}),
+            SelectVariant(d, FeatureVariant::kJoinAll));
+  EXPECT_EQ(SelectDroppingDimensions(d, {7, 1}),
+            SelectDroppingDimensions(d, {1}));
+}
+
 TEST(VariantsTest, HelperColumnSelectors) {
   Dataset d = MakeJoined();
   EXPECT_EQ(ForeignKeyColumns(d), (std::vector<uint32_t>{1, 2}));
-  EXPECT_EQ(ForeignFeatureColumns(d, 0), (std::vector<uint32_t>{3, 4}));
-  EXPECT_EQ(ForeignFeatureColumns(d, 1), (std::vector<uint32_t>{5}));
-  EXPECT_TRUE(ForeignFeatureColumns(d, 7).empty());
 }
 
 TEST(VariantsTest, Names) {

@@ -59,14 +59,21 @@ Rules
                   src/hamlet/simd/. That directory holds every kernel
                   with a scalar twin, a CPU-picked dispatch and a parity
                   test; ISA code anywhere else has none of the three.
+  bench-clock     No clock reads and no timing harness in bench/:
+                  `steady_clock`, `system_clock`, `high_resolution_clock`,
+                  `clock_gettime(` or a google-benchmark include
+                  (`<benchmark/...>`). Bench stdout is a golden-pinned spec of
+                  deterministic work, so a timing printed there can
+                  never be checked; perfbench/ is the one source of
+                  timings.
 
 Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line,
 or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
-kernel-math or env-read site, or ISA code outside simd/, is exactly what
-those rules exist to stop.
+kernel-math or env-read site, ISA code outside simd/, or a clock in
+bench/ is exactly what those rules exist to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -168,6 +175,17 @@ SIMD_RAW_PATTERNS = [
                 r'\b(?:avx\w*|sse\w*|popcnt|bmi\w*|lzcnt)'),
      "an ISA target attribute"),
 ]
+
+# bench-clock: timing code, rejected anywhere under bench/. The clock
+# names are matched in code (comments and strings removed); the include
+# of any google-benchmark header is matched with its name intact.
+BENCH_CLOCK_CODE_PATTERNS = [
+    (re.compile(r"\b(?:steady|system|high_resolution)_clock\b"),
+     "a std::chrono clock"),
+    (re.compile(r"\bclock_gettime\s*\("), "clock_gettime"),
+]
+BENCH_CLOCK_RAW_RE = re.compile(
+    r'#\s*include\s*[<"]benchmark/')
 
 
 def strip_line_comment(line):
@@ -407,6 +425,23 @@ class Linter:
                              "kernel with a scalar version and a parity "
                              "test" % (what, SIMD_HOME))
 
+    # -- bench-clock ---------------------------------------------------
+    def check_bench_clock(self):
+        for path in self.source_files("bench", exts=(".h", ".cc", ".cpp")):
+            rel = self.rel(path)
+            _, stripped_lines, uncommented_lines = read_code(path)
+            for lineno, (code, uncommented) in enumerate(
+                    zip(stripped_lines, uncommented_lines), 1):
+                hits = [what for pat, what in BENCH_CLOCK_CODE_PATTERNS
+                        if pat.search(code)]
+                if BENCH_CLOCK_RAW_RE.search(uncommented):
+                    hits.append("the google-benchmark harness")
+                for what in hits:
+                    self.add(rel, lineno, "bench-clock",
+                             "%s in bench/; print deterministic work "
+                             "counts and take timings from perfbench/"
+                             % what)
+
     # -- test-reg ------------------------------------------------------
     def check_test_registration(self):
         tests_dir = os.path.join(self.root, "tests")
@@ -431,6 +466,7 @@ class Linter:
         self.check_status_discard()
         self.check_one_home_rules()
         self.check_simd_home()
+        self.check_bench_clock()
         self.check_test_registration()
         return self.findings
 

@@ -273,6 +273,36 @@ def main():
         code, out = discard_quiet.lint()
         check("checked calls, comments, other discards pass", code == 0, out)
 
+        # bench-clock: a clock read or the google-benchmark include in
+        # bench/ fires; the same names in comments and strings, and a
+        # clock outside bench/, stay quiet.
+        for what, snippet in [
+            ("steady_clock",
+             "auto t0 = std::chrono::steady_clock::now();\n"),
+            ("system_clock", "auto t = std::chrono::system_clock::now();\n"),
+            ("high_resolution_clock",
+             "using C = std::chrono::high_resolution_clock;\n"),
+            ("clock_gettime", "clock_gettime(CLOCK_MONOTONIC, &ts);\n"),
+            ("google-benchmark", "#include <benchmark/" "benchmark.h>\n"),
+        ]:
+            fix = Fixture(base, "bclock_" + what.replace(".", "_"))
+            fix.write("bench/bench_a.cc", snippet)
+            code, out = fix.lint()
+            check("bench-clock fires on %s" % what,
+                  code == 1 and "bench-clock" in out and
+                  "bench/bench_a.cc" in out, out)
+
+        bclock_quiet = (Fixture(base, "bclock_quiet")
+                        .write("bench/bench_a.cc",
+                               "// timings: perfbench, not steady_clock\n"
+                               "/* no <benchmark/...> include here */\n"
+                               'const char* s = "clock_gettime(";\n')
+                        .write("src/hamlet/a.cc",
+                               "auto t = std::chrono::steady_clock::now();\n"))
+        code, out = bclock_quiet.lint()
+        check("bench-clock: comments, strings, src/ clocks pass", code == 0,
+              out)
+
         # kernel-math: KernelFromMatches( outside ml/svm/kernel.cc fires
         # in src/ and tests/; its home, prose, strings and the table
         # builder stay quiet.
