@@ -22,6 +22,7 @@
 int main() {
   using namespace hamlet;
   using core::ModelKind;
+  using counters::Counter;
   const bench::CounterScope totals;
   bench::PrintHeader(
       "Figure 1: end-to-end work, JoinAll vs NoJoin (expect NoJoin "
@@ -78,11 +79,11 @@ int main() {
           row.push_back("ERR");
           bench::ReportFailure();
         } else {
-          const ml::SmoTotals smo = cell.SmoDelta();
-          for (uint64_t count :
-               {smo.fits, smo.iterations, cell.CacheDelta().misses,
-                cell.PackedDelta().eval_words}) {
-            row.push_back(std::to_string(count));
+          const counters::Snapshot d = cell.Delta();
+          for (Counter c : {Counter::kSmoFits, Counter::kSmoIterations,
+                            Counter::kKernelCacheMisses,
+                            Counter::kPackedEvalWords}) {
+            row.push_back(std::to_string(d[c]));
           }
         }
         bench::PrintRow(row, kWidth);

@@ -17,13 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/core/experiment.h"
 #include "hamlet/core/variants.h"
 #include "hamlet/data/split.h"
 #include "hamlet/ml/bias_variance.h"
 #include "hamlet/ml/knn/one_nn.h"
 #include "hamlet/ml/metrics.h"
-#include "hamlet/ml/svm/kernel_cache.h"
 #include "hamlet/ml/svm/svm.h"
 #include "hamlet/ml/tree/decision_tree.h"
 #include "hamlet/simd/simd.h"
@@ -130,54 +130,18 @@ inline void PrintRow(const std::vector<std::string>& cells, size_t width) {
   std::printf("\n");
 }
 
-/// Snapshot scope over the process-wide work counters: kernel-row cache
-/// totals, SMO solver totals and packed-code totals. The globals are
-/// monotone and never reset, so a bench that wants ITS OWN numbers — not
-/// whatever earlier fits in the same process accumulated — constructs one
-/// of these (at the start of main, or around one cell) and reports the
-/// deltas. Preferred in benches over ml::ResetGlobal{KernelCache,Smo}Totals()
-/// because scopes nest and compose with any fits that preceded them.
+/// The work counted in the common/counters registry since construction.
+/// The registry is monotone and never reset, so a bench that wants ITS
+/// OWN numbers — not whatever earlier fits in the same process
+/// accumulated — constructs one of these (at the start of main, or
+/// around one cell) and reports Delta(); scopes nest.
 class CounterScope {
  public:
-  CounterScope()
-      : cache_start_(ml::GlobalKernelCacheTotals()),
-        smo_start_(ml::GlobalSmoTotals()),
-        packed_start_(simd::GlobalPackedStats()) {}
-
-  ml::KernelCacheTotals CacheDelta() const {
-    const ml::KernelCacheTotals now = ml::GlobalKernelCacheTotals();
-    ml::KernelCacheTotals d;
-    d.hits = now.hits - cache_start_.hits;
-    d.misses = now.misses - cache_start_.misses;
-    return d;
-  }
-
-  ml::SmoTotals SmoDelta() const {
-    const ml::SmoTotals now = ml::GlobalSmoTotals();
-    ml::SmoTotals d;
-    d.fits = now.fits - smo_start_.fits;
-    d.iterations = now.iterations - smo_start_.iterations;
-    d.shrink_events = now.shrink_events - smo_start_.shrink_events;
-    d.unshrink_events = now.unshrink_events - smo_start_.unshrink_events;
-    d.unconverged = now.unconverged - smo_start_.unconverged;
-    return d;
-  }
-
-  simd::PackedStats PackedDelta() const {
-    const simd::PackedStats now = simd::GlobalPackedStats();
-    simd::PackedStats d;
-    d.builds = now.builds - packed_start_.builds;
-    d.rows = now.rows - packed_start_.rows;
-    d.build_words = now.build_words - packed_start_.build_words;
-    d.evals = now.evals - packed_start_.evals;
-    d.eval_words = now.eval_words - packed_start_.eval_words;
-    return d;
-  }
+  CounterScope() : start_(counters::Read()) {}
+  counters::Snapshot Delta() const { return counters::Read() - start_; }
 
  private:
-  ml::KernelCacheTotals cache_start_;
-  ml::SmoTotals smo_start_;
-  simd::PackedStats packed_start_;
+  counters::Snapshot start_;
 };
 
 /// Prints the SMO kernel-row cache and solver counters accumulated since
@@ -188,25 +152,27 @@ class CounterScope {
 /// cover every fit inside the scope (all grid cells, all Monte-Carlo
 /// runs); hit_rate is n/a when no SVM fit ran.
 inline void PrintSvmCacheStats(const CounterScope& scope) {
-  const ml::KernelCacheTotals cache = scope.CacheDelta();
-  const ml::SmoTotals smo = scope.SmoDelta();
-  const uint64_t accesses = cache.hits + cache.misses;
+  using counters::Counter;
+  const counters::Snapshot d = scope.Delta();
+  const uint64_t hits = d[Counter::kKernelCacheHits];
+  const uint64_t misses = d[Counter::kKernelCacheMisses];
+  const uint64_t accesses = hits + misses;
   std::printf("[svm-cache] hits=%llu misses=%llu hit_rate=",
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses));
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses));
   if (accesses == 0) {
     std::printf("n/a");
   } else {
-    std::printf("%.4f", static_cast<double>(cache.hits) /
-                            static_cast<double>(accesses));
+    std::printf("%.4f",
+                static_cast<double>(hits) / static_cast<double>(accesses));
   }
   std::printf(
       " fits=%llu iters=%llu shrinks=%llu unshrinks=%llu unconverged=%llu\n",
-      static_cast<unsigned long long>(smo.fits),
-      static_cast<unsigned long long>(smo.iterations),
-      static_cast<unsigned long long>(smo.shrink_events),
-      static_cast<unsigned long long>(smo.unshrink_events),
-      static_cast<unsigned long long>(smo.unconverged));
+      static_cast<unsigned long long>(d[Counter::kSmoFits]),
+      static_cast<unsigned long long>(d[Counter::kSmoIterations]),
+      static_cast<unsigned long long>(d[Counter::kSmoShrinks]),
+      static_cast<unsigned long long>(d[Counter::kSmoUnshrinks]),
+      static_cast<unsigned long long>(d[Counter::kSmoUnconverged]));
 }
 
 /// Prints the packed-code layer's counters accumulated since `scope` was
@@ -217,20 +183,22 @@ inline void PrintSvmCacheStats(const CounterScope& scope) {
 /// (build words / rows packed); n/a when nothing was packed inside the
 /// scope.
 inline void PrintPackedStats(const CounterScope& scope) {
-  const simd::PackedStats d = scope.PackedDelta();
+  using counters::Counter;
+  const counters::Snapshot d = scope.Delta();
+  const uint64_t rows = d[Counter::kPackedRows];
   std::printf("[packed] backend=%s builds=%llu rows=%llu words_per_row=",
               simd::BackendName(simd::ActiveBackend()),
-              static_cast<unsigned long long>(d.builds),
-              static_cast<unsigned long long>(d.rows));
-  if (d.rows == 0) {
+              static_cast<unsigned long long>(d[Counter::kPackedBuilds]),
+              static_cast<unsigned long long>(rows));
+  if (rows == 0) {
     std::printf("n/a");
   } else {
-    std::printf("%.2f", static_cast<double>(d.build_words) /
-                            static_cast<double>(d.rows));
+    std::printf("%.2f", static_cast<double>(d[Counter::kPackedBuildWords]) /
+                            static_cast<double>(rows));
   }
   std::printf(" evals=%llu eval_words=%llu\n",
-              static_cast<unsigned long long>(d.evals),
-              static_cast<unsigned long long>(d.eval_words));
+              static_cast<unsigned long long>(d[Counter::kPackedEvals]),
+              static_cast<unsigned long long>(d[Counter::kPackedEvalWords]));
 }
 
 /// Which model a figure bench trains inside its Monte-Carlo loop.

@@ -1,6 +1,5 @@
 #include "hamlet/core/experiment.h"
 
-#include <chrono>
 #include <string>
 
 #include "hamlet/common/env.h"
@@ -213,12 +212,10 @@ Result<VariantResult> RunOnFeatures(const PreparedData& prepared,
   const SplitViews views =
       MakeSplitViews(prepared.data, prepared.split, features);
 
-  const auto t0 = std::chrono::steady_clock::now();
   Result<ml::GridSearchResult> search =
       ml::GridSearch(FactoryFor(kind, prepared, features, effort),
                      GridFor(kind, effort), views.train, views.val);
   if (!search.ok()) return search.status();
-  const auto t1 = std::chrono::steady_clock::now();
 
   VariantResult out;
   out.variant_name = variant_name;
@@ -227,7 +224,6 @@ Result<VariantResult> RunOnFeatures(const PreparedData& prepared,
   const ml::Classifier& model = *search.value().best_model;
   out.test_accuracy = ml::Accuracy(model, views.test);
   out.train_accuracy = ml::Accuracy(model, views.train);
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
   return out;
 }
 

@@ -3,8 +3,8 @@
 // For a star schema (real-world simulator output or a synthetic scenario),
 // the runner materialises the join once, builds the 50/25/25 split, and for
 // each requested feature variant runs validation-set grid search for a
-// model family, reporting holdout-test and training accuracy plus wall
-// time. Tables 2-6 and Figure 1 are thin wrappers over this.
+// model family, reporting accuracies and the chosen hyper-parameters.
+// The real-world benches call RunVariant once per table or figure cell.
 
 #ifndef HAMLET_CORE_EXPERIMENT_H_
 #define HAMLET_CORE_EXPERIMENT_H_
@@ -73,7 +73,6 @@ struct VariantResult {
   double test_accuracy = 0.0;
   double train_accuracy = 0.0;
   double val_accuracy = 0.0;
-  double seconds = 0.0;
   ml::ParamMap best_params;
 };
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "hamlet/common/counters.h"
+
 namespace hamlet {
 
 namespace detail {
@@ -27,7 +29,9 @@ PackedCodeMatrix::PackedCodeMatrix(const simd::PackedLayout& layout,
     layout_.PackRow(codes + i * layout_.num_features,
                     words_.data() + i * layout_.words_per_row);
   }
-  simd::AccumulatePackedBuild(num_rows_, words_.size());
+  counters::Add(counters::Counter::kPackedBuilds, 1);
+  counters::Add(counters::Counter::kPackedRows, num_rows_);
+  counters::Add(counters::Counter::kPackedBuildWords, words_.size());
 }
 
 PackedCodeMatrix::PackedCodeMatrix(const simd::PackedLayout& layout,

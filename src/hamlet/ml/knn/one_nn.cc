@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/io/model_io.h"
 
 namespace hamlet {
@@ -72,8 +73,9 @@ size_t OneNearestNeighbor::NearestIndexOfPacked(const uint64_t* query) const {
       if (dist == 0) break;
     }
   }
-  simd::AccumulatePackedEvals(
-      n, static_cast<uint64_t>(n) * layout.words_per_row);
+  counters::Add(counters::Counter::kPackedEvals, n);
+  counters::Add(counters::Counter::kPackedEvalWords,
+                static_cast<uint64_t>(n) * layout.words_per_row);
   return best;
 }
 

@@ -1,35 +1,20 @@
 #include "hamlet/ml/svm/kernel_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/common/env.h"
 
 namespace hamlet {
 namespace ml {
 
-namespace {
-
-/// Process-wide totals, accumulated when caches are destroyed. Relaxed
-/// atomics: concurrent grid-search fits each own a private cache and only
-/// the sums are shared; readers (bench reporting) run after the fits.
-std::atomic<uint64_t> g_total_hits{0};
-std::atomic<uint64_t> g_total_misses{0};
-
-}  // namespace
+using counters::Counter;
 
 KernelCacheTotals GlobalKernelCacheTotals() {
-  KernelCacheTotals totals;
-  totals.hits = g_total_hits.load(std::memory_order_relaxed);
-  totals.misses = g_total_misses.load(std::memory_order_relaxed);
-  return totals;
-}
-
-void ResetGlobalKernelCacheTotals() {
-  g_total_hits.store(0, std::memory_order_relaxed);
-  g_total_misses.store(0, std::memory_order_relaxed);
+  const counters::Snapshot now = counters::Read();
+  return {now[Counter::kKernelCacheHits], now[Counter::kKernelCacheMisses]};
 }
 
 size_t KernelCacheBytesFromEnv() {
@@ -79,9 +64,10 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
 }
 
 KernelCache::~KernelCache() {
-  g_total_hits.fetch_add(hits_, std::memory_order_relaxed);
-  g_total_misses.fetch_add(misses_, std::memory_order_relaxed);
-  simd::AccumulatePackedEvals(packed_evals_, packed_words_);
+  counters::Add(Counter::kKernelCacheHits, hits_);
+  counters::Add(Counter::kKernelCacheMisses, misses_);
+  counters::Add(Counter::kPackedEvals, packed_evals_);
+  counters::Add(Counter::kPackedEvalWords, packed_words_);
 }
 
 bool KernelCache::Cached(size_t i) const {

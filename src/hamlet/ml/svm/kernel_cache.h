@@ -12,9 +12,9 @@
 // saving multiplies across the whole grid.
 //
 // Not thread-safe: one cache belongs to one fit, matching the solver's
-// serial inner loop. Process-wide hit/miss totals (for bench reporting
-// across concurrent grid fits) are aggregated atomically when a cache is
-// destroyed — see GlobalKernelCacheTotals().
+// serial inner loop. Its hit/miss and packed-eval counts flush to the
+// common/counters registry when the cache is destroyed, so concurrent
+// grid fits only share the sums.
 
 #ifndef HAMLET_ML_SVM_KERNEL_CACHE_H_
 #define HAMLET_ML_SVM_KERNEL_CACHE_H_
@@ -42,22 +42,14 @@ inline constexpr size_t kDefaultKernelCacheBytes = 64u << 20;
 /// Grammar and the invalid-value warning are common/env.h's.
 size_t KernelCacheBytesFromEnv();
 
-/// Process-wide kernel-cache counters, summed over destroyed caches.
+/// The registry's kernel-cache entries (common/counters.h).
 struct KernelCacheTotals {
   uint64_t hits = 0;
   uint64_t misses = 0;
 };
 
-/// Snapshot of the totals accumulated so far (all fits in this process).
-/// The totals are monotone and never reset implicitly, so multi-fit
-/// callers that want per-batch numbers must scope them: subtract two
-/// snapshots (bench::CounterScope does this) or call
-/// ResetGlobalKernelCacheTotals between batches.
+/// The kernel-cache totals accumulated so far (all fits in this process).
 KernelCacheTotals GlobalKernelCacheTotals();
-
-/// Zeroes the process-wide totals (test isolation; benches prefer the
-/// snapshot-delta pattern, which also works with concurrent fits).
-void ResetGlobalKernelCacheTotals();
 
 /// LRU cache of kernel rows over an owned CodeMatrix.
 class KernelCache : public KernelRowSource {
@@ -107,8 +99,9 @@ class KernelCache : public KernelRowSource {
   void ClearActiveRestriction() override;
 
   size_t size() const override { return matrix_.num_rows(); }
-  uint64_t hits() const override { return hits_; }
-  uint64_t misses() const override { return misses_; }
+  /// Row() calls served from a resident row / that computed one.
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
 
   /// The owned training snapshot (support-vector extraction reads codes
   /// from here after the solve).
@@ -143,8 +136,8 @@ class KernelCache : public KernelRowSource {
   // Bit-packed mirror of matrix_: every kernel evaluation this cache
   // performs runs popcount-over-words instead of the scalar code scan
   // (bit-identical; see simd/simd.h). Eval counters accumulate locally
-  // (ComputeRow/At are const, hence mutable) and flush to the
-  // process-wide packed totals in the destructor, like hits_/misses_.
+  // (ComputeRow/At are const, hence mutable) and flush to the counter
+  // registry in the destructor, like hits_/misses_.
   PackedCodeMatrix packed_;
   mutable uint64_t packed_evals_ = 0;
   mutable uint64_t packed_words_ = 0;

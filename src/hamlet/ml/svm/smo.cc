@@ -1,47 +1,23 @@
 #include "hamlet/ml/svm/smo.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/simd/simd.h"
 
 namespace hamlet {
 namespace ml {
 
-namespace {
-
-/// Process-wide SMO totals, accumulated when solves finish. Relaxed
-/// atomics: concurrent grid-search fits only share the sums; readers
-/// (bench reporting) run after the fits.
-std::atomic<uint64_t> g_smo_fits{0};
-std::atomic<uint64_t> g_smo_iterations{0};
-std::atomic<uint64_t> g_smo_shrink_events{0};
-std::atomic<uint64_t> g_smo_unshrink_events{0};
-std::atomic<uint64_t> g_smo_unconverged{0};
-
-}  // namespace
+using counters::Counter;
 
 SmoTotals GlobalSmoTotals() {
-  SmoTotals totals;
-  totals.fits = g_smo_fits.load(std::memory_order_relaxed);
-  totals.iterations = g_smo_iterations.load(std::memory_order_relaxed);
-  totals.shrink_events =
-      g_smo_shrink_events.load(std::memory_order_relaxed);
-  totals.unshrink_events =
-      g_smo_unshrink_events.load(std::memory_order_relaxed);
-  totals.unconverged = g_smo_unconverged.load(std::memory_order_relaxed);
-  return totals;
-}
-
-void ResetGlobalSmoTotals() {
-  g_smo_fits.store(0, std::memory_order_relaxed);
-  g_smo_iterations.store(0, std::memory_order_relaxed);
-  g_smo_shrink_events.store(0, std::memory_order_relaxed);
-  g_smo_unshrink_events.store(0, std::memory_order_relaxed);
-  g_smo_unconverged.store(0, std::memory_order_relaxed);
+  const counters::Snapshot now = counters::Read();
+  return {now[Counter::kSmoFits], now[Counter::kSmoIterations],
+          now[Counter::kSmoShrinks], now[Counter::kSmoUnshrinks],
+          now[Counter::kSmoUnconverged]};
 }
 
 double DegenerateEndpointAj(double lo, double hi, double ai_old,
@@ -493,10 +469,6 @@ Result<SmoSolution> SolveSmo(KernelRowSource& rows,
     sol.iterations = 0;
     sol.converged = true;
     sol.num_support_vectors = 0;
-    sol.cache_hits = 0;
-    sol.cache_misses = 0;
-    sol.shrink_events = 0;
-    sol.unshrink_events = 0;
     return sol;
   }
 
@@ -556,19 +528,11 @@ Result<SmoSolution> SolveSmo(KernelRowSource& rows,
   sol.iterations = it;
   sol.num_support_vectors = 0;
   for (double a : sol.alpha) sol.num_support_vectors += a > 1e-10;
-  sol.cache_hits = rows.hits();
-  sol.cache_misses = rows.misses();
-  sol.shrink_events = solver.shrink_events;
-  sol.unshrink_events = solver.unshrink_events;
-  g_smo_fits.fetch_add(1, std::memory_order_relaxed);
-  g_smo_iterations.fetch_add(it, std::memory_order_relaxed);
-  g_smo_shrink_events.fetch_add(solver.shrink_events,
-                                std::memory_order_relaxed);
-  g_smo_unshrink_events.fetch_add(solver.unshrink_events,
-                                  std::memory_order_relaxed);
-  if (!sol.converged) {
-    g_smo_unconverged.fetch_add(1, std::memory_order_relaxed);
-  }
+  counters::Add(Counter::kSmoFits, 1);
+  counters::Add(Counter::kSmoIterations, it);
+  counters::Add(Counter::kSmoShrinks, solver.shrink_events);
+  counters::Add(Counter::kSmoUnshrinks, solver.unshrink_events);
+  if (!sol.converged) counters::Add(Counter::kSmoUnconverged, 1);
   return sol;
 }
 

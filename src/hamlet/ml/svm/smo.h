@@ -15,7 +15,7 @@
 // constraint onto a bound it lands within rounding of (SnapToBoxBound).
 // A selected pair that still cannot move goes through a fallback scan
 // for another partner; a solve that runs out of max_iterations returns
-// converged == false and is counted in SmoTotals::unconverged.
+// converged == false and is counted in Counter::kSmoUnconverged.
 //
 // Active-order layout. The solver keeps the per-point state its loop
 // reads — the error cache, I_up/I_low membership and the kernel
@@ -80,30 +80,18 @@ struct SmoConfig {
 /// Field contract: every OK return from SolveSmo sets every field
 /// deterministically — including the degenerate single-class early
 /// return (zero alpha, bias at the majority label, iterations = 0,
-/// converged = true, num_support_vectors = 0, zero cache and shrink
-/// counters).
+/// converged = true, num_support_vectors = 0).
 struct SmoSolution {
   std::vector<double> alpha;
   double bias = 0.0;
   size_t iterations = 0;
   bool converged = false;
   size_t num_support_vectors = 0;
-  /// Row-source counters (the source's hits()/misses(), e.g. the
-  /// KernelCache's). hits + misses = total row fetches.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  /// Shrink passes that deactivated at least one point.
-  size_t shrink_events = 0;
-  /// Full-gradient reconstructions (the aggressive 10x-tolerance
-  /// unshrink, the final pre-convergence check, and stuck-pair rescues).
-  size_t unshrink_events = 0;
 };
 
-/// Process-wide SMO counters summed over completed solves; the SVM-heavy
-/// benches report deltas of these per bench run (see
-/// bench::CounterScope). fits counts solves that entered the pairwise
-/// loop (single-class early returns are excluded); unconverged counts
-/// those of them that returned converged == false.
+/// The registry's five SMO entries (common/counters.h defines each),
+/// which SolveSmo adds to when a solve that entered the pairwise loop
+/// ends.
 struct SmoTotals {
   uint64_t fits = 0;
   uint64_t iterations = 0;
@@ -112,13 +100,8 @@ struct SmoTotals {
   uint64_t unconverged = 0;
 };
 
-/// Snapshot of the totals accumulated so far (all solves in this
-/// process). Pair with ResetGlobalSmoTotals or subtract two snapshots to
-/// scope the counters to one fit batch.
+/// The SMO totals accumulated so far (all solves in this process).
 SmoTotals GlobalSmoTotals();
-
-/// Zeroes the process-wide SMO totals (test isolation).
-void ResetGlobalSmoTotals();
 
 /// Supplier of kernel matrix rows to the solver. Row(i) returns n floats
 /// K(x_i, x_t); the pointer is only guaranteed valid until the next
@@ -169,8 +152,6 @@ class KernelRowSource {
   /// Lifts the restriction: subsequent Row() calls serve fully valid
   /// rows again (gradient reconstruction needs the dead columns).
   virtual void ClearActiveRestriction() {}
-  virtual uint64_t hits() const { return 0; }
-  virtual uint64_t misses() const { return 0; }
 };
 
 /// Platt's endpoint-objective rule for a degenerate-curvature pair

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/io/model_io.h"
 #include "hamlet/ml/svm/kernel_cache.h"
 
@@ -54,11 +55,6 @@ Status KernelSvm::Fit(const DataView& train) {
     sv_rows_.clear();
     sv_coeff_.clear();
     sv_packed_.clear();
-    last_cache_hits_ = 0;
-    last_cache_misses_ = 0;
-    last_iterations_ = 0;
-    last_shrink_events_ = 0;
-    last_unshrink_events_ = 0;
     fitted_ = true;
     RecordTrainDomains(train);
     return Status::OK();
@@ -83,11 +79,6 @@ Status KernelSvm::Fit(const DataView& train) {
 
   converged_ = sol.value().converged;
   bias_ = sol.value().bias;
-  last_cache_hits_ = sol.value().cache_hits;
-  last_cache_misses_ = sol.value().cache_misses;
-  last_iterations_ = sol.value().iterations;
-  last_shrink_events_ = sol.value().shrink_events;
-  last_unshrink_events_ = sol.value().unshrink_events;
   sv_rows_.clear();
   sv_coeff_.clear();
   const std::vector<uint32_t>& rows = cache.matrix().codes();
@@ -115,7 +106,9 @@ void KernelSvm::PackSupportVectors(const std::vector<uint32_t>& domains) {
                        sv_packed_.data() + s * words_per_row);
   }
   sv_kernel_by_matches_ = KernelValuesByMatches(config_.kernel, d_);
-  simd::AccumulatePackedBuild(num_sv, sv_packed_.size());
+  counters::Add(counters::Counter::kPackedBuilds, 1);
+  counters::Add(counters::Counter::kPackedRows, num_sv);
+  counters::Add(counters::Counter::kPackedBuildWords, sv_packed_.size());
 }
 
 Status KernelSvm::SaveBody(io::ModelWriter& writer) const {
@@ -216,7 +209,9 @@ double KernelSvm::DecisionValueOfPacked(const uint64_t* query) const {
 
 void KernelSvm::CountPackedEvals(uint64_t queries) const {
   const uint64_t evals = queries * sv_coeff_.size();
-  simd::AccumulatePackedEvals(evals, evals * sv_layout_.words_per_row);
+  counters::Add(counters::Counter::kPackedEvals, evals);
+  counters::Add(counters::Counter::kPackedEvalWords,
+                evals * sv_layout_.words_per_row);
 }
 
 double KernelSvm::DecisionValueOfCodes(const uint32_t* query) const {

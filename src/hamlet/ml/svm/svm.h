@@ -79,19 +79,6 @@ class KernelSvm : public Classifier {
   double bias() const { return bias_; }
   bool converged() const { return converged_; }
 
-  /// Kernel-row cache counters of the most recent Fit (0 before any fit
-  /// and for the degenerate constant-classifier path).
-  uint64_t last_cache_hits() const { return last_cache_hits_; }
-  uint64_t last_cache_misses() const { return last_cache_misses_; }
-
-  /// SMO solver counters of the most recent Fit (0 before any fit and
-  /// for the degenerate constant-classifier path): pairwise-update
-  /// iterations, shrink passes that deactivated points, and full
-  /// gradient reconstructions.
-  size_t last_iterations() const { return last_iterations_; }
-  size_t last_shrink_events() const { return last_shrink_events_; }
-  size_t last_unshrink_events() const { return last_unshrink_events_; }
-
  private:
   /// Rebuilds the packed support-vector slab (sv_layout_ / sv_packed_)
   /// from sv_rows_ under the canonical layout for `domains`, and the
@@ -118,11 +105,6 @@ class KernelSvm : public Classifier {
   uint8_t constant_prediction_ = 0;  // used when training was single-class
   bool is_constant_ = false;
   bool converged_ = false;
-  uint64_t last_cache_hits_ = 0;
-  uint64_t last_cache_misses_ = 0;
-  size_t last_iterations_ = 0;
-  size_t last_shrink_events_ = 0;
-  size_t last_unshrink_events_ = 0;
 };
 
 }  // namespace ml

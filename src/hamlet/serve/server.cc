@@ -57,10 +57,11 @@ Status ParseRequest(const std::string& line,
     }
     if (v >= domains[j]) {
       // Out-of-domain codes would index past learner tables (NB
-      // likelihoods, logreg weights); reject at the door.
+      // likelihoods, logreg weights); reject at the door. The message
+      // quotes the digits as sent: strtoull saturates past 2^64 - 1.
       return Status::OutOfRange(
-          "code " + std::to_string(v) + " outside feature " +
-          std::to_string(j) + "'s domain [0, " +
+          "code " + std::string(p, static_cast<size_t>(end - p)) +
+          " outside feature " + std::to_string(j) + "'s domain [0, " +
           std::to_string(domains[j]) + ")");
     }
     codes.push_back(static_cast<uint32_t>(v));

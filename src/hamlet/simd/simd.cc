@@ -1,23 +1,15 @@
 #include "hamlet/simd/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/simd/simd_native.h"
 
 namespace hamlet {
 namespace simd {
 
 namespace {
-
-/// Process-wide packed-path totals (relaxed atomics; concurrent fits each
-/// accumulate locally and flush sums, readers run after the fits).
-std::atomic<uint64_t> g_packed_builds{0};
-std::atomic<uint64_t> g_packed_rows{0};
-std::atomic<uint64_t> g_packed_build_words{0};
-std::atomic<uint64_t> g_packed_evals{0};
-std::atomic<uint64_t> g_packed_eval_words{0};
 
 /// One (row, feature) pass of the NB counting loop; shared by every lane.
 inline void CountOneRow(const uint32_t* row, uint8_t label, size_t d,
@@ -211,32 +203,11 @@ void SplitStatsScan(const uint32_t* codes, size_t num_features,
 }
 
 PackedStats GlobalPackedStats() {
-  PackedStats stats;
-  stats.builds = g_packed_builds.load(std::memory_order_relaxed);
-  stats.rows = g_packed_rows.load(std::memory_order_relaxed);
-  stats.build_words = g_packed_build_words.load(std::memory_order_relaxed);
-  stats.evals = g_packed_evals.load(std::memory_order_relaxed);
-  stats.eval_words = g_packed_eval_words.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ResetGlobalPackedStats() {
-  g_packed_builds.store(0, std::memory_order_relaxed);
-  g_packed_rows.store(0, std::memory_order_relaxed);
-  g_packed_build_words.store(0, std::memory_order_relaxed);
-  g_packed_evals.store(0, std::memory_order_relaxed);
-  g_packed_eval_words.store(0, std::memory_order_relaxed);
-}
-
-void AccumulatePackedBuild(uint64_t rows, uint64_t words) {
-  g_packed_builds.fetch_add(1, std::memory_order_relaxed);
-  g_packed_rows.fetch_add(rows, std::memory_order_relaxed);
-  g_packed_build_words.fetch_add(words, std::memory_order_relaxed);
-}
-
-void AccumulatePackedEvals(uint64_t evals, uint64_t words) {
-  g_packed_evals.fetch_add(evals, std::memory_order_relaxed);
-  g_packed_eval_words.fetch_add(words, std::memory_order_relaxed);
+  using counters::Counter;
+  const counters::Snapshot now = counters::Read();
+  return {now[Counter::kPackedBuilds], now[Counter::kPackedRows],
+          now[Counter::kPackedBuildWords], now[Counter::kPackedEvals],
+          now[Counter::kPackedEvalWords]};
 }
 
 }  // namespace simd

@@ -203,12 +203,8 @@ SmoExtremes SmoRefreshScan(const SmoActiveView& view,
 size_t SmoSelectJ(const SmoActiveView& view, const float* row_i,
                   double kii, double up_best, float* row_i_out);
 
-/// Process-wide packed-path counters for bench reporting, summed with
-/// relaxed atomics (same pattern as GlobalKernelCacheTotals): matrix
-/// builds, rows packed and the words holding them (build_words / rows =
-/// average words per row), pairwise evaluations routed through the packed
-/// path, and the words those evaluations scanned (an upper bound
-/// where early exit applies).
+/// The registry's five packed-path entries (common/counters.h defines
+/// each); build_words / rows is the average words per row.
 struct PackedStats {
   uint64_t builds = 0;
   uint64_t rows = 0;
@@ -217,19 +213,8 @@ struct PackedStats {
   uint64_t eval_words = 0;
 };
 
-/// Snapshot of the totals accumulated so far; monotone, never reset
-/// implicitly. Benches scope them by subtracting two snapshots
-/// (bench::CounterScope).
+/// The packed-path totals accumulated so far (all threads).
 PackedStats GlobalPackedStats();
-
-/// Zeroes the process-wide totals (test isolation).
-void ResetGlobalPackedStats();
-
-/// Accumulates one packed-matrix build of `rows` rows / `words` words.
-void AccumulatePackedBuild(uint64_t rows, uint64_t words);
-
-/// Accumulates `evals` pairwise evaluations spanning `words` words.
-void AccumulatePackedEvals(uint64_t evals, uint64_t words);
 
 }  // namespace simd
 }  // namespace hamlet

@@ -1,4 +1,5 @@
-// Tests for hamlet/common: env knobs, Status/Result, RNG, string helpers.
+// Tests for hamlet/common: env knobs, the work-counter registry,
+// Status/Result, RNG, string helpers.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,14 @@
 #include <set>
 #include <string>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/common/crc32.h"
 #include "hamlet/common/env.h"
 #include "hamlet/common/rng.h"
 #include "hamlet/common/status.h"
 #include "hamlet/common/stringx.h"
+#include "hamlet/ml/svm/kernel_cache.h"
+#include "hamlet/simd/simd.h"
 #include "parity_util.h"
 
 namespace hamlet {
@@ -135,6 +139,82 @@ TEST(EnvTest, WarnsOncePerDistinctNameAndValue) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "hamlet: invalid HAMLET_ENVTEST_SPEC=\"x;y\" (want a spec); "
             "using the default\n");
+}
+
+// -------------------------------------------------------------- counters --
+
+using counters::Counter;
+using counters::kNumCounters;
+
+TEST(CountersTest, ConcurrentAddsSumExactly) {
+  test::ScopedThreads threads("4");
+  constexpr size_t kAdds = 20000;
+  const counters::Snapshot start = counters::Read();
+  parallel::ParallelFor(kAdds, [](size_t i) {
+    counters::Add(static_cast<Counter>(i % kNumCounters), i);
+  });
+  const counters::Snapshot d = counters::Read() - start;
+  for (size_t c = 0; c < kNumCounters; ++c) {
+    uint64_t want = 0;
+    for (size_t i = c; i < kAdds; i += kNumCounters) want += i;
+    EXPECT_EQ(d[static_cast<Counter>(c)], want) << "counter " << c;
+  }
+}
+
+TEST(CountersTest, SnapshotSubtractsEntryWise) {
+  const counters::Snapshot before = counters::Read();
+  counters::Add(Counter::kPackedEvals, 3);
+  counters::Add(Counter::kSmoFits, 1);
+  const counters::Snapshot after = counters::Read();
+  const counters::Snapshot d = after - before;
+  for (size_t c = 0; c < kNumCounters; ++c) {
+    const Counter counter = static_cast<Counter>(c);
+    const uint64_t want = counter == Counter::kPackedEvals ? 3
+                          : counter == Counter::kSmoFits   ? 1
+                                                           : 0;
+    EXPECT_EQ(d[counter], want) << "counter " << c;
+    EXPECT_EQ(after[counter], before[counter] + want) << "counter " << c;
+    EXPECT_EQ((after - after)[counter], 0u) << "counter " << c;
+  }
+}
+
+TEST(CountersTest, PerfbenchViewsEqualTheRegistry) {
+  // One SVM fit and one 1-NN prediction move every count but
+  // unconverged; the three struct views must report the registry as is.
+  const Dataset data = test::MakeParityDataset(60, {4, 3, 5}, 11);
+  const test::ParityViews views = test::MakeParityViews(data, 2);
+  const counters::Snapshot start = counters::Read();
+  ml::KernelSvm svm;
+  ASSERT_TRUE(svm.Fit(views.train).ok());
+  ml::OneNearestNeighbor knn;
+  ASSERT_TRUE(knn.Fit(views.train).ok());
+  EXPECT_LE(knn.Predict(views.test, 0), 1);
+  const counters::Snapshot now = counters::Read();
+  const counters::Snapshot d = now - start;
+  EXPECT_EQ(d[Counter::kSmoFits], 1u);
+  for (Counter moved :
+       {Counter::kSmoIterations, Counter::kKernelCacheMisses,
+        Counter::kPackedBuilds, Counter::kPackedRows,
+        Counter::kPackedBuildWords, Counter::kPackedEvals,
+        Counter::kPackedEvalWords}) {
+    EXPECT_GT(d[moved], 0u) << static_cast<size_t>(moved);
+  }
+
+  const ml::SmoTotals smo = ml::GlobalSmoTotals();
+  EXPECT_EQ(smo.fits, now[Counter::kSmoFits]);
+  EXPECT_EQ(smo.iterations, now[Counter::kSmoIterations]);
+  EXPECT_EQ(smo.shrink_events, now[Counter::kSmoShrinks]);
+  EXPECT_EQ(smo.unshrink_events, now[Counter::kSmoUnshrinks]);
+  EXPECT_EQ(smo.unconverged, now[Counter::kSmoUnconverged]);
+  const ml::KernelCacheTotals cache = ml::GlobalKernelCacheTotals();
+  EXPECT_EQ(cache.hits, now[Counter::kKernelCacheHits]);
+  EXPECT_EQ(cache.misses, now[Counter::kKernelCacheMisses]);
+  const simd::PackedStats packed = simd::GlobalPackedStats();
+  EXPECT_EQ(packed.builds, now[Counter::kPackedBuilds]);
+  EXPECT_EQ(packed.rows, now[Counter::kPackedRows]);
+  EXPECT_EQ(packed.build_words, now[Counter::kPackedBuildWords]);
+  EXPECT_EQ(packed.evals, now[Counter::kPackedEvals]);
+  EXPECT_EQ(packed.eval_words, now[Counter::kPackedEvalWords]);
 }
 
 // ---------------------------------------------------------------- Status --

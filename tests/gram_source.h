@@ -62,7 +62,8 @@ class FullGramRowSource : public ml::KernelRowSource {
   }
   const float* Diag() const override { return diag_.data(); }
   size_t size() const override { return n_; }
-  uint64_t hits() const override { return hits_; }
+  /// Row() calls so far.
+  uint64_t hits() const { return hits_; }
 
  private:
   const std::vector<float>& gram_;

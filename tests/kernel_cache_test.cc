@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/svm/kernel.h"
@@ -26,6 +27,8 @@
 namespace hamlet {
 namespace ml {
 namespace {
+
+using counters::Counter;
 
 constexpr size_t kUnbounded = std::numeric_limits<size_t>::max() / 2;
 
@@ -260,34 +263,22 @@ TEST(KernelCacheTest, PeekRowServesOnlyResidentValidRowsWithoutCounting) {
   EXPECT_EQ(full.hits(), 0u);
 }
 
-TEST(KernelCacheTest, ResetGlobalTotalsZeroes) {
-  {
-    const SmoProblem p(18);
-    KernelCache cache(CodeMatrix(p.train), AllKernels()[0], kUnbounded);
-    cache.Row(0);
-    cache.Row(0);
-  }
-  const KernelCacheTotals before = GlobalKernelCacheTotals();
-  EXPECT_GT(before.hits + before.misses, 0u);
-  ResetGlobalKernelCacheTotals();
-  const KernelCacheTotals after = GlobalKernelCacheTotals();
-  EXPECT_EQ(after.hits, 0u);
-  EXPECT_EQ(after.misses, 0u);
-}
-
 TEST(KernelCacheTest, GlobalTotalsAccumulateOnDestruction) {
   const SmoProblem p(15);
-  const KernelCacheTotals before = GlobalKernelCacheTotals();
+  const counters::Snapshot start = counters::Read();
   {
     KernelCache cache(CodeMatrix(p.train), AllKernels()[2],
                       BytesForRows(2, CodeMatrix(p.train).num_rows()));
     cache.Row(0);
     cache.Row(0);
     cache.Row(1);
+    const counters::Snapshot alive = counters::Read() - start;
+    EXPECT_EQ(alive[Counter::kKernelCacheHits], 0u);  // flushed at the end
+    EXPECT_EQ(alive[Counter::kKernelCacheMisses], 0u);
   }
-  const KernelCacheTotals after = GlobalKernelCacheTotals();
-  EXPECT_EQ(after.hits - before.hits, 1u);
-  EXPECT_EQ(after.misses - before.misses, 2u);
+  const counters::Snapshot d = counters::Read() - start;
+  EXPECT_EQ(d[Counter::kKernelCacheHits], 1u);
+  EXPECT_EQ(d[Counter::kKernelCacheMisses], 2u);
 }
 
 // --------------------------------------------------- HAMLET_SMO_CACHE_MB --
@@ -331,14 +322,19 @@ TEST(SmoCacheParityTest, SolutionBitIdenticalAtAllCacheSizes) {
     const size_t n = m.num_rows();
     const std::vector<float> gram =
         test::ComputeGram(kc, m.codes(), n, m.num_features());
-    const Result<SmoSolution> base = test::SolveSmo(gram, p.y, cfg);
+    test::FullGramRowSource gram_rows(gram, n);
+    const counters::Snapshot base_start = counters::Read();
+    const Result<SmoSolution> base = SolveSmo(gram_rows, p.y, cfg);
+    const counters::Snapshot base_work = counters::Read() - base_start;
     ASSERT_TRUE(base.ok());
     ASSERT_GT(base.value().num_support_vectors, 0u);
 
     for (size_t cache_bytes :
          {BytesForRows(1, n), BytesForRows(2, n), kUnbounded}) {
       KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
+      const counters::Snapshot start = counters::Read();
       const Result<SmoSolution> cached = SolveSmo(cache, p.y, cfg);
+      const counters::Snapshot work = counters::Read() - start;
       ASSERT_TRUE(cached.ok());
       const SmoSolution& a = base.value();
       const SmoSolution& b = cached.value();
@@ -347,13 +343,15 @@ TEST(SmoCacheParityTest, SolutionBitIdenticalAtAllCacheSizes) {
       EXPECT_EQ(a.iterations, b.iterations);
       EXPECT_EQ(a.converged, b.converged);
       EXPECT_EQ(a.num_support_vectors, b.num_support_vectors);
-      EXPECT_EQ(a.shrink_events, b.shrink_events);
-      EXPECT_EQ(a.unshrink_events, b.unshrink_events);
+      for (Counter c : {Counter::kSmoIterations, Counter::kSmoShrinks,
+                        Counter::kSmoUnshrinks}) {
+        EXPECT_EQ(base_work[c], work[c]) << static_cast<size_t>(c);
+      }
       // Identical iterate sequences fetch identical row sequences: the
       // adapter counts every fetch as a hit, the cache splits the same
       // total into hits + misses.
-      EXPECT_EQ(a.cache_hits, b.cache_hits + b.cache_misses);
-      EXPECT_GT(b.cache_misses, 0u);
+      EXPECT_EQ(gram_rows.hits(), cache.hits() + cache.misses());
+      EXPECT_GT(cache.misses(), 0u);
     }
   }
 }
@@ -373,12 +371,14 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   starved.max_iterations = probe.num_rows() + 10;
 
   KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
+  const counters::Snapshot start = counters::Read();
   const Result<SmoSolution> aborted = SolveSmo(cache, p.y, starved);
+  const counters::Snapshot work = counters::Read() - start;
   ASSERT_TRUE(aborted.ok());
   // Precondition for the scenario: a shrink happened and was never
   // undone, so the abort fired while the active set was restricted.
-  ASSERT_GT(aborted.value().shrink_events, 0u);
-  ASSERT_EQ(aborted.value().unshrink_events, 0u);
+  ASSERT_GT(work[Counter::kSmoShrinks], 0u);
+  ASSERT_EQ(work[Counter::kSmoUnshrinks], 0u);
   ASSERT_FALSE(aborted.value().converged);
 
   SmoConfig full = starved;
@@ -494,13 +494,15 @@ TEST(SmoCacheParityTest, KernelSvmBitIdenticalAcrossCacheSizesAndThreads) {
         cfg.C = 5.0;
         cfg.smo_cache_bytes = cache_bytes;
         KernelSvm svm(cfg);
+        const counters::Snapshot start = counters::Read();
         ASSERT_TRUE(svm.Fit(p.train).ok());
+        const counters::Snapshot fit = counters::Read() - start;
         EXPECT_GT(svm.num_support_vectors(), 0u);
         all_preds.push_back(svm.PredictAll(p.test));
         if (cache_bytes == BytesForRows(1, n)) {
           // The tightest cache recomputes constantly; the looser ones
           // must see strictly fewer misses for the same fetch sequence.
-          EXPECT_GT(svm.last_cache_misses(), 0u);
+          EXPECT_GT(fit[Counter::kKernelCacheMisses], 0u);
         }
         const double acc = Accuracy(svm, p.test);
         if (reference_preds.empty()) {

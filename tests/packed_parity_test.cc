@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/common/rng.h"
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
@@ -639,31 +640,24 @@ TEST(SimdBackendTest, ReportsTheCpuPopcount) {
 // ---------------------------------------------------------------------
 // Packed stats plumbing.
 
-TEST(PackedStatsTest, CountersAccumulateAndReset) {
+TEST(PackedStatsTest, CountersAccumulate) {
+  using counters::Counter;
   const std::vector<uint32_t> domains = {4, 9, 3};
   const Dataset data = MakeParityDataset(40, domains, 21);
   const ParityViews views = MakeParityViews(data, 3);
 
-  simd::ResetGlobalPackedStats();
+  const counters::Snapshot start = counters::Read();
   ml::OneNearestNeighbor model;
   ASSERT_TRUE(model.Fit(views.train).ok());
   (void)model.PredictAll(views.test);
-  const simd::PackedStats stats = simd::GlobalPackedStats();
-  EXPECT_GE(stats.builds, 1u);
-  EXPECT_GE(stats.rows, views.train.num_rows());
-  EXPECT_GT(stats.build_words, 0u);
+  const counters::Snapshot d = counters::Read() - start;
+  EXPECT_GE(d[Counter::kPackedBuilds], 1u);
+  EXPECT_GE(d[Counter::kPackedRows], views.train.num_rows());
+  EXPECT_GT(d[Counter::kPackedBuildWords], 0u);
   // Every test query scanned the packed training rows.
-  EXPECT_GE(stats.evals,
+  EXPECT_GE(d[Counter::kPackedEvals],
             views.test.num_rows() * views.train.num_rows());
-  EXPECT_GT(stats.eval_words, 0u);
-
-  simd::ResetGlobalPackedStats();
-  const simd::PackedStats zeroed = simd::GlobalPackedStats();
-  EXPECT_EQ(zeroed.builds, 0u);
-  EXPECT_EQ(zeroed.rows, 0u);
-  EXPECT_EQ(zeroed.build_words, 0u);
-  EXPECT_EQ(zeroed.evals, 0u);
-  EXPECT_EQ(zeroed.eval_words, 0u);
+  EXPECT_GT(d[Counter::kPackedEvalWords], 0u);
 }
 
 // ---------------------------------------------------------------------

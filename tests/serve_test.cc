@@ -210,6 +210,30 @@ std::vector<std::string> OutputLines(const std::string& out) {
   return lines;
 }
 
+TEST(ServeTest, OutOfDomainErrQuotesTheCodeAsSent) {
+  // strtoull saturates at 2^64 - 1, so the message must quote the digit
+  // run from the request, not the parsed value.
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  std::istringstream in(
+      "18446744073709551616 0\n"
+      "1 99999999999999999999999\n"
+      "0007 1\n");
+  std::ostringstream out, err;
+  serve::ServeConfig config;
+  config.on_error = serve::OnError::kSkip;
+  const auto summary = serve::ServeStream(model, in, out, err, config);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(OutputLines(out.str()),
+            (std::vector<std::string>{
+                "ERR 1: code 18446744073709551616 outside feature 0's "
+                "domain [0, 5)",
+                "ERR 2: code 99999999999999999999999 outside feature 1's "
+                "domain [0, 4)",
+                "ERR 3: code 0007 outside feature 0's domain [0, 5)"}));
+}
+
 TEST(ServeTest, ResilientModeEmitsErrLinesInRequestOrder) {
   const Dataset data = MakeParityDataset(80, {5, 4}, 7);
   ml::MajorityClassifier model;

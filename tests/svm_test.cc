@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "hamlet/common/counters.h"
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
@@ -20,6 +21,8 @@
 namespace hamlet {
 namespace ml {
 namespace {
+
+using counters::Counter;
 
 // ---------------------------------------------------------------- kernel --
 
@@ -96,10 +99,14 @@ TEST(SmoTest, SingleClassDegenerates) {
 
 TEST(SmoTest, SingleClassSolutionFieldsAreFullyPinned) {
   // The single-class early return must set every SmoSolution field
-  // deterministically, not just the ones it happens to touch.
+  // deterministically, not just the ones it happens to touch. It fetches
+  // no kernel row and counts no solve.
   std::vector<float> gram = {1.0f, 0.0f, 0.0f, 1.0f};
   for (int8_t label : {int8_t{1}, int8_t{-1}}) {
-    Result<SmoSolution> sol = test::SolveSmo(gram, {label, label}, {});
+    test::FullGramRowSource rows(gram, 2);
+    const counters::Snapshot start = counters::Read();
+    Result<SmoSolution> sol = SolveSmo(rows, {label, label}, {});
+    const counters::Snapshot d = counters::Read() - start;
     ASSERT_TRUE(sol.ok());
     const SmoSolution& s = sol.value();
     EXPECT_EQ(s.alpha, std::vector<double>(2, 0.0));
@@ -107,8 +114,9 @@ TEST(SmoTest, SingleClassSolutionFieldsAreFullyPinned) {
     EXPECT_EQ(s.iterations, 0u);
     EXPECT_TRUE(s.converged);
     EXPECT_EQ(s.num_support_vectors, 0u);
-    EXPECT_EQ(s.cache_hits, 0u);
-    EXPECT_EQ(s.cache_misses, 0u);
+    EXPECT_EQ(rows.hits(), 0u);
+    EXPECT_EQ(d[Counter::kSmoFits], 0u);
+    EXPECT_EQ(d[Counter::kSmoIterations], 0u);
   }
 }
 
@@ -119,14 +127,15 @@ TEST(SmoTest, ExhaustedIterationBudgetStillPinsAllFields) {
   SmoConfig cfg;
   cfg.C = 10.0;
   cfg.max_iterations = 1;
-  Result<SmoSolution> sol = test::SolveSmo(gram, {1, -1}, cfg);
+  test::FullGramRowSource rows(gram, 2);
+  Result<SmoSolution> sol = SolveSmo(rows, {1, -1}, cfg);
   ASSERT_TRUE(sol.ok());
   const SmoSolution& s = sol.value();
   EXPECT_FALSE(s.converged);
   EXPECT_EQ(s.iterations, 1u);
   EXPECT_EQ(s.alpha.size(), 2u);
   EXPECT_GT(s.num_support_vectors, 0u);
-  EXPECT_GT(s.cache_hits + s.cache_misses, 0u);  // rows were fetched
+  EXPECT_GT(rows.hits(), 0u);  // rows were fetched
 }
 
 TEST(SmoTest, SolvesTwoPointProblem) {
@@ -416,13 +425,15 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
   SmoConfig cfg;
   cfg.C = 50.0;
   cfg.max_iterations = 2000000;
+  const counters::Snapshot start = counters::Read();
   const Result<SmoSolution> sol = test::SolveSmo(gram, y, cfg);
+  const counters::Snapshot work = counters::Read() - start;
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol.value().converged);
   // The schedule must have actually exercised shrink AND unshrink —
   // points left the active set and were reconstructed back in.
-  EXPECT_GE(sol.value().shrink_events, 1u);
-  EXPECT_GE(sol.value().unshrink_events, 1u);
+  EXPECT_GE(work[Counter::kSmoShrinks], 1u);
+  EXPECT_GE(work[Counter::kSmoUnshrinks], 1u);
   EXPECT_GT(sol.value().iterations, std::min(n, size_t{1000}));
 
   // Exactness: tolerance-optimal on the full problem, from scratch
@@ -443,7 +454,7 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
 
 // --------------------------------------------------------- solver totals --
 
-TEST(SmoTotalsTest, GlobalTotalsTrackSolvesAndReset) {
+TEST(SmoTotalsTest, GlobalTotalsTrackSolves) {
   std::vector<float> gram = {1.0f, 0.0f, 0.0f, 1.0f};
   SmoConfig cfg;
   cfg.C = 10.0;
@@ -463,13 +474,6 @@ TEST(SmoTotalsTest, GlobalTotalsTrackSolvesAndReset) {
   const SmoTotals after_cut = GlobalSmoTotals();
   EXPECT_EQ(after_cut.fits - after.fits, 1u);
   EXPECT_EQ(after_cut.unconverged - after.unconverged, 1u);
-  ResetGlobalSmoTotals();
-  const SmoTotals reset = GlobalSmoTotals();
-  EXPECT_EQ(reset.fits, 0u);
-  EXPECT_EQ(reset.iterations, 0u);
-  EXPECT_EQ(reset.shrink_events, 0u);
-  EXPECT_EQ(reset.unshrink_events, 0u);
-  EXPECT_EQ(reset.unconverged, 0u);
 }
 
 // ------------------------------------------------------------------- SVM --
@@ -554,26 +558,6 @@ TEST(KernelSvmTest, MaxTrainRowsCapsProblemSize) {
   ASSERT_TRUE(svm.Fit(view).ok());
   EXPECT_LE(svm.num_support_vectors(), 50u);
   EXPECT_GE(Accuracy(svm, view), 0.99);  // still separable
-}
-
-TEST(KernelSvmTest, ExposesSolverCounters) {
-  Dataset data = MakeXor(200, 9);
-  DataView view(&data);
-  SvmConfig cfg;
-  cfg.kernel.type = KernelType::kRbf;
-  cfg.kernel.gamma = 1.0;
-  cfg.C = 10.0;
-  KernelSvm svm(cfg);
-  const SmoTotals before = GlobalSmoTotals();
-  ASSERT_TRUE(svm.Fit(view).ok());
-  EXPECT_GT(svm.last_iterations(), 0u);
-  const SmoTotals after = GlobalSmoTotals();
-  EXPECT_EQ(after.fits - before.fits, 1u);
-  EXPECT_EQ(after.iterations - before.iterations, svm.last_iterations());
-  EXPECT_EQ(after.shrink_events - before.shrink_events,
-            svm.last_shrink_events());
-  EXPECT_EQ(after.unshrink_events - before.unshrink_events,
-            svm.last_unshrink_events());
 }
 
 TEST(KernelSvmTest, DecisionValueSignMatchesPrediction) {

@@ -59,6 +59,15 @@ Rules
                   src/hamlet/simd/. That directory holds every kernel
                   with a scalar twin, a CPU-picked dispatch and a parity
                   test; ISA code anywhere else has none of the three.
+  counter-home    A namespace-scope `std::atomic<uint64_t> g_...`
+                  definition (or a std::array of them) appears in src/
+                  only in src/hamlet/common/counters.cc. Every
+                  process-wide work count is a Counter of that one
+                  registry, read by one Snapshot and scoped by one
+                  subtraction; a second hand-written counter needs its
+                  own reader, delta and reset. Member atomics (indented,
+                  inside a class) and the header's `extern` declaration
+                  define no new counter and stay quiet.
   bench-clock     No clock reads and no timing harness in bench/:
                   `steady_clock`, `system_clock`, `high_resolution_clock`,
                   `clock_gettime(` or a google-benchmark include
@@ -72,8 +81,8 @@ or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
-kernel-math or env-read site, ISA code outside simd/, or a clock in
-bench/ is exactly what those rules exist to stop.
+kernel-math, env-read or counter-home site, ISA code outside simd/,
+or a clock in bench/ is exactly what those rules exist to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -160,6 +169,14 @@ ONE_HOME_RULES = [
     ("env-read", re.compile(r"getenv\s*\("),
      "src/hamlet/common/env.cc", ("src",),
      "getenv outside %s; read knobs through the common/env.h helpers"),
+    # Namespace scope = column 0: hamlet does not indent namespace bodies.
+    ("counter-home",
+     re.compile(r"^(?:(?:static|inline|constinit|thread_local)\s+)*"
+                r"(?:std::array<\s*)?std::atomic<\s*(?:std::)?uint64_t\s*>"
+                r"(?:\s*,[^>]*>)?\s+g_\w*"),
+     "src/hamlet/common/counters.cc", ("src",),
+     "namespace-scope counter atomic outside %s; add a Counter to "
+     "common/counters.h and count with counters::Add"),
 ]
 
 
@@ -392,7 +409,7 @@ class Linter:
                                  "Apply call; check it, print it and "
                                  "exit non-zero")
 
-    # -- kernel-math + env-read ----------------------------------------
+    # -- kernel-math + env-read + counter-home -------------------------
     def check_one_home_rules(self):
         for rule, pattern, home, dirs, hint in ONE_HOME_RULES:
             for subdir in dirs:

@@ -119,6 +119,45 @@ def main():
         code, out = envread_quiet.lint()
         check("env.cc, comments, strings and helpers pass", code == 0, out)
 
+        # counter-home: a namespace-scope g_ counter atomic outside
+        # common/counters.cc fires, waiver or not.
+        counter_fire = (Fixture(base, "counterhome_fire")
+                        .write("src/hamlet/ml/svm/smo.cc",
+                               "namespace {\n"
+                               "std::atomic<uint64_t> g_smo_fits{0};\n"
+                               "static std::atomic<std::uint64_t> g_x;"
+                               "  // hamlet-lint: allow(counter-home)\n"
+                               "std::array<std::atomic<uint64_t>, 3> g_y;\n"
+                               "}  // namespace\n"))
+        code, out = counter_fire.lint()
+        check("counter-home fires on namespace-scope atomics",
+              code == 1 and out.count("[counter-home]") == 3 and
+              "src/hamlet/ml/svm/smo.cc:2:" in out and
+              "src/hamlet/ml/svm/smo.cc:3:" in out, out)
+
+        # The registry itself, its extern declaration, member atomics,
+        # prose and code outside src/ stay quiet.
+        counter_quiet = (Fixture(base, "counterhome_quiet")
+                         .write("src/hamlet/common/counters.cc",
+                                "std::array<std::atomic<uint64_t>, 12> "
+                                "g_counts{};\n")
+                         .write("src/hamlet/common/counters.h",
+                                "extern std::array<std::atomic<uint64_t>, "
+                                "12> g_counts;\n")
+                         .write("src/hamlet/serve/net/net_server.h",
+                                "class NetServer {\n"
+                                "  std::atomic<uint64_t> next_conn_id_{0};\n"
+                                "  std::atomic<uint64_t> g_requests_{0};\n"
+                                "};\n"
+                                "// std::atomic<uint64_t> g_old{0};\n")
+                         .write("tests/a_test.cc",
+                                "std::atomic<uint64_t> g_seen{0};\n")
+                         .write("tests/CMakeLists.txt",
+                                "add_executable(t a_test.cc)"))
+        code, out = counter_quiet.lint()
+        check("counters.cc, extern, members and tests/ pass", code == 0,
+              out)
+
         # determinism: each banned construct, plus comment/string/waiver/
         # allowlist suppression.
         for snippet, what in [
