@@ -17,12 +17,12 @@ std::vector<std::string> SplitString(const std::string& s, char sep) {
   return out;
 }
 
-std::string TrimString(const std::string& s) {
+std::string TrimString(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+  return std::string(s.substr(b, e - b));
 }
 
 std::string FormatDouble(double v, int precision) {
@@ -41,23 +41,18 @@ std::string PadLeft(const std::string& s, size_t width) {
   return std::string(width - s.size(), ' ') + s;
 }
 
-Result<uint64_t> ParseUnsigned(const std::string& s) {
-  if (s.empty()) {
-    return Status::InvalidArgument("expected an unsigned integer, got \"\"");
+Result<uint64_t> ParseUnsigned(std::string_view s) {
+  const DigitRun run = ParseDigitRun(s);
+  // The overflow test comes first: a run that overflows before its first
+  // non-digit byte is an overflow, whatever follows it.
+  if (run.overflow) {
+    return Status::OutOfRange("\"" + std::string(s) + "\" overflows 64 bits");
   }
-  uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(
-          "expected an unsigned integer, got \"" + s + "\"");
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return Status::OutOfRange("\"" + s + "\" overflows 64 bits");
-    }
-    value = value * 10 + digit;
+  if (run.length == 0 || run.length != s.size()) {
+    return Status::InvalidArgument(
+        "expected an unsigned integer, got \"" + std::string(s) + "\"");
   }
-  return value;
+  return run.value;
 }
 
 }  // namespace hamlet

@@ -60,8 +60,16 @@ CodeMatrix::CodeMatrix(const DataView& view, size_t max_rows) {
   }
   codes_.resize(num_rows_ * num_features_);
   labels_.resize(num_rows_);
+  // One pointer per selected column, looked up once: each code then
+  // costs one indexed load, not a view -> dataset -> column walk.
+  std::vector<const uint32_t*> columns(num_features_);
+  for (size_t j = 0; j < num_features_; ++j) {
+    columns[j] = view.dataset()->column(view.feature_id(j)).data();
+  }
   for (size_t i = 0; i < num_rows_; ++i) {
-    view.RowCodesInto(i, codes_.data() + i * num_features_);
+    const uint32_t r = view.row_id(i);
+    uint32_t* out = codes_.data() + i * num_features_;
+    for (size_t j = 0; j < num_features_; ++j) out[j] = columns[j][r];
     labels_[i] = view.label(i);
   }
 }

@@ -1,5 +1,6 @@
 #include "hamlet/data/dataset.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace hamlet {
@@ -64,6 +65,34 @@ size_t Dataset::OneHotDimension() const {
 void Dataset::Reserve(size_t rows) {
   for (auto& col : columns_) col.reserve(rows);
   labels_.reserve(rows);
+}
+
+void Dataset::AppendRowMajorUnchecked(const uint32_t* codes, size_t n,
+                                      uint8_t label) {
+  const size_t d = features_.size();
+  const size_t base = labels_.size();
+  for (auto& col : columns_) col.resize(base + n);
+  // Transpose a tile of rows at a time, so the tile's codes stay in L1
+  // across the column passes instead of streaming the whole block once
+  // per column.
+  constexpr size_t kTileRows = 64;
+  for (size_t i0 = 0; i0 < n; i0 += kTileRows) {
+    const size_t rows = std::min(kTileRows, n - i0);
+    for (size_t j = 0; j < d; ++j) {
+      uint32_t* out = columns_[j].data() + base + i0;
+      const uint32_t* in = codes + i0 * d + j;
+      for (size_t i = 0; i < rows; ++i) {
+        assert(in[i * d] < features_[j].domain_size);
+        out[i] = in[i * d];
+      }
+    }
+  }
+  labels_.insert(labels_.end(), n, label);
+}
+
+void Dataset::ClearRows() {
+  for (auto& col : columns_) col.clear();
+  labels_.clear();
 }
 
 Status Dataset::ReplaceColumn(size_t col, std::vector<uint32_t> codes,

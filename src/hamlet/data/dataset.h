@@ -61,6 +61,13 @@ class Dataset {
   /// Hot-path append for generators/join (assert-only validation).
   void AppendRowUnchecked(const std::vector<uint32_t>& codes, uint8_t label);
 
+  /// Appends `n` rows stored row-major at `codes` (num_features() codes
+  /// each), all labelled `label`, filling one column at a time. Checked
+  /// only by assert, like AppendRowUnchecked: the caller has validated
+  /// every code against its domain.
+  void AppendRowMajorUnchecked(const uint32_t* codes, size_t n,
+                               uint8_t label);
+
   /// Index of the feature named `name`, or -1.
   int IndexOf(const std::string& name) const;
 
@@ -68,6 +75,10 @@ class Dataset {
   size_t OneHotDimension() const;
 
   void Reserve(size_t rows);
+
+  /// Drops every row but keeps the schema and the column capacity, so a
+  /// buffer refilled batch after batch allocates once.
+  void ClearRows();
 
   /// Overwrites column `col` (same length) with codes over a (possibly)
   /// different domain. Used by FK domain compression.

@@ -46,19 +46,39 @@ enum class ModelFamily : uint32_t {
 /// Human-readable name for a ModelFamily ("decision-tree", ...).
 const char* ModelFamilyName(ModelFamily family);
 
-/// Runs body(i) for every row index in [0, n): serially below a threshold
-/// where the pool's dispatch overhead dominates per-row prediction cost,
-/// on the parallel pool above it. Results must be keyed by index, so the
-/// output is identical either way. Row scoring belongs here rather than on
-/// a ThreadPool-level cutoff: the pool cannot know per-index cost, and
-/// loops with few-but-huge indices (grid points) must still fan out.
-/// Templated on the callable so the serial path dispatches the concrete
-/// lambda directly; the std::function type erasure is paid only once at
-/// the ParallelFor boundary.
+/// Estimated prediction work, in units of roughly one nanosecond (a tree
+/// node visit, a per-feature table lookup, one packed 64-bit word
+/// compared), below which ForEachPredictRow stays on the calling thread.
+/// Waking the pool costs tens of microseconds, about as much as this
+/// much work split four ways saves.
+inline constexpr size_t kSerialPredictWork = size_t{1} << 16;
+
+/// Per-row cost assumed by a learner with no estimate of its own: such
+/// a learner fans out from 512 rows up.
+inline constexpr size_t kDefaultPredictRowCost = kSerialPredictWork / 512;
+
+/// True when `rows` rows at `row_cost` work units each reach
+/// kSerialPredictWork, i.e. when ForEachPredictRow fans out.
+inline bool PredictFansOut(size_t rows, size_t row_cost) {
+  // rows * row_cost >= kSerialPredictWork, without the overflow.
+  return row_cost > 0 &&
+         rows >= (kSerialPredictWork + row_cost - 1) / row_cost;
+}
+
+/// Runs body(i) for every row index in [0, n): serially when the
+/// estimated work n * row_cost is below kSerialPredictWork, where the
+/// pool's wake-up would cost more than it saves, on the parallel pool
+/// above it. `row_cost` is the learner's Classifier::PredictRowCost().
+/// Results must be keyed by index, so the output is identical either
+/// way. Row scoring belongs here rather than on a ThreadPool-level
+/// cutoff: the pool cannot know per-index cost, and loops with
+/// few-but-huge indices (grid points) must still fan out. Templated on
+/// the callable so the serial path dispatches the concrete lambda
+/// directly; the std::function type erasure is paid only once at the
+/// ParallelFor boundary.
 template <typename Body>
-void ForEachPredictRow(size_t n, Body&& body) {
-  constexpr size_t kSerialRowThreshold = 512;
-  if (n < kSerialRowThreshold) {
+void ForEachPredictRow(size_t n, size_t row_cost, Body&& body) {
+  if (!PredictFansOut(n, row_cost)) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -68,13 +88,14 @@ void ForEachPredictRow(size_t n, Body&& body) {
 /// The shared shape of every dense batch-predict override: materialise
 /// the view into a CodeMatrix once, then score each contiguous row with
 /// `predict_row(matrix, i)` (must return uint8_t and be bit-identical to
-/// the learner's per-row Predict at any thread count).
+/// the learner's per-row Predict at any thread count). `row_cost` is the
+/// learner's PredictRowCost(), which decides the fan-out.
 template <typename RowPredictor>
-std::vector<uint8_t> DensePredictAll(const DataView& view,
+std::vector<uint8_t> DensePredictAll(const DataView& view, size_t row_cost,
                                      RowPredictor&& predict_row) {
   const CodeMatrix queries(view);
   std::vector<uint8_t> out(queries.num_rows());
-  ForEachPredictRow(out.size(), [&](size_t i) {
+  ForEachPredictRow(out.size(), row_cost, [&](size_t i) {
     out[i] = predict_row(queries, i);
   });
   return out;
@@ -96,8 +117,9 @@ class Classifier {
   virtual std::string name() const = 0;
 
   /// Predicts every row of `view`. Rows are scored concurrently on the
-  /// parallel pool (Predict is const); out[i] is keyed by row index, so
-  /// the result is identical at any thread count.
+  /// parallel pool (Predict is const) when the view holds enough work
+  /// (ForEachPredictRow); out[i] is keyed by row index, so the result is
+  /// identical at any thread count.
   ///
   /// Hot learners override this to materialise the view into a dense
   /// CodeMatrix once and run the per-row predictions on the contiguous
@@ -105,10 +127,14 @@ class Classifier {
   /// path at any thread count (tests/code_matrix_test.cc enforces this).
   virtual std::vector<uint8_t> PredictAll(const DataView& view) const {
     std::vector<uint8_t> out(view.num_rows());
-    ForEachPredictRow(out.size(),
+    ForEachPredictRow(out.size(), PredictRowCost(),
                       [&](size_t i) { out[i] = Predict(view, i); });
     return out;
   }
+
+  /// Estimated cost of predicting one row of a fitted model, in
+  /// kSerialPredictWork units; decides whether PredictAll fans out.
+  virtual size_t PredictRowCost() const { return kDefaultPredictRowCost; }
 
   // --- Serialization (io/serialize.h wraps these in the versioned
   // container format; see docs/ARCHITECTURE.md, "The model format") ---

@@ -102,11 +102,12 @@ std::vector<uint8_t> OneNearestNeighbor::PredictAll(
   assert(view.num_features() == train_.num_features());
   // Each worker thread packs its query row into its own scratch slab.
   const simd::PackedLayout& layout = packed_train_.layout();
-  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
-    uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
-    layout.PackRow(queries.row(i), packed_query);
-    return train_.label(NearestIndexOfPacked(packed_query));
-  });
+  return DensePredictAll(
+      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
+        uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
+        layout.PackRow(queries.row(i), packed_query);
+        return train_.label(NearestIndexOfPacked(packed_query));
+      });
 }
 
 }  // namespace ml

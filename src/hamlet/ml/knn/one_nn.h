@@ -31,6 +31,10 @@ class OneNearestNeighbor : public Classifier {
   /// Dense batch path: materialises `view` into a CodeMatrix once and
   /// scans contiguous query rows; bit-identical to per-row Predict.
   std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// The scan compares every packed word of every training row.
+  size_t PredictRowCost() const override {
+    return packed_train_.num_words();
+  }
   std::string name() const override { return "1nn"; }
 
   ModelFamily family() const override { return ModelFamily::kOneNn; }

@@ -265,12 +265,13 @@ uint8_t LogisticRegressionL1::Predict(const DataView& view, size_t i) const {
 std::vector<uint8_t> LogisticRegressionL1::PredictAll(
     const DataView& view) const {
   assert(view.num_features() == one_hot_.num_features());
-  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
-    // Same unit/summation order and the same Sigmoid(margin) >= 0.5
-    // comparison as PredictProbability, so rounding is identical.
-    return Sigmoid(MarginOfCodes(queries.row(i))) >= 0.5 ? uint8_t{1}
-                                                         : uint8_t{0};
-  });
+  return DensePredictAll(
+      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
+        // Same unit/summation order and the same Sigmoid(margin) >= 0.5
+        // comparison as PredictProbability, so rounding is identical.
+        return Sigmoid(MarginOfCodes(queries.row(i))) >= 0.5 ? uint8_t{1}
+                                                             : uint8_t{0};
+      });
 }
 
 size_t LogisticRegressionL1::NumNonzeroWeights() const {

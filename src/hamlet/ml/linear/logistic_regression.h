@@ -44,6 +44,10 @@ class LogisticRegressionL1 : public Classifier {
   /// Dense batch path: materialises `view` into a CodeMatrix once;
   /// bit-identical to per-row Predict.
   std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// One weight lookup per feature.
+  size_t PredictRowCost() const override {
+    return one_hot_.num_features();
+  }
   std::string name() const override { return "logreg-l1"; }
 
   ModelFamily family() const override { return ModelFamily::kLogRegL1; }

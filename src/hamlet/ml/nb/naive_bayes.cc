@@ -137,9 +137,10 @@ uint8_t NaiveBayes::Predict(const DataView& view, size_t i) const {
 
 std::vector<uint8_t> NaiveBayes::PredictAll(const DataView& view) const {
   assert(view.num_features() == d_);
-  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
-    return LogOddsOfCodes(queries.row(i)) >= 0.0 ? uint8_t{1} : uint8_t{0};
-  });
+  return DensePredictAll(
+      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
+        return LogOddsOfCodes(queries.row(i)) >= 0.0 ? uint8_t{1} : uint8_t{0};
+      });
 }
 
 }  // namespace ml

@@ -35,6 +35,8 @@ class NaiveBayes : public Classifier {
   /// Dense batch path: materialises `view` into a CodeMatrix once;
   /// bit-identical to per-row Predict.
   std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// One table lookup per feature.
+  size_t PredictRowCost() const override { return d_; }
   std::string name() const override { return "naive-bayes"; }
 
   /// Log P(y=1|x) - log P(y=0|x) for row i of `view`.

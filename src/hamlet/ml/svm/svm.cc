@@ -237,8 +237,8 @@ std::vector<uint8_t> KernelSvm::PredictAll(const DataView& view) const {
   }
   assert(view.num_features() == d_);
   // Each worker thread packs its query row into its own scratch slab.
-  std::vector<uint8_t> out =
-      DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
+  std::vector<uint8_t> out = DensePredictAll(
+      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
         uint64_t* packed_query =
             ThreadLocalPackScratch(sv_layout_.words_per_row);
         sv_layout_.PackRow(queries.row(i), packed_query);

@@ -51,6 +51,8 @@ class KernelSvm : public Classifier {
   /// evaluates kernels on contiguous rows; bit-identical to per-row
   /// Predict.
   std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// The kernel sum compares every packed word of every support vector.
+  size_t PredictRowCost() const override { return sv_packed_.size(); }
   std::string name() const override;
 
   ModelFamily family() const override { return ModelFamily::kKernelSvm; }

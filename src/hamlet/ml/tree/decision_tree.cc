@@ -61,6 +61,7 @@ Status DecisionTree::Fit(const DataView& train) {
       NodeImpurity(config_.criterion, pos, m.num_rows());
 
   root_ = BuildNode(m, rows, 0, rows.size(), 0, root_risk);
+  UpdateDepth();
 
   scratch_count_.clear();
   scratch_pos_.clear();
@@ -162,6 +163,7 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::LoadBody(
       }
     }
   }
+  model->UpdateDepth();
   return Result<std::unique_ptr<DecisionTree>>(std::move(model));
 }
 
@@ -339,10 +341,11 @@ std::vector<uint8_t> DecisionTree::PredictAll(const DataView& view) const {
     return std::vector<uint8_t>(view.num_rows(), FallbackPrediction());
   }
   assert(view.num_features() == num_features_);
-  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
-    Result<uint8_t> r = WalkCodes(queries.row(i));
-    return r.ok() ? r.value() : FallbackPrediction();
-  });
+  return DensePredictAll(
+      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
+        Result<uint8_t> r = WalkCodes(queries.row(i));
+        return r.ok() ? r.value() : FallbackPrediction();
+      });
 }
 
 size_t DecisionTree::num_leaves() const {
@@ -351,10 +354,11 @@ size_t DecisionTree::num_leaves() const {
   return leaves;
 }
 
-size_t DecisionTree::depth() const {
-  size_t d = 0;
-  for (const auto& node : nodes_) d = std::max<size_t>(d, node.depth);
-  return d;
+void DecisionTree::UpdateDepth() {
+  depth_ = 0;
+  for (const auto& node : nodes_) {
+    depth_ = std::max<size_t>(depth_, node.depth);
+  }
 }
 
 std::vector<size_t> DecisionTree::FeatureUseCounts() const {

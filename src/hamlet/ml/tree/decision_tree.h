@@ -76,6 +76,8 @@ class DecisionTree : public Classifier {
   /// routes contiguous rows; bit-identical to per-row Predict (including
   /// the root-majority fallback under UnseenPolicy::kError).
   std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// A walk visits at most depth() + 1 nodes.
+  size_t PredictRowCost() const override { return depth_ + 1; }
   std::string name() const override;
 
   /// Status-returning prediction honouring UnseenPolicy::kError.
@@ -94,7 +96,7 @@ class DecisionTree : public Classifier {
   const std::vector<TreeNode>& nodes() const { return nodes_; }
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;
-  size_t depth() const;
+  size_t depth() const { return depth_; }
 
   /// How many internal nodes test each view-feature — the paper inspects
   /// this to show FK dominates the partitioning in scenario OneXr.
@@ -112,11 +114,14 @@ class DecisionTree : public Classifier {
   Result<uint8_t> WalkCodes(const uint32_t* codes) const;
   /// Root-majority prediction used when Walk errors under kError.
   uint8_t FallbackPrediction() const;
+  /// Recomputes depth_ from the nodes (after Fit and LoadBody).
+  void UpdateDepth();
 
   DecisionTreeConfig config_;
   std::vector<TreeNode> nodes_;
   int root_ = -1;
   size_t num_features_ = 0;
+  size_t depth_ = 0;  ///< deepest node's depth; 0 before Fit
   // Scratch (valid during Fit only): per-feature per-code counters.
   std::vector<std::vector<uint32_t>> scratch_count_;
   std::vector<std::vector<uint32_t>> scratch_pos_;

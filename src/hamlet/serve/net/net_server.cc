@@ -191,21 +191,20 @@ void NetServer::AcceptLoop() {
 }
 
 void NetServer::AddLine(Chunk& chunk, uint64_t line_no,
-                        std::string_view line, std::string& scratch,
+                        std::string_view line,
                         std::vector<uint32_t>& codes) const {
-  scratch.assign(line);
-  if (IsIgnorableRequestLine(scratch)) return;
+  if (IsIgnorableRequestLine(line)) return;
   ChunkLine entry;
   entry.line_no = line_no;
-  const auto first = std::find_if(scratch.begin(), scratch.end(), [](char c) {
+  const auto first = std::find_if(line.begin(), line.end(), [](char c) {
     return !std::isspace(static_cast<unsigned char>(c));
   });
   std::string text;
-  if (first != scratch.end() && *first == '/') {
+  if (first != line.end() && *first == '/') {
     entry.kind = ChunkLine::Kind::kCommand;
-    text = TrimString(scratch);
+    text = TrimString(line);
   } else {
-    const Status parsed = ParseRequest(scratch, domains_, codes);
+    const Status parsed = ParseRequest(line, domains_, codes);
     if (parsed.ok()) {
       entry.kind = ChunkLine::Kind::kRow;
       entry.begin = static_cast<uint32_t>(chunk.codes.size());
@@ -226,7 +225,6 @@ void NetServer::ReaderLoop(ConnPtr conn) {
   LineReader reader(conn->sock.fd());
   uint64_t line_no = 0;
   std::vector<std::string_view> lines;
-  std::string scratch;
   std::vector<uint32_t> codes;
   Chunk chunk;
   auto push = [&] {
@@ -250,7 +248,7 @@ void NetServer::ReaderLoop(ConnPtr conn) {
     chunk.lines.reserve(std::min(lines.size(), queue_.capacity()));
     chunk.codes.reserve(chunk.lines.capacity() * domains_.size());
     for (std::string_view line : lines) {
-      AddLine(chunk, ++line_no, line, scratch, codes);
+      AddLine(chunk, ++line_no, line, codes);
       if (chunk.lines.size() >= queue_.capacity()) push();
     }
     push();
@@ -364,13 +362,11 @@ void NetServer::HandleLine(const ConnPtr& conn, const Chunk& chunk,
   }
   const uint64_t tag = inflight_.size();
   inflight_.emplace_back(conn.get(), conn->ring.Push(ReorderRing::kPending));
-  const auto codes = chunk.codes.begin() + line.begin;
-  row_.assign(codes, codes + static_cast<std::ptrdiff_t>(domains_.size()));
-  // Add can only fail on a malformed row, which ParseRequest already
-  // excluded; a failure here is a programming error worth surfacing,
-  // but it must not tear down the other connections — record it
-  // against this one.
-  const Status added = batcher_->Add(row_, tag);
+  // Add can only fail on an out-of-domain row, which ParseRequest
+  // already excluded; a failure here is a programming error worth
+  // surfacing, but it must not tear down the other connections — record
+  // it against this one.
+  const Status added = batcher_->Add(chunk.codes.data() + line.begin, tag);
   if (!added.ok()) {
     // The row never joined the batch: its slot answers the ERR instead.
     inflight_.pop_back();

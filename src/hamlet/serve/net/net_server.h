@@ -1,7 +1,10 @@
 // TCP front-end for the serving stack: a line-protocol socket service
 // multiplexing concurrent client connections onto one shared
 // RequestBatcher, so every connection's rows ride the same
-// HAMLET_SERVE_BATCH batches across the HAMLET_THREADS pool.
+// HAMLET_SERVE_BATCH batches. A batch fans out across the
+// HAMLET_THREADS pool only when its estimated work repays the wake-up
+// (ml::ForEachPredictRow); a default-sized dt-gini batch is scored on
+// the Run() thread.
 //
 // Wire protocol (newline-framed, same request grammar as the stdin
 // path — see serve/server.h):
@@ -30,13 +33,14 @@
 // and the caller's Run() thread as the single batch/write loop. Readers
 // work a whole read(2) at a time: they frame every complete line it
 // delivered, classify each one (row, ignorable, command, rejected) and
-// run ParseRequest on the rows, then push the read as one chunk into a
-// queue bounded in request lines (back-pressure lands on the sockets,
-// not on memory). Batching, stats, response ordering and socket writes
-// happen on the Run() thread. Responses collect, in request order, in a
-// per-connection output buffer; each connection with new output gets
-// one blocking send per batch (and one per loop pass, so ERR and
-// /healthz answers go out promptly). A stalled client can therefore
+// run ParseRequest on the rows in place in the read buffer, then push
+// the read as one chunk into a queue bounded in request lines
+// (back-pressure lands on the sockets, not on memory). Batching, stats,
+// response ordering and socket writes happen on the Run() thread.
+// Responses collect, in request order, in a per-connection output
+// buffer; each connection with new output gets one blocking send per
+// batch (and one per loop pass, so ERR and /healthz answers go out
+// promptly). A stalled client can therefore
 // still stall the write loop — acceptable at this rung, noted in
 // docs/ARCHITECTURE.md.
 //
@@ -231,10 +235,11 @@ class NetServer {
 
   void AcceptLoop();
   void ReaderLoop(ConnPtr conn);
-  /// Classifies one framed line into `chunk`; `scratch` and `codes` are
-  /// the reader's reusable buffers.
+  /// Classifies and parses one framed line into `chunk`, reading it in
+  /// place in the reader's buffer; `codes` is the reader's reusable row
+  /// buffer.
   void AddLine(Chunk& chunk, uint64_t line_no, std::string_view line,
-               std::string& scratch, std::vector<uint32_t>& codes) const;
+               std::vector<uint32_t>& codes) const;
 
   // Run()-thread helpers.
   void Process(const Chunk& chunk, std::ostream& err);
@@ -285,8 +290,6 @@ class NetServer {
   std::vector<ConnPtr> batch_conns_;
   /// Connections whose `out` holds unsent responses.
   std::vector<ConnPtr> dirty_;
-  /// One row's codes, copied out of a chunk for RequestBatcher::Add.
-  std::vector<uint32_t> row_;
 };
 
 }  // namespace net

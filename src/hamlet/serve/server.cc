@@ -1,7 +1,6 @@
 #include "hamlet/serve/server.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "hamlet/common/env.h"
+#include "hamlet/common/stringx.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 
@@ -33,39 +33,42 @@ Dataset MakeRequestDataset(const std::vector<uint32_t>& domains) {
   return Dataset(std::move(specs));
 }
 
-}  // namespace
-
-Status ParseRequest(const std::string& line,
-                    const std::vector<uint32_t>& domains,
-                    std::vector<uint32_t>& codes) {
+/// ParseRequest's grammar, without its NUL rule.
+Status ParseCodes(std::string_view line, const std::vector<uint32_t>& domains,
+                  std::vector<uint32_t>& codes) {
   codes.clear();
-  const char* p = line.c_str();
+  const size_t n = line.size();
+  size_t i = 0;
   while (true) {
-    while (*p == ' ' || *p == '\t' || *p == ',') ++p;
-    if (*p == '\0') break;
-    if (*p < '0' || *p > '9') {
-      return Status::InvalidArgument(
-          "expected an unsigned integer code, got \"" + line + "\"");
+    while (i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == ',')) {
+      ++i;
     }
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
+    if (i == n) break;
+    const DigitRun run = ParseDigitRun(
+        std::string_view(line.data() + i, n - i));
+    if (run.length == 0) {
+      return Status::InvalidArgument(
+          "expected an unsigned integer code, got \"" + std::string(line) +
+          "\"");
+    }
     const size_t j = codes.size();
     if (j >= domains.size()) {
       return Status::InvalidArgument("more than " +
                                      std::to_string(domains.size()) +
                                      " fields");
     }
-    if (v >= domains[j]) {
+    if (run.value >= domains[j]) {
       // Out-of-domain codes would index past learner tables (NB
       // likelihoods, logreg weights); reject at the door. The message
-      // quotes the digits as sent: strtoull saturates past 2^64 - 1.
+      // quotes the digits as sent: the parsed value saturates at
+      // 2^64 - 1.
       return Status::OutOfRange(
-          "code " + std::string(p, static_cast<size_t>(end - p)) +
+          "code " + std::string(line.substr(i, run.length)) +
           " outside feature " + std::to_string(j) + "'s domain [0, " +
           std::to_string(domains[j]) + ")");
     }
-    codes.push_back(static_cast<uint32_t>(v));
-    p = end;
+    codes.push_back(static_cast<uint32_t>(run.value));
+    i += run.length;
   }
   if (codes.size() != domains.size()) {
     return Status::InvalidArgument(
@@ -75,9 +78,25 @@ Status ParseRequest(const std::string& line,
   return Status::OK();
 }
 
-bool IsIgnorableRequestLine(const std::string& line) {
+}  // namespace
+
+Status ParseRequest(std::string_view line,
+                    const std::vector<uint32_t>& domains,
+                    std::vector<uint32_t>& codes) {
+  Status parsed = ParseCodes(line, domains, codes);
+  // A line holding a NUL never parses (a NUL is neither a digit nor a
+  // separator), so only a failed line needs the scan. Every such line
+  // gets the same reason, whichever field failed first: a C-string walk
+  // would stop at the NUL and serve the prefix before it as the request.
+  if (!parsed.ok() && line.find('\0') != std::string_view::npos) {
+    return Status::InvalidArgument("request line contains a NUL byte");
+  }
+  return parsed;
+}
+
+bool IsIgnorableRequestLine(std::string_view line) {
   const size_t first = line.find_first_not_of(" \t");
-  return first == std::string::npos || line[first] == '#';
+  return first == std::string_view::npos || line[first] == '#';
 }
 
 size_t ConfiguredBatchSize() {
@@ -145,32 +164,34 @@ RequestBatcher::RequestBatcher(
       after_batch_(std::move(after_batch)),
       active_(&model),
       batch_(MakeRequestDataset(domains_)) {
-  batch_.Reserve(batch_size_);
+  pending_codes_.reserve(batch_size_ * domains_.size());
   tags_.reserve(batch_size_);
-}
-
-void RequestBatcher::ResetBatch() {
-  // Rebuild the skeleton rather than clearing rows: Dataset has no row
-  // erase, and the per-batch allocation is trivial next to PredictAll.
-  batch_ = MakeRequestDataset(domains_);
   batch_.Reserve(batch_size_);
-  tags_.clear();
-  pending_rows_ = 0;
 }
 
-Status RequestBatcher::Add(const std::vector<uint32_t>& codes,
-                           uint64_t tag) {
-  HAMLET_RETURN_IF_ERROR(batch_.AppendRow(codes, 0));
+Status RequestBatcher::Add(const uint32_t* codes, uint64_t tag) {
+  for (size_t j = 0; j < domains_.size(); ++j) {
+    if (codes[j] >= domains_[j]) {
+      return Status::OutOfRange("code out of domain for feature '" +
+                                batch_.feature_spec(j).name + "'");
+    }
+  }
+  pending_codes_.insert(pending_codes_.end(), codes, codes + domains_.size());
   tags_.push_back(tag);
-  if (++pending_rows_ >= batch_size_) return Flush();
+  if (tags_.size() >= batch_size_) return Flush();
   return Status::OK();
 }
 
 Status RequestBatcher::Flush() {
-  if (pending_rows_ == 0) return Status::OK();
+  if (tags_.empty()) return Status::OK();
   if (model_poll_) {
     if (const ml::Classifier* fresh = model_poll_()) active_ = fresh;
   }
+  // Staging rows row-major and moving the whole batch in one column at a
+  // time costs far less than appending each row across every column.
+  // The schema and the column buffers outlive the batch.
+  batch_.ClearRows();
+  batch_.AppendRowMajorUnchecked(pending_codes_.data(), tags_.size(), 0);
   const DataView view(&batch_);
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<uint8_t> preds = active_->PredictAll(view);
@@ -181,7 +202,8 @@ Status RequestBatcher::Flush() {
     HAMLET_RETURN_IF_ERROR(emit_(tags_[i], preds[i]));
   }
   if (after_batch_) after_batch_();
-  ResetBatch();
+  pending_codes_.clear();
+  tags_.clear();
   return Status::OK();
 }
 
@@ -251,7 +273,7 @@ Result<StatsSummary> ServeStream(const ml::Classifier& model,
       }
       continue;
     }
-    HAMLET_RETURN_IF_ERROR(batcher.Add(codes, 0));
+    HAMLET_RETURN_IF_ERROR(batcher.Add(codes.data(), 0));
   }
   HAMLET_RETURN_IF_ERROR(batcher.Flush());
   ticker.Finish();

@@ -4,20 +4,23 @@
 // per line), validates each code against the model's train-domain
 // metadata (restored from the model file header — the server never sees
 // the training Dataset), batches rows, and scores each batch through
-// the model's dense PredictAll so prediction fans out across the
-// HAMLET_THREADS pool exactly like the experiment paths. Predictions
-// stream to `out` one per line in request order; per-batch model time
-// feeds the LatencyStats summary the caller prints.
+// the model's dense PredictAll. Like every PredictAll, a batch fans out
+// across the HAMLET_THREADS pool only when its estimated work (rows x
+// the learner's per-row cost, ml::ForEachPredictRow) repays waking the
+// pool: a default-sized dt-gini batch is scored on the calling thread,
+// while SVM and 1-NN batches fan out. Predictions stream to `out` one
+// per line in request order; per-batch model time feeds the
+// LatencyStats summary the caller prints.
 //
 // The batching core is factored out as RequestBatcher so other request
 // sources can share it: the TCP front-end (serve/net/) multiplexes
 // concurrent client connections onto one RequestBatcher, which is how
-// concurrent connections end up sharing HAMLET_SERVE_BATCH batches
-// across the HAMLET_THREADS pool.
+// concurrent connections end up sharing HAMLET_SERVE_BATCH batches.
 //
 // Request line format: num_features() unsigned integers separated by
 // spaces, tabs or commas. Blank lines and lines starting with '#' are
-// skipped (and produce no output line).
+// skipped (and produce no output line). A line holding a NUL byte is
+// malformed.
 //
 // Error isolation contract: what a malformed or out-of-domain line does
 // depends on ServeConfig::on_error.
@@ -51,6 +54,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "hamlet/common/status.h"
@@ -111,19 +115,21 @@ struct ServeConfig {
 /// domain membership against `domains`. The returned message carries no
 /// line prefix; callers add "request line N: " so the strict Status and
 /// the resilient ERR output line share the reason text. Shared by
-/// ServeStream and the socket front-end so both speak the same grammar.
-HAMLET_NODISCARD Status ParseRequest(const std::string& line,
+/// ServeStream and the socket front-end so both speak the same grammar;
+/// the socket readers parse straight out of their read buffers.
+HAMLET_NODISCARD Status ParseRequest(std::string_view line,
                     const std::vector<uint32_t>& domains,
                     std::vector<uint32_t>& codes);
 
 /// True for request lines that produce no output at all: blank lines
 /// and '#' comments. The caller strips a trailing '\r' first.
-bool IsIgnorableRequestLine(const std::string& line);
+bool IsIgnorableRequestLine(std::string_view line);
 
-/// The shared batching core: accumulates parsed request rows, scores a
-/// full batch through the active model's dense PredictAll (timed into
-/// `stats`), and hands each prediction back through `emit` tagged with
-/// the caller-supplied token, in row order. One owner drives it from a
+/// The shared batching core: stages parsed request rows row-major,
+/// moves a full batch into one Dataset reused across batches, scores it
+/// through the active model's dense PredictAll (timed into `stats`), and
+/// hands each prediction back through `emit` tagged with the
+/// caller-supplied token, in row order. One owner drives it from a
 /// single thread; sources that read from many threads (the socket
 /// front-end) funnel into it through a queue.
 class RequestBatcher {
@@ -145,20 +151,20 @@ class RequestBatcher {
 
   const std::vector<uint32_t>& domains() const { return domains_; }
 
-  /// Queues one validated row; flushes automatically at capacity.
-  HAMLET_NODISCARD Status Add(const std::vector<uint32_t>& codes, uint64_t tag);
+  /// Queues one row of domains().size() codes; flushes automatically at
+  /// capacity. A code outside its domain is refused with OutOfRange and
+  /// queues nothing.
+  HAMLET_NODISCARD Status Add(const uint32_t* codes, uint64_t tag);
 
   /// Scores and emits everything pending. No-op when empty; the
   /// model_poll hook fires only when there are rows to serve, keeping
   /// the poll cadence identical to the original single-stream loop.
   HAMLET_NODISCARD Status Flush();
 
-  size_t pending() const { return pending_rows_; }
+  size_t pending() const { return tags_.size(); }
   const ml::Classifier& active_model() const { return *active_; }
 
  private:
-  void ResetBatch();
-
   std::vector<uint32_t> domains_;
   size_t batch_size_;
   std::function<const ml::Classifier*()> model_poll_;
@@ -166,9 +172,9 @@ class RequestBatcher {
   Emit emit_;
   AfterBatch after_batch_;
   const ml::Classifier* active_;
-  Dataset batch_;
-  std::vector<uint64_t> tags_;
-  size_t pending_rows_ = 0;
+  std::vector<uint32_t> pending_codes_;  ///< queued rows, row-major
+  std::vector<uint64_t> tags_;           ///< one per queued row
+  Dataset batch_;  ///< the batch PredictAll scores; reused across batches
 };
 
 /// Owns the serving model plus the one it most recently replaced.

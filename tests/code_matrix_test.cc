@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -140,30 +141,42 @@ TEST_P(CodeMatrixParityTest, PredictPathsAreBitIdentical) {
 
 TEST_P(CodeMatrixParityTest, LargeViewParityExercisesParallelBatchPath) {
   ScopedThreads env(GetParam());
-  // The dense batch path only fans out on the pool above
-  // ForEachPredictRow's 512-row serial threshold; a small train view
-  // keeps the fits cheap while the 1650-row test view forces every
-  // learner's PredictAll through the parallel branch.
-  const Dataset data = MakeParityDataset(1800, {4, 6, 3}, 83);
-  Rng rng(12);
-  std::vector<uint32_t> order(data.num_rows());
-  std::iota(order.begin(), order.end(), 0u);
-  rng.Shuffle(order);
-  const DataView shuffled(&data, order,
-                          std::vector<uint32_t>{2, 0, 1});
-  std::vector<uint32_t> train_ids(150);
+  // The dense batch path fans out on the pool only when rows x the
+  // learner's PredictRowCost() reaches ml::kSerialPredictWork. A small
+  // train view keeps the fits cheap; the test view is then sized from
+  // the cheapest fitted learner, so every learner's PredictAll takes the
+  // parallel branch. Both views select the columns out of order, and the
+  // test view's rows are shuffled.
+  const std::vector<uint32_t> domains = {4, 6, 3};
+  const std::vector<uint32_t> columns = {2, 0, 1};
+  const Dataset train_data = MakeParityDataset(150, domains, 83);
+  std::vector<uint32_t> train_ids(train_data.num_rows());
   std::iota(train_ids.begin(), train_ids.end(), 0u);
-  std::vector<uint32_t> test_ids(data.num_rows() - train_ids.size());
-  std::iota(test_ids.begin(), test_ids.end(),
-            static_cast<uint32_t>(train_ids.size()));
-  const DataView train = shuffled.SelectRows(train_ids);
-  const DataView test = shuffled.SelectRows(test_ids);
-  ASSERT_GE(test.num_rows(), 512u);
+  const DataView train(&train_data, train_ids, columns);
+
+  std::vector<std::unique_ptr<ml::Classifier>> models;
+  size_t test_rows = 0;
   for (const ParityLearner& learner : ParityLearners()) {
-    SCOPED_TRACE(learner.name);
-    std::unique_ptr<ml::Classifier> model = learner.make();
-    ASSERT_TRUE(model->Fit(train).ok());
-    ExpectPredictParity(*model, test);
+    models.push_back(learner.make());
+    ASSERT_TRUE(models.back()->Fit(train).ok()) << learner.name;
+    const size_t cost = models.back()->PredictRowCost();
+    ASSERT_GT(cost, 0u) << learner.name;
+    test_rows = std::max(test_rows,
+                         (ml::kSerialPredictWork + cost - 1) / cost);
+  }
+  const Dataset test_data = MakeParityDataset(test_rows, domains, 84);
+  std::vector<uint32_t> order(test_data.num_rows());
+  std::iota(order.begin(), order.end(), 0u);
+  Rng rng(12);
+  rng.Shuffle(order);
+  const DataView test(&test_data, order, columns);
+
+  const std::vector<ParityLearner> learners = ParityLearners();
+  for (size_t k = 0; k < models.size(); ++k) {
+    SCOPED_TRACE(learners[k].name);
+    EXPECT_TRUE(ml::PredictFansOut(test.num_rows(),
+                                   models[k]->PredictRowCost()));
+    ExpectPredictParity(*models[k], test);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
@@ -45,6 +46,43 @@ TEST(DatasetTest, AppendValidation) {
   EXPECT_FALSE(d.AppendRow({0, 0}, 1).ok());     // arity
   EXPECT_FALSE(d.AppendRow({0, 0, 0}, 2).ok());  // label
   EXPECT_EQ(d.num_rows(), 4u);
+}
+
+TEST(DatasetTest, ClearRowsKeepsTheSchemaAndAcceptsNewRows) {
+  Dataset d = MakeDataset();
+  d.ClearRows();
+  EXPECT_EQ(d.num_rows(), 0u);
+  EXPECT_EQ(d.num_features(), 3u);
+  EXPECT_EQ(d.column(1).size(), 0u);
+  EXPECT_EQ(d.feature_spec(2).name, "r.x");
+  ASSERT_TRUE(d.AppendRow({1, 3, 0}, 1).ok());
+  EXPECT_EQ(d.num_rows(), 1u);
+  EXPECT_EQ(d.feature(0, 1), 3u);
+  EXPECT_EQ(d.label(0), 1);
+}
+
+TEST(DatasetTest, RowMajorAppendMatchesRowByRowAppend) {
+  // 150 rows: two full transpose tiles and a partial one, appended after
+  // an existing row so the block lands at a non-zero offset.
+  const std::vector<FeatureSpec> specs = {{"a", 7, FeatureRole::kHome, -1},
+                                          {"b", 3, FeatureRole::kHome, -1},
+                                          {"c", 11, FeatureRole::kHome, -1}};
+  Dataset by_row(specs);
+  Dataset by_block(specs);
+  ASSERT_TRUE(by_row.AppendRow({6, 2, 10}, 1).ok());
+  ASSERT_TRUE(by_block.AppendRow({6, 2, 10}, 1).ok());
+  std::vector<uint32_t> block;
+  for (uint32_t i = 0; i < 150; ++i) {
+    const std::vector<uint32_t> row = {i % 7, (i / 7) % 3, (i * 5) % 11};
+    ASSERT_TRUE(by_row.AppendRow(row, 0).ok());
+    block.insert(block.end(), row.begin(), row.end());
+  }
+  by_block.AppendRowMajorUnchecked(block.data(), 150, 0);
+  ASSERT_EQ(by_block.num_rows(), by_row.num_rows());
+  for (size_t j = 0; j < specs.size(); ++j) {
+    EXPECT_EQ(by_block.column(j), by_row.column(j)) << "column " << j;
+  }
+  EXPECT_EQ(by_block.labels(), by_row.labels());
 }
 
 TEST(DatasetTest, RoleNames) {

@@ -1,9 +1,12 @@
-// Tests for hamlet/ml common infrastructure: metrics, grid search,
-// bias-variance decomposition.
+// Tests for hamlet/ml common infrastructure: metrics, the predict
+// fan-out rule, grid search, bias-variance decomposition.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
@@ -13,6 +16,7 @@
 #include "hamlet/ml/grid_search.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/tree/decision_tree.h"
+#include "parity_util.h"
 
 namespace hamlet {
 namespace ml {
@@ -58,6 +62,59 @@ TEST(MetricsTest, EmptyViewDegenerates) {
   DataView empty(&d, {}, {0});
   ConstantModel ones(1);
   EXPECT_DOUBLE_EQ(Accuracy(ones, empty), 0.0);
+}
+
+// -------------------------------------------------------- predict fan-out --
+
+TEST(ForEachPredictRowTest, FansOutFromTheWorkThresholdUp) {
+  EXPECT_FALSE(PredictFansOut(0, 1000));
+  EXPECT_FALSE(PredictFansOut(1000, 0));
+  EXPECT_FALSE(PredictFansOut(kSerialPredictWork - 1, 1));
+  EXPECT_TRUE(PredictFansOut(kSerialPredictWork, 1));
+  EXPECT_TRUE(PredictFansOut(1, kSerialPredictWork));
+  // A learner without its own estimate keeps the old 512-row cutoff.
+  EXPECT_FALSE(PredictFansOut(511, kDefaultPredictRowCost));
+  EXPECT_TRUE(PredictFansOut(512, kDefaultPredictRowCost));
+  // The product is never formed, so it cannot overflow.
+  EXPECT_TRUE(PredictFansOut(SIZE_MAX, SIZE_MAX));
+}
+
+TEST(ForEachPredictRowTest, BelowTheThresholdEveryRowRunsOnTheCaller) {
+  test::ScopedThreads threads("4");
+  // A default-sized serving batch (2048 rows) through a depth-29 tree.
+  const size_t rows = 2048;
+  const size_t row_cost = 30;
+  ASSERT_FALSE(PredictFansOut(rows, row_cost));
+  std::vector<std::thread::id> ran_on(rows);
+  ForEachPredictRow(rows, row_cost, [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(ran_on[i], std::this_thread::get_id()) << "row " << i;
+  }
+}
+
+TEST(ForEachPredictRowTest, AboveTheThresholdResultsAreKeyedByIndex) {
+  const size_t row_cost = 64;
+  const size_t rows = 4 * kSerialPredictWork / row_cost;
+  ASSERT_TRUE(PredictFansOut(rows, row_cost));
+  const auto score = [](size_t i) {
+    return static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ULL;
+  };
+  const auto run = [&](const char* threads) {
+    test::ScopedThreads scoped(threads);
+    std::vector<uint64_t> out(rows);
+    std::atomic<size_t> calls{0};
+    ForEachPredictRow(rows, row_cost, [&](size_t i) {
+      out[i] = score(i);
+      calls.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(calls.load(), rows) << "threads=" << threads;
+    return out;
+  };
+  const std::vector<uint64_t> serial = run("1");
+  EXPECT_EQ(run("4"), serial);
+  for (size_t i = 0; i < rows; ++i) ASSERT_EQ(serial[i], score(i));
 }
 
 // ----------------------------------------------------------- grid search --

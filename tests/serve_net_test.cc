@@ -465,6 +465,27 @@ TEST(NetServerTest, BadLinesAreIsolatedPerConnection) {
   EXPECT_EQ(summary.value().errors, 2u);
 }
 
+TEST(NetServerTest, NulByteLineGetsAnErrAndItsNeighboursAreAnswered) {
+  // The reader parses in place in its read buffer; a NUL inside a line
+  // must reject that line, not cut it short and serve the prefix.
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  ServerFixture fixture(model);
+  const std::vector<std::string> lines = Lines(RoundTrip(
+      fixture.port(), "1 2\n" + std::string("1 2\0junk\n", 9) + "3 1\n"));
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(lines[0] == "0" || lines[0] == "1");
+  EXPECT_EQ(lines[1], "ERR 2: request line contains a NUL byte");
+  EXPECT_TRUE(lines[2] == "0" || lines[2] == "1");
+
+  const auto summary = fixture.Stop();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary.value().rows, 2u);
+  EXPECT_EQ(summary.value().errors, 1u);
+}
+
 TEST(NetServerTest, ErrorBudgetClosesOnlyTheOffendingConnection) {
   const Dataset data = MakeParityDataset(80, {5, 4}, 7);
   ml::MajorityClassifier model;

@@ -1,7 +1,9 @@
-// Serving-layer tests: request parsing/validation, batching, stats, and
-// parity between served predictions and the in-process PredictAll path
-// (including through a Save/Load round trip, which is how hamlet_serve
-// actually gets its model).
+// Serving-layer tests: request parsing/validation (including a seeded
+// differential fuzz of the request and unsigned parsers against
+// parse_oracle.h), batching, stats, and parity between served
+// predictions and the in-process PredictAll path (including through a
+// Save/Load round trip, which is how hamlet_serve actually gets its
+// model).
 
 #include <gtest/gtest.h>
 
@@ -11,13 +13,18 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "hamlet/common/rng.h"
+#include "hamlet/common/stringx.h"
 #include "hamlet/io/serialize.h"
 #include "hamlet/ml/majority.h"
+#include "hamlet/ml/tree/decision_tree.h"
 #include "hamlet/serve/server.h"
 #include "hamlet/serve/stats.h"
 #include "parity_util.h"
+#include "parse_oracle.h"
 
 namespace hamlet {
 namespace {
@@ -572,6 +579,310 @@ TEST(ServeTest, ValidateReloadedModelChecksDomains) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(st.message().find("keeping the old model"), std::string::npos);
+}
+
+TEST(ServeTest, BatcherRefusesOutOfDomainRowsAndReusesItsBatch) {
+  const Dataset data = MakeParityDataset(200, {6, 4, 7, 3}, 41);
+  ml::DecisionTree model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  const std::vector<uint32_t> domains = model.train_domain_sizes();
+
+  serve::LatencyStats stats;
+  std::vector<std::pair<uint64_t, uint8_t>> emitted;
+  serve::RequestBatcher batcher(
+      model, domains, 3, nullptr, stats,
+      [&emitted](uint64_t tag, uint8_t p) -> Status {
+        emitted.emplace_back(tag, p);
+        return Status::OK();
+      });
+  const std::vector<uint32_t> bad = {0, 4, 0, 0};  // feature 1 is [0, 4)
+  const Status refused = batcher.Add(bad.data(), 99);
+  EXPECT_EQ(refused.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(refused.message(), "code out of domain for feature 'f1'");
+  EXPECT_EQ(batcher.pending(), 0u);
+
+  // Seven rows at batch size 3: two full batches flush inside Add, the
+  // last row on Flush. Every prediction matches the model's own, by tag.
+  const DataView view(&data);
+  for (uint64_t i = 0; i < 7; ++i) {
+    const std::vector<uint32_t> row = view.RowCodes(i);
+    ASSERT_TRUE(batcher.Add(row.data(), i).ok());
+  }
+  EXPECT_EQ(batcher.pending(), 1u);
+  ASSERT_TRUE(batcher.Flush().ok());
+  ASSERT_EQ(emitted.size(), 7u);
+  for (uint64_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(emitted[i].first, i);
+    EXPECT_EQ(emitted[i].second, model.Predict(view, i)) << "row " << i;
+  }
+  EXPECT_EQ(stats.Summarize().batches, 3u);
+}
+
+TEST(ServeTest, NulByteLineIsRejectedAndItsNeighboursServed) {
+  // A C-string walk would stop at the NUL and serve "1 2".
+  const Dataset data = MakeParityDataset(80, {5, 4}, 7);
+  ml::MajorityClassifier model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  const std::string requests =
+      "1 2\n" + std::string("1 2\0junk\n", 9) + "3 1\n";
+
+  std::istringstream in(requests);
+  std::ostringstream out, err;
+  serve::ServeConfig config;
+  config.on_error = serve::OnError::kSkip;
+  const auto summary = serve::ServeStream(model, in, out, err, config);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary.value().rows, 2u);
+  EXPECT_EQ(summary.value().errors, 1u);
+  const std::vector<std::string> lines = OutputLines(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(lines[0] == "0" || lines[0] == "1");
+  EXPECT_EQ(lines[1], "ERR 2: request line contains a NUL byte");
+  EXPECT_TRUE(lines[2] == "0" || lines[2] == "1");
+
+  std::istringstream strict_in(requests);
+  std::ostringstream strict_out, strict_err;
+  const auto strict =
+      serve::ServeStream(model, strict_in, strict_out, strict_err);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(strict.status().message(),
+            "request line 2: request line contains a NUL byte");
+}
+
+// ------------------------------------------------------ parser fuzzing --
+
+/// `s` with every byte outside printable ASCII written as \xNN, for
+/// failure messages.
+std::string Printable(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && u < 0x7f) {
+      out += c;
+    } else {
+      const char* hex = "0123456789abcdef";
+      out += "\\x";
+      out += hex[u >> 4];
+      out += hex[u & 15];
+    }
+  }
+  return out;
+}
+
+/// Seeded request lines aimed at the parser's edges: every separator,
+/// CR, signs and base prefixes, digit runs of 19-25 digits around 2^64,
+/// field counts from none to two too many, out-of-domain codes, and
+/// byte mutations (NUL included) on top.
+class RequestLineFuzzer {
+ public:
+  RequestLineFuzzer(uint64_t seed, std::vector<uint32_t> domains)
+      : rng_(seed), domains_(std::move(domains)) {}
+
+  /// One field for position `j` (which may be past the last feature).
+  std::string Token(size_t j) {
+    const uint64_t domain = j < domains_.size() ? domains_[j] : 5;
+    switch (rng_.UniformInt(10)) {
+      case 0:
+      case 1:
+      case 2:
+        return std::to_string(rng_.UniformInt(domain));
+      case 3:  // just past the domain, or past 32 bits
+        return std::to_string(rng_.Bernoulli(0.5)
+                                  ? domain + rng_.UniformInt(3)
+                                  : (uint64_t{1} << 32) + rng_.UniformInt(3));
+      case 4:
+        return LongDigitRun(domain);
+      case 5: {
+        static const char* const kPrefixes[] = {"+", "-", "0x", "0X", "-0"};
+        return kPrefixes[rng_.UniformInt(5)] +
+               std::to_string(rng_.UniformInt(domain));
+      }
+      case 6: {
+        static const char* const kJunk[] = {"abc", "1.5", "1e3", "nope",
+                                            "#",   "/x",  "7a",  "\r"};
+        return kJunk[rng_.UniformInt(8)];
+      }
+      case 7:
+        return std::to_string(rng_.UniformInt(domain)) + "\r";
+      default:
+        return std::string(1 + rng_.UniformInt(3), '0') +
+               std::to_string(rng_.UniformInt(domain));
+    }
+  }
+
+  std::string Line() {
+    const size_t n = domains_.size();
+    const size_t fields = rng_.Bernoulli(0.5) ? n : rng_.UniformInt(n + 3);
+    std::string line;
+    if (rng_.Bernoulli(0.2)) line += Separator();
+    for (size_t j = 0; j < fields; ++j) {
+      if (j > 0) line += Separator();
+      line += Token(j);
+    }
+    if (rng_.Bernoulli(0.2)) line += Separator();
+    if (rng_.Bernoulli(0.1)) line += '\r';
+    if (rng_.Bernoulli(0.3)) Mutate(line);
+    return line;
+  }
+
+ private:
+  /// A 19-25 digit run: 2^64 - 1 or 2^64 with an optional tail, leading
+  /// zeros in front of an in-domain code, or random digits.
+  std::string LongDigitRun(uint64_t domain) {
+    const size_t length = 19 + rng_.UniformInt(7);
+    switch (rng_.UniformInt(4)) {
+      case 0:
+        return std::string("18446744073709551615").substr(0, length) +
+               std::string(length > 20 ? length - 20 : 0, '0');
+      case 1:
+        return "18446744073709551616" +
+               std::string(length > 20 ? length - 20 : 0, '9');
+      case 2: {
+        const std::string code = std::to_string(rng_.UniformInt(domain));
+        return std::string(length - code.size(), '0') + code;
+      }
+      default: {
+        std::string run;
+        for (size_t k = 0; k < length; ++k) {
+          run += static_cast<char>('0' + rng_.UniformInt(10));
+        }
+        return run;
+      }
+    }
+  }
+
+  std::string Separator() {
+    static const char kSeparators[] = {' ', '\t', ','};
+    std::string sep(1, kSeparators[rng_.UniformInt(3)]);
+    if (rng_.Bernoulli(0.25)) sep += kSeparators[rng_.UniformInt(3)];
+    return sep;
+  }
+
+  char RandomByte() {
+    return rng_.Bernoulli(0.2) ? '\0'
+                               : static_cast<char>(rng_.UniformInt(256));
+  }
+
+  void Mutate(std::string& line) {
+    const size_t ops = 1 + rng_.UniformInt(3);
+    for (size_t k = 0; k < ops; ++k) {
+      const size_t at = rng_.UniformInt(line.size() + 1);
+      switch (rng_.UniformInt(3)) {
+        case 0:
+          if (at < line.size()) line[at] = RandomByte();
+          break;
+        case 1:
+          line.insert(line.begin() + static_cast<std::ptrdiff_t>(at),
+                      RandomByte());
+          break;
+        default:
+          if (at < line.size()) {
+            line.erase(at, 1 + rng_.UniformInt(3));
+          }
+          break;
+      }
+    }
+  }
+
+  Rng rng_;
+  std::vector<uint32_t> domains_;
+};
+
+/// The library parser against the oracle on one line: same code, same
+/// message and, on success, the same codes. A line holding a NUL is the
+/// one intended difference: it must be rejected as malformed.
+::testing::AssertionResult SameRequestParse(
+    const std::string& line, const std::vector<uint32_t>& domains) {
+  std::vector<uint32_t> got_codes;
+  const Status got = serve::ParseRequest(line, domains, got_codes);
+  if (line.find('\0') != std::string::npos) {
+    if (got.code() == StatusCode::kInvalidArgument &&
+        got.message() == "request line contains a NUL byte") {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "NUL line \"" << Printable(line) << "\" got "
+           << got.ToString();
+  }
+  std::vector<uint32_t> want_codes;
+  const Status want = test::OracleParseRequest(line, domains, want_codes);
+  if (got.code() != want.code() || got.message() != want.message() ||
+      (want.ok() && got_codes != want_codes)) {
+    return ::testing::AssertionFailure()
+           << "line \"" << Printable(line) << "\": got " << got.ToString()
+           << ", oracle " << want.ToString();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameUnsignedParse(const std::string& s) {
+  const Result<uint64_t> got = ParseUnsigned(s);
+  const Result<uint64_t> want = test::OracleParseUnsigned(s);
+  const bool same =
+      got.ok() == want.ok() &&
+      (got.ok() ? got.value() == want.value()
+                : got.status().code() == want.status().code() &&
+                      got.status().message() == want.status().message());
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "\"" << Printable(s) << "\": got "
+         << (got.ok() ? std::to_string(got.value()) : got.status().ToString())
+         << ", oracle "
+         << (want.ok() ? std::to_string(want.value())
+                       : want.status().ToString());
+}
+
+TEST(ParserFuzzTest, RequestAndUnsignedParsersMatchTheOracle) {
+  // Fixed budget and seeds: the same lines on every run, cheap enough
+  // for the sanitizer legs.
+  constexpr size_t kLinesPerDomainSet = 20000;
+  const std::vector<std::vector<uint32_t>> domain_sets = {
+      {8, 1, 300, 70000, 5}, {4294967295u, 2}};
+  size_t accepted = 0, invalid = 0, out_of_range = 0, with_nul = 0;
+  for (size_t set = 0; set < domain_sets.size(); ++set) {
+    const std::vector<uint32_t>& domains = domain_sets[set];
+    RequestLineFuzzer fuzzer(1000 + set, domains);
+    for (size_t k = 0; k < kLinesPerDomainSet; ++k) {
+      const std::string line = fuzzer.Line();
+      ASSERT_TRUE(SameRequestParse(line, domains));
+      ASSERT_TRUE(SameUnsignedParse(line));
+      const std::string token = fuzzer.Token(k % (domains.size() + 1));
+      ASSERT_TRUE(SameUnsignedParse(token));
+
+      std::vector<uint32_t> codes;
+      const Status st = serve::ParseRequest(line, domains, codes);
+      with_nul += line.find('\0') != std::string::npos;
+      accepted += st.ok();
+      invalid += st.code() == StatusCode::kInvalidArgument;
+      out_of_range += st.code() == StatusCode::kOutOfRange;
+    }
+  }
+  // The generator must reach every outcome, not just the error paths.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(invalid, 2000u);
+  EXPECT_GT(out_of_range, 2000u);
+  EXPECT_GT(with_nul, 200u);
+}
+
+TEST(ParserFuzzTest, DigitRunSaturatesAndStopsAtTheFirstNonDigit) {
+  EXPECT_EQ(ParseDigitRun("").length, 0u);
+  EXPECT_EQ(ParseDigitRun("x1").length, 0u);
+  const DigitRun max = ParseDigitRun("18446744073709551615 7");
+  EXPECT_EQ(max.value, UINT64_MAX);
+  EXPECT_EQ(max.length, 20u);
+  EXPECT_FALSE(max.overflow);
+  const DigitRun over = ParseDigitRun("184467440737095516160,1");
+  EXPECT_EQ(over.value, UINT64_MAX);
+  EXPECT_EQ(over.length, 21u);
+  EXPECT_TRUE(over.overflow);
+  const DigitRun zeros = ParseDigitRun("0000000000000000000000042");
+  EXPECT_EQ(zeros.value, 42u);
+  EXPECT_EQ(zeros.length, 25u);
+  EXPECT_FALSE(zeros.overflow);
+  const DigitRun nul = ParseDigitRun(std::string("12\0" "3", 4));
+  EXPECT_EQ(nul.value, 12u);
+  EXPECT_EQ(nul.length, 2u);
 }
 
 }  // namespace

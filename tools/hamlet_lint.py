@@ -68,6 +68,13 @@ Rules
                   own reader, delta and reset. Member atomics (indented,
                   inside a class) and the header's `extern` declaration
                   define no new counter and stay quiet.
+  int-parse       No C integer parsers in src/ code: strtol, strtoll,
+                  strtoul, strtoull, atoi, atol, atoll and the std::sto*
+                  family (comments and strings pass). They accept signs,
+                  whitespace and base prefixes, and they clamp or wrap on
+                  overflow; src/ parses digits with ParseDigitRun and
+                  ParseUnsigned (common/stringx.h), one grammar and one
+                  overflow rule for request lines, knobs and flags.
   bench-clock     No clock reads and no timing harness in bench/:
                   `steady_clock`, `system_clock`, `high_resolution_clock`,
                   `clock_gettime(` or a google-benchmark include
@@ -82,7 +89,8 @@ determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
 kernel-math, env-read or counter-home site, ISA code outside simd/,
-or a clock in bench/ is exactly what those rules exist to stop.
+a C integer parser in src/, or a clock in bench/ is exactly what those
+rules exist to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -201,6 +209,11 @@ BENCH_CLOCK_CODE_PATTERNS = [
      "a std::chrono clock"),
     (re.compile(r"\bclock_gettime\s*\("), "clock_gettime"),
 ]
+# int-parse: C/C++ library integer parsers, matched in code only.
+INT_PARSE_RE = re.compile(
+    r"\b(?:strto(?:l|ll|ul|ull)|ato(?:i|l|ll)|"
+    r"std::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
+
 BENCH_CLOCK_RAW_RE = re.compile(
     r'#\s*include\s*[<"]benchmark/')
 
@@ -442,6 +455,18 @@ class Linter:
                              "kernel with a scalar version and a parity "
                              "test" % (what, SIMD_HOME))
 
+    # -- int-parse -----------------------------------------------------
+    def check_int_parse(self):
+        for path in self.source_files("src"):
+            rel = self.rel(path)
+            _, stripped_lines, _ = read_code(path)
+            for lineno, code in enumerate(stripped_lines, 1):
+                for m in INT_PARSE_RE.finditer(code):
+                    name = re.sub(r"\s*\($", "", m.group(0))
+                    self.add(rel, lineno, "int-parse",
+                             "%s in src/; parse digits with ParseDigitRun "
+                             "or ParseUnsigned (common/stringx.h)" % name)
+
     # -- bench-clock ---------------------------------------------------
     def check_bench_clock(self):
         for path in self.source_files("bench", exts=(".h", ".cc", ".cpp")):
@@ -483,6 +508,7 @@ class Linter:
         self.check_status_discard()
         self.check_one_home_rules()
         self.check_simd_home()
+        self.check_int_parse()
         self.check_bench_clock()
         self.check_test_registration()
         return self.findings

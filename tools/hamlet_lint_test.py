@@ -312,6 +312,44 @@ def main():
         code, out = discard_quiet.lint()
         check("checked calls, comments, other discards pass", code == 0, out)
 
+        # int-parse: each C integer parser fires in src/ code; the same
+        # names in comments and strings, a longer identifier, strtod,
+        # and a call outside src/ stay quiet.
+        for what, snippet in [
+            ("strtol", "long v = strtol(p, &end, 10);\n"),
+            ("strtoll", "auto v = std::strtoll(p, nullptr, 10);\n"),
+            ("strtoul", "auto v = strtoul (p, nullptr, 10);\n"),
+            ("strtoull", "auto v = std::strtoull(p, &end, 10);\n"),
+            ("atoi", "int v = atoi(s);\n"),
+            ("atol", "long v = std::atol(s);\n"),
+            ("atoll", "auto v = atoll(s);\n"),
+            ("std::stoi", "int v = std::stoi(s);\n"),
+            ("std::stoull", "auto v = std::stoull(s, nullptr, 16);\n"),
+            ("std::stod", "double v = std::stod(s);\n"),
+        ]:
+            fix = Fixture(base, "intparse_" + what.replace(":", "_"))
+            fix.write("src/hamlet/serve/a.cc", snippet)
+            code, out = fix.lint()
+            check("int-parse fires on %s" % what,
+                  code == 1 and "[int-parse] %s in src/" % what in out and
+                  "src/hamlet/serve/a.cc:1:" in out, out)
+
+        intparse_quiet = (Fixture(base, "intparse_quiet")
+                          .write("src/hamlet/a.cc",
+                                 "// strtoull(p, &end, 10) saturates\n"
+                                 "/* atoi(s) */\n"
+                                 'const char* m = "std::stoi(s)";\n'
+                                 "auto v = my_atoi(s) + xstrtoull(s);\n"
+                                 "double d = std::strtod(p, nullptr);\n"
+                                 "auto r = ParseDigitRun(s);\n")
+                          .write("perfbench/main.cc",
+                                 "auto v = std::strtoull(p, nullptr, 10);\n")
+                          .write("tests/parse_oracle.h",
+                                 "auto v = std::strtoull(p, &end, 10);\n"))
+        code, out = intparse_quiet.lint()
+        check("int-parse: comments, strings, lookalikes, non-src pass",
+              code == 0, out)
+
         # bench-clock: a clock read or the google-benchmark include in
         # bench/ fires; the same names in comments and strings, and a
         # clock outside bench/, stay quiet.
