@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/ml/knn/one_nn.h"
 #include "hamlet/ml/tree/decision_tree.h"
 #include "hamlet/synth/onexr.h"
@@ -61,13 +62,14 @@ void NearestNeighbourFkMatch() {
         fk_j = j;
       }
     }
+    // One scan per test row: the neighbour gives both the FK match and
+    // the 1-NN prediction (its training label).
+    const CodeMatrix test(views.test);
     size_t match = 0, match_correct = 0, nomatch = 0, nomatch_correct = 0;
-    for (size_t i = 0; i < views.test.num_rows(); ++i) {
-      const size_t nn = knn.NearestIndex(views.test, i);
-      const bool fk_equal =
-          views.test.feature(i, fk_j) == views.train.feature(nn, fk_j);
-      const bool correct =
-          knn.Predict(views.test, i) == views.test.label(i);
+    for (size_t i = 0; i < test.num_rows(); ++i) {
+      const size_t nn = knn.NearestIndexOfCodes(test.row(i));
+      const bool fk_equal = test.at(i, fk_j) == views.train.feature(nn, fk_j);
+      const bool correct = views.train.label(nn) == test.label(i);
       if (fk_equal) {
         ++match;
         match_correct += correct;

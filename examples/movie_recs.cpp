@@ -59,10 +59,7 @@ int main() {
   // (a) No smoothing: majority-branch routing inside the tree.
   {
     SplitViews views = MakeSplitViews(p.data, p.split, nojoin);
-    ml::DecisionTree tree({.minsplit = 10,
-                           .cp = 0.001,
-                           .unseen_policy =
-                               ml::UnseenPolicy::kMajorityBranch});
+    ml::DecisionTree tree({.minsplit = 10, .cp = 0.001});
     if (Failed("tree fit", tree.Fit(views.train))) return 1;
     std::printf("majority-branch routing: accuracy=%.4f\n",
                 ml::Accuracy(tree, views.test));

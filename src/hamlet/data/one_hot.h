@@ -53,8 +53,8 @@ class OneHotMap {
   }
 
   /// Fills `out` with the active unit index per feature of one
-  /// materialised row of num_features() codes (a CodeMatrix row or
-  /// DataView::RowCodes). `out` is resized to num_features(); the
+  /// materialised row of num_features() codes (a CodeMatrix row).
+  /// `out` is resized to num_features(); the
   /// encoding has exactly one active unit per feature.
   void ActiveUnitsFromCodes(const uint32_t* codes,
                             std::vector<uint32_t>& out) const;

@@ -35,23 +35,6 @@ DataView DataView::WithFeatures(std::vector<uint32_t> feature_ids) const {
   return DataView(data_, rows_, std::move(feature_ids));
 }
 
-std::vector<uint32_t> DataView::RowCodes(size_t i) const {
-  std::vector<uint32_t> out(features_.size());
-  RowCodesInto(i, out.data());
-  return out;
-}
-
-void DataView::RowCodesInto(size_t i, uint32_t* out) const {
-  for (size_t j = 0; j < features_.size(); ++j) out[j] = feature(i, j);
-}
-
-const uint32_t* DataView::ScratchRowCodes(size_t i) const {
-  static thread_local std::vector<uint32_t> codes;
-  codes.resize(features_.size());
-  RowCodesInto(i, codes.data());
-  return codes.data();
-}
-
 size_t DataView::OneHotDimension() const {
   size_t d = 0;
   for (size_t j = 0; j < features_.size(); ++j) d += domain_size(j);

@@ -57,21 +57,6 @@ class DataView {
   /// Same rows, different feature subset (underlying dataset column ids).
   DataView WithFeatures(std::vector<uint32_t> feature_ids) const;
 
-  /// Materialises view-row i's codes (in view-feature order).
-  std::vector<uint32_t> RowCodes(size_t i) const;
-
-  /// Writes view-row i's codes into `out`, which must hold num_features()
-  /// entries. Lets callers reuse one buffer across rows instead of
-  /// allocating a fresh vector per row.
-  void RowCodesInto(size_t i, uint32_t* out) const;
-
-  /// Materialises view-row i's codes into a thread-local scratch buffer
-  /// and returns a pointer to it. The pointer stays valid until the next
-  /// ScratchRowCodes call on the same thread — consume it immediately.
-  /// Backs the per-row predict paths, which need one materialised row
-  /// with no per-call allocation.
-  const uint32_t* ScratchRowCodes(size_t i) const;
-
   /// Sum of selected features' domain sizes.
   size_t OneHotDimension() const;
 

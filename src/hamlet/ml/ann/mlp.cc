@@ -8,7 +8,6 @@
 #include <numeric>
 #include <utility>
 
-#include "hamlet/common/parallel.h"
 #include "hamlet/common/rng.h"
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/io/model_io.h"
@@ -763,45 +762,39 @@ Result<std::unique_ptr<Mlp>> Mlp::LoadBody(
   return Result<std::unique_ptr<Mlp>>(std::move(model));
 }
 
-double Mlp::PredictProbability(const DataView& view, size_t i) const {
-  assert(one_hot_.num_features() == view.num_features());
+size_t Mlp::PredictRowCost() const {
+  size_t cost = one_hot_.num_features() * h1_;
+  for (const DenseLayer& layer : layers_) cost += layer.in * layer.out;
+  return cost;
+}
+
+double Mlp::ProbabilityOfCodes(const uint32_t* codes) const {
   std::vector<uint32_t> units(one_hot_.num_features());
-  RowUnits(view.ScratchRowCodes(i), units.data());
+  RowUnits(codes, units.data());
   MlpBlock block;
   ForwardBlock(units.data(), 1, block);
   return Sigmoid(block.logits[0]);
 }
 
-uint8_t Mlp::Predict(const DataView& view, size_t i) const {
-  return PredictProbability(view, i) >= 0.5 ? 1 : 0;
-}
-
-std::vector<uint8_t> Mlp::PredictAll(const DataView& view) const {
-  assert(one_hot_.num_features() == view.num_features());
-  // Chunks of rows run forward as one block each. A chunk costs far more
-  // than the pool's dispatch, so even a few chunks fan out; each writes
-  // only its own rows, so the result is the same at any thread count.
-  constexpr size_t kChunkRows = 64;
+void Mlp::PredictCodes(const uint32_t* codes, size_t rows,
+                       uint8_t* out) const {
+  // A block's rows are independent lanes, so each row's logit is
+  // bit-identical to ProbabilityOfCodes' one-row block, whatever block
+  // or range it runs in.
+  constexpr size_t kBlockRows = 64;
   const size_t d = one_hot_.num_features();
-  const CodeMatrix queries(view);
-  std::vector<uint8_t> out(queries.num_rows());
-  const size_t chunks = (out.size() + kChunkRows - 1) / kChunkRows;
-  parallel::ParallelFor(chunks, [&](size_t c) {
-    const size_t begin = c * kChunkRows;
-    const size_t rows = std::min(out.size() - begin, kChunkRows);
-    std::vector<uint32_t> units(rows * d);
-    for (size_t r = 0; r < rows; ++r) {
-      RowUnits(queries.row(begin + r), units.data() + r * d);
+  std::vector<uint32_t> units(std::min(rows, kBlockRows) * d);
+  MlpBlock block;
+  for (size_t begin = 0; begin < rows; begin += kBlockRows) {
+    const size_t n = std::min(rows - begin, kBlockRows);
+    for (size_t r = 0; r < n; ++r) {
+      RowUnits(codes + (begin + r) * d, units.data() + r * d);
     }
-    MlpBlock block;
-    ForwardBlock(units.data(), rows, block);
-    // Row-independent lanes, so each row's logit and probability are
-    // bit-identical to Predict's one-row block.
-    for (size_t r = 0; r < rows; ++r) {
+    ForwardBlock(units.data(), n, block);
+    for (size_t r = 0; r < n; ++r) {
       out[begin + r] = Sigmoid(block.logits[r]) >= 0.5 ? 1 : 0;
     }
-  });
-  return out;
+  }
 }
 
 }  // namespace ml

@@ -48,16 +48,13 @@ struct MlpConfig {
 };
 
 /// Feed-forward network with a sparse first layer.
-class Mlp : public Classifier {
+class Mlp : public CodeClassifier {
  public:
   explicit Mlp(MlpConfig config = {});
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Dense batch path: materialises `view` into a CodeMatrix once and
-  /// runs chunks of rows forward as blocks, one activation scratch per
-  /// chunk; bit-identical to per-row Predict.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// One first-layer column per feature, then every dense weight.
+  size_t PredictRowCost() const override;
   std::string name() const override { return "ann-mlp"; }
 
   ModelFamily family() const override { return ModelFamily::kMlp; }
@@ -68,9 +65,10 @@ class Mlp : public Classifier {
   static Result<std::unique_ptr<Mlp>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
-  /// P(y = 1 | x) for row i of `view`. A code outside the training
-  /// domain of its feature is clamped to that feature's last code.
-  double PredictProbability(const DataView& view, size_t i) const;
+  /// P(y = 1 | x) for a row of num_features codes. A code outside the
+  /// training domain of its feature is clamped to that feature's last
+  /// code.
+  double ProbabilityOfCodes(const uint32_t* codes) const;
 
  private:
   struct DenseLayer {
@@ -78,6 +76,11 @@ class Mlp : public Classifier {
     std::vector<double> w;  // out x in, row-major
     std::vector<double> b;
   };
+
+  /// Runs the rows forward in blocks of up to 64, one activation scratch
+  /// per call; predicts 1 where the probability is >= 0.5.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
 
   /// Forward pass for `rows` rows at once, row r's active units at
   /// units[r * num_features]: fills `block` with every hidden layer's

@@ -8,6 +8,7 @@
 #ifndef HAMLET_ML_CLASSIFIER_H_
 #define HAMLET_ML_CLASSIFIER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,7 +18,6 @@
 #include "hamlet/common/parallel.h"
 #include "hamlet/common/status.h"
 #include "hamlet/common/attributes.h"
-#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/view.h"
 
 namespace hamlet {
@@ -48,7 +48,7 @@ const char* ModelFamilyName(ModelFamily family);
 
 /// Estimated prediction work, in units of roughly one nanosecond (a tree
 /// node visit, a per-feature table lookup, one packed 64-bit word
-/// compared), below which ForEachPredictRow stays on the calling thread.
+/// compared), below which PredictAll stays on the calling thread.
 /// Waking the pool costs tens of microseconds, about as much as this
 /// much work split four ways saves.
 inline constexpr size_t kSerialPredictWork = size_t{1} << 16;
@@ -58,7 +58,7 @@ inline constexpr size_t kSerialPredictWork = size_t{1} << 16;
 inline constexpr size_t kDefaultPredictRowCost = kSerialPredictWork / 512;
 
 /// True when `rows` rows at `row_cost` work units each reach
-/// kSerialPredictWork, i.e. when ForEachPredictRow fans out.
+/// kSerialPredictWork, i.e. when PredictAll fans out.
 inline bool PredictFansOut(size_t rows, size_t row_cost) {
   // rows * row_cost >= kSerialPredictWork, without the overflow.
   return row_cost > 0 &&
@@ -85,22 +85,6 @@ void ForEachPredictRow(size_t n, size_t row_cost, Body&& body) {
   parallel::ParallelFor(n, body);
 }
 
-/// The shared shape of every dense batch-predict override: materialise
-/// the view into a CodeMatrix once, then score each contiguous row with
-/// `predict_row(matrix, i)` (must return uint8_t and be bit-identical to
-/// the learner's per-row Predict at any thread count). `row_cost` is the
-/// learner's PredictRowCost(), which decides the fan-out.
-template <typename RowPredictor>
-std::vector<uint8_t> DensePredictAll(const DataView& view, size_t row_cost,
-                                     RowPredictor&& predict_row) {
-  const CodeMatrix queries(view);
-  std::vector<uint8_t> out(queries.num_rows());
-  ForEachPredictRow(out.size(), row_cost, [&](size_t i) {
-    out[i] = predict_row(queries, i);
-  });
-  return out;
-}
-
 /// Abstract binary classifier over categorical feature vectors.
 class Classifier {
  public:
@@ -121,10 +105,11 @@ class Classifier {
   /// (ForEachPredictRow); out[i] is keyed by row index, so the result is
   /// identical at any thread count.
   ///
-  /// Hot learners override this to materialise the view into a dense
-  /// CodeMatrix once and run the per-row predictions on the contiguous
-  /// buffer. Overrides must stay bit-identical to the per-row Predict
-  /// path at any thread count (tests/code_matrix_test.cc enforces this).
+  /// The learners score through CodeClassifier, which materialises the
+  /// view into one CodeMatrix instead; this per-row default serves
+  /// wrappers that only delegate. Overrides must stay bit-identical to
+  /// the per-row Predict path at any thread count
+  /// (tests/code_matrix_test.cc enforces this).
   virtual std::vector<uint8_t> PredictAll(const DataView& view) const {
     std::vector<uint8_t> out(view.num_rows());
     ForEachPredictRow(out.size(), PredictRowCost(),
@@ -173,6 +158,38 @@ class Classifier {
 
  private:
   std::vector<uint32_t> train_domain_sizes_;
+};
+
+/// Rows per pool range when CodeClassifier::PredictAll fans out over
+/// `rows` rows on a pool of `threads` threads: ParallelFor's chunk size,
+/// several ranges per thread so the tail stays balanced.
+inline size_t PredictRangeRows(size_t rows, size_t threads) {
+  return std::max<size_t>(1, rows / (8 * threads));
+}
+
+/// A classifier that scores row-major codes: every learner's one scoring
+/// entry point. A learner implements the PredictCodes hook; this layer
+/// writes Predict (the hook on one gathered row) and PredictAll (one
+/// CodeMatrix, then the hook) once for all of them, so the two paths
+/// cannot drift apart.
+class CodeClassifier : public Classifier {
+ public:
+  /// Gathers row `i` of `view` into a thread-local buffer and scores it.
+  uint8_t Predict(const DataView& view, size_t i) const final;
+
+  /// Materialises `view` into one CodeMatrix and scores it: with one
+  /// PredictCodes call below PredictFansOut's work threshold, above it
+  /// with one call per contiguous range of PredictRangeRows rows on the
+  /// parallel pool.
+  std::vector<uint8_t> PredictAll(const DataView& view) const final;
+
+ protected:
+  /// Writes the predicted label of each of `rows` rows to out[0, rows).
+  /// Row r's codes are codes[r * d, (r + 1) * d), d the training view's
+  /// feature count, in training feature order. Must be a pure function
+  /// of each row, so any split of the rows gives the same labels.
+  virtual void PredictCodes(const uint32_t* codes, size_t rows,
+                            uint8_t* out) const = 0;
 };
 
 }  // namespace ml

@@ -53,20 +53,20 @@ Result<std::unique_ptr<OneNearestNeighbor>> OneNearestNeighbor::LoadBody(
   return Result<std::unique_ptr<OneNearestNeighbor>>(std::move(model));
 }
 
-size_t OneNearestNeighbor::NearestIndexOfPacked(const uint64_t* query) const {
+size_t OneNearestNeighbor::NearestIndexOfCodes(const uint32_t* query) const {
   assert(train_.num_rows() > 0);
   const simd::PackedLayout& layout = packed_train_.layout();
+  uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
+  layout.PackRow(query, packed_query);
   size_t best = 0;
   size_t best_dist = layout.num_features + 1;
   const size_t n = train_.num_rows();
-  // Packed scan with a word-granular early exit once the running distance
-  // reaches the best; ties break toward the earliest training row. Any
-  // returned value >= best_dist means "not better" (the true distance is
-  // at least that), so the (best, best_dist) updates are exactly those of
-  // the scalar per-feature scan.
+  // Any returned value >= best_dist means "not better" (the true distance
+  // is at least that), so the (best, best_dist) updates are exactly those
+  // of the scalar per-feature scan.
   for (size_t r = 0; r < n; ++r) {
     const size_t dist = simd::PackedMismatchCountBounded(
-        layout, packed_train_.row(r), query, best_dist);
+        layout, packed_train_.row(r), packed_query, best_dist);
     if (dist < best_dist) {
       best_dist = dist;
       best = r;
@@ -79,35 +79,12 @@ size_t OneNearestNeighbor::NearestIndexOfPacked(const uint64_t* query) const {
   return best;
 }
 
-size_t OneNearestNeighbor::NearestIndexOfCodes(const uint32_t* query) const {
-  const simd::PackedLayout& layout = packed_train_.layout();
-  uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
-  layout.PackRow(query, packed_query);
-  return NearestIndexOfPacked(packed_query);
-}
-
-size_t OneNearestNeighbor::NearestIndex(const DataView& view,
-                                        size_t i) const {
-  assert(view.num_features() == train_.num_features());
-  // Materialise the query once; the scan then runs on contiguous arrays.
-  return NearestIndexOfCodes(view.ScratchRowCodes(i));
-}
-
-uint8_t OneNearestNeighbor::Predict(const DataView& view, size_t i) const {
-  return train_.label(NearestIndex(view, i));
-}
-
-std::vector<uint8_t> OneNearestNeighbor::PredictAll(
-    const DataView& view) const {
-  assert(view.num_features() == train_.num_features());
-  // Each worker thread packs its query row into its own scratch slab.
-  const simd::PackedLayout& layout = packed_train_.layout();
-  return DensePredictAll(
-      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
-        uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
-        layout.PackRow(queries.row(i), packed_query);
-        return train_.label(NearestIndexOfPacked(packed_query));
-      });
+void OneNearestNeighbor::PredictCodes(const uint32_t* codes, size_t rows,
+                                      uint8_t* out) const {
+  const size_t d = train_.num_features();
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = train_.label(NearestIndexOfCodes(codes + r * d));
+  }
 }
 
 }  // namespace ml

@@ -22,15 +22,11 @@ namespace hamlet {
 namespace ml {
 
 /// Brute-force 1-NN with early-exit Hamming distance.
-class OneNearestNeighbor : public Classifier {
+class OneNearestNeighbor : public CodeClassifier {
  public:
   OneNearestNeighbor() = default;
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Dense batch path: materialises `view` into a CodeMatrix once and
-  /// scans contiguous query rows; bit-identical to per-row Predict.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   /// The scan compares every packed word of every training row.
   size_t PredictRowCost() const override {
     return packed_train_.num_words();
@@ -45,21 +41,20 @@ class OneNearestNeighbor : public Classifier {
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
   /// Index (into the training view's rows) of the nearest neighbour of
-  /// row i of `view`; exposed for the §5 analysis of FK-driven matching.
-  size_t NearestIndex(const DataView& view, size_t i) const;
-
-  /// Same, for an already-materialised query of num_features codes.
-  size_t NearestIndexOfCodes(const uint32_t* query) const;
-
- private:
-  /// The scan itself, over a query packed under packed_train_'s layout.
-  /// Word-granular early exit: a row is abandoned once its running
+  /// a query of num_features codes; exposed for the §5 analysis of
+  /// FK-driven matching. The scan runs over the packed training rows
+  /// with a word-granular early exit: a row is abandoned once its running
   /// mismatch count reaches the best distance so far. Because the
   /// per-word counts accumulate monotonically — exactly like the scalar
   /// per-feature loop — the surviving (best, best_dist) pair is
   /// bit-identical to the scalar scan, including ties breaking toward
   /// the earliest training row.
-  size_t NearestIndexOfPacked(const uint64_t* query) const;
+  size_t NearestIndexOfCodes(const uint32_t* query) const;
+
+ private:
+  /// The nearest training row's label for each query row.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
 
   // Training data is materialised row-major for scan locality, with a
   // bit-packed mirror (built at Fit/LoadBody) for the distance scan.

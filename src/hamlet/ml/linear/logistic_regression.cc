@@ -250,28 +250,16 @@ Result<std::unique_ptr<LogisticRegressionL1>> LogisticRegressionL1::LoadBody(
   return Result<std::unique_ptr<LogisticRegressionL1>>(std::move(model));
 }
 
-double LogisticRegressionL1::PredictProbability(const DataView& view,
-                                                size_t i) const {
-  assert(view.num_features() == one_hot_.num_features());
-  // Materialise the row once and share the margin summation with the
-  // dense batch path.
-  return Sigmoid(MarginOfCodes(view.ScratchRowCodes(i)));
+double LogisticRegressionL1::ProbabilityOfCodes(const uint32_t* codes) const {
+  return Sigmoid(MarginOfCodes(codes));
 }
 
-uint8_t LogisticRegressionL1::Predict(const DataView& view, size_t i) const {
-  return PredictProbability(view, i) >= 0.5 ? 1 : 0;
-}
-
-std::vector<uint8_t> LogisticRegressionL1::PredictAll(
-    const DataView& view) const {
-  assert(view.num_features() == one_hot_.num_features());
-  return DensePredictAll(
-      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
-        // Same unit/summation order and the same Sigmoid(margin) >= 0.5
-        // comparison as PredictProbability, so rounding is identical.
-        return Sigmoid(MarginOfCodes(queries.row(i))) >= 0.5 ? uint8_t{1}
-                                                             : uint8_t{0};
-      });
+void LogisticRegressionL1::PredictCodes(const uint32_t* codes, size_t rows,
+                                        uint8_t* out) const {
+  const size_t d = one_hot_.num_features();
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = ProbabilityOfCodes(codes + r * d) >= 0.5 ? 1 : 0;
+  }
 }
 
 size_t LogisticRegressionL1::NumNonzeroWeights() const {

@@ -35,15 +35,11 @@ struct LogisticRegressionConfig {
 };
 
 /// Sparse-input L1 logistic regression.
-class LogisticRegressionL1 : public Classifier {
+class LogisticRegressionL1 : public CodeClassifier {
  public:
   explicit LogisticRegressionL1(LogisticRegressionConfig config = {});
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Dense batch path: materialises `view` into a CodeMatrix once;
-  /// bit-identical to per-row Predict.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   /// One weight lookup per feature.
   size_t PredictRowCost() const override {
     return one_hot_.num_features();
@@ -57,17 +53,22 @@ class LogisticRegressionL1 : public Classifier {
   static Result<std::unique_ptr<LogisticRegressionL1>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
-  /// P(y=1|x) for row i of `view`.
-  double PredictProbability(const DataView& view, size_t i) const;
+  /// P(y=1|x) for a row of num_features codes. A code outside the
+  /// training domain of its feature scores as that feature's last code.
+  double ProbabilityOfCodes(const uint32_t* codes) const;
 
   /// Number of nonzero (penalised) weights in the selected model.
   size_t NumNonzeroWeights() const;
   double selected_lambda() const { return selected_lambda_; }
 
  private:
-  /// intercept + sum of active-unit weights for a materialised row of
-  /// codes — the single margin implementation behind fit-time validation
-  /// scoring, PredictProbability, and the dense PredictAll path.
+  /// Predicts 1 where ProbabilityOfCodes >= 0.5.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
+
+  /// intercept + sum of active-unit weights for a row of codes — the
+  /// single margin implementation behind fit-time validation scoring and
+  /// ProbabilityOfCodes.
   double MarginOfCodes(const uint32_t* codes) const;
 
   LogisticRegressionConfig config_;

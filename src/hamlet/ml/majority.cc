@@ -1,5 +1,7 @@
 #include "hamlet/ml/majority.h"
 
+#include <algorithm>
+
 #include "hamlet/io/model_io.h"
 
 namespace hamlet {
@@ -19,14 +21,9 @@ Status MajorityClassifier::Fit(const DataView& train) {
   return Status::OK();
 }
 
-uint8_t MajorityClassifier::Predict(const DataView& /*view*/,
-                                    size_t /*i*/) const {
-  return prediction_;
-}
-
-std::vector<uint8_t> MajorityClassifier::PredictAll(
-    const DataView& view) const {
-  return std::vector<uint8_t>(view.num_rows(), prediction_);
+void MajorityClassifier::PredictCodes(const uint32_t* /*codes*/, size_t rows,
+                                      uint8_t* out) const {
+  std::fill(out, out + rows, prediction_);
 }
 
 Status MajorityClassifier::SaveBody(io::ModelWriter& writer) const {

@@ -19,15 +19,14 @@
 namespace hamlet {
 namespace ml {
 
-/// Fit counts labels; Predict returns the majority constant.
-class MajorityClassifier : public Classifier {
+/// Fit counts labels; every prediction is the majority constant.
+class MajorityClassifier : public CodeClassifier {
  public:
   MajorityClassifier() = default;
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Constant output: fills without touching the view's features.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
+  /// One store per row.
+  size_t PredictRowCost() const override { return 1; }
   std::string name() const override { return "majority"; }
 
   ModelFamily family() const override { return ModelFamily::kMajority; }
@@ -40,6 +39,10 @@ class MajorityClassifier : public Classifier {
   double positive_rate() const { return positive_rate_; }
 
  private:
+  /// Fills out[0, rows) with the majority label; reads no codes.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
+
   bool fitted_ = false;
   uint8_t prediction_ = 0;
   double positive_rate_ = 0.0;

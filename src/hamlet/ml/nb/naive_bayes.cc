@@ -124,23 +124,11 @@ double NaiveBayes::LogOddsOfCodes(const uint32_t* codes) const {
   return odds;
 }
 
-double NaiveBayes::LogOdds(const DataView& view, size_t i) const {
-  assert(view.num_features() == d_);
-  // Materialise the row once and share the summation with the dense
-  // batch path.
-  return LogOddsOfCodes(view.ScratchRowCodes(i));
-}
-
-uint8_t NaiveBayes::Predict(const DataView& view, size_t i) const {
-  return LogOdds(view, i) >= 0.0 ? 1 : 0;
-}
-
-std::vector<uint8_t> NaiveBayes::PredictAll(const DataView& view) const {
-  assert(view.num_features() == d_);
-  return DensePredictAll(
-      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
-        return LogOddsOfCodes(queries.row(i)) >= 0.0 ? uint8_t{1} : uint8_t{0};
-      });
+void NaiveBayes::PredictCodes(const uint32_t* codes, size_t rows,
+                              uint8_t* out) const {
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = LogOddsOfCodes(codes + r * d_) >= 0.0 ? 1 : 0;
+  }
 }
 
 }  // namespace ml

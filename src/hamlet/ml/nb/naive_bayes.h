@@ -26,23 +26,16 @@ struct NaiveBayesConfig {
 };
 
 /// Multinomial NB over categorical codes.
-class NaiveBayes : public Classifier {
+class NaiveBayes : public CodeClassifier {
  public:
   explicit NaiveBayes(NaiveBayesConfig config = {});
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Dense batch path: materialises `view` into a CodeMatrix once;
-  /// bit-identical to per-row Predict.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   /// One table lookup per feature.
   size_t PredictRowCost() const override { return d_; }
   std::string name() const override { return "naive-bayes"; }
 
-  /// Log P(y=1|x) - log P(y=0|x) for row i of `view`.
-  double LogOdds(const DataView& view, size_t i) const;
-
-  /// Same, for an already-materialised row of num_features codes.
+  /// Log P(y=1|x) - log P(y=0|x) for a row of num_features codes.
   double LogOddsOfCodes(const uint32_t* codes) const;
 
   ModelFamily family() const override { return ModelFamily::kNaiveBayes; }
@@ -52,6 +45,10 @@ class NaiveBayes : public Classifier {
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
  private:
+  /// Predicts 1 where LogOddsOfCodes >= 0.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
+
   NaiveBayesConfig config_;
   bool fitted_ = false;
   size_t d_ = 0;

@@ -221,32 +221,18 @@ double KernelSvm::DecisionValueOfCodes(const uint32_t* query) const {
   return DecisionValueOfPacked(packed_query);
 }
 
-double KernelSvm::DecisionValue(const DataView& view, size_t i) const {
-  assert(view.num_features() == d_);
-  return DecisionValueOfCodes(view.ScratchRowCodes(i));
-}
-
-uint8_t KernelSvm::Predict(const DataView& view, size_t i) const {
-  if (is_constant_) return constant_prediction_;
-  return DecisionValue(view, i) >= 0.0 ? 1 : 0;
-}
-
-std::vector<uint8_t> KernelSvm::PredictAll(const DataView& view) const {
+void KernelSvm::PredictCodes(const uint32_t* codes, size_t rows,
+                             uint8_t* out) const {
   if (is_constant_) {
-    return std::vector<uint8_t>(view.num_rows(), constant_prediction_);
+    std::fill(out, out + rows, constant_prediction_);
+    return;
   }
-  assert(view.num_features() == d_);
-  // Each worker thread packs its query row into its own scratch slab.
-  std::vector<uint8_t> out = DensePredictAll(
-      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
-        uint64_t* packed_query =
-            ThreadLocalPackScratch(sv_layout_.words_per_row);
-        sv_layout_.PackRow(queries.row(i), packed_query);
-        return DecisionValueOfPacked(packed_query) >= 0.0 ? uint8_t{1}
-                                                          : uint8_t{0};
-      });
-  CountPackedEvals(out.size());
-  return out;
+  uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
+  for (size_t r = 0; r < rows; ++r) {
+    sv_layout_.PackRow(codes + r * d_, packed_query);
+    out[r] = DecisionValueOfPacked(packed_query) >= 0.0 ? 1 : 0;
+  }
+  CountPackedEvals(rows);
 }
 
 }  // namespace ml

@@ -41,16 +41,11 @@ struct SvmConfig {
 };
 
 /// C-SVC with categorical-native kernels.
-class KernelSvm : public Classifier {
+class KernelSvm : public CodeClassifier {
  public:
   explicit KernelSvm(SvmConfig config = {});
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Dense batch path: materialises `view` into a CodeMatrix once and
-  /// evaluates kernels on contiguous rows; bit-identical to per-row
-  /// Predict.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   /// The kernel sum compares every packed word of every support vector.
   size_t PredictRowCost() const override { return sv_packed_.size(); }
   std::string name() const override;
@@ -63,10 +58,7 @@ class KernelSvm : public Classifier {
   static Result<std::unique_ptr<KernelSvm>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
-  /// Signed decision value f(x) for row i of `view`.
-  double DecisionValue(const DataView& view, size_t i) const;
-
-  /// Same, for an already-materialised query of num_features codes.
+  /// Signed decision value f(x) for a query of num_features codes.
   double DecisionValueOfCodes(const uint32_t* query) const;
 
   size_t num_support_vectors() const { return sv_rows_.size() / (d_ ? d_ : 1); }
@@ -82,15 +74,20 @@ class KernelSvm : public Classifier {
   bool converged() const { return converged_; }
 
  private:
+  /// The constant label of a single-class fit, else 1 where the decision
+  /// value is >= 0; counts the range's packed evaluations once.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
   /// Rebuilds the packed support-vector slab (sv_layout_ / sv_packed_)
   /// from sv_rows_ under the canonical layout for `domains`, and the
   /// kernel-by-match-count table; called at the end of Fit and LoadBody.
   /// Queries are packed into the same layout at prediction time.
   void PackSupportVectors(const std::vector<uint32_t>& domains);
   /// Decision value for a query already packed under sv_layout_; the
-  /// shared kernel-sum loop of Predict/PredictAll/DecisionValue. Adds
-  /// nothing to the packed eval counters: each caller flushes its own
-  /// total (one query for DecisionValueOfCodes, a batch for PredictAll).
+  /// shared kernel-sum loop of PredictCodes and DecisionValueOfCodes.
+  /// Adds nothing to the packed eval counters: each caller flushes its
+  /// own total (one query for DecisionValueOfCodes, a range of rows for
+  /// PredictCodes).
   double DecisionValueOfPacked(const uint64_t* query) const;
   /// Flushes `queries` scored queries to the packed eval counters.
   void CountPackedEvals(uint64_t queries) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <string>
 
 #include "hamlet/io/model_io.h"
 #include "hamlet/simd/simd.h"
@@ -11,6 +12,10 @@ namespace hamlet {
 namespace ml {
 
 namespace {
+
+/// The model format's unseen-code policy field: 1 routes unseen codes to
+/// the majority branch, the only behaviour the tree has.
+constexpr uint32_t kMajorityBranchPolicy = 1;
 
 /// Candidate split for one feature at one node.
 struct BestSplit {
@@ -75,7 +80,8 @@ Status DecisionTree::SaveBody(io::ModelWriter& writer) const {
   writer.WriteU64(config_.minsplit);
   writer.WriteF64(config_.cp);
   writer.WriteU64(config_.max_depth);
-  writer.WriteU32(static_cast<uint32_t>(config_.unseen_policy));
+  // Formerly the unseen-code policy; 1 (majority branch) is the only one.
+  writer.WriteU32(kMajorityBranchPolicy);
   writer.WriteU64(num_features_);
   writer.WriteI32(root_);
   writer.WriteU64(nodes_.size());
@@ -113,9 +119,12 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::LoadBody(
   if (criterion > static_cast<uint32_t>(SplitCriterion::kGainRatio)) {
     return Status::InvalidArgument("corrupt model: unknown tree criterion");
   }
-  if (policy > static_cast<uint32_t>(UnseenPolicy::kMajorityBranch)) {
+  // 0 was the removed error policy: loading it would silently change
+  // the file's answers for unseen codes.
+  if (policy != kMajorityBranchPolicy) {
     return Status::InvalidArgument(
-        "corrupt model: unknown tree unseen-code policy");
+        "unsupported model: tree unseen-code policy " +
+        std::to_string(policy) + " (only 1, the majority branch, exists)");
   }
   if (d != num_features) {
     return Status::InvalidArgument(
@@ -129,7 +138,6 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::LoadBody(
   config.minsplit = static_cast<size_t>(minsplit);
   config.cp = cp;
   config.max_depth = static_cast<size_t>(max_depth);
-  config.unseen_policy = static_cast<UnseenPolicy>(policy);
 
   auto model = std::make_unique<DecisionTree>(config);
   model->num_features_ = static_cast<size_t>(d);
@@ -284,33 +292,14 @@ int DecisionTree::BuildNode(const CodeMatrix& train,
   return node_id;
 }
 
-Result<uint8_t> DecisionTree::Walk(const DataView& view, size_t i) const {
-  // Guard before materialising: an unfitted tree must not touch the view.
-  if (root_ < 0) return Status::FailedPrecondition("tree not fitted");
-  // WalkCodes indexes the buffer by trained feature id, so the view must
-  // select the training feature subset (the Classifier contract).
-  assert(view.num_features() == num_features_);
-  // Materialise the row once (through the DataView access path) and share
-  // the routing logic with the dense batch walker; batch scoring should
-  // prefer PredictAll.
-  return WalkCodes(view.ScratchRowCodes(i));
-}
-
-Result<uint8_t> DecisionTree::WalkCodes(const uint32_t* codes) const {
-  if (root_ < 0) return Status::FailedPrecondition("tree not fitted");
+uint8_t DecisionTree::WalkCodes(const uint32_t* codes) const {
   int cur = root_;
   for (;;) {
     const TreeNode& node = nodes_[static_cast<size_t>(cur)];
     if (node.feature < 0) return node.prediction;
     const uint32_t c = codes[static_cast<size_t>(node.feature)];
-    const bool in_domain = c < node.goes_left.size();
-    const bool seen = in_domain && node.code_seen[c] != 0;
+    const bool seen = c < node.goes_left.size() && node.code_seen[c] != 0;
     if (!seen) {
-      if (config_.unseen_policy == UnseenPolicy::kError) {
-        return Status::NotFound(
-            "feature code unseen at a tree node (R packages crash here; "
-            "use kMajorityBranch or FK smoothing)");
-      }
       cur = node.majority_child;
       continue;
     }
@@ -318,34 +307,15 @@ Result<uint8_t> DecisionTree::WalkCodes(const uint32_t* codes) const {
   }
 }
 
-Result<uint8_t> DecisionTree::TryPredict(const DataView& view,
-                                         size_t i) const {
-  return Walk(view, i);
-}
-
-uint8_t DecisionTree::FallbackPrediction() const {
-  // Under kError the caller should use TryPredict; Predict/PredictAll
-  // fall back to the root majority so they stay total.
-  return root_ >= 0 ? nodes_[static_cast<size_t>(root_)].prediction : 0;
-}
-
-uint8_t DecisionTree::Predict(const DataView& view, size_t i) const {
-  Result<uint8_t> r = Walk(view, i);
-  return r.ok() ? r.value() : FallbackPrediction();
-}
-
-std::vector<uint8_t> DecisionTree::PredictAll(const DataView& view) const {
-  // Same rule as Walk: an unfitted tree must not touch the view (and
-  // materialising it would be wasted work).
+void DecisionTree::PredictCodes(const uint32_t* codes, size_t rows,
+                                uint8_t* out) const {
   if (root_ < 0) {
-    return std::vector<uint8_t>(view.num_rows(), FallbackPrediction());
+    std::fill(out, out + rows, uint8_t{0});
+    return;
   }
-  assert(view.num_features() == num_features_);
-  return DensePredictAll(
-      view, PredictRowCost(), [&](const CodeMatrix& queries, size_t i) {
-        Result<uint8_t> r = WalkCodes(queries.row(i));
-        return r.ok() ? r.value() : FallbackPrediction();
-      });
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = WalkCodes(codes + r * num_features_);
+  }
 }
 
 size_t DecisionTree::num_leaves() const {

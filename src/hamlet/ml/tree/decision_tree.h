@@ -11,11 +11,10 @@
 // tree's risk by at least `cp` × (root risk) to be kept.
 //
 // Foreign-key values that never occur in training may still appear at test
-// time (§6.2). `UnseenPolicy` picks the behaviour: kError mimics the R
-// packages' crash (Predict asserts; use TryPredict for the Status),
-// kMajorityBranch routes unseen codes to the branch with more training
-// rows. External smoothing (core/fk_smoothing.h) rewrites test codes
-// before prediction, making the policy moot.
+// time (§6.2), where the R packages crash. Here a code never seen at a
+// node follows that node's branch with more training rows, so prediction
+// stays total. External smoothing (core/fk_smoothing.h) rewrites test
+// codes before prediction instead.
 
 #ifndef HAMLET_ML_TREE_DECISION_TREE_H_
 #define HAMLET_ML_TREE_DECISION_TREE_H_
@@ -32,12 +31,6 @@
 namespace hamlet {
 namespace ml {
 
-/// What Predict does with a feature code never seen during training.
-enum class UnseenPolicy {
-  kError,           ///< TryPredict returns an error (R-package behaviour)
-  kMajorityBranch,  ///< follow the branch with more training rows
-};
-
 /// Hyper-parameters. Defaults match the paper's grid midpoints.
 struct DecisionTreeConfig {
   SplitCriterion criterion = SplitCriterion::kGini;
@@ -48,7 +41,6 @@ struct DecisionTreeConfig {
   double cp = 0.01;
   /// Hard depth cap (guards pathological growth on huge FK domains).
   size_t max_depth = 30;
-  UnseenPolicy unseen_policy = UnseenPolicy::kMajorityBranch;
 };
 
 /// A fitted tree node. Leaves have feature == -1.
@@ -66,22 +58,14 @@ struct TreeNode {
 };
 
 /// CART learner/predictor.
-class DecisionTree : public Classifier {
+class DecisionTree : public CodeClassifier {
  public:
   explicit DecisionTree(DecisionTreeConfig config = {});
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Dense batch path: materialises `view` into a CodeMatrix once and
-  /// routes contiguous rows; bit-identical to per-row Predict (including
-  /// the root-majority fallback under UnseenPolicy::kError).
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   /// A walk visits at most depth() + 1 nodes.
   size_t PredictRowCost() const override { return depth_ + 1; }
   std::string name() const override;
-
-  /// Status-returning prediction honouring UnseenPolicy::kError.
-  Result<uint8_t> TryPredict(const DataView& view, size_t i) const;
 
   ModelFamily family() const override { return ModelFamily::kDecisionTree; }
   /// Serializes config + node arcs/leaves (format: docs/ARCHITECTURE.md).
@@ -106,14 +90,12 @@ class DecisionTree : public Classifier {
   struct NodeStats;
   int BuildNode(const CodeMatrix& train, std::vector<uint32_t>& rows,
                 size_t begin, size_t end, size_t depth, double root_risk);
-  /// Walks the tree for (view, i) by materialising the row and delegating
-  /// to WalkCodes; returns leaf prediction or error under kError policy.
-  Result<uint8_t> Walk(const DataView& view, size_t i) const;
-  /// Walks an already-materialised row of codes (the single source of the
-  /// routing/unseen-code logic).
-  Result<uint8_t> WalkCodes(const uint32_t* codes) const;
-  /// Root-majority prediction used when Walk errors under kError.
-  uint8_t FallbackPrediction() const;
+  /// Walks each row to its leaf; an unfitted tree predicts 0.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
+  /// Walks one fitted row of codes to its leaf (the routing and
+  /// unseen-code logic).
+  uint8_t WalkCodes(const uint32_t* codes) const;
   /// Recomputes depth_ from the nodes (after Fit and LoadBody).
   void UpdateDepth();
 

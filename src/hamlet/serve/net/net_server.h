@@ -3,7 +3,7 @@
 // RequestBatcher, so every connection's rows ride the same
 // HAMLET_SERVE_BATCH batches. A batch fans out across the
 // HAMLET_THREADS pool only when its estimated work repays the wake-up
-// (ml::ForEachPredictRow); a default-sized dt-gini batch is scored on
+// (ml::PredictFansOut); a default-sized dt-gini batch is scored on
 // the Run() thread.
 //
 // Wire protocol (newline-framed, same request grammar as the stdin

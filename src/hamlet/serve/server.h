@@ -6,7 +6,7 @@
 // the training Dataset), batches rows, and scores each batch through
 // the model's dense PredictAll. Like every PredictAll, a batch fans out
 // across the HAMLET_THREADS pool only when its estimated work (rows x
-// the learner's per-row cost, ml::ForEachPredictRow) repays waking the
+// the learner's per-row cost, ml::PredictFansOut) repays waking the
 // pool: a default-sized dt-gini batch is scored on the calling thread,
 // while SVM and 1-NN batches fan out. Predictions stream to `out` one
 // per line in request order; per-batch model time feeds the

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "hamlet/common/rng.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 #include "hamlet/io/serialize.h"
@@ -84,8 +85,9 @@ TEST(MlpTest, ProbabilitiesAreCalibratedToUnitInterval) {
   DataView view(&data);
   Mlp mlp(SmallConfig());
   ASSERT_TRUE(mlp.Fit(view).ok());
+  const CodeMatrix m(view);
   for (size_t i = 0; i < view.num_rows(); ++i) {
-    const double p = mlp.PredictProbability(view, i);
+    const double p = mlp.ProbabilityOfCodes(m.row(i));
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
     EXPECT_EQ(mlp.Predict(view, i), p >= 0.5 ? 1 : 0);
@@ -98,9 +100,10 @@ TEST(MlpTest, DeterministicInSeed) {
   Mlp a(SmallConfig()), b(SmallConfig());
   ASSERT_TRUE(a.Fit(view).ok());
   ASSERT_TRUE(b.Fit(view).ok());
+  const CodeMatrix m(view);
   for (size_t i = 0; i < view.num_rows(); ++i) {
-    EXPECT_DOUBLE_EQ(a.PredictProbability(view, i),
-                     b.PredictProbability(view, i));
+    EXPECT_DOUBLE_EQ(a.ProbabilityOfCodes(m.row(i)),
+                     b.ProbabilityOfCodes(m.row(i)));
   }
 }
 
@@ -130,9 +133,10 @@ TEST(MlpTest, StrongL2ShrinksConfidence) {
   ASSERT_TRUE(mw.Fit(view).ok());
   ASSERT_TRUE(ms.Fit(view).ok());
   double conf_weak = 0.0, conf_strong = 0.0;
+  const CodeMatrix m(view);
   for (size_t i = 0; i < view.num_rows(); ++i) {
-    conf_weak += std::abs(mw.PredictProbability(view, i) - 0.5);
-    conf_strong += std::abs(ms.PredictProbability(view, i) - 0.5);
+    conf_weak += std::abs(mw.ProbabilityOfCodes(m.row(i)) - 0.5);
+    conf_strong += std::abs(ms.ProbabilityOfCodes(m.row(i)) - 0.5);
   }
   EXPECT_GT(conf_weak, conf_strong);
 }
@@ -218,11 +222,12 @@ std::string SavedBytes(const Mlp& model) {
 }
 
 /// FNV-1a over the little-endian IEEE-754 bit patterns of
-/// PredictProbability for every row of `view`.
+/// ProbabilityOfCodes for every row of `view`.
 uint64_t ProbabilityBitsHash(const Mlp& model, const DataView& view) {
   std::string bytes;
+  const CodeMatrix m(view);
   for (size_t i = 0; i < view.num_rows(); ++i) {
-    const double p = model.PredictProbability(view, i);
+    const double p = model.ProbabilityOfCodes(m.row(i));
     uint64_t bits;
     std::memcpy(&bits, &p, sizeof(bits));
     for (int b = 0; b < 8; ++b) {
@@ -333,9 +338,10 @@ TEST(MlpTest, OutOfDomainCodeClampsWithinItsOwnFeature) {
   query.AppendRowUnchecked({4, 0}, 0);
   query.AppendRowUnchecked({9, 0}, 0);
   const DataView view(&query);
-  const double clamped = mlp.PredictProbability(view, 0);
-  EXPECT_EQ(mlp.PredictProbability(view, 1), clamped);
-  EXPECT_EQ(mlp.PredictProbability(view, 2), clamped);
+  const CodeMatrix m(view);
+  const double clamped = mlp.ProbabilityOfCodes(m.row(0));
+  EXPECT_EQ(mlp.ProbabilityOfCodes(m.row(1)), clamped);
+  EXPECT_EQ(mlp.ProbabilityOfCodes(m.row(2)), clamped);
   const std::vector<uint8_t> all = mlp.PredictAll(view);
   EXPECT_EQ(all[1], all[0]);
   EXPECT_EQ(all[2], all[0]);

@@ -109,12 +109,11 @@ TEST(CodeMatrixTest, RoundTripDatasetPreservesEverything) {
 }
 
 TEST(CodeMatrixTest, UnfittedTreePredictIsSafe) {
-  // Predict on an unfitted tree must not touch the view (regression: the
-  // shared walker used to materialise the row before the fitted check).
+  // An unfitted tree has no nodes to walk: both paths predict 0 for
+  // every row instead of reading the empty node table.
   const Dataset data = MakeParityDataset(5, {3, 2}, 9);
   const DataView view(&data);
   ml::DecisionTree tree;
-  EXPECT_FALSE(tree.TryPredict(view, 0).ok());
   EXPECT_EQ(tree.Predict(view, 0), 0);
   EXPECT_EQ(tree.PredictAll(view), std::vector<uint8_t>(5, 0));
 }
@@ -164,6 +163,9 @@ TEST_P(CodeMatrixParityTest, LargeViewParityExercisesParallelBatchPath) {
     test_rows = std::max(test_rows,
                          (ml::kSerialPredictWork + cost - 1) / cost);
   }
+  // Leave the pool's last range ragged at HAMLET_THREADS=4: the row count
+  // is not a multiple of the range size.
+  while (test_rows % ml::PredictRangeRows(test_rows, 4) == 0) ++test_rows;
   const Dataset test_data = MakeParityDataset(test_rows, domains, 84);
   std::vector<uint32_t> order(test_data.num_rows());
   std::iota(order.begin(), order.end(), 0u);

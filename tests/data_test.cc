@@ -11,6 +11,7 @@
 #include "hamlet/data/one_hot.h"
 #include "hamlet/data/split.h"
 #include "hamlet/data/view.h"
+#include "parity_util.h"
 
 namespace hamlet {
 namespace {
@@ -151,18 +152,7 @@ TEST(DataViewTest, WithFeaturesKeepsRows) {
 TEST(DataViewTest, RowCodesMaterialises) {
   Dataset d = MakeDataset();
   DataView v(&d, {0}, {2, 0});
-  EXPECT_EQ(v.RowCodes(0), (std::vector<uint32_t>{2, 0}));
-}
-
-TEST(DataViewTest, RowCodesIntoReusesBuffer) {
-  Dataset d = MakeDataset();
-  DataView v(&d, {0, 2}, {2, 0});
-  std::vector<uint32_t> buffer(v.num_features(), 999);
-  v.RowCodesInto(0, buffer.data());
-  EXPECT_EQ(buffer, (std::vector<uint32_t>{2, 0}));
-  v.RowCodesInto(1, buffer.data());  // same buffer, next row
-  EXPECT_EQ(buffer, (std::vector<uint32_t>{1, 1}));
-  EXPECT_EQ(buffer, v.RowCodes(1));
+  EXPECT_EQ(test::RowCodes(v, 0), (std::vector<uint32_t>{2, 0}));
 }
 
 TEST(DataViewTest, SelectRowsOfSelectRowsRemapsThroughBothLayers) {
@@ -298,7 +288,8 @@ TEST(OneHotTest, ActiveUnitsOnePerFeature) {
   DataView v(&d);
   OneHotMap map(v);
   std::vector<uint32_t> active;
-  map.ActiveUnitsFromCodes(v.RowCodes(0).data(), active);  // h=0, fk=4, r.x=2
+  // Row 0: h=0, fk=4, r.x=2.
+  map.ActiveUnitsFromCodes(test::RowCodes(v, 0).data(), active);
   EXPECT_EQ(active, (std::vector<uint32_t>{0, 6, 9}));
 }
 
@@ -308,12 +299,13 @@ TEST(OneHotTest, RespectsFeatureSubset) {
   OneHotMap map(v);
   EXPECT_EQ(map.dimension(), 3u);
   std::vector<uint32_t> active;
-  map.ActiveUnitsFromCodes(v.RowCodes(2).data(), active);  // row 2: r.x = 1
+  // Row 2: r.x = 1.
+  map.ActiveUnitsFromCodes(test::RowCodes(v, 2).data(), active);
   EXPECT_EQ(active, (std::vector<uint32_t>{1}));
 }
 
 TEST(OneHotTest, ActiveUnitsFromCodesAgreeAcrossRowSources) {
-  // A CodeMatrix row and DataView::RowCodes of the same view row give
+  // A CodeMatrix row and test::RowCodes of the same view row give
   // the same units, offsets_[j] + feature(i, j), on a reordered subset.
   Dataset d = MakeDataset();
   DataView v(&d, {3, 1, 2}, {2, 0});
@@ -322,7 +314,7 @@ TEST(OneHotTest, ActiveUnitsFromCodesAgreeAcrossRowSources) {
   std::vector<uint32_t> from_matrix(7, 99), from_view;
   for (size_t i = 0; i < v.num_rows(); ++i) {
     map.ActiveUnitsFromCodes(codes.row(i), from_matrix);
-    map.ActiveUnitsFromCodes(v.RowCodes(i).data(), from_view);
+    map.ActiveUnitsFromCodes(test::RowCodes(v, i).data(), from_view);
     std::vector<uint32_t> expected;
     for (size_t j = 0; j < v.num_features(); ++j) {
       expected.push_back(map.UnitIndex(j, v.feature(i, j)));
@@ -338,8 +330,8 @@ TEST(OneHotTest, DistancePropertyMatchesMismatchCount) {
   DataView v(&d);
   OneHotMap map(v);
   std::vector<uint32_t> a, b;
-  map.ActiveUnitsFromCodes(v.RowCodes(0).data(), a);
-  map.ActiveUnitsFromCodes(v.RowCodes(1).data(), b);
+  map.ActiveUnitsFromCodes(test::RowCodes(v, 0).data(), a);
+  map.ActiveUnitsFromCodes(test::RowCodes(v, 1).data(), b);
   size_t mismatches = 0;
   for (size_t j = 0; j < v.num_features(); ++j) {
     mismatches += v.feature(0, j) != v.feature(1, j);

@@ -19,6 +19,7 @@
 #include "hamlet/relational/join.h"
 #include "hamlet/synth/onexr.h"
 #include "gram_source.h"
+#include "parity_util.h"
 
 namespace hamlet {
 namespace {
@@ -51,8 +52,8 @@ TEST(KernelIdentityTest, LinearKernelEqualsOneHotDotOverD) {
   std::vector<uint32_t> ua, ub;
   for (size_t a = 0; a < view.num_rows(); ++a) {
     for (size_t b = 0; b < view.num_rows(); ++b) {
-      const std::vector<uint32_t> ra = view.RowCodes(a);
-      const std::vector<uint32_t> rb = view.RowCodes(b);
+      const std::vector<uint32_t> ra = test::RowCodes(view, a);
+      const std::vector<uint32_t> rb = test::RowCodes(view, b);
       // Explicit one-hot dot product: count shared active units.
       map.ActiveUnitsFromCodes(ra.data(), ua);
       map.ActiveUnitsFromCodes(rb.data(), ub);

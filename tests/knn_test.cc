@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hamlet/common/rng.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 #include "hamlet/ml/knn/one_nn.h"
@@ -33,8 +34,9 @@ TEST(OneNnTest, ExactMatchWins) {
   ASSERT_TRUE(knn.Fit(DataView(&d)).ok());
   // Training rows are their own nearest neighbours.
   DataView v(&d);
+  const CodeMatrix m(v);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(knn.NearestIndex(v, i), i);
+    EXPECT_EQ(knn.NearestIndexOfCodes(m.row(i)), i);
     EXPECT_EQ(knn.Predict(v, i), d.label(i));
   }
 }
@@ -54,7 +56,7 @@ TEST(OneNnTest, TieBreaksTowardEarliestTrainingRow) {
   OneNearestNeighbor knn;
   ASSERT_TRUE(knn.Fit(DataView(&train)).ok());
   Dataset q = MakeDataset({{0, 1}}, {0}, {2, 2});
-  EXPECT_EQ(knn.NearestIndex(DataView(&q), 0), 0u);
+  EXPECT_EQ(knn.NearestIndexOfCodes(CodeMatrix(DataView(&q)).row(0)), 0u);
   EXPECT_EQ(knn.Predict(DataView(&q), 0), 0);
 }
 

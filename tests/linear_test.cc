@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hamlet/common/rng.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/split.h"
 #include "hamlet/data/view.h"
@@ -55,8 +56,9 @@ TEST(LogRegTest, ProbabilityAndPredictionAgree) {
   DataView view(&data);
   LogisticRegressionL1 lr(SmallConfig());
   ASSERT_TRUE(lr.Fit(view).ok());
+  const CodeMatrix m(view);
   for (size_t i = 0; i < view.num_rows(); ++i) {
-    const double p = lr.PredictProbability(view, i);
+    const double p = lr.ProbabilityOfCodes(m.row(i));
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
     EXPECT_EQ(lr.Predict(view, i), p >= 0.5 ? 1 : 0);
@@ -120,9 +122,10 @@ TEST(LogRegTest, DeterministicFit) {
   LogisticRegressionL1 a(SmallConfig()), b(SmallConfig());
   ASSERT_TRUE(a.Fit(view).ok());
   ASSERT_TRUE(b.Fit(view).ok());
+  const CodeMatrix m(view);
   for (size_t i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(a.PredictProbability(view, i),
-                     b.PredictProbability(view, i));
+    EXPECT_DOUBLE_EQ(a.ProbabilityOfCodes(m.row(i)),
+                     b.ProbabilityOfCodes(m.row(i)));
   }
 }
 
@@ -150,9 +153,10 @@ TEST(LogRegTest, OutOfDomainCodeClampsWithinItsOwnFeature) {
   query.AppendRowUnchecked({4, 0}, 0);
   query.AppendRowUnchecked({9, 0}, 0);
   const DataView view(&query);
-  const double clamped = lr.PredictProbability(view, 0);
-  EXPECT_EQ(lr.PredictProbability(view, 1), clamped);
-  EXPECT_EQ(lr.PredictProbability(view, 2), clamped);
+  const CodeMatrix m(view);
+  const double clamped = lr.ProbabilityOfCodes(m.row(0));
+  EXPECT_EQ(lr.ProbabilityOfCodes(m.row(1)), clamped);
+  EXPECT_EQ(lr.ProbabilityOfCodes(m.row(2)), clamped);
   const std::vector<uint8_t> all = lr.PredictAll(view);
   EXPECT_EQ(all[1], all[0]);
   EXPECT_EQ(all[2], all[0]);

@@ -33,16 +33,6 @@ using test::ParityLearner;
 using test::ParityLearners;
 using test::ScopedThreads;
 
-/// The serialization roster: every ParityLearner family plus the
-/// constant-majority fallback (all seven ModelFamily tags).
-std::vector<ParityLearner> SerializableLearners() {
-  std::vector<ParityLearner> learners = ParityLearners();
-  learners.push_back({"majority", [] {
-                        return std::make_unique<ml::MajorityClassifier>();
-                      }});
-  return learners;
-}
-
 /// Serializes `model` to an in-memory byte string, asserting success.
 std::string SaveToString(const ml::Classifier& model) {
   std::ostringstream os(std::ios::binary);
@@ -61,7 +51,7 @@ TEST(ModelIoTest, RoundTripIsBitIdenticalForEveryFamily) {
   const Dataset data = MakeParityDataset(240, {7, 4, 9, 3, 5}, 17);
   const auto views = MakeParityViews(data, 18);
 
-  for (const ParityLearner& learner : SerializableLearners()) {
+  for (const ParityLearner& learner : ParityLearners()) {
     SCOPED_TRACE(learner.name);
     auto model = learner.make();
     ASSERT_TRUE(model->Fit(views.train).ok());
@@ -132,9 +122,9 @@ TEST(ModelIoTest, SvmDecisionValuesSurviveRoundTripBitForBit) {
         oracle += coeff[s] *
                   ml::KernelEval(cfg.kernel, sv.data() + s * d, query.data(), d);
       }
-      const double fitted = model.DecisionValue(views.test, i);
+      const double fitted = model.DecisionValueOfCodes(query.data());
       EXPECT_EQ(bits(fitted), bits(oracle)) << "row " << i;
-      EXPECT_EQ(bits(svm->DecisionValue(views.test, i)), bits(fitted))
+      EXPECT_EQ(bits(svm->DecisionValueOfCodes(query.data())), bits(fitted))
           << "row " << i;
     }
   }
@@ -215,7 +205,7 @@ TEST(ModelIoTest, V1ModelStillLoads) {
   // existed (format v1) must keep loading, with identical predictions.
   const Dataset data = MakeParityDataset(240, {7, 4, 9, 3, 5}, 17);
   const auto views = MakeParityViews(data, 18);
-  for (const ParityLearner& learner : SerializableLearners()) {
+  for (const ParityLearner& learner : ParityLearners()) {
     SCOPED_TRACE(learner.name);
     auto model = learner.make();
     ASSERT_TRUE(model->Fit(views.train).ok());
@@ -350,7 +340,7 @@ TEST(ModelIoTest, ChecksumFieldFlipIsDataLoss) {
 }
 
 TEST(ModelIoTest, SaveBeforeFitFails) {
-  for (const ParityLearner& learner : SerializableLearners()) {
+  for (const ParityLearner& learner : ParityLearners()) {
     SCOPED_TRACE(learner.name);
     auto model = learner.make();
     std::ostringstream os(std::ios::binary);
@@ -421,7 +411,7 @@ TEST(ModelIoTest, EveryTruncationFailsWithStatusForEveryFamily) {
   // with the tiny test architecture, so stride the long middle).
   const Dataset data = MakeParityDataset(90, {4, 3, 5}, 31);
   const auto views = MakeParityViews(data, 32);
-  for (const ParityLearner& learner : SerializableLearners()) {
+  for (const ParityLearner& learner : ParityLearners()) {
     SCOPED_TRACE(learner.name);
     auto model = learner.make();
     ASSERT_TRUE(model->Fit(views.train).ok());
@@ -448,6 +438,42 @@ TEST(ModelIoTest, ImplausibleVectorLengthIsRejectedWithoutAllocating) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("implausible"),
             std::string::npos);
+}
+
+/// A v1 (checksum-free) decision-tree file whose unseen-code policy
+/// field holds `policy`. The tree body opens with criterion u32,
+/// minsplit u64, cp f64 and max_depth u64, then the policy u32.
+std::string TreeFileWithPolicy(uint32_t policy) {
+  const Dataset data = MakeParityDataset(120, {4, 3, 5}, 61);
+  ml::DecisionTree model;
+  EXPECT_TRUE(model.Fit(DataView(&data)).ok());
+  std::string v1 = AsV1Bytes(SaveToString(model));
+  const size_t policy_at = 20 + 4 * 3 + 4 + 8 + 8 + 8;
+  EXPECT_EQ(v1.substr(policy_at, 4), Le(1, 4));  // majority branch
+  v1.replace(policy_at, 4, Le(policy, 4));
+  return v1;
+}
+
+TEST(ModelIoTest, TreeErrorPolicyIsRejected) {
+  // 0 was the removed error policy, whose Predict answered unseen codes
+  // with the root majority: loading it as the majority branch would
+  // silently change the file's answers.
+  const auto loaded = LoadFromString(TreeFileWithPolicy(0));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("policy 0"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(ModelIoTest, TreeUnknownPolicyIsRejected) {
+  for (const uint32_t policy : {2u, 0xffffffffu}) {
+    const auto loaded = LoadFromString(TreeFileWithPolicy(policy));
+    ASSERT_FALSE(loaded.ok()) << policy;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << policy;
+  }
+  // The one policy the tree has still loads.
+  EXPECT_TRUE(LoadFromString(TreeFileWithPolicy(1)).ok());
 }
 
 TEST(ModelIoTest, BodyHeaderDisagreementIsRejected) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "hamlet/common/rng.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 #include "hamlet/ml/metrics.h"
@@ -61,9 +62,8 @@ TEST(NaiveBayesTest, LaplaceSmoothingHandlesUnseenCode) {
   }
   NaiveBayes nb;
   ASSERT_TRUE(nb.Fit(DataView(&train)).ok());
-  Dataset test({{"f", 3, FeatureRole::kHome, -1}});
-  test.AppendRowUnchecked({2}, 0);
-  const double odds = nb.LogOdds(DataView(&test), 0);
+  const uint32_t unseen[] = {2};  // in the domain, never trained on
+  const double odds = nb.LogOddsOfCodes(unseen);
   EXPECT_TRUE(std::isfinite(odds));
 }
 
@@ -72,8 +72,9 @@ TEST(NaiveBayesTest, LogOddsSignMatchesPrediction) {
   DataView view(&data);
   NaiveBayes nb;
   ASSERT_TRUE(nb.Fit(view).ok());
+  const CodeMatrix m(view);
   for (size_t i = 0; i < view.num_rows(); ++i) {
-    EXPECT_EQ(nb.Predict(view, i), nb.LogOdds(view, i) >= 0 ? 1 : 0);
+    EXPECT_EQ(nb.Predict(view, i), nb.LogOddsOfCodes(m.row(i)) >= 0 ? 1 : 0);
   }
 }
 

@@ -1,8 +1,8 @@
 // Shared helpers for the CodeMatrix parity harness (code_matrix_test.cc):
-// a deterministic synthetic dataset, scrambled composed views, a dataset
-// round-trip through CodeMatrix, the classifier roster, and the
-// per-classifier parity assertions between the per-row DataView predict
-// path and the dense CodeMatrix batch path.
+// a deterministic synthetic dataset, scrambled composed views, one view
+// row's codes, a dataset round-trip through CodeMatrix, the classifier
+// roster, and the per-classifier parity assertions between the per-row
+// predict path and the dense CodeMatrix batch path.
 
 #ifndef HAMLET_TESTS_PARITY_UTIL_H_
 #define HAMLET_TESTS_PARITY_UTIL_H_
@@ -27,6 +27,7 @@
 #include "hamlet/ml/classifier.h"
 #include "hamlet/ml/knn/one_nn.h"
 #include "hamlet/ml/linear/logistic_regression.h"
+#include "hamlet/ml/majority.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/nb/naive_bayes.h"
 #include "hamlet/ml/svm/svm.h"
@@ -153,6 +154,14 @@ inline ParityViews MakeParityViews(const Dataset& data, uint64_t seed) {
   return views;
 }
 
+/// View-row i's codes in view-feature order: one query row for the
+/// learners' `...OfCodes` score helpers.
+inline std::vector<uint32_t> RowCodes(const DataView& view, size_t i) {
+  std::vector<uint32_t> out(view.num_features());
+  for (size_t j = 0; j < out.size(); ++j) out[j] = view.feature(i, j);
+  return out;
+}
+
 /// Rebuilds a standalone Dataset from a view's CodeMatrix snapshot,
 /// preserving feature specs (names, domains, roles). A model fit on the
 /// round-trip dataset must behave exactly like one fit on the view.
@@ -214,6 +223,9 @@ inline std::vector<ParityLearner> ParityLearners() {
                         config.hidden_sizes = {8, 4};
                         config.epochs = 2;
                         return std::make_unique<ml::Mlp>(config);
+                      }});
+  learners.push_back({"majority", [] {
+                        return std::make_unique<ml::MajorityClassifier>();
                       }});
   return learners;
 }

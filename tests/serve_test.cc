@@ -605,7 +605,7 @@ TEST(ServeTest, BatcherRefusesOutOfDomainRowsAndReusesItsBatch) {
   // last row on Flush. Every prediction matches the model's own, by tag.
   const DataView view(&data);
   for (uint64_t i = 0; i < 7; ++i) {
-    const std::vector<uint32_t> row = view.RowCodes(i);
+    const std::vector<uint32_t> row = test::RowCodes(view, i);
     ASSERT_TRUE(batcher.Add(row.data(), i).ok());
   }
   EXPECT_EQ(batcher.pending(), 1u);

@@ -8,6 +8,7 @@
 
 #include "hamlet/common/counters.h"
 #include "hamlet/common/rng.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 #include "hamlet/ml/metrics.h"
@@ -565,8 +566,10 @@ TEST(KernelSvmTest, DecisionValueSignMatchesPrediction) {
   DataView view(&data);
   KernelSvm svm({{KernelType::kRbf, 0.5, 2}, 1.0, 1e-3, 20000, 0});
   ASSERT_TRUE(svm.Fit(view).ok());
+  const CodeMatrix m(view);
   for (size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(svm.Predict(view, i), svm.DecisionValue(view, i) >= 0 ? 1 : 0);
+    EXPECT_EQ(svm.Predict(view, i),
+              svm.DecisionValueOfCodes(m.row(i)) >= 0 ? 1 : 0);
   }
 }
 

@@ -206,36 +206,21 @@ TEST(DecisionTreeTest, UnseenCodeMajorityBranchFallback) {
         static_cast<uint8_t>(v == 2));
   }
   DataView train(&train_data);
-  DecisionTree tree(
-      {.cp = 0.0, .unseen_policy = UnseenPolicy::kMajorityBranch});
+  DecisionTree tree({.cp = 0.0});
   ASSERT_TRUE(tree.Fit(train).ok());
+  // The root splits f into {0, 1} (label 0, about 2/3 of the rows) and
+  // {2} (label 1); both children are pure.
+  ASSERT_EQ(tree.num_nodes(), 3u);
 
   Dataset test_data({{"f", 4, FeatureRole::kHome, -1},
                      {"g", 2, FeatureRole::kHome, -1}});
   test_data.AppendRowUnchecked({3, 0}, 0);  // unseen code 3
+  test_data.AppendRowUnchecked({2, 0}, 1);  // seen, routed right
   DataView test(&test_data);
-  Result<uint8_t> pred = tree.TryPredict(test, 0);
-  ASSERT_TRUE(pred.ok());  // majority-branch policy keeps prediction total
-}
-
-TEST(DecisionTreeTest, UnseenCodeErrorPolicyReturnsStatus) {
-  Dataset train_data({{"f", 4, FeatureRole::kHome, -1}});
-  for (int i = 0; i < 100; ++i) {
-    train_data.AppendRowUnchecked({static_cast<uint32_t>(i % 3)},
-                                  static_cast<uint8_t>(i % 3 == 0));
-  }
-  DataView train(&train_data);
-  DecisionTree tree({.cp = 0.0, .unseen_policy = UnseenPolicy::kError});
-  ASSERT_TRUE(tree.Fit(train).ok());
-  Dataset test_data({{"f", 4, FeatureRole::kHome, -1}});
-  test_data.AppendRowUnchecked({3}, 0);
-  DataView test(&test_data);
-  Result<uint8_t> pred = tree.TryPredict(test, 0);
-  // Only fails if the tree actually tests the feature; with a single
-  // predictive feature it must.
-  ASSERT_GT(tree.num_nodes(), 1u);
-  EXPECT_FALSE(pred.ok());
-  EXPECT_EQ(pred.status().code(), StatusCode::kNotFound);
+  // Code 3 follows the root's majority branch, the {0, 1} side.
+  EXPECT_EQ(tree.Predict(test, 0), 0);
+  EXPECT_EQ(tree.Predict(test, 1), 1);
+  EXPECT_EQ(tree.PredictAll(test), (std::vector<uint8_t>{0, 1}));
 }
 
 TEST(DecisionTreeTest, FeatureUseCountsTrackSplits) {

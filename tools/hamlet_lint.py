@@ -68,6 +68,16 @@ Rules
                   own reader, delta and reset. Member atomics (indented,
                   inside a class) and the header's `extern` declaration
                   define no new counter and stay quiet.
+  predict-home    A `Predict(const DataView` or `PredictAll(const
+                  DataView` declaration or definition appears in src/
+                  only in src/hamlet/ml/classifier.{h,cc} and the
+                  feature-projection wrapper
+                  src/hamlet/ml/nb/backward_selection.{h,cc}. Learners
+                  score row-major codes through ml::CodeClassifier's one
+                  PredictCodes hook, which writes both view paths once;
+                  a hand-written view path is a second scoring path that
+                  parity tests must pin. Call sites pass a view and do
+                  not match.
   int-parse       No C integer parsers in src/ code: strtol, strtoll,
                   strtoul, strtoull, atoi, atol, atoll and the std::sto*
                   family (comments and strings pass). They accept signs,
@@ -88,7 +98,7 @@ or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
-kernel-math, env-read or counter-home site, ISA code outside simd/,
+kernel-math, env-read, counter-home or predict-home site, ISA code outside simd/,
 a C integer parser in src/, or a clock in bench/ is exactly what those
 rules exist to stop.
 
@@ -166,25 +176,35 @@ STATUS_DISCARD_RE = re.compile(
     r"\(\s*void\s*\)\s*[^;]*?(?:(?:\.|->)Fit|\bApply\w*)\s*\(")
 STATUS_DISCARD_DIRS = ("bench", "examples")
 
-# One-home rules: a call that may appear in exactly one file. Each entry
-# is (rule, pattern, the one file, directories scanned, fix hint).
+# One-home rules: a pattern that may appear only in its home files. Each
+# entry is (rule, pattern, the home files, directories scanned, fix hint).
 ONE_HOME_RULES = [
     ("kernel-math", re.compile(r"\bKernelFromMatches\s*\("),
-     "src/hamlet/ml/svm/kernel.cc",
+     ("src/hamlet/ml/svm/kernel.cc",),
      ("src", "bench", "examples", "tests", "perfbench"),
      "KernelFromMatches outside %s; read kernel values from a "
      "KernelValuesByMatches table"),
     ("env-read", re.compile(r"getenv\s*\("),
-     "src/hamlet/common/env.cc", ("src",),
+     ("src/hamlet/common/env.cc",), ("src",),
      "getenv outside %s; read knobs through the common/env.h helpers"),
     # Namespace scope = column 0: hamlet does not indent namespace bodies.
     ("counter-home",
      re.compile(r"^(?:(?:static|inline|constinit|thread_local)\s+)*"
                 r"(?:std::array<\s*)?std::atomic<\s*(?:std::)?uint64_t\s*>"
                 r"(?:\s*,[^>]*>)?\s+g_\w*"),
-     "src/hamlet/common/counters.cc", ("src",),
+     ("src/hamlet/common/counters.cc",), ("src",),
      "namespace-scope counter atomic outside %s; add a Counter to "
      "common/counters.h and count with counters::Add"),
+    # A declaration or definition takes a `const DataView&`; a call site
+    # passes a view, so it does not match.
+    ("predict-home",
+     re.compile(r"\bPredict(?:All)?\s*\(\s*const\s+"
+                r"(?:hamlet::)?DataView\b"),
+     ("src/hamlet/ml/classifier.h", "src/hamlet/ml/classifier.cc",
+      "src/hamlet/ml/nb/backward_selection.h",
+      "src/hamlet/ml/nb/backward_selection.cc"), ("src",),
+     "a view scoring path outside %s; derive the learner from "
+     "ml::CodeClassifier and implement PredictCodes"),
 ]
 
 
@@ -422,19 +442,20 @@ class Linter:
                                  "Apply call; check it, print it and "
                                  "exit non-zero")
 
-    # -- kernel-math + env-read + counter-home -------------------------
+    # -- kernel-math + env-read + counter-home + predict-home ----------
     def check_one_home_rules(self):
-        for rule, pattern, home, dirs, hint in ONE_HOME_RULES:
+        for rule, pattern, homes, dirs, hint in ONE_HOME_RULES:
             for subdir in dirs:
                 for path in self.source_files(subdir,
                                               exts=(".h", ".cc", ".cpp")):
                     rel = self.rel(path)
-                    if rel == home:
+                    if rel in homes:
                         continue
                     _, stripped_lines, _ = read_code(path)
                     for lineno, code in enumerate(stripped_lines, 1):
                         if pattern.search(code):
-                            self.add(rel, lineno, rule, hint % home)
+                            self.add(rel, lineno, rule,
+                                     hint % ", ".join(homes))
 
     # -- simd-home -----------------------------------------------------
     def check_simd_home(self):

@@ -401,6 +401,46 @@ def main():
         check("kernel.cc, comments, strings and the table pass", code == 0,
               out)
 
+        # predict-home: a view Predict/PredictAll declaration or
+        # definition outside ml/classifier.{h,cc} and
+        # ml/nb/backward_selection.{h,cc} fires, waiver or not.
+        phome_fire = (Fixture(base, "predicthome_fire")
+                      .write("src/hamlet/ml/tree/decision_tree.h",
+                             "  uint8_t Predict(const DataView& view, "
+                             "size_t i) const override;\n"
+                             "  std::vector<uint8_t> PredictAll("
+                             "const DataView& v) const override;"
+                             "  // hamlet-lint: allow(predict-home)\n")
+                      .write("src/hamlet/ml/knn/one_nn.cc",
+                             "std::vector<uint8_t> OneNearestNeighbor::"
+                             "PredictAll(const hamlet::DataView& view) "
+                             "const {\n"))
+        code, out = phome_fire.lint()
+        check("predict-home fires on view predict paths",
+              code == 1 and out.count("[predict-home]") == 3 and
+              "src/hamlet/ml/tree/decision_tree.h:1:" in out and
+              "src/hamlet/ml/tree/decision_tree.h:2:" in out and
+              "src/hamlet/ml/knn/one_nn.cc:1:" in out, out)
+
+        # Its four homes, call sites (they pass a view), prose, strings
+        # and code outside src/ stay quiet.
+        decl = "uint8_t Predict(const DataView& view, size_t i) const;\n"
+        phome_quiet = (Fixture(base, "predicthome_quiet")
+                       .write("src/hamlet/ml/classifier.h", decl)
+                       .write("src/hamlet/ml/classifier.cc", decl)
+                       .write("src/hamlet/ml/nb/backward_selection.h", decl)
+                       .write("src/hamlet/ml/nb/backward_selection.cc",
+                              decl)
+                       .write("src/hamlet/ml/metrics.cc",
+                              "const auto p = model.PredictAll(view);\n"
+                              "out[i] = model_->Predict(sub, 0);\n"
+                              "// PredictAll(const DataView& view) here\n"
+                              'const char* s = "Predict(const DataView";\n')
+                       .write("tests/parity_util.h", decl))
+        code, out = phome_quiet.lint()
+        check("predict-home: homes, calls, prose and tests pass",
+              code == 0, out)
+
         # simd-home: ISA code outside src/hamlet/simd/ fires, waiver or
         # not; the same code under simd/, prose, strings, a plain target
         # and code outside src/ stay quiet.
