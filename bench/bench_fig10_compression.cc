@@ -25,21 +25,17 @@ double AccuracyWithBudget(const core::PreparedData& prepared,
   Dataset copy = prepared.data;
   const std::vector<uint32_t> fk_cols = core::ForeignKeyColumns(copy);
   for (uint32_t col : fk_cols) {
-    core::DomainMapping map;
-    if (method == core::CompressionMethod::kRandomHash) {
-      map = core::BuildRandomHashMapping(
-          copy.feature_spec(col).domain_size, budget, seed + col);
-    } else {
-      DataView train(&copy, prepared.split.train, {col});
-      Result<core::DomainMapping> r =
-          core::BuildSortedEntropyMapping(train, 0, budget);
-      if (!r.ok()) {
-        bench::ReportFailure();
-        return -1.0;
-      }
-      map = std::move(r).value();
+    Result<core::DomainMapping> map =
+        method == core::CompressionMethod::kRandomHash
+            ? core::BuildRandomHashMapping(copy.feature_spec(col).domain_size,
+                                           budget, seed + col)
+            : core::BuildSortedEntropyMapping(
+                  DataView(&copy, prepared.split.train, {col}), 0, budget);
+    if (!map.ok()) {
+      bench::ReportFailure();
+      return -1.0;
     }
-    if (!core::ApplyMapping(copy, col, map).ok()) {
+    if (!core::ApplyMapping(copy, col, map.value()).ok()) {
       bench::ReportFailure();
       return -1.0;
     }

@@ -52,7 +52,7 @@ double ErrorWithSmoothing(double gamma, core::SmoothingMethod method,
   DataView train_fk(&p.data, p.split.train,
                     {static_cast<uint32_t>(fk_col)});
   const std::vector<uint8_t> seen = core::SeenCodes(train_fk, 0);
-  Result<core::SmoothingMap> map =
+  Result<core::DomainMapping> map =
       method == core::SmoothingMethod::kRandom
           ? core::BuildRandomSmoothing(seen, seed + 2)
           : core::BuildXrSmoothing(seen, star.dimension(0).table);
@@ -60,8 +60,7 @@ double ErrorWithSmoothing(double gamma, core::SmoothingMethod method,
     bench::ReportFailure();
     return -1.0;
   }
-  if (!core::ApplySmoothing(p.data, static_cast<size_t>(fk_col),
-                            map.value())
+  if (!core::ApplyMapping(p.data, static_cast<size_t>(fk_col), map.value())
            .ok()) {
     bench::ReportFailure();
     return -1.0;

@@ -8,6 +8,7 @@
 //
 // Run: ./example_movie_recs
 
+#include <algorithm>
 #include <cstdio>
 
 #include "hamlet/core/experiment.h"
@@ -69,6 +70,8 @@ int main() {
   DataView train_fk(&p.data, p.split.train,
                     {static_cast<uint32_t>(movie_fk)});
   const std::vector<uint8_t> seen = core::SeenCodes(train_fk, 0);
+  const size_t unseen_codes =
+      static_cast<size_t>(std::count(seen.begin(), seen.end(), 0));
   struct Method {
     const char* label;
     core::SmoothingMethod method;
@@ -77,7 +80,7 @@ int main() {
                                  core::SmoothingMethod::kRandom},
                           Method{"X_R-based smoothing",
                                  core::SmoothingMethod::kXrBased}}) {
-    Result<core::SmoothingMap> map =
+    Result<core::DomainMapping> map =
         m.method == core::SmoothingMethod::kRandom
             ? core::BuildRandomSmoothing(seen, 77)
             : core::BuildXrSmoothing(
@@ -85,15 +88,14 @@ int main() {
     if (Failed("smoothing", map.status())) return 1;
     Dataset smoothed = p.data;
     if (Failed("smoothing",
-               core::ApplySmoothing(smoothed, movie_fk, map.value()))) {
+               core::ApplyMapping(smoothed, movie_fk, map.value()))) {
       return 1;
     }
     SplitViews views = MakeSplitViews(smoothed, p.split, nojoin);
     ml::DecisionTree tree({.minsplit = 10, .cp = 0.001});
     if (Failed("tree fit", tree.Fit(views.train))) return 1;
     std::printf("%-22s: accuracy=%.4f (reassigned %zu unseen codes)\n",
-                m.label, ml::Accuracy(tree, views.test),
-                map.value().num_unseen);
+                m.label, ml::Accuracy(tree, views.test), unseen_codes);
   }
 
   std::printf(

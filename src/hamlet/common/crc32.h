@@ -24,11 +24,6 @@ uint32_t Crc32Feed(uint32_t state, const void* data, size_t n);
 /// Turns a running state into the final checksum value.
 inline uint32_t Crc32Finalize(uint32_t state) { return state ^ 0xFFFFFFFFu; }
 
-/// One-shot convenience: CRC-32 of a single buffer.
-inline uint32_t Crc32(const void* data, size_t n) {
-  return Crc32Finalize(Crc32Feed(kCrc32Init, data, n));
-}
-
 }  // namespace hamlet
 
 #endif  // HAMLET_COMMON_CRC32_H_

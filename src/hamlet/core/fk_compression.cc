@@ -1,24 +1,11 @@
 #include "hamlet/core/fk_compression.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 #include "hamlet/common/rng.h"
 
 namespace hamlet {
 namespace core {
-
-namespace {
-
-/// Binary entropy in nats from (pos, total); 0 for empty/pure.
-double BinaryEntropy(double pos, double total) {
-  if (total <= 0.0 || pos <= 0.0 || pos >= total) return 0.0;
-  const double p = pos / total;
-  return -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
-}
-
-}  // namespace
 
 const char* CompressionMethodName(CompressionMethod method) {
   switch (method) {
@@ -30,9 +17,9 @@ const char* CompressionMethodName(CompressionMethod method) {
   return "unknown";
 }
 
-DomainMapping BuildRandomHashMapping(uint32_t m, uint32_t budget,
-                                     uint64_t seed) {
-  assert(budget >= 1);
+Result<DomainMapping> BuildRandomHashMapping(uint32_t m, uint32_t budget,
+                                             uint64_t seed) {
+  if (budget < 1) return Status::InvalidArgument("budget must be >= 1");
   DomainMapping out;
   out.new_domain = std::min(m, budget);
   out.map.resize(m);
@@ -132,25 +119,6 @@ Status ApplyMapping(Dataset& data, size_t col, const DomainMapping& mapping) {
   std::vector<uint32_t> codes = data.column(col);
   for (uint32_t& c : codes) c = mapping.map[c];
   return data.ReplaceColumn(col, std::move(codes), mapping.new_domain);
-}
-
-double ConditionalEntropy(const DataView& view, size_t view_feature) {
-  const uint32_t m = view.domain_size(view_feature);
-  std::vector<double> pos(m, 0.0), total(m, 0.0);
-  const double n = static_cast<double>(view.num_rows());
-  if (n == 0.0) return 0.0;
-  for (size_t i = 0; i < view.num_rows(); ++i) {
-    const uint32_t c = view.feature(i, view_feature);
-    total[c] += 1.0;
-    pos[c] += view.label(i);
-  }
-  double h = 0.0;
-  for (uint32_t v = 0; v < m; ++v) {
-    if (total[v] > 0.0) {
-      h += (total[v] / n) * BinaryEntropy(pos[v], total[v]);
-    }
-  }
-  return h;
 }
 
 }  // namespace core

@@ -30,15 +30,17 @@ enum class CompressionMethod {
 
 const char* CompressionMethodName(CompressionMethod method);
 
-/// A code mapping old-domain -> new-domain.
+/// A code mapping old-domain -> new-domain. FK compression shrinks the
+/// domain; FK smoothing (fk_smoothing.h) keeps it and only moves codes.
 struct DomainMapping {
   std::vector<uint32_t> map;  ///< size = old domain
   uint32_t new_domain = 0;
 };
 
-/// Builds a random-hash mapping from domain `m` to `budget` buckets.
-DomainMapping BuildRandomHashMapping(uint32_t m, uint32_t budget,
-                                     uint64_t seed);
+/// Builds a random-hash mapping from domain `m` to min(m, budget) buckets.
+/// InvalidArgument when `budget` is 0.
+Result<DomainMapping> BuildRandomHashMapping(uint32_t m, uint32_t budget,
+                                             uint64_t seed);
 
 /// Builds the supervised sort-based mapping for column `col` using only
 /// the rows of `train` (labels included). Codes never seen in training are
@@ -48,12 +50,9 @@ Result<DomainMapping> BuildSortedEntropyMapping(const DataView& train,
                                                 uint32_t budget);
 
 /// Applies `mapping` to column `col` of `data` in place (all rows: the
-/// paper compresses the whole dataset after fitting f on the train split).
+/// paper compresses or smooths the whole dataset after fitting the map on
+/// the train split). The column's domain becomes `mapping.new_domain`.
 Status ApplyMapping(Dataset& data, size_t col, const DomainMapping& mapping);
-
-/// H(Y | f(FK)) on the given view for a compressed column (diagnostic used
-/// in tests: sorted-entropy compression should not raise it much).
-double ConditionalEntropy(const DataView& view, size_t view_feature);
 
 }  // namespace core
 }  // namespace hamlet

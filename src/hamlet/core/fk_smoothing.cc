@@ -1,12 +1,28 @@
 #include "hamlet/core/fk_smoothing.h"
 
-#include <cassert>
 #include <limits>
 
 #include "hamlet/common/rng.h"
 
 namespace hamlet {
 namespace core {
+
+namespace {
+
+/// The codes set in `seen`, ascending; FailedPrecondition when there are
+/// none (a smoothing map needs a seen code to send unseen ones to).
+Result<std::vector<uint32_t>> SeenCodeList(const std::vector<uint8_t>& seen) {
+  std::vector<uint32_t> codes;
+  for (uint32_t v = 0; v < seen.size(); ++v) {
+    if (seen[v]) codes.push_back(v);
+  }
+  if (codes.empty()) {
+    return Status::FailedPrecondition("no codes seen in training");
+  }
+  return codes;
+}
+
+}  // namespace
 
 const char* SmoothingMethodName(SmoothingMethod method) {
   switch (method) {
@@ -26,57 +42,45 @@ std::vector<uint8_t> SeenCodes(const DataView& train, size_t view_feature) {
   return seen;
 }
 
-Result<SmoothingMap> BuildRandomSmoothing(const std::vector<uint8_t>& seen,
-                                          uint64_t seed) {
-  std::vector<uint32_t> seen_codes;
-  for (uint32_t v = 0; v < seen.size(); ++v) {
-    if (seen[v]) seen_codes.push_back(v);
-  }
-  if (seen_codes.empty()) {
-    return Status::FailedPrecondition("no codes seen in training");
-  }
+Result<DomainMapping> BuildRandomSmoothing(const std::vector<uint8_t>& seen,
+                                           uint64_t seed) {
+  Result<std::vector<uint32_t>> seen_codes = SeenCodeList(seen);
+  if (!seen_codes.ok()) return seen_codes.status();
+  const std::vector<uint32_t>& codes = seen_codes.value();
   Rng rng(seed);
-  SmoothingMap out;
+  DomainMapping out;
+  out.new_domain = static_cast<uint32_t>(seen.size());
   out.map.resize(seen.size());
   for (uint32_t v = 0; v < seen.size(); ++v) {
-    if (seen[v]) {
-      out.map[v] = v;
-    } else {
-      out.map[v] = seen_codes[rng.UniformInt(seen_codes.size())];
-      ++out.num_unseen;
-    }
+    out.map[v] = seen[v] ? v : codes[rng.UniformInt(codes.size())];
   }
   return out;
 }
 
-Result<SmoothingMap> BuildXrSmoothing(const std::vector<uint8_t>& seen,
-                                      const Table& dimension) {
+Result<DomainMapping> BuildXrSmoothing(const std::vector<uint8_t>& seen,
+                                       const Table& dimension) {
   if (seen.size() != dimension.num_rows()) {
     return Status::InvalidArgument(
         "seen bitmap size must equal the dimension cardinality");
   }
-  std::vector<uint32_t> seen_codes;
-  for (uint32_t v = 0; v < seen.size(); ++v) {
-    if (seen[v]) seen_codes.push_back(v);
-  }
-  if (seen_codes.empty()) {
-    return Status::FailedPrecondition("no codes seen in training");
-  }
+  Result<std::vector<uint32_t>> seen_codes = SeenCodeList(seen);
+  if (!seen_codes.ok()) return seen_codes.status();
+  const std::vector<uint32_t>& codes = seen_codes.value();
 
   const size_t dr = dimension.num_columns();
-  SmoothingMap out;
+  DomainMapping out;
+  out.new_domain = static_cast<uint32_t>(seen.size());
   out.map.resize(seen.size());
   for (uint32_t v = 0; v < seen.size(); ++v) {
     if (seen[v]) {
       out.map[v] = v;
       continue;
     }
-    ++out.num_unseen;
     // Minimum l0 distance between X_R rows; ties -> smallest code (the
-    // seen_codes scan is in increasing order, strict < keeps the first).
+    // seen-code scan is in increasing order, strict < keeps the first).
     size_t best_dist = std::numeric_limits<size_t>::max();
-    uint32_t best_code = seen_codes[0];
-    for (uint32_t s : seen_codes) {
+    uint32_t best_code = codes[0];
+    for (uint32_t s : codes) {
       size_t dist = 0;
       for (size_t c = 0; c < dr; ++c) {
         dist += dimension.at(v, c) != dimension.at(s, c);
@@ -91,17 +95,6 @@ Result<SmoothingMap> BuildXrSmoothing(const std::vector<uint8_t>& seen,
     out.map[v] = best_code;
   }
   return out;
-}
-
-Status ApplySmoothing(Dataset& data, size_t col, const SmoothingMap& map) {
-  if (col >= data.num_features()) return Status::OutOfRange("no such column");
-  const uint32_t domain = data.feature_spec(col).domain_size;
-  if (map.map.size() != domain) {
-    return Status::InvalidArgument("smoothing map/domain size mismatch");
-  }
-  std::vector<uint32_t> codes = data.column(col);
-  for (uint32_t& c : codes) c = map.map[c];
-  return data.ReplaceColumn(col, std::move(codes), domain);
 }
 
 }  // namespace core

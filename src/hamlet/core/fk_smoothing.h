@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "hamlet/common/status.h"
-#include "hamlet/data/dataset.h"
+#include "hamlet/core/fk_compression.h"
 #include "hamlet/data/view.h"
 #include "hamlet/relational/table.h"
 
@@ -32,28 +32,20 @@ enum class SmoothingMethod {
 
 const char* SmoothingMethodName(SmoothingMethod method);
 
-/// A full-domain FK rewrite: seen codes map to themselves, unseen codes map
-/// to some seen code.
-struct SmoothingMap {
-  std::vector<uint32_t> map;  ///< size = |D_FK|
-  size_t num_unseen = 0;
-};
-
 /// Codes of `view_feature` occurring in `train` (bitmap of size domain).
 std::vector<uint8_t> SeenCodes(const DataView& train, size_t view_feature);
 
-/// Random reassignment of unseen codes to seen ones.
-Result<SmoothingMap> BuildRandomSmoothing(const std::vector<uint8_t>& seen,
-                                          uint64_t seed);
+/// Random reassignment of unseen codes to seen ones. Both builders return
+/// a domain-preserving mapping (seen codes map to themselves, `new_domain`
+/// = seen.size()) for ApplyMapping, and FailedPrecondition when no code is
+/// seen.
+Result<DomainMapping> BuildRandomSmoothing(const std::vector<uint8_t>& seen,
+                                           uint64_t seed);
 
 /// X_R-based reassignment: unseen code u maps to the seen code whose row in
 /// `dimension` has minimal l0 distance to u's row (ties: smallest code).
-Result<SmoothingMap> BuildXrSmoothing(const std::vector<uint8_t>& seen,
-                                      const Table& dimension);
-
-/// Rewrites column `col` of `data` through the smoothing map (domain size
-/// is unchanged; only unseen codes move).
-Status ApplySmoothing(Dataset& data, size_t col, const SmoothingMap& map);
+Result<DomainMapping> BuildXrSmoothing(const std::vector<uint8_t>& seen,
+                                       const Table& dimension);
 
 }  // namespace core
 }  // namespace hamlet

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 
-#include "hamlet/common/stringx.h"
 #include "hamlet/core/variants.h"
 
 namespace hamlet {
@@ -90,19 +88,6 @@ std::vector<uint32_t> SelectPartialAvoidance(const Dataset& data,
     if (selected[c]) out.push_back(c);
   }
   return out;
-}
-
-std::string FormatRanking(const Dataset& data,
-                          const std::vector<RankedFeature>& ranking) {
-  std::ostringstream out;
-  out << PadRight("feature", 28) << PadLeft("dim", 5)
-      << PadLeft("I(Y;X) nats", 14) << "\n";
-  for (const RankedFeature& rf : ranking) {
-    out << PadRight(data.feature_spec(rf.column).name, 28)
-        << PadLeft(std::to_string(rf.dim_index), 5)
-        << PadLeft(FormatDouble(rf.mutual_information, 5), 14) << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace core

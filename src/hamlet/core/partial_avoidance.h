@@ -15,10 +15,8 @@
 #define HAMLET_CORE_PARTIAL_AVOIDANCE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "hamlet/common/status.h"
 #include "hamlet/data/view.h"
 
 namespace hamlet {
@@ -46,10 +44,6 @@ std::vector<RankedFeature> RankForeignFeatures(const Dataset& data,
 /// `keep_per_dim` highest-MI foreign features of every other dimension.
 std::vector<uint32_t> SelectPartialAvoidance(
     const Dataset& data, const DataView& train, size_t keep_per_dim);
-
-/// Formats the ranking as a table (diagnostics for the examples/bench).
-std::string FormatRanking(const Dataset& data,
-                          const std::vector<RankedFeature>& ranking);
 
 }  // namespace core
 }  // namespace hamlet

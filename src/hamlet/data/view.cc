@@ -21,16 +21,6 @@ DataView::DataView(const Dataset* data, std::vector<uint32_t> rows,
 #endif
 }
 
-DataView DataView::SelectRows(const std::vector<uint32_t>& view_rows) const {
-  std::vector<uint32_t> rows;
-  rows.reserve(view_rows.size());
-  for (uint32_t i : view_rows) {
-    assert(i < rows_.size());
-    rows.push_back(rows_[i]);
-  }
-  return DataView(data_, std::move(rows), features_);
-}
-
 DataView DataView::WithFeatures(std::vector<uint32_t> feature_ids) const {
   return DataView(data_, rows_, std::move(feature_ids));
 }

@@ -51,9 +51,6 @@ class DataView {
   const std::vector<uint32_t>& rows() const { return rows_; }
   const std::vector<uint32_t>& features() const { return features_; }
 
-  /// Same features, different row subset (indices into *this view's* rows).
-  DataView SelectRows(const std::vector<uint32_t>& view_rows) const;
-
   /// Same rows, different feature subset (underlying dataset column ids).
   DataView WithFeatures(std::vector<uint32_t> feature_ids) const;
 

@@ -1,6 +1,5 @@
 #include "hamlet/relational/csv.h"
 
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 
@@ -61,36 +60,6 @@ Result<CsvTable> ReadCsv(const std::string& text) {
   for (const auto& row : rows) table.AppendRowUnchecked(row);
 
   return CsvTable{std::move(table), std::move(dicts)};
-}
-
-Result<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsv(buf.str());
-}
-
-std::string WriteDatasetCsv(const Dataset& data) {
-  std::ostringstream out;
-  for (size_t c = 0; c < data.num_features(); ++c) {
-    out << data.feature_spec(c).name << ',';
-  }
-  out << "label\n";
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    for (size_t c = 0; c < data.num_features(); ++c) {
-      out << data.feature(r, c) << ',';
-    }
-    out << static_cast<int>(data.label(r)) << '\n';
-  }
-  return out.str();
-}
-
-Status WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot write '" + path + "'");
-  out << text;
-  return out.good() ? Status::OK() : Status::Internal("write failed");
 }
 
 }  // namespace hamlet

@@ -1,9 +1,8 @@
-// CSV import/export for categorical tables and datasets.
+// CSV import for categorical tables.
 //
-// Categorical values are stored as integer codes internally; CSV I/O maps
-// distinct strings to codes on read (building the domain) and writes codes
-// (or the remembered strings) on write. Used by the examples and for
-// inspecting generated data.
+// Categorical values are stored as integer codes internally; reading maps
+// distinct strings to codes (building the domain) and remembers the
+// strings. Used by the examples.
 
 #ifndef HAMLET_RELATIONAL_CSV_H_
 #define HAMLET_RELATIONAL_CSV_H_
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "hamlet/common/status.h"
-#include "hamlet/data/dataset.h"
 #include "hamlet/relational/table.h"
 
 namespace hamlet {
@@ -27,15 +25,6 @@ struct CsvTable {
 /// column becomes categorical; the domain is the set of distinct strings in
 /// order of first appearance.
 Result<CsvTable> ReadCsv(const std::string& text);
-
-/// Loads a CSV file from disk.
-Result<CsvTable> ReadCsvFile(const std::string& path);
-
-/// Serialises a Dataset (codes, plus a final "label" column) to CSV text.
-std::string WriteDatasetCsv(const Dataset& data);
-
-/// Writes `text` to `path`.
-Status WriteFile(const std::string& path, const std::string& text);
 
 }  // namespace hamlet
 

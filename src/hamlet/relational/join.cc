@@ -12,8 +12,7 @@ bool IsOpenDomain(const JoinOptions& options, size_t dim) {
                    dim) != options.open_domain_fks.end();
 }
 
-}  // namespace
-
+/// Output columns in [X_S, FK_1..FK_q, X_R1.., X_Rq..] order with roles.
 std::vector<FeatureSpec> JoinedSchema(const StarSchema& star,
                                       const JoinOptions& options) {
   std::vector<FeatureSpec> specs;
@@ -45,6 +44,8 @@ std::vector<FeatureSpec> JoinedSchema(const StarSchema& star,
   }
   return specs;
 }
+
+}  // namespace
 
 Result<Dataset> JoinAllTables(const StarSchema& star,
                               const JoinOptions& options) {

@@ -30,11 +30,6 @@ struct JoinOptions {
 Result<Dataset> JoinAllTables(const StarSchema& star,
                               const JoinOptions& options = {});
 
-/// Schema of the joined output without materialising it (used by the
-/// advisor: NoJoin decisions must not read dimension bytes).
-std::vector<FeatureSpec> JoinedSchema(const StarSchema& star,
-                                      const JoinOptions& options = {});
-
 }  // namespace hamlet
 
 #endif  // HAMLET_RELATIONAL_JOIN_H_

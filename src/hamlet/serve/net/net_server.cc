@@ -360,13 +360,12 @@ void NetServer::HandleLine(const ConnPtr& conn, const Chunk& chunk,
     conn->in_batch = true;
     batch_conns_.push_back(conn);
   }
-  const uint64_t tag = inflight_.size();
   inflight_.emplace_back(conn.get(), conn->ring.Push(ReorderRing::kPending));
   // Add can only fail on an out-of-domain row, which ParseRequest
   // already excluded; a failure here is a programming error worth
   // surfacing, but it must not tear down the other connections — record
   // it against this one.
-  const Status added = batcher_->Add(chunk.codes.data() + line.begin, tag);
+  const Status added = batcher_->Add(chunk.codes.data() + line.begin);
   if (!added.ok()) {
     // The row never joined the batch: its slot answers the ERR instead.
     inflight_.pop_back();
@@ -464,8 +463,8 @@ Result<StatsSummary> NetServer::Run(std::ostream& err) {
   LiveTicker ticker(err, config_.live_stats);
   RequestBatcher batcher(
       model_, domains_, config_.batch_size, config_.model_poll, stats_,
-      [this](uint64_t tag, uint8_t pred) -> Status {
-        const auto& [conn, slot] = inflight_[tag];
+      [this](size_t row, uint8_t pred) -> Status {
+        const auto& [conn, slot] = inflight_[row];
         conn->ring.Set(slot, pred);
         return Status::OK();
       },

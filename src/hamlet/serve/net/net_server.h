@@ -283,7 +283,7 @@ class NetServer {
   // Batch state, only valid inside Run().
   LatencyStats stats_;
   RequestBatcher* batcher_ = nullptr;
-  /// tag -> (connection, slot) for rows in the current batch. The raw
+  /// Batch row -> (connection, slot) for rows in the current batch. The raw
   /// pointers stay valid because batch_conns_ holds every connection
   /// with a row in the batch.
   std::vector<std::pair<Connection*, uint64_t>> inflight_;

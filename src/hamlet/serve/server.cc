@@ -165,11 +165,10 @@ RequestBatcher::RequestBatcher(
       active_(&model),
       batch_(MakeRequestDataset(domains_)) {
   pending_codes_.reserve(batch_size_ * domains_.size());
-  tags_.reserve(batch_size_);
   batch_.Reserve(batch_size_);
 }
 
-Status RequestBatcher::Add(const uint32_t* codes, uint64_t tag) {
+Status RequestBatcher::Add(const uint32_t* codes) {
   for (size_t j = 0; j < domains_.size(); ++j) {
     if (codes[j] >= domains_[j]) {
       return Status::OutOfRange("code out of domain for feature '" +
@@ -177,13 +176,12 @@ Status RequestBatcher::Add(const uint32_t* codes, uint64_t tag) {
     }
   }
   pending_codes_.insert(pending_codes_.end(), codes, codes + domains_.size());
-  tags_.push_back(tag);
-  if (tags_.size() >= batch_size_) return Flush();
+  if (++pending_rows_ >= batch_size_) return Flush();
   return Status::OK();
 }
 
 Status RequestBatcher::Flush() {
-  if (tags_.empty()) return Status::OK();
+  if (pending_rows_ == 0) return Status::OK();
   if (model_poll_) {
     if (const ml::Classifier* fresh = model_poll_()) active_ = fresh;
   }
@@ -191,7 +189,7 @@ Status RequestBatcher::Flush() {
   // time costs far less than appending each row across every column.
   // The schema and the column buffers outlive the batch.
   batch_.ClearRows();
-  batch_.AppendRowMajorUnchecked(pending_codes_.data(), tags_.size(), 0);
+  batch_.AppendRowMajorUnchecked(pending_codes_.data(), pending_rows_, 0);
   const DataView view(&batch_);
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<uint8_t> preds = active_->PredictAll(view);
@@ -199,11 +197,11 @@ Status RequestBatcher::Flush() {
       std::chrono::steady_clock::now() - t0;
   stats_.RecordBatch(preds.size(), dt.count());
   for (size_t i = 0; i < preds.size(); ++i) {
-    HAMLET_RETURN_IF_ERROR(emit_(tags_[i], preds[i]));
+    HAMLET_RETURN_IF_ERROR(emit_(i, preds[i]));
   }
   if (after_batch_) after_batch_();
   pending_codes_.clear();
-  tags_.clear();
+  pending_rows_ = 0;
   return Status::OK();
 }
 
@@ -233,7 +231,7 @@ Result<StatsSummary> ServeStream(const ml::Classifier& model,
 
   RequestBatcher batcher(
       model, domains, config.batch_size, config.model_poll, stats,
-      [&out](uint64_t, uint8_t p) -> Status {
+      [&out](size_t, uint8_t p) -> Status {
         out << static_cast<int>(p) << '\n';
         if (!out) {
           return Status::Internal("serve: write error on output stream");
@@ -273,7 +271,7 @@ Result<StatsSummary> ServeStream(const ml::Classifier& model,
       }
       continue;
     }
-    HAMLET_RETURN_IF_ERROR(batcher.Add(codes.data(), 0));
+    HAMLET_RETURN_IF_ERROR(batcher.Add(codes.data()));
   }
   HAMLET_RETURN_IF_ERROR(batcher.Flush());
   ticker.Finish();

@@ -128,14 +128,15 @@ bool IsIgnorableRequestLine(std::string_view line);
 /// The shared batching core: stages parsed request rows row-major,
 /// moves a full batch into one Dataset reused across batches, scores it
 /// through the active model's dense PredictAll (timed into `stats`), and
-/// hands each prediction back through `emit` tagged with the
-/// caller-supplied token, in row order. One owner drives it from a
-/// single thread; sources that read from many threads (the socket
-/// front-end) funnel into it through a queue.
+/// hands each prediction back through `emit` with its row's index in the
+/// batch, in row order. One owner drives it from a single thread;
+/// sources that read from many threads (the socket front-end) funnel
+/// into it through a queue.
 class RequestBatcher {
  public:
-  /// Receives one prediction per Add'ed row, in batch order.
-  using Emit = std::function<Status(uint64_t tag, uint8_t prediction)>;
+  /// Receives one prediction per Add'ed row, in batch order; `row` counts
+  /// the rows Add'ed since the previous flush, from 0.
+  using Emit = std::function<Status(size_t row, uint8_t prediction)>;
   /// Invoked after every successfully flushed batch (ticker repaints,
   /// connection output drains).
   using AfterBatch = std::function<void()>;
@@ -154,14 +155,14 @@ class RequestBatcher {
   /// Queues one row of domains().size() codes; flushes automatically at
   /// capacity. A code outside its domain is refused with OutOfRange and
   /// queues nothing.
-  HAMLET_NODISCARD Status Add(const uint32_t* codes, uint64_t tag);
+  HAMLET_NODISCARD Status Add(const uint32_t* codes);
 
   /// Scores and emits everything pending. No-op when empty; the
   /// model_poll hook fires only when there are rows to serve, keeping
   /// the poll cadence identical to the original single-stream loop.
   HAMLET_NODISCARD Status Flush();
 
-  size_t pending() const { return tags_.size(); }
+  size_t pending() const { return pending_rows_; }
   const ml::Classifier& active_model() const { return *active_; }
 
  private:
@@ -173,7 +174,7 @@ class RequestBatcher {
   AfterBatch after_batch_;
   const ml::Classifier* active_;
   std::vector<uint32_t> pending_codes_;  ///< queued rows, row-major
-  std::vector<uint64_t> tags_;           ///< one per queued row
+  size_t pending_rows_ = 0;
   Dataset batch_;  ///< the batch PredictAll scores; reused across batches
 };
 

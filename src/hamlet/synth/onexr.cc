@@ -1,6 +1,5 @@
 #include "hamlet/synth/onexr.h"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -90,10 +89,6 @@ StarSchema GenerateOneXr(const OneXrConfig& cfg) {
   }
   (void)dim_ref;
   return star;
-}
-
-double OneXrBayesError(const OneXrConfig& cfg) {
-  return std::min(cfg.p, 1.0 - cfg.p);
 }
 
 }  // namespace synth

@@ -50,9 +50,6 @@ struct OneXrConfig {
 /// column of the dimension table ("r.xr"); noise columns follow.
 StarSchema GenerateOneXr(const OneXrConfig& config);
 
-/// The scenario's irreducible (Bayes) error, min(p, 1-p).
-double OneXrBayesError(const OneXrConfig& config);
-
 }  // namespace synth
 }  // namespace hamlet
 

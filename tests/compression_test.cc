@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "hamlet/common/rng.h"
@@ -14,6 +15,34 @@
 namespace hamlet {
 namespace core {
 namespace {
+
+/// Binary entropy in nats from (pos, total); 0 for empty/pure.
+double BinaryEntropy(double pos, double total) {
+  if (total <= 0.0 || pos <= 0.0 || pos >= total) return 0.0;
+  const double p = pos / total;
+  return -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
+}
+
+/// H(Y | X) on the view for one (compressed) column: the oracle for the
+/// sorted-entropy claim that compression should not raise it much.
+double ConditionalEntropy(const DataView& view, size_t view_feature) {
+  const uint32_t m = view.domain_size(view_feature);
+  std::vector<double> pos(m, 0.0), total(m, 0.0);
+  const double n = static_cast<double>(view.num_rows());
+  if (n == 0.0) return 0.0;
+  for (size_t i = 0; i < view.num_rows(); ++i) {
+    const uint32_t c = view.feature(i, view_feature);
+    total[c] += 1.0;
+    pos[c] += view.label(i);
+  }
+  double h = 0.0;
+  for (uint32_t v = 0; v < m; ++v) {
+    if (total[v] > 0.0) {
+      h += (total[v] / n) * BinaryEntropy(pos[v], total[v]);
+    }
+  }
+  return h;
+}
 
 /// FK-determined labels over a domain of m values, plus a noise feature.
 Dataset MakeFkDataset(uint32_t m, size_t n, uint64_t seed) {
@@ -31,7 +60,7 @@ Dataset MakeFkDataset(uint32_t m, size_t n, uint64_t seed) {
 }
 
 TEST(RandomHashTest, MapsIntoBudget) {
-  DomainMapping map = BuildRandomHashMapping(1000, 16, 7);
+  DomainMapping map = BuildRandomHashMapping(1000, 16, 7).value();
   EXPECT_EQ(map.map.size(), 1000u);
   EXPECT_EQ(map.new_domain, 16u);
   std::set<uint32_t> used;
@@ -43,16 +72,25 @@ TEST(RandomHashTest, MapsIntoBudget) {
 }
 
 TEST(RandomHashTest, DeterministicPerSeedAndSpreadsAcrossSeeds) {
-  DomainMapping a = BuildRandomHashMapping(100, 8, 1);
-  DomainMapping b = BuildRandomHashMapping(100, 8, 1);
+  DomainMapping a = BuildRandomHashMapping(100, 8, 1).value();
+  DomainMapping b = BuildRandomHashMapping(100, 8, 1).value();
   EXPECT_EQ(a.map, b.map);
-  DomainMapping c = BuildRandomHashMapping(100, 8, 2);
+  DomainMapping c = BuildRandomHashMapping(100, 8, 2).value();
   EXPECT_NE(a.map, c.map);
 }
 
 TEST(RandomHashTest, BudgetLargerThanDomainIsIdentitySized) {
-  DomainMapping map = BuildRandomHashMapping(5, 100, 3);
+  DomainMapping map = BuildRandomHashMapping(5, 100, 3).value();
   EXPECT_EQ(map.new_domain, 5u);
+}
+
+TEST(RandomHashMappingTest, ZeroBudgetIsInvalidArgument) {
+  // min(m, 0) buckets would make every hash a division by zero.
+  for (uint32_t m : {0u, 1u, 100u}) {
+    Result<DomainMapping> map = BuildRandomHashMapping(m, 0, 3);
+    ASSERT_FALSE(map.ok());
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SortedEntropyTest, SeparatesPureGroups) {
@@ -85,7 +123,7 @@ TEST(SortedEntropyTest, PreservesConditionalEntropyBetterThanRandom) {
 
   Result<DomainMapping> sorted = BuildSortedEntropyMapping(train, 0, 8);
   ASSERT_TRUE(sorted.ok());
-  DomainMapping random = BuildRandomHashMapping(200, 8, 6);
+  DomainMapping random = BuildRandomHashMapping(200, 8, 6).value();
 
   Dataset d_sorted = d;
   ASSERT_TRUE(ApplyMapping(d_sorted, 0, sorted.value()).ok());
@@ -123,18 +161,34 @@ TEST(SortedEntropyTest, ValidatesArguments) {
 
 TEST(ApplyMappingTest, RewritesColumnAndDomain) {
   Dataset d = MakeFkDataset(20, 100, 8);
-  DomainMapping map = BuildRandomHashMapping(20, 4, 9);
+  DomainMapping map = BuildRandomHashMapping(20, 4, 9).value();
   ASSERT_TRUE(ApplyMapping(d, 0, map).ok());
   EXPECT_EQ(d.feature_spec(0).domain_size, 4u);
   for (size_t i = 0; i < d.num_rows(); ++i) {
     EXPECT_LT(d.feature(i, 0), 4u);
   }
+
+  // A domain-preserving (smoothing) map moves codes and keeps the domain.
+  Dataset fk({{"fk", 4, FeatureRole::kForeignKey, 0}});
+  for (uint32_t c : {0u, 1u, 3u, 2u}) fk.AppendRowUnchecked({c}, 0);
+  DomainMapping smooth;
+  smooth.map = {0, 1, 1, 3};  // code 2 -> 1
+  smooth.new_domain = 4;
+  ASSERT_TRUE(ApplyMapping(fk, 0, smooth).ok());
+  EXPECT_EQ(fk.feature(0, 0), 0u);
+  EXPECT_EQ(fk.feature(3, 0), 1u);  // rewritten
+  EXPECT_EQ(fk.feature_spec(0).domain_size, 4u);
 }
 
 TEST(ApplyMappingTest, ValidatesSizeMismatch) {
   Dataset d = MakeFkDataset(20, 50, 10);
-  DomainMapping map = BuildRandomHashMapping(19, 4, 9);  // wrong old domain
+  // wrong old domain
+  DomainMapping map = BuildRandomHashMapping(19, 4, 9).value();
   EXPECT_FALSE(ApplyMapping(d, 0, map).ok());
+  DomainMapping smooth;
+  smooth.map = {0, 1};  // two codes for a 20-code domain
+  smooth.new_domain = 20;
+  EXPECT_FALSE(ApplyMapping(d, 0, smooth).ok());
 }
 
 TEST(CompressionEndToEnd, TreeAccuracySurvivesModestCompression) {

@@ -131,15 +131,6 @@ TEST(DataViewTest, RowAndFeatureSubsets) {
   EXPECT_EQ(v.domain_size(0), 5u);
 }
 
-TEST(DataViewTest, SelectRowsComposes) {
-  Dataset d = MakeDataset();
-  DataView v(&d, {3, 2, 1}, {0});
-  DataView w = v.SelectRows({2, 0});  // view rows 2,0 -> dataset rows 1,3
-  EXPECT_EQ(w.num_rows(), 2u);
-  EXPECT_EQ(w.row_id(0), 1u);
-  EXPECT_EQ(w.row_id(1), 3u);
-}
-
 TEST(DataViewTest, WithFeaturesKeepsRows) {
   Dataset d = MakeDataset();
   DataView v(&d, {1, 2}, {0, 1, 2});
@@ -153,28 +144,6 @@ TEST(DataViewTest, RowCodesMaterialises) {
   Dataset d = MakeDataset();
   DataView v(&d, {0}, {2, 0});
   EXPECT_EQ(test::RowCodes(v, 0), (std::vector<uint32_t>{2, 0}));
-}
-
-TEST(DataViewTest, SelectRowsOfSelectRowsRemapsThroughBothLayers) {
-  Dataset d = MakeDataset();
-  // Layer 1: view rows map to dataset rows {3, 2, 1, 0} (reversed).
-  DataView v(&d, {3, 2, 1, 0}, {0, 1, 2});
-  // Layer 2: pick view rows {0, 2} -> dataset rows {3, 1}.
-  DataView w = v.SelectRows({0, 2});
-  // Layer 3: pick w rows {1, 0} -> dataset rows {1, 3}.
-  DataView x = w.SelectRows({1, 0});
-  ASSERT_EQ(x.num_rows(), 2u);
-  EXPECT_EQ(x.row_id(0), 1u);
-  EXPECT_EQ(x.row_id(1), 3u);
-  // Feature ids survive row selection untouched.
-  EXPECT_EQ(x.feature_id(1), 1u);
-  // And the codes follow the dataset rows, not the view indices.
-  for (size_t j = 0; j < x.num_features(); ++j) {
-    EXPECT_EQ(x.feature(0, j), d.feature(1, j));
-    EXPECT_EQ(x.feature(1, j), d.feature(3, j));
-  }
-  EXPECT_EQ(x.label(0), d.label(1));
-  EXPECT_EQ(x.label(1), d.label(3));
 }
 
 TEST(DataViewTest, WithFeaturesRoundTripRestoresOriginalColumns) {
@@ -200,12 +169,11 @@ TEST(DataViewTest, WithFeaturesRoundTripRestoresOriginalColumns) {
   }
 }
 
-TEST(DataViewTest, SelectRowsComposesWithWithFeatures) {
+TEST(DataViewTest, WithFeaturesComposesWithAReorderedRowSubset) {
   Dataset d = MakeDataset();
-  // Interleave the two composition directions; the row_id/feature_id
-  // remapping is what CodeMatrix materialisation depends on.
-  DataView v = DataView(&d).SelectRows({1, 3, 0}).WithFeatures({2, 1});
-  DataView w = v.SelectRows({2, 1});
+  // The row_id/feature_id remapping is what CodeMatrix materialisation
+  // depends on.
+  DataView w = DataView(&d, {0, 3}, {0, 1, 2}).WithFeatures({2, 1});
   ASSERT_EQ(w.num_rows(), 2u);
   ASSERT_EQ(w.num_features(), 2u);
   EXPECT_EQ(w.row_id(0), 0u);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/core/experiment.h"
@@ -190,18 +189,6 @@ TEST(PipelineTest, CsvToTreeEndToEnd) {
   ml::DecisionTree tree({.minsplit = 1, .cp = 0.0});
   ASSERT_TRUE(tree.Fit(DataView(&data)).ok());
   EXPECT_DOUBLE_EQ(ml::Accuracy(tree, DataView(&data)), 1.0);
-}
-
-TEST(PipelineTest, WriteFileRoundTrip) {
-  const std::string path = testing::TempDir() + "/hamlet_roundtrip.csv";
-  Dataset d({{"f", 2, FeatureRole::kHome, -1}});
-  d.AppendRowUnchecked({1}, 1);
-  d.AppendRowUnchecked({0}, 0);
-  ASSERT_TRUE(WriteFile(path, WriteDatasetCsv(d)).ok());
-  Result<CsvTable> read = ReadCsvFile(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value().table.num_rows(), 2u);
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- full-effort grid smoke --

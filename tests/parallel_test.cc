@@ -262,7 +262,7 @@ class ParityModel : public ml::Classifier {
 };
 
 TEST(DeterminismTest, AccuracyIsIdenticalAcrossThreadCounts) {
-  // Large enough to cross Evaluate's chunked-scoring threshold.
+  // Large enough to cross PredictAll's chunked-scoring threshold.
   const Dataset d = MakeNoisySignal(3000, 99);
   const DataView view(&d);
   ParityModel model;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -116,9 +117,9 @@ inline Dataset MakeParityDataset(size_t num_rows,
   return data;
 }
 
-/// Train/test views over `data` that exercise the view composition the
-/// CodeMatrix materialisation depends on: a shuffled full view, narrowed
-/// twice via SelectRows-of-SelectRows, with a non-identity feature order.
+/// Train/test views over `data` that exercise the view indirection the
+/// CodeMatrix materialisation depends on: a shuffled row order, split
+/// into train and test, with a non-identity feature order.
 struct ParityViews {
   DataView train;
   DataView test;
@@ -135,22 +136,13 @@ inline ParityViews MakeParityViews(const Dataset& data, uint64_t seed) {
   std::iota(features.begin(), features.end(), 0u);
   std::reverse(features.begin(), features.end());
 
-  const DataView shuffled(&data, order, features);
-  const size_t n_train = (data.num_rows() * 2) / 3;
-
-  std::vector<uint32_t> train_ids(n_train);
-  std::iota(train_ids.begin(), train_ids.end(), 0u);
-  std::vector<uint32_t> test_ids(data.num_rows() - n_train);
-  std::iota(test_ids.begin(), test_ids.end(),
-            static_cast<uint32_t>(n_train));
-
-  // Second SelectRows layer (an identity-but-recomposed selection) pins
-  // the row-id remapping of nested views.
-  std::vector<uint32_t> all_train(n_train);
-  std::iota(all_train.begin(), all_train.end(), 0u);
+  const auto cut = order.begin() + static_cast<std::ptrdiff_t>(
+                                       (data.num_rows() * 2) / 3);
   ParityViews views;
-  views.train = shuffled.SelectRows(train_ids).SelectRows(all_train);
-  views.test = shuffled.SelectRows(test_ids);
+  views.train = DataView(&data, std::vector<uint32_t>(order.begin(), cut),
+                         features);
+  views.test = DataView(&data, std::vector<uint32_t>(cut, order.end()),
+                        std::move(features));
   return views;
 }
 
@@ -232,7 +224,7 @@ inline std::vector<ParityLearner> ParityLearners() {
 
 /// Asserts the dense batch path (PredictAll, CodeMatrix inside the hot
 /// learners) is bit-identical to the per-row DataView path (Predict), and
-/// that Evaluate's accuracy matches the per-row confusion. Returns the
+/// that Accuracy matches the per-row hit count. Returns the
 /// predictions for cross-thread-count comparisons.
 inline std::vector<uint8_t> ExpectPredictParity(const ml::Classifier& model,
                                                 const DataView& view) {

@@ -101,14 +101,6 @@ TEST(RankingTest, SignalColumnRanksFirst) {
   }
 }
 
-TEST(RankingTest, FormatContainsAllRows) {
-  Dataset d = MakeJoinedWithSignal(8);
-  DataView train(&d);
-  const std::string text = FormatRanking(d, RankForeignFeatures(d, train));
-  EXPECT_NE(text.find("a.good"), std::string::npos);
-  EXPECT_NE(text.find("b.noise2"), std::string::npos);
-}
-
 // --------------------------------------------------- partial avoidance --
 
 TEST(PartialAvoidanceTest, KZeroIsNoJoin) {

@@ -118,17 +118,19 @@ TEST(StarSchemaTest, RejectsWrongFkArity) {
 
 TEST(JoinTest, SchemaOrderAndRoles) {
   StarSchema star = MakeTinyStar();
-  const std::vector<FeatureSpec> specs = JoinedSchema(star);
-  ASSERT_EQ(specs.size(), 4u);  // gender, fk_emp, emp.state, emp.rich
-  EXPECT_EQ(specs[0].name, "gender");
-  EXPECT_EQ(specs[0].role, FeatureRole::kHome);
-  EXPECT_EQ(specs[1].name, "fk_emp");
-  EXPECT_EQ(specs[1].role, FeatureRole::kForeignKey);
-  EXPECT_EQ(specs[1].domain_size, 3u);  // |D_FK| = n_R
-  EXPECT_EQ(specs[2].name, "emp.state");
-  EXPECT_EQ(specs[2].role, FeatureRole::kForeign);
-  EXPECT_EQ(specs[2].dim_index, 0);
-  EXPECT_EQ(specs[3].name, "emp.rich");
+  Result<Dataset> joined = JoinAllTables(star);
+  ASSERT_TRUE(joined.ok());
+  const Dataset& t = joined.value();
+  ASSERT_EQ(t.num_features(), 4u);  // gender, fk_emp, emp.state, emp.rich
+  EXPECT_EQ(t.feature_spec(0).name, "gender");
+  EXPECT_EQ(t.feature_spec(0).role, FeatureRole::kHome);
+  EXPECT_EQ(t.feature_spec(1).name, "fk_emp");
+  EXPECT_EQ(t.feature_spec(1).role, FeatureRole::kForeignKey);
+  EXPECT_EQ(t.feature_spec(1).domain_size, 3u);  // |D_FK| = n_R
+  EXPECT_EQ(t.feature_spec(2).name, "emp.state");
+  EXPECT_EQ(t.feature_spec(2).role, FeatureRole::kForeign);
+  EXPECT_EQ(t.feature_spec(2).dim_index, 0);
+  EXPECT_EQ(t.feature_spec(3).name, "emp.rich");
 }
 
 TEST(JoinTest, GathersForeignFeaturesByFk) {
@@ -236,22 +238,6 @@ TEST(CsvTest, ReadRejectsRaggedRows) {
 
 TEST(CsvTest, ReadRejectsEmpty) {
   EXPECT_FALSE(ReadCsv("").ok());
-}
-
-TEST(CsvTest, WriteDatasetRoundTripsCodes) {
-  Dataset d({{"f", 3, FeatureRole::kHome, -1}});
-  ASSERT_TRUE(d.AppendRow({2}, 1).ok());
-  ASSERT_TRUE(d.AppendRow({0}, 0).ok());
-  const std::string text = WriteDatasetCsv(d);
-  EXPECT_NE(text.find("f,label"), std::string::npos);
-  EXPECT_NE(text.find("2,1"), std::string::npos);
-  EXPECT_NE(text.find("0,0"), std::string::npos);
-}
-
-TEST(CsvTest, MissingFileIsNotFound) {
-  Result<CsvTable> r = ReadCsvFile("/nonexistent/path.csv");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

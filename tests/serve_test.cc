@@ -588,31 +588,32 @@ TEST(ServeTest, BatcherRefusesOutOfDomainRowsAndReusesItsBatch) {
   const std::vector<uint32_t> domains = model.train_domain_sizes();
 
   serve::LatencyStats stats;
-  std::vector<std::pair<uint64_t, uint8_t>> emitted;
+  std::vector<std::pair<size_t, uint8_t>> emitted;
   serve::RequestBatcher batcher(
       model, domains, 3, nullptr, stats,
-      [&emitted](uint64_t tag, uint8_t p) -> Status {
-        emitted.emplace_back(tag, p);
+      [&emitted](size_t row, uint8_t p) -> Status {
+        emitted.emplace_back(row, p);
         return Status::OK();
       });
   const std::vector<uint32_t> bad = {0, 4, 0, 0};  // feature 1 is [0, 4)
-  const Status refused = batcher.Add(bad.data(), 99);
+  const Status refused = batcher.Add(bad.data());
   EXPECT_EQ(refused.code(), StatusCode::kOutOfRange);
   EXPECT_EQ(refused.message(), "code out of domain for feature 'f1'");
   EXPECT_EQ(batcher.pending(), 0u);
 
   // Seven rows at batch size 3: two full batches flush inside Add, the
-  // last row on Flush. Every prediction matches the model's own, by tag.
+  // last row on Flush. Every prediction matches the model's own, and
+  // carries its row's index in its batch.
   const DataView view(&data);
-  for (uint64_t i = 0; i < 7; ++i) {
+  for (size_t i = 0; i < 7; ++i) {
     const std::vector<uint32_t> row = test::RowCodes(view, i);
-    ASSERT_TRUE(batcher.Add(row.data(), i).ok());
+    ASSERT_TRUE(batcher.Add(row.data()).ok());
   }
   EXPECT_EQ(batcher.pending(), 1u);
   ASSERT_TRUE(batcher.Flush().ok());
   ASSERT_EQ(emitted.size(), 7u);
-  for (uint64_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(emitted[i].first, i);
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(emitted[i].first, i % 3);
     EXPECT_EQ(emitted[i].second, model.Predict(view, i)) << "row " << i;
   }
   EXPECT_EQ(stats.Summarize().batches, 3u);

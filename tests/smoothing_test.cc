@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hamlet/common/rng.h"
 #include "hamlet/core/fk_smoothing.h"
 #include "hamlet/data/split.h"
@@ -17,6 +19,17 @@ Dataset MakeFkOnly(uint32_t m, const std::vector<uint32_t>& fks) {
   return d;
 }
 
+/// Codes a smoothing map moves; each unseen code moves to a seen one.
+size_t MovedCodes(const DomainMapping& map) {
+  size_t moved = 0;
+  for (uint32_t v = 0; v < map.map.size(); ++v) moved += map.map[v] != v;
+  return moved;
+}
+
+size_t Unseen(const std::vector<uint8_t>& seen) {
+  return static_cast<size_t>(std::count(seen.begin(), seen.end(), 0));
+}
+
 TEST(SeenCodesTest, MarksExactlyTrainingCodes) {
   Dataset d = MakeFkOnly(6, {0, 2, 2, 4});
   const std::vector<uint8_t> seen = SeenCodes(DataView(&d), 0);
@@ -25,11 +38,12 @@ TEST(SeenCodesTest, MarksExactlyTrainingCodes) {
 
 TEST(RandomSmoothingTest, SeenCodesMapToThemselves) {
   std::vector<uint8_t> seen = {1, 0, 1, 0};
-  Result<SmoothingMap> map = BuildRandomSmoothing(seen, 3);
+  Result<DomainMapping> map = BuildRandomSmoothing(seen, 3);
   ASSERT_TRUE(map.ok());
   EXPECT_EQ(map.value().map[0], 0u);
   EXPECT_EQ(map.value().map[2], 2u);
-  EXPECT_EQ(map.value().num_unseen, 2u);
+  EXPECT_EQ(map.value().new_domain, 4u);  // smoothing keeps the domain
+  EXPECT_EQ(MovedCodes(map.value()), Unseen(seen));
   // Unseen codes land on seen ones.
   for (uint32_t v : {1u, 3u}) {
     const uint32_t target = map.value().map[v];
@@ -42,9 +56,10 @@ TEST(RandomSmoothingTest, FailsWithNothingSeen) {
 }
 
 TEST(RandomSmoothingTest, NoUnseenIsIdentity) {
-  Result<SmoothingMap> map = BuildRandomSmoothing({1, 1, 1}, 1);
+  Result<DomainMapping> map = BuildRandomSmoothing({1, 1, 1}, 1);
   ASSERT_TRUE(map.ok());
-  EXPECT_EQ(map.value().num_unseen, 0u);
+  EXPECT_EQ(map.value().new_domain, 3u);
+  EXPECT_EQ(MovedCodes(map.value()), 0u);
   for (uint32_t v = 0; v < 3; ++v) EXPECT_EQ(map.value().map[v], v);
 }
 
@@ -55,10 +70,12 @@ TEST(XrSmoothingTest, PicksMinimumL0Neighbour) {
   dim.AppendRowUnchecked({0, 0});
   dim.AppendRowUnchecked({5, 5});
   dim.AppendRowUnchecked({0, 1});
-  Result<SmoothingMap> map = BuildXrSmoothing({1, 1, 0}, dim);
+  const std::vector<uint8_t> seen = {1, 1, 0};
+  Result<DomainMapping> map = BuildXrSmoothing(seen, dim);
   ASSERT_TRUE(map.ok());
   EXPECT_EQ(map.value().map[2], 0u);
-  EXPECT_EQ(map.value().num_unseen, 1u);
+  EXPECT_EQ(map.value().new_domain, 3u);
+  EXPECT_EQ(MovedCodes(map.value()), Unseen(seen));
 }
 
 TEST(XrSmoothingTest, TieBreaksTowardSmallestCode) {
@@ -67,7 +84,7 @@ TEST(XrSmoothingTest, TieBreaksTowardSmallestCode) {
   dim.AppendRowUnchecked({1, 0});
   dim.AppendRowUnchecked({0, 1});
   dim.AppendRowUnchecked({1, 1});
-  Result<SmoothingMap> map = BuildXrSmoothing({1, 1, 0}, dim);
+  Result<DomainMapping> map = BuildXrSmoothing({1, 1, 0}, dim);
   ASSERT_TRUE(map.ok());
   EXPECT_EQ(map.value().map[2], 0u);
 }
@@ -77,7 +94,7 @@ TEST(XrSmoothingTest, ExactXrMatchWins) {
   dim.AppendRowUnchecked({3});
   dim.AppendRowUnchecked({1});
   dim.AppendRowUnchecked({1});  // unseen, identical X_R to row 1
-  Result<SmoothingMap> map = BuildXrSmoothing({1, 1, 0}, dim);
+  Result<DomainMapping> map = BuildXrSmoothing({1, 1, 0}, dim);
   ASSERT_TRUE(map.ok());
   EXPECT_EQ(map.value().map[2], 1u);
 }
@@ -86,24 +103,6 @@ TEST(XrSmoothingTest, ValidatesBitmapSize) {
   Table dim(TableSchema({{"a", 2}}));
   dim.AppendRowUnchecked({0});
   EXPECT_FALSE(BuildXrSmoothing({1, 0}, dim).ok());  // 2 codes, 1 row
-}
-
-TEST(ApplySmoothingTest, RewritesOnlyUnseenCodes) {
-  Dataset d = MakeFkOnly(4, {0, 1, 3, 2});
-  SmoothingMap map;
-  map.map = {0, 1, 1, 3};  // code 2 -> 1
-  map.num_unseen = 1;
-  ASSERT_TRUE(ApplySmoothing(d, 0, map).ok());
-  EXPECT_EQ(d.feature(0, 0), 0u);
-  EXPECT_EQ(d.feature(3, 0), 1u);           // rewritten
-  EXPECT_EQ(d.feature_spec(0).domain_size, 4u);  // domain unchanged
-}
-
-TEST(ApplySmoothingTest, ValidatesMapSize) {
-  Dataset d = MakeFkOnly(4, {0});
-  SmoothingMap map;
-  map.map = {0, 1};
-  EXPECT_FALSE(ApplySmoothing(d, 0, map).ok());
 }
 
 TEST(SmoothingEndToEnd, XrBasedBeatsRandomWhenXrCarriesSignal) {
@@ -132,9 +131,9 @@ TEST(SmoothingEndToEnd, XrBasedBeatsRandomWhenXrCarriesSignal) {
   DataView train(&data, train_rows, {0});
   const std::vector<uint8_t> seen = SeenCodes(train, 0);
 
-  auto accuracy_with = [&](const SmoothingMap& map) {
+  auto accuracy_with = [&](const DomainMapping& map) {
     Dataset copy = data;
-    EXPECT_TRUE(ApplySmoothing(copy, 0, map).ok());
+    EXPECT_TRUE(ApplyMapping(copy, 0, map).ok());
     // A trivial FK-majority "model": per seen FK code majority label from
     // training rows (isolates the smoothing quality from model details).
     std::vector<int> pos(nr, 0), tot(nr, 0);
@@ -151,9 +150,9 @@ TEST(SmoothingEndToEnd, XrBasedBeatsRandomWhenXrCarriesSignal) {
     return static_cast<double>(hits) / test_rows.size();
   };
 
-  Result<SmoothingMap> xr = BuildXrSmoothing(seen, dim);
+  Result<DomainMapping> xr = BuildXrSmoothing(seen, dim);
   ASSERT_TRUE(xr.ok());
-  Result<SmoothingMap> random = BuildRandomSmoothing(seen, 17);
+  Result<DomainMapping> random = BuildRandomSmoothing(seen, 17);
   ASSERT_TRUE(random.ok());
   const double acc_xr = accuracy_with(xr.value());
   const double acc_random = accuracy_with(random.value());

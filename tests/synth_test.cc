@@ -111,14 +111,6 @@ TEST(OneXrTest, LabelFollowsXrWithNoise) {
   EXPECT_NEAR(static_cast<double>(agree) / star.num_facts(), 0.1, 0.02);
 }
 
-TEST(OneXrTest, BayesErrorIsMinP) {
-  OneXrConfig cfg;
-  cfg.p = 0.1;
-  EXPECT_DOUBLE_EQ(OneXrBayesError(cfg), 0.1);
-  cfg.p = 0.7;
-  EXPECT_NEAR(OneXrBayesError(cfg), 0.3, 1e-12);
-}
-
 TEST(OneXrTest, ZipfSkewConcentratesFks) {
   OneXrConfig uni;
   uni.ns = 20000;

@@ -78,6 +78,14 @@ Rules
                   a hand-written view path is a second scoring path that
                   parity tests must pin. Call sites pass a view and do
                   not match.
+  remap-home      `ReplaceColumn(` appears in src/, bench/ and examples/
+                  only in src/hamlet/data/dataset.{h,cc} and
+                  src/hamlet/core/fk_compression.cc. FK compression and
+                  FK smoothing both rewrite a column through a
+                  core::DomainMapping, and core::ApplyMapping is the one
+                  place that checks the map against the column's domain
+                  before rewriting it; a second column rewrite is a
+                  second, unchecked remap path.
   int-parse       No C integer parsers in src/ code: strtol, strtoll,
                   strtoul, strtoull, atoi, atol, atoll and the std::sto*
                   family (comments and strings pass). They accept signs,
@@ -98,9 +106,9 @@ or `# hamlet-lint: allow(<rule>)` in a CMake file (rule is one of:
 determinism, unordered-iter, fp-contract). env-docs and test-reg are
 cross-file properties with no meaningful per-line waiver, a discarded
 Status has no legitimate use in status-discard's scope, and a second
-kernel-math, env-read, counter-home or predict-home site, ISA code outside simd/,
-a C integer parser in src/, or a clock in bench/ is exactly what those
-rules exist to stop.
+kernel-math, env-read, counter-home, predict-home or remap-home site,
+ISA code outside simd/, a C integer parser in src/, or a clock in bench/
+is exactly what those rules exist to stop.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -205,6 +213,11 @@ ONE_HOME_RULES = [
       "src/hamlet/ml/nb/backward_selection.cc"), ("src",),
      "a view scoring path outside %s; derive the learner from "
      "ml::CodeClassifier and implement PredictCodes"),
+    ("remap-home", re.compile(r"\bReplaceColumn\s*\("),
+     ("src/hamlet/data/dataset.h", "src/hamlet/data/dataset.cc",
+      "src/hamlet/core/fk_compression.cc"), ("src", "bench", "examples"),
+     "a column rewrite outside %s; build a core::DomainMapping and "
+     "call core::ApplyMapping"),
 ]
 
 

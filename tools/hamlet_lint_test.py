@@ -441,6 +441,41 @@ def main():
         check("predict-home: homes, calls, prose and tests pass",
               code == 0, out)
 
+        # remap-home: a ReplaceColumn( call outside data/dataset.{h,cc}
+        # and core/fk_compression.cc fires in src/, bench/ and
+        # examples/, waiver or not.
+        rhome_fire = (Fixture(base, "remaphome_fire")
+                      .write("src/hamlet/core/fk_smoothing.cc",
+                             "return data.ReplaceColumn(col, codes, m);\n")
+                      .write("bench/bench_a.cc",
+                             "(void)d.ReplaceColumn (c, std::move(v), 4);"
+                             "  // hamlet-lint: allow(remap-home)\n")
+                      .write("examples/a.cpp",
+                             "if (!d.ReplaceColumn(0, v, 2).ok()) return 1;\n"))
+        code, out = rhome_fire.lint()
+        check("remap-home fires on column rewrites",
+              code == 1 and out.count("[remap-home]") == 3 and
+              "src/hamlet/core/fk_smoothing.cc:1:" in out and
+              "bench/bench_a.cc:1:" in out and "examples/a.cpp:1:" in out,
+              out)
+
+        # Its three homes, prose, strings, tests and perfbench stay quiet.
+        call = "return data.ReplaceColumn(col, std::move(codes), m);\n"
+        rhome_quiet = (Fixture(base, "remaphome_quiet")
+                       .write("src/hamlet/data/dataset.h",
+                              "Status ReplaceColumn(size_t col);\n")
+                       .write("src/hamlet/data/dataset.cc", call)
+                       .write("src/hamlet/core/fk_compression.cc", call)
+                       .write("bench/bench_a.cc",
+                              "// ApplyMapping calls ReplaceColumn(col)\n"
+                              'const char* s = "ReplaceColumn(";\n'
+                              "ASSERT_TRUE(ApplyMapping(d, 0, map).ok());\n")
+                       .write("tests/parity_util.h", call)
+                       .write("perfbench/a.cc", call))
+        code, out = rhome_quiet.lint()
+        check("remap-home: homes, prose, strings, tests pass", code == 0,
+              out)
+
         # simd-home: ISA code outside src/hamlet/simd/ fires, waiver or
         # not; the same code under simd/, prose, strings, a plain target
         # and code outside src/ stay quiet.
