@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/core/fk_compression.h"
@@ -93,6 +94,14 @@ TEST(RandomHashMappingTest, ZeroBudgetIsInvalidArgument) {
   }
 }
 
+TEST(RandomHashMappingTest, BudgetOfOneSendsEveryCodeToZero) {
+  // The smallest budget the guard accepts: one bucket, no division by 0.
+  Result<DomainMapping> map = BuildRandomHashMapping(50, 1, 3);
+  ASSERT_TRUE(map.ok());
+  EXPECT_EQ(map.value().new_domain, 1u);
+  EXPECT_EQ(map.value().map, std::vector<uint32_t>(50, 0u));
+}
+
 TEST(SortedEntropyTest, SeparatesPureGroups) {
   // Codes 0..4 always positive, 5..9 always negative: with budget 2, the
   // mapping must split them into different buckets.
@@ -167,17 +176,6 @@ TEST(ApplyMappingTest, RewritesColumnAndDomain) {
   for (size_t i = 0; i < d.num_rows(); ++i) {
     EXPECT_LT(d.feature(i, 0), 4u);
   }
-
-  // A domain-preserving (smoothing) map moves codes and keeps the domain.
-  Dataset fk({{"fk", 4, FeatureRole::kForeignKey, 0}});
-  for (uint32_t c : {0u, 1u, 3u, 2u}) fk.AppendRowUnchecked({c}, 0);
-  DomainMapping smooth;
-  smooth.map = {0, 1, 1, 3};  // code 2 -> 1
-  smooth.new_domain = 4;
-  ASSERT_TRUE(ApplyMapping(fk, 0, smooth).ok());
-  EXPECT_EQ(fk.feature(0, 0), 0u);
-  EXPECT_EQ(fk.feature(3, 0), 1u);  // rewritten
-  EXPECT_EQ(fk.feature_spec(0).domain_size, 4u);
 }
 
 TEST(ApplyMappingTest, ValidatesSizeMismatch) {
@@ -185,6 +183,25 @@ TEST(ApplyMappingTest, ValidatesSizeMismatch) {
   // wrong old domain
   DomainMapping map = BuildRandomHashMapping(19, 4, 9).value();
   EXPECT_FALSE(ApplyMapping(d, 0, map).ok());
+}
+
+TEST(ApplyMappingTest, DomainPreservingMapRewritesOnlyMovedCodes) {
+  // The FK-smoothing shape: seen codes map to themselves, the domain stays.
+  Dataset fk({{"fk", 4, FeatureRole::kForeignKey, 0}});
+  for (uint32_t c : {0u, 1u, 3u, 2u}) fk.AppendRowUnchecked({c}, 0);
+  DomainMapping smooth;
+  smooth.map = {0, 1, 1, 3};  // code 2 -> 1
+  smooth.new_domain = 4;
+  ASSERT_TRUE(ApplyMapping(fk, 0, smooth).ok());
+  EXPECT_EQ(fk.feature(0, 0), 0u);
+  EXPECT_EQ(fk.feature(1, 0), 1u);
+  EXPECT_EQ(fk.feature(2, 0), 3u);
+  EXPECT_EQ(fk.feature(3, 0), 1u);  // rewritten
+  EXPECT_EQ(fk.feature_spec(0).domain_size, 4u);  // domain unchanged
+}
+
+TEST(ApplyMappingTest, DomainPreservingMapValidatesItsSize) {
+  Dataset d = MakeFkDataset(20, 50, 10);
   DomainMapping smooth;
   smooth.map = {0, 1};  // two codes for a 20-code domain
   smooth.new_domain = 20;

@@ -131,6 +131,21 @@ TEST(DataViewTest, RowAndFeatureSubsets) {
   EXPECT_EQ(v.domain_size(0), 5u);
 }
 
+TEST(DataViewTest, ReorderedRowsReadTheirDatasetRows) {
+  Dataset d = MakeDataset();
+  // A reversed row order: codes and labels follow the dataset rows the
+  // view names, not the view indices.
+  DataView v(&d, {3, 2, 1, 0}, {0, 1, 2});
+  for (size_t i = 0; i < v.num_rows(); ++i) {
+    const size_t r = 3 - i;
+    EXPECT_EQ(v.row_id(i), r);
+    for (size_t j = 0; j < v.num_features(); ++j) {
+      EXPECT_EQ(v.feature(i, j), d.feature(r, j));
+    }
+    EXPECT_EQ(v.label(i), d.label(r));
+  }
+}
+
 TEST(DataViewTest, WithFeaturesKeepsRows) {
   Dataset d = MakeDataset();
   DataView v(&d, {1, 2}, {0, 1, 2});

@@ -49,6 +49,15 @@ TEST(MetricsTest, AccuracyAndErrorRate) {
   EXPECT_DOUBLE_EQ(ErrorRate(ones, DataView(&d)), 0.4);
 }
 
+TEST(MetricsTest, AccuracyCountsOnlyTheViewsRows) {
+  // Rows 2..4 hold labels {0, 0, 1}: one hit out of three for all-ones.
+  Dataset d = MakeLabeled({1, 1, 0, 0, 1});
+  DataView tail(&d, {2, 3, 4}, {0});
+  ConstantModel ones(1);
+  EXPECT_EQ(Accuracy(ones, tail), 1.0 / 3.0);
+  EXPECT_EQ(ErrorRate(ones, tail), 1.0 - 1.0 / 3.0);
+}
+
 TEST(MetricsTest, EmptyViewDegenerates) {
   Dataset d = MakeLabeled({1});
   DataView empty(&d, {}, {0});

@@ -619,6 +619,38 @@ TEST(ServeTest, BatcherRefusesOutOfDomainRowsAndReusesItsBatch) {
   EXPECT_EQ(stats.Summarize().batches, 3u);
 }
 
+TEST(ServeTest, BatcherRefusedRowTakesNoBatchIndex) {
+  const Dataset data = MakeParityDataset(120, {5, 4, 3}, 17);
+  ml::DecisionTree model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+
+  serve::LatencyStats stats;
+  std::vector<std::pair<size_t, uint8_t>> emitted;
+  serve::RequestBatcher batcher(
+      model, model.train_domain_sizes(), 8, nullptr, stats,
+      [&emitted](size_t row, uint8_t p) -> Status {
+        emitted.emplace_back(row, p);
+        return Status::OK();
+      });
+  // good, refused, good: the two staged rows are indices 0 and 1.
+  const DataView view(&data);
+  const std::vector<uint32_t> first = test::RowCodes(view, 0);
+  const std::vector<uint32_t> bad = {0, 0, 3};  // feature 2 is [0, 3)
+  const std::vector<uint32_t> second = test::RowCodes(view, 1);
+  ASSERT_TRUE(batcher.Add(first.data()).ok());
+  EXPECT_EQ(batcher.Add(bad.data()).code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(batcher.Add(second.data()).ok());
+  EXPECT_EQ(batcher.pending(), 2u);
+  ASSERT_TRUE(batcher.Flush().ok());
+  EXPECT_EQ(batcher.pending(), 0u);
+  ASSERT_EQ(emitted.size(), 2u);
+  EXPECT_EQ(emitted[0].first, 0u);
+  EXPECT_EQ(emitted[0].second, model.Predict(view, 0));
+  EXPECT_EQ(emitted[1].first, 1u);
+  EXPECT_EQ(emitted[1].second, model.Predict(view, 1));
+  EXPECT_EQ(stats.Summarize().batches, 1u);
+}
+
 TEST(ServeTest, NulByteLineIsRejectedAndItsNeighboursServed) {
   // A C-string walk would stop at the NUL and serve "1 2".
   const Dataset data = MakeParityDataset(80, {5, 4}, 7);

@@ -52,7 +52,9 @@ TEST(RandomSmoothingTest, SeenCodesMapToThemselves) {
 }
 
 TEST(RandomSmoothingTest, FailsWithNothingSeen) {
-  EXPECT_FALSE(BuildRandomSmoothing({0, 0, 0}, 1).ok());
+  Result<DomainMapping> map = BuildRandomSmoothing({0, 0, 0}, 1);
+  ASSERT_FALSE(map.ok());
+  EXPECT_EQ(map.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(RandomSmoothingTest, NoUnseenIsIdentity) {
@@ -103,6 +105,37 @@ TEST(XrSmoothingTest, ValidatesBitmapSize) {
   Table dim(TableSchema({{"a", 2}}));
   dim.AppendRowUnchecked({0});
   EXPECT_FALSE(BuildXrSmoothing({1, 0}, dim).ok());  // 2 codes, 1 row
+}
+
+TEST(XrSmoothingTest, FailsWithNothingSeen) {
+  // Same precondition as the random builder: no seen code to send to.
+  Table dim(TableSchema({{"x", 2}}));
+  dim.AppendRowUnchecked({0});
+  dim.AppendRowUnchecked({1});
+  Result<DomainMapping> map = BuildXrSmoothing({0, 0}, dim);
+  ASSERT_FALSE(map.ok());
+  EXPECT_EQ(map.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(SmoothingEndToEnd, AppliedMapLeavesOnlySeenCodes) {
+  // Fit on a training prefix, rewrite the whole column through
+  // ApplyMapping: every code is now a training code, rows whose code was
+  // seen keep it, and the FK domain is unchanged.
+  Dataset d = MakeFkOnly(8, {0, 3, 3, 5, 1, 2, 7, 6, 4, 0});
+  const Dataset original = d;
+  const DataView train(&d, {0, 1, 2, 3}, {0});
+  const std::vector<uint8_t> seen = SeenCodes(train, 0);
+  Result<DomainMapping> map = BuildRandomSmoothing(seen, 5);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE(ApplyMapping(d, 0, map.value()).ok());
+  EXPECT_EQ(d.feature_spec(0).domain_size, 8u);
+  for (size_t i = 0; i < d.num_rows(); ++i) {
+    const uint32_t before = original.feature(i, 0);
+    EXPECT_TRUE(seen[d.feature(i, 0)]) << "row " << i;
+    if (seen[before]) {
+      EXPECT_EQ(d.feature(i, 0), before) << "row " << i;
+    }
+  }
 }
 
 TEST(SmoothingEndToEnd, XrBasedBeatsRandomWhenXrCarriesSignal) {
