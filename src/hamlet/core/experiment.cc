@@ -9,7 +9,6 @@
 #include "hamlet/ml/linear/logistic_regression.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/nb/backward_selection.h"
-#include "hamlet/ml/nb/naive_bayes.h"
 #include "hamlet/ml/svm/svm.h"
 #include "hamlet/ml/tree/decision_tree.h"
 
@@ -177,8 +176,7 @@ ml::ModelFactory FactoryFor(ModelKind kind, const PreparedData& prepared,
     }
     case ModelKind::kNaiveBayesBackward:
       return [val](const ml::ParamMap&) {
-        return std::make_unique<ml::BackwardSelectionClassifier>(
-            [] { return std::make_unique<ml::NaiveBayes>(); }, val);
+        return std::make_unique<ml::BackwardSelectionClassifier>(val);
       };
     case ModelKind::kLogRegL1: {
       const size_t nlambda = full ? 100 : 15;

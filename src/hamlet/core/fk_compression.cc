@@ -7,16 +7,6 @@
 namespace hamlet {
 namespace core {
 
-const char* CompressionMethodName(CompressionMethod method) {
-  switch (method) {
-    case CompressionMethod::kRandomHash:
-      return "random-hash";
-    case CompressionMethod::kSortedEntropy:
-      return "sorted-entropy";
-  }
-  return "unknown";
-}
-
 Result<DomainMapping> BuildRandomHashMapping(uint32_t m, uint32_t budget,
                                              uint64_t seed) {
   if (budget < 1) return Status::InvalidArgument("budget must be >= 1");

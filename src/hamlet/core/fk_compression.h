@@ -28,8 +28,6 @@ enum class CompressionMethod {
   kSortedEntropy,
 };
 
-const char* CompressionMethodName(CompressionMethod method);
-
 /// A code mapping old-domain -> new-domain. FK compression shrinks the
 /// domain; FK smoothing (fk_smoothing.h) keeps it and only moves codes.
 struct DomainMapping {

@@ -24,16 +24,6 @@ Result<std::vector<uint32_t>> SeenCodeList(const std::vector<uint8_t>& seen) {
 
 }  // namespace
 
-const char* SmoothingMethodName(SmoothingMethod method) {
-  switch (method) {
-    case SmoothingMethod::kRandom:
-      return "random";
-    case SmoothingMethod::kXrBased:
-      return "xr-based";
-  }
-  return "unknown";
-}
-
 std::vector<uint8_t> SeenCodes(const DataView& train, size_t view_feature) {
   std::vector<uint8_t> seen(train.domain_size(view_feature), 0);
   for (size_t i = 0; i < train.num_rows(); ++i) {

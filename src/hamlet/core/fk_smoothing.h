@@ -30,8 +30,6 @@ enum class SmoothingMethod {
   kXrBased,
 };
 
-const char* SmoothingMethodName(SmoothingMethod method);
-
 /// Codes of `view_feature` occurring in `train` (bitmap of size domain).
 std::vector<uint8_t> SeenCodes(const DataView& train, size_t view_feature);
 

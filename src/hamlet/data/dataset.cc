@@ -56,12 +56,6 @@ int Dataset::IndexOf(const std::string& name) const {
   return -1;
 }
 
-size_t Dataset::OneHotDimension() const {
-  size_t d = 0;
-  for (const auto& f : features_) d += f.domain_size;
-  return d;
-}
-
 void Dataset::Reserve(size_t rows) {
   for (auto& col : columns_) col.reserve(rows);
   labels_.reserve(rows);

@@ -44,7 +44,6 @@ class Dataset {
   size_t num_features() const { return features_.size(); }
 
   const FeatureSpec& feature_spec(size_t col) const { return features_[col]; }
-  const std::vector<FeatureSpec>& feature_specs() const { return features_; }
 
   uint32_t feature(size_t row, size_t col) const {
     return columns_[col][row];
@@ -70,9 +69,6 @@ class Dataset {
 
   /// Index of the feature named `name`, or -1.
   int IndexOf(const std::string& name) const;
-
-  /// Sum of feature domain sizes == dimensionality of the one-hot encoding.
-  size_t OneHotDimension() const;
 
   void Reserve(size_t rows);
 

@@ -25,10 +25,4 @@ DataView DataView::WithFeatures(std::vector<uint32_t> feature_ids) const {
   return DataView(data_, rows_, std::move(feature_ids));
 }
 
-size_t DataView::OneHotDimension() const {
-  size_t d = 0;
-  for (size_t j = 0; j < features_.size(); ++j) d += domain_size(j);
-  return d;
-}
-
 }  // namespace hamlet

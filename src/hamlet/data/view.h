@@ -54,9 +54,6 @@ class DataView {
   /// Same rows, different feature subset (underlying dataset column ids).
   DataView WithFeatures(std::vector<uint32_t> feature_ids) const;
 
-  /// Sum of selected features' domain sizes.
-  size_t OneHotDimension() const;
-
  private:
   const Dataset* data_ = nullptr;
   std::vector<uint32_t> rows_;

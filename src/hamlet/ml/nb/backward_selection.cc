@@ -1,109 +1,98 @@
 #include "hamlet/ml/nb/backward_selection.h"
 
-#include <algorithm>
 #include <numeric>
+#include <string>
 
-#include "hamlet/ml/metrics.h"
+#include "hamlet/data/code_matrix.h"
 
 namespace hamlet {
 namespace ml {
 
-BackwardSelectionClassifier::BackwardSelectionClassifier(
-    BaseModelFactory factory, DataView val)
-    : factory_(std::move(factory)), val_(std::move(val)) {}
-
-std::string BackwardSelectionClassifier::name() const {
-  return "backward-selection";
-}
+BackwardSelectionClassifier::BackwardSelectionClassifier(DataView val)
+    : val_(std::move(val)) {}
 
 Status BackwardSelectionClassifier::Fit(const DataView& train) {
   if (train.num_rows() == 0) {
     return Status::InvalidArgument("empty training view");
   }
   const size_t d = train.num_features();
+  if (val_.num_features() != d) {
+    return Status::InvalidArgument(
+        "validation view has " + std::to_string(val_.num_features()) +
+        " features, training view has " + std::to_string(d));
+  }
+  HAMLET_RETURN_IF_ERROR(nb_.Fit(train));
 
-  // Helper: fit + validate the base model on a view-feature subset.
-  auto evaluate = [&](const std::vector<uint32_t>& subset,
-                      std::unique_ptr<Classifier>& out_model,
-                      double& out_acc) -> Status {
-    std::vector<uint32_t> train_cols, val_cols;
-    train_cols.reserve(subset.size());
-    val_cols.reserve(subset.size());
-    for (uint32_t j : subset) {
-      train_cols.push_back(train.feature_id(j));
-      val_cols.push_back(val_.feature_id(j));
+  // Each validation row's per-feature log-odds terms, tabulated once.
+  const CodeMatrix val(val_);
+  const size_t n = val.num_rows();
+  std::vector<double> terms(n * d);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      terms[i * d + j] = nb_.FeatureLogOdds(j, val.row(i)[j]);
     }
-    DataView sub_train = train.WithFeatures(train_cols);
-    DataView sub_val = val_.WithFeatures(val_cols);
-    out_model = factory_();
-    HAMLET_RETURN_IF_ERROR(out_model->Fit(sub_train));
-    out_acc = Accuracy(*out_model, sub_val);
-    return Status::OK();
+  }
+  // Validation accuracy (ml::Accuracy's correct / n, 0 when empty) of
+  // Naive Bayes on `kept`: the prior plus the kept terms in ascending
+  // feature order, the double sequence NaiveBayes::LogOddsOfCodes sums on
+  // a refit over those features alone.
+  const double prior = nb_.LogPriorOdds();
+  auto accuracy = [&](const std::vector<uint32_t>& kept) {
+    if (n == 0) return 0.0;
+    size_t correct = 0;
+    for (size_t i = 0; i < n; ++i) {
+      double odds = prior;
+      for (uint32_t j : kept) odds += terms[i * d + j];
+      correct += (odds >= 0.0 ? 1 : 0) == val.label(i);
+    }
+    return static_cast<double>(correct) / static_cast<double>(n);
   };
 
   std::vector<uint32_t> current(d);
   std::iota(current.begin(), current.end(), 0u);
-  std::unique_ptr<Classifier> best_model;
-  double best_acc = 0.0;
-  HAMLET_RETURN_IF_ERROR(evaluate(current, best_model, best_acc));
+  double best_acc = accuracy(current);
 
-  // Greedy eliminations; keep at least one feature.
+  // Greedy eliminations; keep at least one feature. Only a strictly
+  // better candidate replaces the round's best, so ties go to the
+  // earliest dropped feature.
   bool improved = true;
   while (improved && current.size() > 1) {
     improved = false;
     size_t drop_pos = current.size();
-    std::unique_ptr<Classifier> round_model;
     double round_acc = best_acc;
     for (size_t k = 0; k < current.size(); ++k) {
       std::vector<uint32_t> candidate = current;
       candidate.erase(candidate.begin() + static_cast<long>(k));
-      std::unique_ptr<Classifier> model;
-      double acc = 0.0;
-      HAMLET_RETURN_IF_ERROR(evaluate(candidate, model, acc));
+      const double acc = accuracy(candidate);
       if (acc > round_acc) {
         round_acc = acc;
-        round_model = std::move(model);
         drop_pos = k;
       }
     }
     if (drop_pos < current.size()) {
       current.erase(current.begin() + static_cast<long>(drop_pos));
-      best_model = std::move(round_model);
       best_acc = round_acc;
       improved = true;
     }
   }
 
   selected_ = std::move(current);
-  model_ = std::move(best_model);
-  val_accuracy_ = best_acc;
-  // Recorded for interface uniformity; the wrapper itself has no
-  // serialized form (SaveBody stays the unsupported default) because its
-  // inner model scores a feature *subset*, not raw header-domain tuples.
+  // The wrapper has no serialized form (SaveBody stays the unsupported
+  // default); the record sizes the rows PredictCodes receives.
   RecordTrainDomains(train);
   return Status::OK();
 }
 
-uint8_t BackwardSelectionClassifier::Predict(const DataView& view,
-                                             size_t i) const {
-  // Project the prediction view onto the selected subset. View-feature
-  // order must match the training view's (the standard contract).
-  std::vector<uint32_t> cols;
-  cols.reserve(selected_.size());
-  for (uint32_t j : selected_) cols.push_back(view.feature_id(j));
-  DataView sub(view.dataset(), {view.row_id(i)}, std::move(cols));
-  return model_->Predict(sub, 0);
-}
-
-std::vector<uint8_t> BackwardSelectionClassifier::PredictAll(
-    const DataView& view) const {
-  // One projection for the whole batch instead of a one-row view per
-  // prediction; the base model's PredictAll then materialises the
-  // projected view densely.
-  std::vector<uint32_t> cols;
-  cols.reserve(selected_.size());
-  for (uint32_t j : selected_) cols.push_back(view.feature_id(j));
-  return model_->PredictAll(view.WithFeatures(std::move(cols)));
+void BackwardSelectionClassifier::PredictCodes(const uint32_t* codes,
+                                               size_t rows,
+                                               uint8_t* out) const {
+  const size_t d = train_domain_sizes().size();
+  for (size_t r = 0; r < rows; ++r) {
+    const uint32_t* row = codes + r * d;
+    double odds = nb_.LogPriorOdds();
+    for (uint32_t j : selected_) odds += nb_.FeatureLogOdds(j, row[j]);
+    out[r] = odds >= 0.0 ? 1 : 0;
+  }
 }
 
 }  // namespace ml

@@ -1,55 +1,52 @@
-// Greedy backward feature selection wrapper (the paper's "Naive Bayes with
-// backward selection", §3).
+// Naive Bayes with greedy backward feature selection (the paper's linear
+// baseline, §3).
 //
 // Starting from all features, repeatedly drops the single feature whose
 // removal most improves validation accuracy; stops when no removal helps.
-// Works for any base classifier factory, though the study applies it to
-// Naive Bayes only.
+// Naive Bayes log odds are a prior term plus one term per feature, each
+// a function of that feature's counts alone, so a refit on a feature
+// subset scores exactly like the full fit with the other terms left out:
+// one fit serves every candidate subset.
 
 #ifndef HAMLET_ML_NB_BACKWARD_SELECTION_H_
 #define HAMLET_ML_NB_BACKWARD_SELECTION_H_
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "hamlet/ml/classifier.h"
+#include "hamlet/ml/nb/naive_bayes.h"
 
 namespace hamlet {
 namespace ml {
 
-/// Builds a fresh, unfitted base model.
-using BaseModelFactory = std::function<std::unique_ptr<Classifier>()>;
-
-/// Wrapper model: selects a feature subset on (train, val) during Fit, then
-/// behaves as the base model restricted to that subset.
-class BackwardSelectionClassifier : public Classifier {
+/// Selects a feature subset on (train, val) during Fit, then scores as
+/// Naive Bayes restricted to that subset.
+class BackwardSelectionClassifier : public CodeClassifier {
  public:
-  /// `val` must view the same dataset columns as the training view passed
-  /// to Fit (it supplies the selection signal).
-  BackwardSelectionClassifier(BaseModelFactory factory, DataView val);
+  /// `val` supplies the selection signal; it must select as many features
+  /// as the training view passed to Fit, in the same order.
+  explicit BackwardSelectionClassifier(DataView val);
 
   Status Fit(const DataView& train) override;
-  uint8_t Predict(const DataView& view, size_t i) const override;
-  /// Projects the view onto the selected subset once and delegates to the
-  /// base model's batch path (dense for NaiveBayes); bit-identical to
-  /// per-row Predict.
-  std::vector<uint8_t> PredictAll(const DataView& view) const override;
-  std::string name() const override;
+  /// One table lookup per selected feature.
+  size_t PredictRowCost() const override { return selected_.size(); }
+  std::string name() const override { return "backward-selection"; }
 
-  /// Selected *view-feature* indices (into the training view's features).
+  /// Selected *view-feature* indices (into the training view's features),
+  /// ascending.
   const std::vector<uint32_t>& selected_features() const {
     return selected_;
   }
-  double validation_accuracy() const { return val_accuracy_; }
 
  private:
-  BaseModelFactory factory_;
+  /// Predicts 1 where the prior plus the selected features' terms is >= 0.
+  void PredictCodes(const uint32_t* codes, size_t rows,
+                    uint8_t* out) const override;
+
   DataView val_;
+  NaiveBayes nb_;
   std::vector<uint32_t> selected_;
-  std::unique_ptr<Classifier> model_;
-  double val_accuracy_ = 0.0;
 };
 
 }  // namespace ml

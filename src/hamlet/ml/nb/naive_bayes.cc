@@ -1,6 +1,5 @@
 #include "hamlet/ml/nb/naive_bayes.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "hamlet/io/model_io.h"
@@ -114,13 +113,8 @@ Result<std::unique_ptr<NaiveBayes>> NaiveBayes::LoadBody(
 }
 
 double NaiveBayes::LogOddsOfCodes(const uint32_t* codes) const {
-  double odds = log_prior_[1] - log_prior_[0];
-  for (size_t j = 0; j < d_; ++j) {
-    const std::vector<double>& ll = log_likelihood_[j];
-    const size_t base = static_cast<size_t>(codes[j]) * 2;
-    assert(base + 1 < ll.size());
-    odds += ll[base + 1] - ll[base];
-  }
+  double odds = LogPriorOdds();
+  for (size_t j = 0; j < d_; ++j) odds += FeatureLogOdds(j, codes[j]);
   return odds;
 }
 

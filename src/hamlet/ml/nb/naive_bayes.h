@@ -8,6 +8,7 @@
 #ifndef HAMLET_ML_NB_NAIVE_BAYES_H_
 #define HAMLET_ML_NB_NAIVE_BAYES_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,8 +36,23 @@ class NaiveBayes : public CodeClassifier {
   size_t PredictRowCost() const override { return d_; }
   std::string name() const override { return "naive-bayes"; }
 
-  /// Log P(y=1|x) - log P(y=0|x) for a row of num_features codes.
+  /// Log P(y=1|x) - log P(y=0|x) for a row of num_features codes:
+  /// LogPriorOdds() plus each feature's FeatureLogOdds term, summed in
+  /// feature order.
   double LogOddsOfCodes(const uint32_t* codes) const;
+
+  /// Log P(y=1) - log P(y=0): the log odds of a row with no features.
+  double LogPriorOdds() const { return log_prior_[1] - log_prior_[0]; }
+
+  /// Feature j's additive log-odds term for `code`. It depends only on
+  /// feature j's counts, so a fit on a feature subset has the same terms
+  /// for the features it keeps.
+  double FeatureLogOdds(size_t j, uint32_t code) const {
+    const std::vector<double>& ll = log_likelihood_[j];
+    const size_t base = static_cast<size_t>(code) * 2;
+    assert(base + 1 < ll.size());
+    return ll[base + 1] - ll[base];
+  }
 
   ModelFamily family() const override { return ModelFamily::kNaiveBayes; }
   /// Serializes the count tables (as log likelihoods) + priors.

@@ -234,13 +234,6 @@ TEST(CompressionEndToEnd, TreeAccuracySurvivesModestCompression) {
   EXPECT_LT(acc_1, 0.65);
 }
 
-TEST(CompressionTest, MethodNames) {
-  EXPECT_STREQ(CompressionMethodName(CompressionMethod::kRandomHash),
-               "random-hash");
-  EXPECT_STREQ(CompressionMethodName(CompressionMethod::kSortedEntropy),
-               "sorted-entropy");
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace hamlet

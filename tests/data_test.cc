@@ -38,7 +38,6 @@ TEST(DatasetTest, BasicAccessors) {
   EXPECT_EQ(d.label(2), 1);
   EXPECT_EQ(d.IndexOf("r.x"), 2);
   EXPECT_EQ(d.IndexOf("nope"), -1);
-  EXPECT_EQ(d.OneHotDimension(), 2u + 5u + 3u);
 }
 
 TEST(DatasetTest, AppendValidation) {
@@ -199,12 +198,6 @@ TEST(DataViewTest, WithFeaturesComposesWithAReorderedRowSubset) {
   EXPECT_EQ(w.feature(0, 1), d.feature(0, 1));
   EXPECT_EQ(w.feature(1, 0), d.feature(3, 2));
   EXPECT_EQ(w.feature(1, 1), d.feature(3, 1));
-}
-
-TEST(DataViewTest, OneHotDimensionOfSubset) {
-  Dataset d = MakeDataset();
-  DataView v(&d, {0, 1}, {0, 2});
-  EXPECT_EQ(v.OneHotDimension(), 2u + 3u);
 }
 
 // ----------------------------------------------------------------- Split --

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "hamlet/relational/join.h"
 #include "hamlet/synth/onexr.h"
@@ -48,6 +51,35 @@ struct OneXrParam {
   FkSkew skew;
   double skew_param;
 };
+
+/// `v` as a test-name fragment: 0.3 -> "0_3" (names allow [A-Za-z0-9_]).
+std::string NameFragment(double v) {
+  std::ostringstream os;
+  os << v;
+  std::string s = os.str();
+  std::replace(s.begin(), s.end(), '.', '_');
+  return s;
+}
+
+/// Prints a case as a name built from its fields, e.g.
+/// "ns2000_nr40_ds4_dr4_p0_3_zipf2". gtest_discover_tests puts the printed
+/// parameter in the ctest name; gtest's default prints a struct's bytes,
+/// padding included, which differ from build to build.
+void PrintTo(const OneXrParam& q, std::ostream* os) {
+  *os << "ns" << q.ns << "_nr" << q.nr << "_ds" << q.ds << "_dr" << q.dr
+      << "_p" << NameFragment(q.p) << "_";
+  switch (q.skew) {
+    case FkSkew::kUniform:
+      *os << "uniform";
+      break;
+    case FkSkew::kZipf:
+      *os << "zipf" << NameFragment(q.skew_param);
+      break;
+    case FkSkew::kNeedleThread:
+      *os << "needle" << NameFragment(q.skew_param);
+      break;
+  }
+}
 
 class OneXrPropertyTest : public ::testing::TestWithParam<OneXrParam> {};
 

@@ -8,6 +8,7 @@
 #include "hamlet/common/rng.h"
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
+#include "hamlet/data/one_hot.h"
 #include "hamlet/data/split.h"
 #include "hamlet/data/view.h"
 #include "hamlet/ml/linear/logistic_regression.h"
@@ -88,7 +89,7 @@ TEST(LogRegTest, L1SparsifiesNoiseWeights) {
   LogisticRegressionL1 lr(SmallConfig());
   ASSERT_TRUE(lr.Fit(view).ok());
   EXPECT_GE(Accuracy(lr, view), 0.95);
-  EXPECT_LT(lr.NumNonzeroWeights(), view.OneHotDimension());
+  EXPECT_LT(lr.NumNonzeroWeights(), OneHotMap(view).dimension());
 }
 
 TEST(LogRegTest, HighLambdaOnlyPathIsMajorityLike) {

@@ -353,8 +353,7 @@ TEST(ModelIoTest, SaveBeforeFitFails) {
 TEST(ModelIoTest, UnsupportedWrapperFamilyIsRejected) {
   const Dataset data = MakeParityDataset(90, {4, 3, 5}, 21);
   const auto views = MakeParityViews(data, 22);
-  ml::BackwardSelectionClassifier model(
-      [] { return std::make_unique<ml::NaiveBayes>(); }, views.test);
+  ml::BackwardSelectionClassifier model(views.test);
   ASSERT_TRUE(model.Fit(views.train).ok());
   EXPECT_EQ(model.family(), ml::ModelFamily::kUnsupported);
   std::ostringstream os(std::ios::binary);

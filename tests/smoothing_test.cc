@@ -193,11 +193,6 @@ TEST(SmoothingEndToEnd, XrBasedBeatsRandomWhenXrCarriesSignal) {
   EXPECT_GT(acc_xr, acc_random);    // the paper's Figure 11 ordering
 }
 
-TEST(SmoothingTest, MethodNames) {
-  EXPECT_STREQ(SmoothingMethodName(SmoothingMethod::kRandom), "random");
-  EXPECT_STREQ(SmoothingMethodName(SmoothingMethod::kXrBased), "xr-based");
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace hamlet

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <sstream>
+#include <string>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
@@ -276,6 +280,29 @@ struct TreeParam {
   size_t minsplit;
   double cp;
 };
+
+/// Prints a case as a name built from its fields, e.g. "gini_ms10_cp0_001".
+/// gtest_discover_tests puts the printed parameter in the ctest name;
+/// gtest's default prints a struct's bytes, padding included, which
+/// differ from build to build.
+void PrintTo(const TreeParam& q, std::ostream* os) {
+  switch (q.criterion) {
+    case SplitCriterion::kGini:
+      *os << "gini";
+      break;
+    case SplitCriterion::kInfoGain:
+      *os << "info_gain";
+      break;
+    case SplitCriterion::kGainRatio:
+      *os << "gain_ratio";
+      break;
+  }
+  std::ostringstream cp;
+  cp << q.cp;
+  std::string cp_name = cp.str();
+  std::replace(cp_name.begin(), cp_name.end(), '.', '_');
+  *os << "_ms" << q.minsplit << "_cp" << cp_name;
+}
 
 class TreePropertyTest : public ::testing::TestWithParam<TreeParam> {};
 

@@ -70,9 +70,7 @@ Rules
                   define no new counter and stay quiet.
   predict-home    A `Predict(const DataView` or `PredictAll(const
                   DataView` declaration or definition appears in src/
-                  only in src/hamlet/ml/classifier.{h,cc} and the
-                  feature-projection wrapper
-                  src/hamlet/ml/nb/backward_selection.{h,cc}. Learners
+                  only in src/hamlet/ml/classifier.{h,cc}. Learners
                   score row-major codes through ml::CodeClassifier's one
                   PredictCodes hook, which writes both view paths once;
                   a hand-written view path is a second scoring path that
@@ -208,9 +206,8 @@ ONE_HOME_RULES = [
     ("predict-home",
      re.compile(r"\bPredict(?:All)?\s*\(\s*const\s+"
                 r"(?:hamlet::)?DataView\b"),
-     ("src/hamlet/ml/classifier.h", "src/hamlet/ml/classifier.cc",
-      "src/hamlet/ml/nb/backward_selection.h",
-      "src/hamlet/ml/nb/backward_selection.cc"), ("src",),
+     ("src/hamlet/ml/classifier.h", "src/hamlet/ml/classifier.cc"),
+     ("src",),
      "a view scoring path outside %s; derive the learner from "
      "ml::CodeClassifier and implement PredictCodes"),
     ("remap-home", re.compile(r"\bReplaceColumn\s*\("),

@@ -402,8 +402,7 @@ def main():
               out)
 
         # predict-home: a view Predict/PredictAll declaration or
-        # definition outside ml/classifier.{h,cc} and
-        # ml/nb/backward_selection.{h,cc} fires, waiver or not.
+        # definition outside ml/classifier.{h,cc} fires, waiver or not.
         phome_fire = (Fixture(base, "predicthome_fire")
                       .write("src/hamlet/ml/tree/decision_tree.h",
                              "  uint8_t Predict(const DataView& view, "
@@ -414,23 +413,29 @@ def main():
                       .write("src/hamlet/ml/knn/one_nn.cc",
                              "std::vector<uint8_t> OneNearestNeighbor::"
                              "PredictAll(const hamlet::DataView& view) "
+                             "const {\n")
+                      .write("src/hamlet/ml/nb/backward_selection.h",
+                             "  uint8_t Predict(const DataView& view, "
+                             "size_t i) const override;\n")
+                      .write("src/hamlet/ml/nb/backward_selection.cc",
+                             "std::vector<uint8_t> BackwardSelection"
+                             "Classifier::PredictAll(const DataView& view) "
                              "const {\n"))
         code, out = phome_fire.lint()
         check("predict-home fires on view predict paths",
-              code == 1 and out.count("[predict-home]") == 3 and
+              code == 1 and out.count("[predict-home]") == 5 and
               "src/hamlet/ml/tree/decision_tree.h:1:" in out and
               "src/hamlet/ml/tree/decision_tree.h:2:" in out and
-              "src/hamlet/ml/knn/one_nn.cc:1:" in out, out)
+              "src/hamlet/ml/knn/one_nn.cc:1:" in out and
+              "src/hamlet/ml/nb/backward_selection.h:1:" in out and
+              "src/hamlet/ml/nb/backward_selection.cc:1:" in out, out)
 
-        # Its four homes, call sites (they pass a view), prose, strings
+        # Its two homes, call sites (they pass a view), prose, strings
         # and code outside src/ stay quiet.
         decl = "uint8_t Predict(const DataView& view, size_t i) const;\n"
         phome_quiet = (Fixture(base, "predicthome_quiet")
                        .write("src/hamlet/ml/classifier.h", decl)
                        .write("src/hamlet/ml/classifier.cc", decl)
-                       .write("src/hamlet/ml/nb/backward_selection.h", decl)
-                       .write("src/hamlet/ml/nb/backward_selection.cc",
-                              decl)
                        .write("src/hamlet/ml/metrics.cc",
                               "const auto p = model.PredictAll(view);\n"
                               "out[i] = model_->Predict(sub, 0);\n"
