@@ -1,9 +1,7 @@
 #include "hamlet/ml/ann/mlp.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -11,303 +9,12 @@
 #include "hamlet/common/rng.h"
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/io/model_io.h"
+#include "hamlet/simd/simd.h"
 
 namespace hamlet {
 namespace ml {
 
 namespace {
-
-// Bit-identity contract of the loops below. A vector V holds independent
-// elements (hidden units, rows of a block or parameters) and each V
-// operation is the scalar IEEE operation applied lane by lane, so every
-// element goes through exactly the operations of the plain
-// one-row-at-a-time algorithm, in its order: no loop splits one sum across
-// lanes or reassociates it, and nothing is fused (tools/hamlet_lint.py's
-// fp-contract rule keeps FMA and fast-math flags out of src/ and cmake/).
-// The scalar remainder loops compute the same expressions one element at a
-// time. V is two doubles, the baseline ISA's vector (SSE2 on x86-64, NEON
-// on aarch64), so one build runs everywhere.
-typedef double V __attribute__((vector_size(16)));
-constexpr size_t kLanes = sizeof(V) / sizeof(double);
-// Vector accumulators an elementwise loop keeps in registers.
-constexpr size_t kTile = 4;
-// A dense register tile covers kOutTile outputs x two vectors of rows; a
-// forward block's rows are padded to a multiple of kRowPad, two vectors.
-constexpr size_t kOutTile = 4;
-constexpr size_t kRowPad = 2 * kLanes;
-
-#define HAMLET_MLP_INLINE inline __attribute__((always_inline))
-// Fully unrolls a loop over a register tile, so its accumulators stay in
-// registers instead of a stack array.
-#if defined(__clang__)
-#define HAMLET_MLP_UNROLL _Pragma("unroll")
-#else
-#define HAMLET_MLP_UNROLL _Pragma("GCC unroll 16")
-#endif
-
-HAMLET_MLP_INLINE void Load(V& v, const double* p) {
-  std::memcpy(&v, p, sizeof(v));
-}
-HAMLET_MLP_INLINE void Store(double* p, const V& v) {
-  std::memcpy(p, &v, sizeof(v));
-}
-
-HAMLET_MLP_INLINE double Relu(double x) { return x > 0.0 ? x : 0.0; }
-
-/// v where gate > 0, else +0.0, lane by lane: ReLU when gate is v, and
-/// the ReLU derivative mask on a delta when gate is the post-ReLU
-/// activation (never NaN, so `gate > 0` is exactly `!(gate <= 0)`).
-HAMLET_MLP_INLINE void KeepWherePositive(V& v, const V& gate) {
-  const V zero = {};
-  using Mask = decltype(gate > zero);
-  v = (V)((Mask)v & (gate > zero));
-}
-
-/// One row's first hidden layer: h = ReLU(b1 + sum of the active units'
-/// columns), summed in unit order.
-void SparseForward(const double* b1, const double* cols, const uint32_t* units,
-                   size_t n_units, size_t h1, double* h) {
-  size_t k = 0;
-  for (; k + kTile * kLanes <= h1; k += kTile * kLanes) {
-    V acc[kTile];
-    HAMLET_MLP_UNROLL
-    for (size_t t = 0; t < kTile; ++t) Load(acc[t], b1 + k + t * kLanes);
-    for (size_t j = 0; j < n_units; ++j) {
-      const double* col = cols + static_cast<size_t>(units[j]) * h1 + k;
-      HAMLET_MLP_UNROLL
-      for (size_t t = 0; t < kTile; ++t) {
-        V c;
-        Load(c, col + t * kLanes);
-        acc[t] += c;
-      }
-    }
-    HAMLET_MLP_UNROLL
-    for (size_t t = 0; t < kTile; ++t) {
-      KeepWherePositive(acc[t], acc[t]);
-      Store(h + k + t * kLanes, acc[t]);
-    }
-  }
-  for (; k < h1; ++k) {
-    double z = b1[k];
-    for (size_t j = 0; j < n_units; ++j) {
-      z += cols[static_cast<size_t>(units[j]) * h1 + k];
-    }
-    h[k] = Relu(z);
-  }
-}
-
-/// kOuts outputs x two vectors of rows of a dense layer's forward pass:
-/// z[o][r] = b[o] + sum_k w[o][k] * x[k][r], each sum in input order, then
-/// ReLU when `relu`. x and z are row-minor with row stride `padded`; w
-/// points at the first output's row of the out x in row-major weights.
-template <size_t kOuts>
-HAMLET_MLP_INLINE void DenseForwardTile(const double* w, const double* b,
-                                        const double* x, size_t in,
-                                        size_t padded, bool relu,
-                                        double* z) {
-  V acc[kOuts][2];
-  HAMLET_MLP_UNROLL
-  for (size_t i = 0; i < kOuts; ++i) {
-    // b[i] in every lane: x - (+0.0) is x exactly, signed zeros included.
-    const V bias = b[i] - V{};
-    acc[i][0] = bias;
-    acc[i][1] = bias;
-  }
-  for (size_t k = 0; k < in; ++k) {
-    V x0, x1;
-    Load(x0, x + k * padded);
-    Load(x1, x + k * padded + kLanes);
-    HAMLET_MLP_UNROLL
-    for (size_t i = 0; i < kOuts; ++i) {
-      const double wk = w[i * in + k];
-      acc[i][0] += wk * x0;
-      acc[i][1] += wk * x1;
-    }
-  }
-  HAMLET_MLP_UNROLL
-  for (size_t i = 0; i < kOuts; ++i) {
-    HAMLET_MLP_UNROLL
-    for (size_t half = 0; half < 2; ++half) {
-      if (relu) KeepWherePositive(acc[i][half], acc[i][half]);
-      Store(z + i * padded + half * kLanes, acc[i][half]);
-    }
-  }
-}
-
-/// A dense layer's forward pass over a block of `padded` rows (a multiple
-/// of kRowPad; x: in x padded, z: out x padded). Each weight load serves
-/// two vectors of rows.
-void DenseForward(const double* w, const double* b, const double* x, size_t in,
-                  size_t out, size_t padded, bool relu, double* z) {
-  for (size_t r = 0; r < padded; r += kRowPad) {
-    size_t o = 0;
-    for (; o + kOutTile <= out; o += kOutTile) {
-      DenseForwardTile<kOutTile>(w + o * in, b + o, x + r, in, padded,
-                                    relu, z + o * padded + r);
-    }
-    for (; o < out; ++o) {
-      DenseForwardTile<1>(w + o * in, b + o, x + r, in, padded, relu,
-                             z + o * padded + r);
-    }
-  }
-}
-
-/// Weight gradients of a dense layer for a block of rows (a: rows x in,
-/// the layer's input activations): gw[o][k] += delta * a[row][k] over
-/// output o's nonzero deltas, in row order.
-void WeightGrads(const double* a, size_t in, size_t out, const uint32_t* start,
-                 const uint32_t* rows, const double* deltas, double* gw) {
-  size_t k = 0;
-  for (; k + kTile * kLanes <= in; k += kTile * kLanes) {
-    for (size_t o = 0; o < out; ++o) {
-      double* g = gw + o * in + k;
-      V acc[kTile];
-      HAMLET_MLP_UNROLL
-      for (size_t t = 0; t < kTile; ++t) Load(acc[t], g + t * kLanes);
-      for (uint32_t e = start[o]; e < start[o + 1]; ++e) {
-        const double d = deltas[e];
-        const double* ar = a + static_cast<size_t>(rows[e]) * in + k;
-        HAMLET_MLP_UNROLL
-        for (size_t t = 0; t < kTile; ++t) {
-          V av;
-          Load(av, ar + t * kLanes);
-          acc[t] += d * av;
-        }
-      }
-      HAMLET_MLP_UNROLL
-      for (size_t t = 0; t < kTile; ++t) Store(g + t * kLanes, acc[t]);
-    }
-  }
-  for (; k < in; ++k) {
-    for (size_t o = 0; o < out; ++o) {
-      double g = gw[o * in + k];
-      for (uint32_t e = start[o]; e < start[o + 1]; ++e) {
-        g += deltas[e] * a[static_cast<size_t>(rows[e]) * in + k];
-      }
-      gw[o * in + k] = g;
-    }
-  }
-}
-
-/// Input deltas of a dense layer for a block of rows: din[r][k] = sum over
-/// row r's nonzero output deltas, in output order, of delta * w[o][k],
-/// kept where a[r][k] > 0 (the ReLU derivative of the layer's input).
-void InputDeltas(const double* w, const double* a, size_t in, size_t num_rows,
-                 const uint32_t* start, const uint32_t* outs,
-                 const double* deltas, double* din) {
-  size_t k = 0;
-  for (; k + kTile * kLanes <= in; k += kTile * kLanes) {
-    for (size_t r = 0; r < num_rows; ++r) {
-      V acc[kTile] = {};
-      for (uint32_t e = start[r]; e < start[r + 1]; ++e) {
-        const double d = deltas[e];
-        const double* wr = w + static_cast<size_t>(outs[e]) * in + k;
-        HAMLET_MLP_UNROLL
-        for (size_t t = 0; t < kTile; ++t) {
-          V wv;
-          Load(wv, wr + t * kLanes);
-          acc[t] += d * wv;
-        }
-      }
-      HAMLET_MLP_UNROLL
-      for (size_t t = 0; t < kTile; ++t) {
-        V gate;
-        Load(gate, a + r * in + k + t * kLanes);
-        KeepWherePositive(acc[t], gate);
-        Store(din + r * in + k + t * kLanes, acc[t]);
-      }
-    }
-  }
-  for (; k < in; ++k) {
-    for (size_t r = 0; r < num_rows; ++r) {
-      double acc = 0.0;
-      for (uint32_t e = start[r]; e < start[r + 1]; ++e) {
-        acc += deltas[e] * w[static_cast<size_t>(outs[e]) * in + k];
-      }
-      din[r * in + k] = a[r * in + k] > 0.0 ? acc : 0.0;
-    }
-  }
-}
-
-/// One row's first-layer gradient: the first hidden layer's delta d1 is
-/// the gradient of its bias and of every active unit's column (the one-hot
-/// input is 1 there), so g_b1 += d1 and unit_grads[j] += d1.
-void SparseBackward(const double* d1, double* const* unit_grads, size_t n_units,
-                    size_t h1, double* g_b1) {
-  size_t k = 0;
-  for (; k + kTile * kLanes <= h1; k += kTile * kLanes) {
-    V d[kTile];
-    HAMLET_MLP_UNROLL
-    for (size_t t = 0; t < kTile; ++t) {
-      Load(d[t], d1 + k + t * kLanes);
-      V g;
-      Load(g, g_b1 + k + t * kLanes);
-      g += d[t];
-      Store(g_b1 + k + t * kLanes, g);
-    }
-    for (size_t j = 0; j < n_units; ++j) {
-      double* col = unit_grads[j] + k;
-      HAMLET_MLP_UNROLL
-      for (size_t t = 0; t < kTile; ++t) {
-        V g;
-        Load(g, col + t * kLanes);
-        g += d[t];
-        Store(col + t * kLanes, g);
-      }
-    }
-  }
-  for (; k < h1; ++k) {
-    g_b1[k] += d1[k];
-    for (size_t j = 0; j < n_units; ++j) unit_grads[j][k] += d1[k];
-  }
-}
-
-/// Per-step Adam constants. one_minus_beta1/2 hold 1 - beta, the value
-/// the scalar update computes inline.
-struct AdamCoeffs {
-  double lr, beta1, beta2, one_minus_beta1, one_minus_beta2, eps;
-  double bias1, bias2;  ///< 1 - beta^t for this step t
-  double inv_bs;        ///< 1 / minibatch rows
-  double lambda;        ///< L2 penalty; joins the gradient when `decay`
-};
-
-/// One Adam step on n parameters from their summed minibatch gradients
-/// g: grad = g * inv_bs (+ lambda * p with `decay`), then the moment
-/// updates and p -= lr * mhat / (sqrt(vhat) + eps).
-void AdamStep(const AdamCoeffs& c, bool decay, const double* g, size_t n,
-              double* p, double* m, double* v) {
-  size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    V gv, pv, mv, vv;
-    Load(gv, g + i);
-    Load(pv, p + i);
-    Load(mv, m + i);
-    Load(vv, v + i);
-    V grad = gv * c.inv_bs;
-    if (decay) grad = grad + c.lambda * pv;
-    mv = c.beta1 * mv + c.one_minus_beta1 * grad;
-    vv = c.beta2 * vv + c.one_minus_beta2 * grad * grad;
-    const V mhat = mv / c.bias1;
-    V root = vv / c.bias2;
-    // Lane-wise sqrt; mlp.cc builds without errno writes, so this is one
-    // vector square root.
-    HAMLET_MLP_UNROLL
-    for (size_t j = 0; j < kLanes; ++j) root[j] = std::sqrt(root[j]);
-    pv -= c.lr * mhat / (root + c.eps);
-    Store(p + i, pv);
-    Store(m + i, mv);
-    Store(v + i, vv);
-  }
-  for (; i < n; ++i) {
-    double grad = g[i] * c.inv_bs;
-    if (decay) grad = grad + c.lambda * p[i];
-    m[i] = c.beta1 * m[i] + c.one_minus_beta1 * grad;
-    v[i] = c.beta2 * v[i] + c.one_minus_beta2 * grad * grad;
-    const double mhat = m[i] / c.bias1;
-    const double vhat = v[i] / c.bias2;
-    p[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
-  }
-}
 
 double Sigmoid(double z) {
   if (z >= 0) {
@@ -367,22 +74,19 @@ struct NonzeroDeltas {
   std::vector<uint32_t> cursor_;
 };
 
-/// Columns of `width` doubles for the training-only first-layer state
-/// (Adam moments, the minibatch gradient pool), stored in pages of whole
-/// columns that stay under glibc malloc's 128 KiB mmap threshold. As
-/// single multi-megabyte blocks, freed at the end of every fit, they
-/// would raise that threshold to their size; later blocks of that size
-/// then come from per-thread heap arenas, which keep them resident after
-/// free (grid-highcap's peak RSS rose from 18 to 23.5 MB that way).
+/// n columns of `width` zeros for the first layer's Adam moments, stored
+/// in pages of whole columns that stay under glibc malloc's 128 KiB mmap
+/// threshold. As single multi-megabyte blocks, freed at the end of every
+/// fit, they would raise that threshold to their size; later blocks of
+/// that size then come from per-thread heap arenas, which keep them
+/// resident after free (grid-highcap's peak RSS rose from 18 to 23.5 MB
+/// that way).
 class ColumnPages {
  public:
-  explicit ColumnPages(size_t width)
+  ColumnPages(size_t width, size_t n)
       : width_(width),
         per_page_(std::max<size_t>(
-            1, kPageBytes / (sizeof(double) * std::max<size_t>(1, width)))) {}
-
-  /// Makes columns [0, n) addressable; new columns start at 0.0.
-  void Grow(size_t n) {
+            1, kPageBytes / (sizeof(double) * std::max<size_t>(1, width)))) {
     while (pages_.size() * per_page_ < n) {
       pages_.emplace_back(per_page_ * width_, 0.0);
     }
@@ -401,10 +105,35 @@ class ColumnPages {
 
 }  // namespace
 
+MlpUnitRows::MlpUnitRows(size_t dimension) : slot_(dimension, kNoSlot) {}
+
+void MlpUnitRows::Build(const uint32_t* units, size_t rows, size_t d) {
+  for (uint32_t u : touched) slot_[u] = kNoSlot;
+  touched.clear();
+  start.assign(1, 0);
+  for (size_t e = 0; e < rows * d; ++e) {
+    const uint32_t u = units[e];
+    if (slot_[u] == kNoSlot) {
+      slot_[u] = static_cast<uint32_t>(touched.size());
+      touched.push_back(u);
+      start.push_back(0);
+    }
+    ++start[slot_[u] + 1];
+  }
+  for (size_t s = 0; s < touched.size(); ++s) start[s + 1] += start[s];
+  row.resize(rows * d);
+  cursor_.assign(start.begin(), start.end() - 1);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t j = 0; j < d; ++j) {
+      row[cursor_[slot_[units[r * d + j]]]++] = static_cast<uint32_t>(r);
+    }
+  }
+}
+
 /// A block of rows through the network. acts holds each hidden layer's
 /// activations, rows x width row-major, layer after layer; in_t/out_t
 /// hold one dense layer's input and output transposed (width x padded,
-/// rows padded to a multiple of kRowPad) for the dense kernels.
+/// rows padded to a multiple of simd::kMlpRowPad) for the dense kernels.
 struct MlpBlock {
   std::vector<double> acts;
   std::vector<double> logits;  // one per row
@@ -421,8 +150,10 @@ void Mlp::RowUnits(const uint32_t* codes, uint32_t* units) const {
 
 void Mlp::ForwardBlock(const uint32_t* units, size_t rows,
                        MlpBlock& block) const {
+  const simd::MlpKernels& kernels = simd::HostMlpKernels();
   const size_t d = one_hot_.num_features();
-  const size_t padded = (rows + kRowPad - 1) / kRowPad * kRowPad;
+  constexpr size_t kPad = simd::kMlpRowPad;
+  const size_t padded = (rows + kPad - 1) / kPad * kPad;
   size_t hidden = h1_, widest = h1_;
   for (const DenseLayer& layer : layers_) {
     if (&layer != &layers_.back()) hidden += layer.out;
@@ -435,7 +166,7 @@ void Mlp::ForwardBlock(const uint32_t* units, size_t rows,
 
   double* a = block.acts.data();
   for (size_t r = 0; r < rows; ++r) {
-    SparseForward(b1_.data(), col_w_.data(), units + r * d, d, h1_,
+    kernels.sparse_forward(b1_.data(), col_w_.data(), units + r * d, d, h1_,
                            a + r * h1_);
   }
   // Transpose into the dense kernels' layout; the padding rows are zero
@@ -448,7 +179,7 @@ void Mlp::ForwardBlock(const uint32_t* units, size_t rows,
   for (size_t l = 0; l < layers_.size(); ++l) {
     const DenseLayer& layer = layers_[l];
     const bool last = l + 1 == layers_.size();
-    DenseForward(layer.w.data(), layer.b.data(), block.in_t.data(),
+    kernels.dense_forward(layer.w.data(), layer.b.data(), block.in_t.data(),
                           layer.in, layer.out, padded, !last,
                           block.out_t.data());
     if (last) {
@@ -516,10 +247,10 @@ Status Mlp::Fit(const DataView& train) {
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
 
+  const simd::MlpKernels& kernels = simd::HostMlpKernels();
+
   // Adam moments are training state: they live and die with this call.
-  ColumnPages col_m(h1_), col_v(h1_);
-  col_m.Grow(input_dim);
-  col_v.Grow(input_dim);
+  ColumnPages col_m(h1_, input_dim), col_v(h1_, input_dim);
   std::vector<double> b1_m(h1_, 0.0), b1_v(h1_, 0.0);
   struct DenseTraining {
     std::vector<double> gw, gb;          // minibatch gradient sums
@@ -532,24 +263,20 @@ Status Mlp::Fit(const DataView& train) {
                 std::vector<double>(nw, 0.0), std::vector<double>(nw, 0.0),
                 std::vector<double>(nb, 0.0), std::vector<double>(nb, 0.0)};
   }
-  std::vector<double> g_b1(h1_);
 
-  // Sparse first-layer gradient: the columns of the units a minibatch
-  // touches, pooled in first-touch order (slot s is column s).
-  ColumnPages g_cols(h1_);
-  std::vector<uint32_t> g_units;
-  std::vector<int> unit_slot(input_dim, -1);
-  std::vector<double*> unit_grads(d);
-
-  // Per-minibatch block state: the rows' unit lists, activations, and the
-  // deltas (same layout as the activations, plus the output deltas).
+  // Per-minibatch block state: the rows' unit lists, each touched unit's
+  // rows, activations, and the deltas (same layout as the activations,
+  // plus the output deltas).
   const size_t batch = std::max<size_t>(1, config_.batch_size);
   std::vector<uint32_t> batch_units(batch * d);
+  MlpUnitRows unit_rows(input_dim);
+  std::vector<uint32_t> block_rows(batch);  // every row: b1's gradient
+  std::iota(block_rows.begin(), block_rows.end(), 0u);
   MlpBlock block;
   std::vector<double> deltas, out_deltas(batch);
   NonzeroDeltas nonzero;
 
-  AdamCoeffs coeffs{};
+  simd::MlpAdam coeffs;
   coeffs.lr = config_.learning_rate;
   coeffs.beta1 = config_.beta1;
   coeffs.beta2 = config_.beta2;
@@ -569,26 +296,10 @@ Status Mlp::Fit(const DataView& train) {
         std::copy_n(units.begin() + static_cast<long>(order[start + r] * d),
                     d, batch_units.begin() + static_cast<long>(r * d));
       }
-
-      // Zero the accumulators; the sparse part holds just the columns of
-      // the units this minibatch touches, slotted in first-touch order.
+      unit_rows.Build(batch_units.data(), count, d);
       for (DenseTraining& t : dense) {
         std::fill(t.gw.begin(), t.gw.end(), 0.0);
         std::fill(t.gb.begin(), t.gb.end(), 0.0);
-      }
-      std::fill(g_b1.begin(), g_b1.end(), 0.0);
-      for (uint32_t u : g_units) unit_slot[u] = -1;
-      g_units.clear();
-      for (size_t e = 0; e < count * d; ++e) {
-        const uint32_t u = batch_units[e];
-        if (unit_slot[u] < 0) {
-          unit_slot[u] = static_cast<int>(g_units.size());
-          g_units.push_back(u);
-        }
-      }
-      g_cols.Grow(g_units.size());
-      for (size_t slot = 0; slot < g_units.size(); ++slot) {
-        std::fill_n(g_cols.column(slot), h1_, 0.0);
       }
 
       // Weights stay fixed within a minibatch, so its rows run forward as
@@ -602,7 +313,8 @@ Status Mlp::Fit(const DataView& train) {
       }
 
       // Backprop through the dense layers, top down; layer l's input
-      // deltas land at its input activations' offset.
+      // deltas land at its input activations' offset, so the first hidden
+      // layer's, row r's at deltas[r * h1], end up at the front.
       deltas.resize(block.acts.size());
       size_t at = block.acts.size();
       const double* dout = out_deltas.data();
@@ -617,25 +329,15 @@ Status Mlp::Fit(const DataView& train) {
             t.gb[o] += nonzero.by_out_delta[e];
           }
         }
-        WeightGrads(block.acts.data() + at, layer.in, layer.out,
+        kernels.weight_grads(block.acts.data() + at, layer.in, layer.out,
                              nonzero.by_out_start.data(),
                              nonzero.by_out_row.data(),
                              nonzero.by_out_delta.data(), t.gw.data());
-        InputDeltas(layer.w.data(), block.acts.data() + at,
+        kernels.input_deltas(layer.w.data(), block.acts.data() + at,
                              layer.in, count, nonzero.by_row_start.data(),
                              nonzero.by_row_out.data(),
                              nonzero.by_row_delta.data(), deltas.data() + at);
         dout = deltas.data() + at;
-      }
-
-      // First layer: row r's first-hidden-layer delta at deltas[r * h1].
-      for (size_t r = 0; r < count; ++r) {
-        for (size_t j = 0; j < d; ++j) {
-          unit_grads[j] = g_cols.column(
-              static_cast<size_t>(unit_slot[batch_units[r * d + j]]));
-        }
-        SparseBackward(deltas.data() + r * h1_, unit_grads.data(), d,
-                                h1_, g_b1.data());
       }
 
       // Adam updates (L2 added as a gradient term on weights, not biases).
@@ -648,21 +350,26 @@ Status Mlp::Fit(const DataView& train) {
       for (size_t l = 0; l < layers_.size(); ++l) {
         DenseLayer& layer = layers_[l];
         DenseTraining& t = dense[l];
-        AdamStep(coeffs, /*decay=*/true, t.gw.data(), layer.w.size(),
+        kernels.adam_step(coeffs, /*decay=*/true, t.gw.data(), layer.w.size(),
                           layer.w.data(), t.mw.data(), t.vw.data());
-        AdamStep(coeffs, /*decay=*/false, t.gb.data(),
+        kernels.adam_step(coeffs, /*decay=*/false, t.gb.data(),
                           layer.b.size(), layer.b.data(), t.mb.data(),
                           t.vb.data());
       }
-      AdamStep(coeffs, /*decay=*/false, g_b1.data(), h1_,
-                        b1_.data(), b1_m.data(), b1_v.data());
-      // Lazy per-column update: only columns touched by this batch move
-      // (their Adam moments update with the current timestep correction).
-      for (size_t slot = 0; slot < g_units.size(); ++slot) {
-        const size_t u = g_units[slot];
-        AdamStep(coeffs, /*decay=*/true, g_cols.column(slot), h1_,
-                          col_w_.data() + u * h1_, col_m.column(u),
-                          col_v.column(u));
+      // The first layer's gradients are sums of first-hidden-layer
+      // deltas, formed per column in registers: b1's over every row, and
+      // lazily each touched unit's column over its rows (untouched
+      // columns and their Adam moments do not move).
+      kernels.column_adam_step(coeffs, /*decay=*/false, deltas.data(), h1_,
+                               block_rows.data(), count, b1_.data(),
+                               b1_m.data(), b1_v.data());
+      for (size_t slot = 0; slot < unit_rows.touched.size(); ++slot) {
+        const size_t u = unit_rows.touched[slot];
+        const uint32_t begin = unit_rows.start[slot];
+        kernels.column_adam_step(
+            coeffs, /*decay=*/true, deltas.data(), h1_,
+            unit_rows.row.data() + begin, unit_rows.start[slot + 1] - begin,
+            col_w_.data() + u * h1_, col_m.column(u), col_v.column(u));
       }
     }
   }

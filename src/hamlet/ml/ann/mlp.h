@@ -10,11 +10,16 @@
 // layer is one flat unit-major slab, unit u's h1-wide column at
 // [u * h1, (u + 1) * h1); dense weights are row-major. A minibatch runs
 // through the dense layers as one block of rows, so each weight is loaded
-// once per register tile of four rows instead of once per row. The loops
-// are vectorised across independent elements only: every floating-point
-// sum keeps the operand order of the plain one-row-at-a-time algorithm
-// and nothing is fused, so a fit and its predictions are bit-identical to
-// that algorithm's. tests/ann_test.cc pins the bits.
+// once per register tile of rows instead of once per row. Each touched
+// first-layer column's gradient is summed in registers from its rows'
+// deltas and fed straight to its Adam step. The vector kernels live in
+// simd/ (simd::MlpKernels), built for two-double baseline vectors and
+// four-double AVX2 vectors and picked from the CPU. They are vectorised
+// across independent elements only: every floating-point sum keeps the
+// operand order of the plain one-row-at-a-time algorithm and nothing is
+// fused, so a fit and its predictions are bit-identical to that
+// algorithm's on either build. tests/ann_test.cc pins the bits;
+// tests/mlp_kernel_parity_test.cc checks both builds kernel by kernel.
 
 #ifndef HAMLET_ML_ANN_MLP_H_
 #define HAMLET_ML_ANN_MLP_H_
@@ -45,6 +50,29 @@ struct MlpConfig {
   double beta2 = 0.999;
   double epsilon = 1e-8;
   uint64_t seed = 1;
+};
+
+/// The one-hot units a minibatch touches, in first-touch order, and each
+/// one's block rows, ascending (a CSR over the touched units). A unit's
+/// first-layer column gradient is the sum of those rows' first-layer
+/// deltas, since the one-hot input is 1 there; Mlp::Fit hands each list
+/// to simd::MlpKernels::column_adam_step.
+class MlpUnitRows {
+ public:
+  /// For units in [0, dimension).
+  explicit MlpUnitRows(size_t dimension);
+
+  /// Lists the units of a block of `rows` rows, row r's d units at
+  /// units[r * d]; replaces the previous block's lists.
+  void Build(const uint32_t* units, size_t rows, size_t d);
+
+  std::vector<uint32_t> touched;  ///< the unit of each slot
+  std::vector<uint32_t> start;    ///< slot s's rows: [start[s], start[s+1])
+  std::vector<uint32_t> row;      ///< block rows, slot after slot
+
+ private:
+  static constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> slot_, cursor_;
 };
 
 /// Feed-forward network with a sparse first layer.

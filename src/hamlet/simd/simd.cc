@@ -132,6 +132,13 @@ size_t SmoSelectJ(const SmoActiveView& view, const float* row_i,
   return detail::SmoSelectJScalar(view, row_i, kii, up_best, row_i_out);
 }
 
+const MlpKernels& HostMlpKernels() {
+#ifdef HAMLET_X86_NATIVE
+  if (detail::Avx2Supported()) return detail::MlpKernelsAvx2();
+#endif
+  return detail::MlpKernelsBaseline();
+}
+
 size_t PackedMismatchCountBounded(const PackedLayout& layout,
                                   const uint64_t* a, const uint64_t* b,
                                   size_t limit) {

@@ -30,6 +30,13 @@
 // CPU alone like the popcount. Both return the same positions and write
 // the same error bits for every input, so SMO is bit-identical across
 // backends (tests/smo_kernel_parity_test.cc).
+//
+// The MLP's fit and forward kernels (MlpKernels below) are here for the
+// same reason: written once over the vector width, built for two-double
+// baseline vectors (SSE2 on x86-64, NEON on aarch64) and for four-double
+// AVX2 vectors, and picked from the CPU alone. Lanes hold independent
+// elements and nothing is fused, so both builds write the same bits
+// (tests/mlp_kernel_parity_test.cc).
 
 #ifndef HAMLET_PACKED_SIMD_H_
 #define HAMLET_PACKED_SIMD_H_
@@ -202,6 +209,77 @@ SmoExtremes SmoRefreshScan(const SmoActiveView& view,
 /// the one a plain divide-everywhere scan from -inf would choose.
 size_t SmoSelectJ(const SmoActiveView& view, const float* row_i,
                   double kii, double up_best, float* row_i_out);
+
+/// Per-step Adam constants for the MLP kernels. one_minus_beta1/2 hold
+/// 1 - beta, the value the scalar update computes inline.
+struct MlpAdam {
+  double lr = 0.0, beta1 = 0.0, beta2 = 0.0;
+  double one_minus_beta1 = 0.0, one_minus_beta2 = 0.0, eps = 0.0;
+  double bias1 = 0.0, bias2 = 0.0;  ///< 1 - beta^t for this step t
+  double inv_bs = 0.0;              ///< 1 / minibatch rows
+  double lambda = 0.0;              ///< L2 penalty; joins the gradient
+                                    ///< when `decay`
+};
+
+/// A dense forward block's rows are padded to a multiple of this (two
+/// vectors of rows at the widest build).
+inline constexpr size_t kMlpRowPad = 8;
+
+/// The MLP's vector kernels (ml/ann/mlp.cc is their caller). Each lane
+/// of a vector holds an independent element (a hidden unit, a row of a
+/// block or a parameter), and each vector operation is the scalar IEEE
+/// operation lane by lane, with nothing fused: every floating-point sum
+/// keeps the operand order of the plain one-row-at-a-time algorithm, so
+/// every build writes the same bits (tests/mlp_kernel_parity_test.cc).
+/// Matrices are row-major unless stated.
+struct MlpKernels {
+  /// One row's first hidden layer: h = ReLU(b1 + the active units'
+  /// h1-wide columns, added in unit order); unit u's column is at
+  /// cols + u * h1.
+  void (*sparse_forward)(const double* b1, const double* cols,
+                         const uint32_t* units, size_t n_units, size_t h1,
+                         double* h);
+  /// A dense layer over a block of `padded` rows (a multiple of
+  /// kMlpRowPad), transposed: x is in x padded, z is out x padded, and
+  /// z[o][r] = b[o] + sum_k w[o][k] * x[k][r] in input order, then ReLU
+  /// when `relu`; w is out x in.
+  void (*dense_forward)(const double* w, const double* b, const double* x,
+                        size_t in, size_t out, size_t padded, bool relu,
+                        double* z);
+  /// A dense layer's weight gradients for a block of rows (a: rows x
+  /// in, the layer's input activations): gw[o][k] += delta * a[row][k]
+  /// over output o's nonzero deltas, listed in row order as a CSR over
+  /// outputs (start: out + 1 offsets into rows / deltas).
+  void (*weight_grads)(const double* a, size_t in, size_t out,
+                       const uint32_t* start, const uint32_t* rows,
+                       const double* deltas, double* gw);
+  /// A dense layer's input deltas for a block of rows: din[r][k] = sum
+  /// over row r's nonzero output deltas, in output order (a CSR over
+  /// rows), of delta * w[o][k], kept where a[r][k] > 0.
+  void (*input_deltas)(const double* w, const double* a, size_t in,
+                       size_t num_rows, const uint32_t* start,
+                       const uint32_t* outs, const double* deltas,
+                       double* din);
+  /// One Adam step on n parameters from their summed minibatch
+  /// gradients g: grad = g * inv_bs (+ lambda * p with `decay`), then
+  /// the moment updates and p -= lr * mhat / (sqrt(vhat) + eps).
+  void (*adam_step)(const MlpAdam& c, bool decay, const double* g, size_t n,
+                    double* p, double* m, double* v);
+  /// adam_step on one width-wide column whose gradient is the sum of
+  /// the listed rows' deltas (row r's at deltas + r * width), added from
+  /// +0.0 in list order, in registers: the first layer's column of a
+  /// unit active in those rows (the one-hot input is 1 there), or its
+  /// bias over every row.
+  void (*column_adam_step)(const MlpAdam& c, bool decay,
+                           const double* deltas, size_t width,
+                           const uint32_t* rows, size_t n_rows, double* p,
+                           double* m, double* v);
+};
+
+/// The MLP kernels this CPU runs: four-double AVX2 vectors where the CPU
+/// has AVX2, else two-double baseline vectors. Picked from the CPU alone;
+/// both write the same bits.
+const MlpKernels& HostMlpKernels();
 
 /// The registry's five packed-path entries (common/counters.h defines
 /// each); build_words / rows is the average words per row.

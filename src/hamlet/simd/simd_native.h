@@ -1,11 +1,12 @@
 // Internal interface between the public entry points (simd.cc) and the
 // routines behind them: the match-counting word routines
-// (simd_native.cc) and the SMO scans (smo_scan.cc). Every word routine
-// runs the same guard-bit carry trick per word — only the popcount
-// differs — so all of them return the same count for every input; every
-// SMO scan returns the same positions and error bits. Exposed so the
-// parity suites can check each one directly; include hamlet/simd/simd.h
-// for the public API.
+// (simd_native.cc), the SMO scans (smo_scan.cc) and the two builds of
+// the MLP kernels (mlp_kernels.cc). Every word routine runs the same
+// guard-bit carry trick per word — only the popcount differs — so all
+// of them return the same count for every input; every SMO scan returns
+// the same positions and error bits; both MLP builds write the same
+// bits. Exposed so the parity suites can check each one directly;
+// include hamlet/simd/simd.h for the public API.
 
 #ifndef HAMLET_PACKED_SIMD_NATIVE_H_
 #define HAMLET_PACKED_SIMD_NATIVE_H_
@@ -20,6 +21,7 @@
 namespace hamlet {
 namespace simd {
 
+struct MlpKernels;
 struct PackedLayout;
 struct SmoActiveView;
 struct SmoExtremes;
@@ -67,6 +69,9 @@ SmoExtremes SmoScanScalar(const SmoActiveView& view,
 size_t SmoSelectJScalar(const SmoActiveView& view, const float* row_i,
                         double kii, double up_best, float* row_i_out);
 
+/// The MLP kernels on two-double vectors; any host.
+const MlpKernels& MlpKernelsBaseline();
+
 #ifdef HAMLET_X86_NATIVE
 /// True when the CPU has AVX2. Cached after the first call.
 bool Avx2Supported();
@@ -85,6 +90,10 @@ SmoExtremes SmoScanAvx2(const SmoActiveView& view,
                         const SmoRefresh* refresh);
 size_t SmoSelectJAvx2(const SmoActiveView& view, const float* row_i,
                       double kii, double up_best, float* row_i_out);
+
+/// The MLP kernels on four-double AVX2 vectors; only call them when
+/// Avx2Supported().
+const MlpKernels& MlpKernelsAvx2();
 #endif
 
 }  // namespace detail

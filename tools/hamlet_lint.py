@@ -29,7 +29,13 @@ Rules
   fp-contract     No fused multiply-add and no fast-math. In src/: a
                   target/target_clones attribute naming fma (or an
                   arch=, which implies it), an _mm*_fmadd/fmsub-family
-                  intrinsic, std::fma or __builtin_fma. In the root
+                  intrinsic, std::fma or __builtin_fma; an optimize
+                  pragma or attribute (`#pragma GCC optimize(...)`,
+                  `__attribute__((optimize(...)))`) naming fast-math,
+                  Ofast, fp-contract=fast, unsafe-math-optimizations,
+                  associative-math or reciprocal-math; and a contraction
+                  pragma that turns fusing on (`#pragma STDC FP_CONTRACT
+                  ON`, `#pragma clang fp contract(on|fast)`). In the root
                   CMakeLists.txt and the CMake files under src/ and
                   cmake/: -ffast-math, -Ofast, -mfma, -march=,
                   -ffp-contract=fast or -funsafe-math-optimizations.
@@ -70,7 +76,8 @@ Rules
                   define no new counter and stay quiet.
   predict-home    A `Predict(const DataView` or `PredictAll(const
                   DataView` declaration or definition appears in src/
-                  only in src/hamlet/ml/classifier.{h,cc}. Learners
+                  only in src/hamlet/ml/classifier.{h,cc}, also when it
+                  is split after the `(` (as every one-home rule is). Learners
                   score row-major codes through ml::CodeClassifier's one
                   PredictCodes hook, which writes both view paths once;
                   a hand-written view path is a second scoring path that
@@ -156,6 +163,19 @@ DETERMINISM_PATTERNS = [
 # ISA list is a string literal); the others read code only.
 FMA_ATTRIBUTE_RE = re.compile(
     r'\btarget(?:_clones)?\s*\(\s*"[^)]*(?:\bfma\b|\barch=)')
+# Per-function or per-file optimisation options that license fusing or
+# reassociation, and the contraction pragmas that turn fusing on. Both
+# are read with string contents intact (the options are string literals).
+# An option is a whole word: after the opening quote, a comma, a space
+# or another quote, with or without its -f/- prefix ("no-fast-math"
+# passes).
+FP_OPTIMIZE_RE = re.compile(
+    r'\boptimize\s*\(\s*"(?:[^)]*?[,\s"])?(?:-f?)?(?:fast-math|Ofast|'
+    r'fp-contract=fast|unsafe-math-optimizations|associative-math|'
+    r'reciprocal-math)')
+FP_CONTRACT_PRAGMA_RE = re.compile(
+    r"#\s*pragma\s+(?:STDC\s+FP_CONTRACT\s+ON\b|"
+    r"clang\s+fp\s+contract\s*\(\s*(?:on|fast)\s*\))")
 FMA_CODE_PATTERNS = [
     (re.compile(r"\b_mm\w*_fn?m(?:add|sub)\w*"), "an FMA intrinsic"),
     (re.compile(r"\bstd::fma[fl]?\b"), "std::fma"),
@@ -392,11 +412,16 @@ class Linter:
                             if pat.search(code)]
                     if FMA_ATTRIBUTE_RE.search(uncommented):
                         hits.append("a target attribute enabling FMA")
+                    if FP_OPTIMIZE_RE.search(uncommented):
+                        hits.append("an optimize option licensing fused "
+                                    "or reassociated math")
+                    if FP_CONTRACT_PRAGMA_RE.search(uncommented):
+                        hits.append("a pragma turning on contraction")
                     for what in hits:
                         self.add(rel, lineno, "fp-contract",
-                                 "%s in src/: fused multiply-add changes "
-                                 "rounding and breaks the bit-identity "
-                                 "pins" % what)
+                                 "%s in src/: fused or reassociated math "
+                                 "changes rounding and breaks the "
+                                 "bit-identity pins" % what)
                 if rel not in DETERMINISM_ALLOWLIST and waived != \
                         "determinism":
                     for pat, what, why in DETERMINISM_PATTERNS:
@@ -463,7 +488,12 @@ class Linter:
                         continue
                     _, stripped_lines, _ = read_code(path)
                     for lineno, code in enumerate(stripped_lines, 1):
-                        if pattern.search(code):
+                        # A declaration split after its `(` matches as
+                        # the line joined with the next one.
+                        text = code.rstrip()
+                        if text.endswith("(") and lineno < len(stripped_lines):
+                            text += " " + stripped_lines[lineno].lstrip()
+                        if pattern.search(text):
                             self.add(rel, lineno, rule,
                                      hint % ", ".join(homes))
 

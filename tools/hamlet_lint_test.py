@@ -233,6 +233,15 @@ def main():
             ("__m128d r = _mm_fnmsub_pd(a, b, c);\n", "fnmsub intrinsic"),
             ("double r = std::fma(a, b, c);\n", "std::fma"),
             ("double r = __builtin_fma(a, b, c);\n", "__builtin_fma"),
+            ('#pragma GCC optimize("fast-math")\n', "optimize fast-math"),
+            ('#pragma GCC optimize("fp-contract=fast")\n',
+             "optimize fp-contract"),
+            ('#pragma GCC optimize("O3", "-ffast-math")\n',
+             "optimize second option"),
+            ('__attribute__((optimize("Ofast"))) void F();\n',
+             "optimize attribute"),
+            ("#pragma STDC FP_CONTRACT ON\n", "STDC FP_CONTRACT ON"),
+            ("#pragma clang fp contract(fast)\n", "clang fp contract"),
         ]:
             fix = Fixture(base, "fma_" + what.replace(" ", "_").strip(":_"))
             fix.write("src/hamlet/a.cc", snippet)
@@ -246,9 +255,16 @@ def main():
                             "void F();\n"
                             "// never std::fma or target(\"fma\") here\n"
                             "double r = a * b + c;  // no FMA, no fast-math\n"
-                            "double s = std::fmax(a, b);\n"))
+                            "double s = std::fmax(a, b);\n"
+                            '#pragma GCC optimize("O2")\n'
+                            '__attribute__((optimize("no-fast-math"))) '
+                            "void G();\n"
+                            "#pragma STDC FP_CONTRACT OFF\n"
+                            "#pragma clang fp contract(off)\n"
+                            '// #pragma GCC optimize("fast-math") is out\n'))
         code, out = fma_quiet.lint()
-        check("plain targets and FMA prose pass", code == 0, out)
+        check("plain targets, safe pragmas and FMA prose pass", code == 0,
+              out)
 
         fma_waived = (Fixture(base, "fma_waived")
                       .write("src/hamlet/a.cc",
@@ -420,10 +436,15 @@ def main():
                       .write("src/hamlet/ml/nb/backward_selection.cc",
                              "std::vector<uint8_t> BackwardSelection"
                              "Classifier::PredictAll(const DataView& view) "
-                             "const {\n"))
+                             "const {\n")
+                      # Split after the open parenthesis.
+                      .write("src/hamlet/ml/knn/one_nn.h",
+                             "  std::vector<uint8_t> PredictAll(\n"
+                             "      const DataView& view) const override;\n"))
         code, out = phome_fire.lint()
         check("predict-home fires on view predict paths",
-              code == 1 and out.count("[predict-home]") == 5 and
+              code == 1 and out.count("[predict-home]") == 6 and
+              "src/hamlet/ml/knn/one_nn.h:1:" in out and
               "src/hamlet/ml/tree/decision_tree.h:1:" in out and
               "src/hamlet/ml/tree/decision_tree.h:2:" in out and
               "src/hamlet/ml/knn/one_nn.cc:1:" in out and
@@ -439,6 +460,8 @@ def main():
                        .write("src/hamlet/ml/metrics.cc",
                               "const auto p = model.PredictAll(view);\n"
                               "out[i] = model_->Predict(sub, 0);\n"
+                              "const auto q = model.PredictAll(\n"
+                              "    view);\n"
                               "// PredictAll(const DataView& view) here\n"
                               'const char* s = "Predict(const DataView";\n')
                        .write("tests/parity_util.h", decl))
