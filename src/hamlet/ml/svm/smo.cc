@@ -56,6 +56,26 @@ double SnapToBoxBound(double a, double C) {
   return a;
 }
 
+void ReconstructErrors(KernelRowSource& rows, const std::vector<int8_t>& y,
+                       const std::vector<double>& alpha, double bias,
+                       const int32_t* indices, size_t count,
+                       double* errors) {
+  for (size_t k = 0; k < count; ++k) {
+    errors[k] = bias - static_cast<double>(y[static_cast<size_t>(indices[k])]);
+  }
+  // Each point gets the same additions, in the same ascending-s order, as
+  // a loop over every t that skips the active ones; only the listed
+  // points are visited.
+  for (size_t s = 0; s < alpha.size(); ++s) {
+    if (alpha[s] == 0.0) continue;
+    const float* gs = rows.Row(s);
+    const double c = alpha[s] * static_cast<double>(y[s]);
+    for (size_t k = 0; k < count; ++k) {
+      errors[k] += c * static_cast<double>(gs[static_cast<size_t>(indices[k])]);
+    }
+  }
+}
+
 namespace {
 
 /// The feasible segment [lo, hi] of alpha_j for a pair step along the
@@ -300,31 +320,25 @@ struct Solver {
   }
 
   /// Reconstructs the full error cache and reactivates every point.
-  /// Stale inactive errors are recomputed from scratch —
-  ///   error[t] = sum_s alpha_s y_s K_st + bias - y_t
-  /// accumulated in ascending s over full kernel rows — so the values
-  /// (and everything downstream) are independent of the cache budget.
-  /// Active errors keep their incrementally maintained values.
+  /// Stale inactive errors are recomputed from scratch by
+  /// ReconstructErrors, so the values (and everything downstream) are
+  /// independent of the cache budget. Active errors keep their
+  /// incrementally maintained values.
   void Unshrink() {
     if (!shrunk) return;
     rows.ClearActiveRestriction();
     for (size_t k = 0; k < count; ++k) {
       error[static_cast<size_t>(active[k])] = err[k];
     }
+    std::vector<int32_t> inactive;
     for (size_t t = 0; t < n; ++t) {
-      if (position[t] == kInactive) {
-        error[t] = bias - static_cast<double>(y[t]);
-      }
+      if (position[t] == kInactive) inactive.push_back(static_cast<int32_t>(t));
     }
-    for (size_t s = 0; s < n; ++s) {
-      if (alpha[s] == 0.0) continue;
-      const float* gs = rows.Row(s);
-      const double c = alpha[s] * static_cast<double>(y[s]);
-      for (size_t t = 0; t < n; ++t) {
-        if (position[t] == kInactive) {
-          error[t] += c * static_cast<double>(gs[t]);
-        }
-      }
+    std::vector<double> inactive_err(inactive.size());
+    ReconstructErrors(rows, y, alpha, bias, inactive.data(), inactive.size(),
+                      inactive_err.data());
+    for (size_t k = 0; k < inactive.size(); ++k) {
+      error[static_cast<size_t>(inactive[k])] = inactive_err[k];
     }
     ActivateAll();
     shrunk = false;

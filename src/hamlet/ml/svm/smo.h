@@ -176,6 +176,19 @@ double DegenerateEndpointAj(double lo, double hi, double ai_old,
 /// direct unit testing.
 double SnapToBoxBound(double a, double C);
 
+/// The gradient reconstruction of an unshrink (LIBSVM's; Chang & Lin,
+/// ACM TIST 2011), on the error cache: for the `count` ascending original
+/// indices t in `indices`,
+///   errors[k] = bias - y_t + sum_s (alpha_s * y_s) * K(x_s, x_t),
+/// accumulated from bias - y_t over the s with alpha_s != 0 in ascending
+/// order, each such row fetched once through rows.Row(s) in that order.
+/// The solver calls it for the points that were inactive, whose cached
+/// errors went stale while they were shrunk; the row source must serve
+/// full rows (no active restriction). Exposed for direct unit testing.
+void ReconstructErrors(KernelRowSource& rows, const std::vector<int8_t>& y,
+                       const std::vector<double>& alpha, double bias,
+                       const int32_t* indices, size_t count, double* errors);
+
 /// Runs SMO against `rows` (n x n kernel values served row by row);
 /// `y` holds labels in {-1, +1} and y.size() must equal rows.size().
 Result<SmoSolution> SolveSmo(KernelRowSource& rows,

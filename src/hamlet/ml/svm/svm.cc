@@ -16,9 +16,9 @@ namespace ml {
 
 namespace {
 
-/// Per-thread match-count buffer of at least `n` entries for scoring one
-/// query (like ThreadLocalPackScratch, valid until the next call on the
-/// same thread).
+/// Per-thread match-count buffer of at least `n` entries for scoring a
+/// block of queries (like ThreadLocalPackScratch, valid until the next
+/// call on the same thread).
 uint32_t* ThreadLocalCountScratch(size_t n) {
   thread_local std::vector<uint32_t> scratch;
   if (scratch.size() < n) scratch.resize(n);
@@ -52,9 +52,15 @@ Status KernelSvm::Fit(const DataView& train) {
     is_constant_ = true;
     constant_prediction_ = (2 * pos >= n) ? 1 : 0;
     converged_ = true;
+    // Nothing of an earlier fit survives: a constant model's decision
+    // value is its bias alone, 0 as in a fresh model, and its layout
+    // packs no codes.
+    bias_ = 0.0;
     sv_rows_.clear();
     sv_coeff_.clear();
+    sv_layout_ = simd::PackedLayout{};
     sv_packed_.clear();
+    sv_kernel_by_matches_.clear();
     fitted_ = true;
     RecordTrainDomains(train);
     return Status::OK();
@@ -196,29 +202,49 @@ Result<std::unique_ptr<KernelSvm>> KernelSvm::LoadBody(
   return Result<std::unique_ptr<KernelSvm>>(std::move(model));
 }
 
-double KernelSvm::DecisionValueOfPacked(const uint64_t* query) const {
+template <size_t kRows>
+void KernelSvm::DecisionValuesOfPacked(const uint64_t* queries,
+                                       double* f) const {
   const size_t num_sv = sv_coeff_.size();
-  uint32_t* counts = ThreadLocalCountScratch(num_sv);
-  simd::PackedMatchCounts(sv_layout_, query, sv_packed_.data(), nullptr,
-                          num_sv, counts);
+  const size_t words_per_row = sv_layout_.words_per_row;
+  uint32_t* counts = ThreadLocalCountScratch(kRows * num_sv);
+  for (size_t r = 0; r < kRows; ++r) {
+    simd::PackedMatchCounts(sv_layout_, queries + r * words_per_row,
+                            sv_packed_.data(), nullptr, num_sv,
+                            counts + r * num_sv);
+  }
   const double* table = sv_kernel_by_matches_.data();
-  double f = bias_;
-  for (size_t s = 0; s < num_sv; ++s) f += sv_coeff_[s] * table[counts[s]];
-  return f;
+  const double* coeff = sv_coeff_.data();
+  // One independent chain per query, each summed in SV order.
+  double sum[kRows];
+  for (size_t r = 0; r < kRows; ++r) sum[r] = bias_;
+  for (size_t s = 0; s < num_sv; ++s) {
+    for (size_t r = 0; r < kRows; ++r) {
+      sum[r] += coeff[s] * table[counts[r * num_sv + s]];
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) f[r] = sum[r];
 }
 
-void KernelSvm::CountPackedEvals(uint64_t queries) const {
-  const uint64_t evals = queries * sv_coeff_.size();
+void KernelSvm::DecisionValuesOfCodes(const uint32_t* codes, size_t rows,
+                                      double* out) const {
+  const size_t words_per_row = sv_layout_.words_per_row;
+  uint64_t* packed =
+      ThreadLocalPackScratch(kScoreBlockRows * words_per_row);
+  size_t r = 0;
+  for (; r + kScoreBlockRows <= rows; r += kScoreBlockRows) {
+    for (size_t q = 0; q < kScoreBlockRows; ++q) {
+      sv_layout_.PackRow(codes + (r + q) * d_, packed + q * words_per_row);
+    }
+    DecisionValuesOfPacked<kScoreBlockRows>(packed, out + r);
+  }
+  for (; r < rows; ++r) {
+    sv_layout_.PackRow(codes + r * d_, packed);
+    DecisionValuesOfPacked<1>(packed, out + r);
+  }
+  const uint64_t evals = rows * sv_coeff_.size();
   counters::Add(counters::Counter::kPackedEvals, evals);
-  counters::Add(counters::Counter::kPackedEvalWords,
-                evals * sv_layout_.words_per_row);
-}
-
-double KernelSvm::DecisionValueOfCodes(const uint32_t* query) const {
-  uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
-  sv_layout_.PackRow(query, packed_query);
-  CountPackedEvals(1);
-  return DecisionValueOfPacked(packed_query);
+  counters::Add(counters::Counter::kPackedEvalWords, evals * words_per_row);
 }
 
 void KernelSvm::PredictCodes(const uint32_t* codes, size_t rows,
@@ -227,12 +253,13 @@ void KernelSvm::PredictCodes(const uint32_t* codes, size_t rows,
     std::fill(out, out + rows, constant_prediction_);
     return;
   }
-  uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
-  for (size_t r = 0; r < rows; ++r) {
-    sv_layout_.PackRow(codes + r * d_, packed_query);
-    out[r] = DecisionValueOfPacked(packed_query) >= 0.0 ? 1 : 0;
+  constexpr size_t kChunkRows = 64;
+  double f[kChunkRows];
+  for (size_t r = 0; r < rows; r += kChunkRows) {
+    const size_t chunk = std::min(kChunkRows, rows - r);
+    DecisionValuesOfCodes(codes + r * d_, chunk, f);
+    for (size_t q = 0; q < chunk; ++q) out[r + q] = f[q] >= 0.0 ? 1 : 0;
   }
-  CountPackedEvals(rows);
 }
 
 }  // namespace ml

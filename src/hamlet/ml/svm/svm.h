@@ -58,8 +58,20 @@ class KernelSvm : public CodeClassifier {
   static Result<std::unique_ptr<KernelSvm>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
 
+  /// Signed decision values f(x) of `rows` queries (row-major,
+  /// num_features codes each) into out[0, rows). Rows are scored four
+  /// at a time and the tail one at a time; every value has the bits of
+  /// the one-row sum: bias first, then the support vectors in order.
+  /// Adds the call's packed evaluations to the counters once.
+  void DecisionValuesOfCodes(const uint32_t* codes, size_t rows,
+                             double* out) const;
+
   /// Signed decision value f(x) for a query of num_features codes.
-  double DecisionValueOfCodes(const uint32_t* query) const;
+  double DecisionValueOfCodes(const uint32_t* query) const {
+    double f;
+    DecisionValuesOfCodes(query, 1, &f);
+    return f;
+  }
 
   size_t num_support_vectors() const { return sv_rows_.size() / (d_ ? d_ : 1); }
 
@@ -75,7 +87,8 @@ class KernelSvm : public CodeClassifier {
 
  private:
   /// The constant label of a single-class fit, else 1 where the decision
-  /// value is >= 0; counts the range's packed evaluations once.
+  /// value is >= 0, scored through DecisionValuesOfCodes 64 rows at a
+  /// time.
   void PredictCodes(const uint32_t* codes, size_t rows,
                     uint8_t* out) const override;
   /// Rebuilds the packed support-vector slab (sv_layout_ / sv_packed_)
@@ -83,14 +96,16 @@ class KernelSvm : public CodeClassifier {
   /// kernel-by-match-count table; called at the end of Fit and LoadBody.
   /// Queries are packed into the same layout at prediction time.
   void PackSupportVectors(const std::vector<uint32_t>& domains);
-  /// Decision value for a query already packed under sv_layout_; the
-  /// shared kernel-sum loop of PredictCodes and DecisionValueOfCodes.
-  /// Adds nothing to the packed eval counters: each caller flushes its
-  /// own total (one query for DecisionValueOfCodes, a range of rows for
-  /// PredictCodes).
-  double DecisionValueOfPacked(const uint64_t* query) const;
-  /// Flushes `queries` scored queries to the packed eval counters.
-  void CountPackedEvals(uint64_t queries) const;
+  /// Queries scored together by DecisionValuesOfPacked.
+  static constexpr size_t kScoreBlockRows = 4;
+  /// Decision values of kRows queries already packed under sv_layout_
+  /// (query r at queries + r * words_per_row): one match-count pass per
+  /// query over the SV slab, then one pass over the support vectors that
+  /// carries kRows independent sums, each f = bias, then
+  /// f += coeff[s] * table[count[s]] in SV order. The kRows = 1 case is
+  /// the one-row score. Adds nothing to the packed eval counters.
+  template <size_t kRows>
+  void DecisionValuesOfPacked(const uint64_t* queries, double* f) const;
 
   SvmConfig config_;
   bool fitted_ = false;

@@ -120,7 +120,8 @@ inline size_t PackedMatchCount(const PackedLayout& layout, const uint64_t* a,
 /// r = indices[k] when `indices` is given (an ascending list of row
 /// numbers) and r = k when it is null (a contiguous slab). Overwrites
 /// counts[0 .. n). The popcount is picked once per call, not per row, so
-/// kernel rows and SVM scoring pay one dispatch per query.
+/// kernel rows and SVM scoring pay one dispatch per query; rows of one
+/// and two words take straight-line loops with the query in registers.
 void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
                        const uint64_t* rows, const int32_t* indices,
                        size_t n, uint32_t* counts);

@@ -35,51 +35,130 @@ inline uint32_t PopcountSwar(uint64_t x) {
   return static_cast<uint32_t>((x * 0x0101010101010101ull) >> 56);
 }
 
-/// Row k of a batched count: rows[indices[k]] with an index list,
-/// rows[k] without one.
-inline const uint64_t* BatchRow(const uint64_t* rows, const int32_t* indices,
-                                size_t k, size_t words_per_row) {
-  const size_t r = indices != nullptr ? static_cast<size_t>(indices[k]) : k;
-  return rows + r * words_per_row;
-}
+/// The popcounts of the word loops below: bit-twiddling on any 64-bit
+/// host, or the hardware instruction. NativeCount is always inlined, so
+/// inside a target("popcnt") function its builtin is one POPCNT (on
+/// aarch64, NEON cnt).
+struct SwarCount {
+  static uint32_t Count(uint64_t x) { return PopcountSwar(x); }
+};
+struct NativeCount {
+  [[gnu::always_inline]] static uint32_t Count(uint64_t x) {
+    return static_cast<uint32_t>(__builtin_popcountll(x));
+  }
+};
 
-inline size_t RowMismatchSwar(const PackedLayout& layout, const uint64_t* a,
-                              const uint64_t* b) {
+template <typename Pop>
+[[gnu::always_inline]] inline size_t RowMismatch(const PackedLayout& layout,
+                                                 const uint64_t* a,
+                                                 const uint64_t* b) {
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
+    mismatches += Pop::Count(MismatchGuardBits(a[w] ^ b[w], layout));
   }
   return mismatches;
+}
+
+template <typename Pop>
+[[gnu::always_inline]] inline size_t RowMismatchBounded(
+    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
+    size_t limit) {
+  size_t mismatches = 0;
+  for (size_t w = 0; w < layout.words_per_row; ++w) {
+    mismatches += Pop::Count(MismatchGuardBits(a[w] ^ b[w], layout));
+    if (mismatches >= limit) return mismatches;
+  }
+  return mismatches;
+}
+
+/// Row number k of a batched count: indices[k] with an index list, k
+/// without one.
+template <bool kIndexed>
+[[gnu::always_inline]] inline size_t BatchRowNumber(const int32_t* indices,
+                                                    size_t k) {
+  return kIndexed ? static_cast<size_t>(indices[k]) : k;
+}
+
+/// The batched count for rows of kWords words (1 or 2): the query words
+/// stay in registers and each row is one straight-line step, with no
+/// per-row word loop. A row's count is the same sum of per-word counts
+/// as RowMismatch's.
+template <typename Pop, size_t kWords, bool kIndexed>
+[[gnu::always_inline]] inline void MatchCountsFixed(
+    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
+    const int32_t* indices, size_t n, uint32_t* counts) {
+  static_assert(kWords == 1 || kWords == 2, "one- and two-word rows only");
+  const uint32_t d = static_cast<uint32_t>(layout.num_features);
+  const uint64_t add = layout.add_mask, guard = layout.guard_mask;
+  const uint64_t q0 = query[0], q1 = kWords == 2 ? query[1] : 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t* row = rows + BatchRowNumber<kIndexed>(indices, k) * kWords;
+    uint32_t mismatches = Pop::Count(((q0 ^ row[0]) + add) & guard);
+    if (kWords == 2) mismatches += Pop::Count(((q1 ^ row[1]) + add) & guard);
+    counts[k] = d - mismatches;
+  }
+}
+
+template <typename Pop, bool kIndexed>
+[[gnu::always_inline]] inline void MatchCountsShaped(
+    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
+    const int32_t* indices, size_t n, uint32_t* counts) {
+  const size_t words = layout.words_per_row;
+  if (words == 1) {
+    MatchCountsFixed<Pop, 1, kIndexed>(layout, query, rows, indices, n,
+                                       counts);
+  } else if (words == 2) {
+    MatchCountsFixed<Pop, 2, kIndexed>(layout, query, rows, indices, n,
+                                       counts);
+  } else {
+    const size_t d = layout.num_features;
+    for (size_t k = 0; k < n; ++k) {
+      const uint64_t* row = rows + BatchRowNumber<kIndexed>(indices, k) * words;
+      counts[k] =
+          static_cast<uint32_t>(d - RowMismatch<Pop>(layout, query, row));
+    }
+  }
+}
+
+/// simd::PackedMatchCounts over one popcount: straight-line loops for
+/// one- and two-word rows (the common kernel-row shapes), the per-word
+/// loop for longer ones, each with and without an index list.
+template <typename Pop>
+[[gnu::always_inline]] inline void MatchCountsWith(
+    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
+    const int32_t* indices, size_t n, uint32_t* counts) {
+  if (indices != nullptr) {
+    MatchCountsShaped<Pop, true>(layout, query, rows, indices, n, counts);
+  } else {
+    MatchCountsShaped<Pop, false>(layout, query, rows, indices, n, counts);
+  }
 }
 
 }  // namespace
 
 size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
                     const uint64_t* b) {
-  return RowMismatchSwar(layout, a, b);
+  return RowMismatch<SwarCount>(layout, a, b);
 }
 
 void MatchCountsSwar(const PackedLayout& layout, const uint64_t* query,
                      const uint64_t* rows, const int32_t* indices, size_t n,
                      uint32_t* counts) {
-  const size_t d = layout.num_features;
-  for (size_t k = 0; k < n; ++k) {
-    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
-    counts[k] = static_cast<uint32_t>(d - RowMismatchSwar(layout, query, row));
-  }
+  MatchCountsWith<SwarCount>(layout, query, rows, indices, n, counts);
 }
 
 size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
                            const uint64_t* b, size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += PopcountSwar(MismatchGuardBits(a[w] ^ b[w], layout));
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
+  return RowMismatchBounded<SwarCount>(layout, a, b, limit);
 }
 
+// The hardware-popcount routines carry target("popcnt") on x86-64, where
+// simd.cc calls them only after NativeSupported(). aarch64 has no runtime
+// feature question: __builtin_popcountll lowers to the NEON cnt/addv
+// sequence on every ARMv8 core. Other hosts report no hardware popcount,
+// so simd.cc never routes them here.
 #ifdef HAMLET_X86_NATIVE
+#define HAMLET_POPCNT_TARGET __attribute__((target("popcnt")))
 
 bool NativeSupported() {
   static const bool supported = __builtin_cpu_supports("popcnt");
@@ -90,18 +169,41 @@ bool Avx2Supported() {
   static const bool supported = __builtin_cpu_supports("avx2");
   return supported;
 }
+#else
+#define HAMLET_POPCNT_TARGET
+
+bool NativeSupported() {
+#ifdef __aarch64__
+  return true;
+#else
+  return false;
+#endif
+}
+#endif
+
+HAMLET_POPCNT_TARGET size_t MismatchPopcount(const PackedLayout& layout,
+                                             const uint64_t* a,
+                                             const uint64_t* b) {
+  return RowMismatch<NativeCount>(layout, a, b);
+}
+
+HAMLET_POPCNT_TARGET void MatchCountsPopcount(
+    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
+    const int32_t* indices, size_t n, uint32_t* counts) {
+  MatchCountsWith<NativeCount>(layout, query, rows, indices, n, counts);
+}
+
+HAMLET_POPCNT_TARGET size_t MismatchPopcountBounded(
+    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
+    size_t limit) {
+  return RowMismatchBounded<NativeCount>(layout, a, b, limit);
+}
+
+#undef HAMLET_POPCNT_TARGET
+
+#ifdef HAMLET_X86_NATIVE
 
 namespace {
-
-__attribute__((target("popcnt"))) inline size_t RowMismatchPopcount(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        _mm_popcnt_u64(MismatchGuardBits(a[w] ^ b[w], layout)));
-  }
-  return mismatches;
-}
 
 /// Four words per iteration through AVX2 XOR/add/and, popcounted from a
 /// spilled register. Only worth the lane shuffling once rows span
@@ -136,34 +238,6 @@ __attribute__((target("avx2,popcnt"))) inline size_t RowMismatchAvx2(
 
 }  // namespace
 
-__attribute__((target("popcnt"))) size_t MismatchPopcount(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
-  return RowMismatchPopcount(layout, a, b);
-}
-
-__attribute__((target("popcnt"))) void MatchCountsPopcount(
-    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
-    const int32_t* indices, size_t n, uint32_t* counts) {
-  const size_t d = layout.num_features;
-  for (size_t k = 0; k < n; ++k) {
-    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
-    counts[k] =
-        static_cast<uint32_t>(d - RowMismatchPopcount(layout, query, row));
-  }
-}
-
-__attribute__((target("popcnt"))) size_t MismatchPopcountBounded(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
-    size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        _mm_popcnt_u64(MismatchGuardBits(a[w] ^ b[w], layout)));
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
-}
-
 __attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
     const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
   return RowMismatchAvx2(layout, a, b);
@@ -174,63 +248,10 @@ __attribute__((target("avx2,popcnt"))) void MatchCountsAvx2(
     const int32_t* indices, size_t n, uint32_t* counts) {
   const size_t d = layout.num_features;
   for (size_t k = 0; k < n; ++k) {
-    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
+    const size_t r = indices != nullptr ? static_cast<size_t>(indices[k]) : k;
+    const uint64_t* row = rows + r * layout.words_per_row;
     counts[k] = static_cast<uint32_t>(d - RowMismatchAvx2(layout, query, row));
   }
-}
-
-#else  // !HAMLET_X86_NATIVE
-
-// aarch64 has no runtime feature question: __builtin_popcountll lowers
-// to the NEON cnt/addv sequence on every ARMv8 core. Other hosts report
-// no hardware popcount, so simd.cc never routes them here.
-bool NativeSupported() {
-#ifdef __aarch64__
-  return true;
-#else
-  return false;
-#endif
-}
-
-namespace {
-
-inline size_t RowMismatchPopcount(const PackedLayout& layout,
-                                  const uint64_t* a, const uint64_t* b) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
-  }
-  return mismatches;
-}
-
-}  // namespace
-
-size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
-                        const uint64_t* b) {
-  return RowMismatchPopcount(layout, a, b);
-}
-
-void MatchCountsPopcount(const PackedLayout& layout, const uint64_t* query,
-                         const uint64_t* rows, const int32_t* indices,
-                         size_t n, uint32_t* counts) {
-  const size_t d = layout.num_features;
-  for (size_t k = 0; k < n; ++k) {
-    const uint64_t* row = BatchRow(rows, indices, k, layout.words_per_row);
-    counts[k] =
-        static_cast<uint32_t>(d - RowMismatchPopcount(layout, query, row));
-  }
-}
-
-size_t MismatchPopcountBounded(const PackedLayout& layout, const uint64_t* a,
-                               const uint64_t* b, size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        __builtin_popcountll(MismatchGuardBits(a[w] ^ b[w], layout)));
-    if (mismatches >= limit) return mismatches;
-  }
-  return mismatches;
 }
 
 #endif  // HAMLET_X86_NATIVE

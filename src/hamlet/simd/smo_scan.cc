@@ -1,17 +1,21 @@
 // The SMO solver's per-iteration scans (the contracts are in simd.h):
 // a portable scalar version of each, and an AVX2 version that runs four
-// positions per step. Both walk positions in ascending order with strict
-// comparisons, so each lane keeps its first extreme; the AVX2 lanes then
-// merge by value and, among equal values, by lowest position, and the
-// tail positions continue the scan one at a time. That is the scalar
-// scan's answer for every input, NaN included (a NaN never compares
-// better). Neither version uses a fused multiply-add, so both write the
-// same error bits.
+// positions per step. The scalar scans are the reference: they walk
+// positions in ascending order with strict comparisons, so the first
+// extreme wins. The AVX2 j-scan keeps each lane's first extreme and
+// merges the lanes by value and, among equal values, by lowest
+// position. The AVX2 score scans keep only lane extremes and find the
+// position afterwards, by rescanning the one 32-position block that
+// first attains the extreme (the argument is at ScanAvx2). Tail positions
+// continue each scan one at a time. Every version returns the scalar
+// answer for every input, NaN included (a NaN never compares better),
+// and none uses a fused multiply-add, so all write the same error bits.
 //
 // Isolated in its own translation unit so the AVX2 functions can carry
 // __attribute__((target(...))) while the rest of the library compiles
 // for the baseline ISA; simd.cc routes here after the CPU check.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -160,17 +164,18 @@ namespace {
 
 constexpr size_t kLanes = 4;
 
+/// Positions per block of the score scans' deferred argmax.
+constexpr size_t kScanBlock = 32;
+
 /// Folds per-lane (value, position) pairs into (best, best_k): the
-/// greater value for kMax, else the lesser, and the lower position
-/// among equal values. Lanes that never took a value hold position -1.
-template <bool kMax>
+/// greater value, and the lower position among equal values. Lanes that
+/// never took a value hold position -1.
 inline void MergeLanes(const double* value, const double* position,
                        double& best, size_t& best_k) {
   for (size_t l = 0; l < kLanes; ++l) {
     if (position[l] < 0.0) continue;
     const size_t k = static_cast<size_t>(position[l]);
-    const bool better = kMax ? value[l] > best : value[l] < best;
-    if (better || (value[l] == best && k < best_k)) {
+    if (value[l] > best || (value[l] == best && k < best_k)) {
       best = value[l];
       best_k = k;
     }
@@ -194,6 +199,41 @@ __attribute__((target("avx2"))) inline __m128 GatherRow(
                      row[active[3]]);
 }
 
+/// The greatest (kMax) or least of four lanes, none of them NaN.
+template <bool kMax>
+__attribute__((target("avx2"))) inline double ReduceLanes(__m256d v) {
+  const __m128d lo = _mm256_castpd256_pd128(v);
+  const __m128d hi = _mm256_extractf128_pd(v, 1);
+  const __m128d pair = kMax ? _mm_max_pd(lo, hi) : _mm_min_pd(lo, hi);
+  const __m128d other = _mm_unpackhi_pd(pair, pair);
+  return _mm_cvtsd_f64(kMax ? _mm_max_sd(pair, other)
+                            : _mm_min_sd(pair, other));
+}
+
+/// The first position in [begin, end) whose masked up (kUp) or low score
+/// equals `best`, computed from the (refreshed) errors exactly as the
+/// scan step computes it.
+template <bool kUp>
+inline size_t FirstPositionOf(const SmoActiveView& v, size_t begin,
+                              size_t end, double best) {
+  const double* off = kUp ? v.up_off : v.low_off;
+  for (size_t k = begin; k < end; ++k) {
+    if (-v.err[k] + off[k] == best) return k;
+  }
+  return kNoPosition;  // unreachable: the block attains `best`
+}
+
+// The deferred argmax. Each vector step keeps only the lane max of the
+// up scores and the lane min of the low scores; max_pd(a, b) is
+// a > b ? a : b, so a NaN score is never taken, as in the scalar scan.
+// Each block of kScanBlock positions reduces its lanes to one extreme,
+// and the running extreme moves to a block only when the block's is
+// strictly better, so it stays at the first block that holds a score
+// equal (==, so -0 and +0 alike) to the final extreme. Every earlier
+// block's extreme is strictly worse, so the first position in that
+// block whose score equals the extreme is the first such position
+// overall: the position the scalar strict first-wins scan returns. A
+// rescan of that one block finds it.
 template <bool kRefresh>
 __attribute__((target("avx2"))) SmoExtremes ScanAvx2(
     const SmoActiveView& v, const SmoRefresh* r) {
@@ -202,63 +242,64 @@ __attribute__((target("avx2"))) SmoExtremes ScanAvx2(
   const double* const up_off = v.up_off;
   const double* const low_off = v.low_off;
   const int32_t* const active = v.active;
-  const size_t count = v.count;
+  const size_t vector_end = v.count - v.count % kLanes;
   const float* const gi_row = kRefresh ? r->gi : nullptr;
   const float* const gj_row = kRefresh ? r->gj : nullptr;
   const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d step = _mm256_set1_pd(static_cast<double>(kLanes));
   __m256d di = _mm256_setzero_pd(), dj = di, db = di;
   if (kRefresh) {
     di = _mm256_set1_pd(r->di);
     dj = _mm256_set1_pd(r->dj);
     db = _mm256_set1_pd(r->db);
   }
-  __m256d up_value = _mm256_set1_pd(-kInf);
-  __m256d low_value = _mm256_set1_pd(kInf);
-  __m256d up_pos = _mm256_set1_pd(-1.0), low_pos = up_pos;
-  __m256d pos = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-  size_t k = 0;
-  for (; k + kLanes <= count; k += kLanes) {
-    __m256d e = _mm256_loadu_pd(err + k);
-    if (kRefresh) {
-      const __m256d gi = _mm256_cvtps_pd(_mm_loadu_ps(gi_row + k));
-      const __m256d gj = _mm256_cvtps_pd(GatherRow(gj_row, active + k));
-      e = _mm256_add_pd(
-          e, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(di, gi),
-                                         _mm256_mul_pd(dj, gj)),
-                           db));
-      _mm256_storeu_pd(err + k, e);
-    }
-    const __m256d score = _mm256_xor_pd(e, sign);
-    const __m256d up_score = _mm256_add_pd(score, _mm256_loadu_pd(up_off + k));
-    const __m256d low_score =
-        _mm256_add_pd(score, _mm256_loadu_pd(low_off + k));
-    // max_pd(a, b) is a > b ? a : b and min_pd(a, b) is a < b ? a : b,
-    // so the running values take exactly the strictly better scores (a
-    // NaN never) and the chain through them is one max / min per step.
-    up_pos = Select(_mm256_cmp_pd(up_score, up_value, _CMP_GT_OQ), pos,
-                    up_pos);
-    low_pos = Select(_mm256_cmp_pd(low_score, low_value, _CMP_LT_OQ), pos,
-                     low_pos);
-    up_value = _mm256_max_pd(up_score, up_value);
-    low_value = _mm256_min_pd(low_score, low_value);
-    pos = _mm256_add_pd(pos, step);
-  }
-  alignas(32) double up_value_l[kLanes], up_pos_l[kLanes];
-  alignas(32) double low_value_l[kLanes], low_pos_l[kLanes];
-  _mm256_store_pd(up_value_l, up_value);
-  _mm256_store_pd(up_pos_l, up_pos);
-  _mm256_store_pd(low_value_l, low_value);
-  _mm256_store_pd(low_pos_l, low_pos);
-  // The tail below is baseline SSE code, which GCC may reach by a plain
-  // jump without clearing the upper YMM halves; left dirty, they slow
-  // every later SSE instruction on this thread.
-  _mm256_zeroupper();
   double up_best = -kInf, low_best = kInf;
+  size_t up_block = kNoPosition, low_block = kNoPosition;
+  for (size_t block = 0; block < vector_end; block += kScanBlock) {
+    const size_t block_end = std::min(block + kScanBlock, vector_end);
+    __m256d up_value = _mm256_set1_pd(-kInf);
+    __m256d low_value = _mm256_set1_pd(kInf);
+    for (size_t k = block; k < block_end; k += kLanes) {
+      __m256d e = _mm256_loadu_pd(err + k);
+      if (kRefresh) {
+        const __m256d gi = _mm256_cvtps_pd(_mm_loadu_ps(gi_row + k));
+        const __m256d gj = _mm256_cvtps_pd(GatherRow(gj_row, active + k));
+        e = _mm256_add_pd(
+            e, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(di, gi),
+                                           _mm256_mul_pd(dj, gj)),
+                             db));
+        _mm256_storeu_pd(err + k, e);
+      }
+      const __m256d score = _mm256_xor_pd(e, sign);
+      up_value = _mm256_max_pd(
+          _mm256_add_pd(score, _mm256_loadu_pd(up_off + k)), up_value);
+      low_value = _mm256_min_pd(
+          _mm256_add_pd(score, _mm256_loadu_pd(low_off + k)), low_value);
+    }
+    const double block_up = ReduceLanes<true>(up_value);
+    const double block_low = ReduceLanes<false>(low_value);
+    if (block_up > up_best) {
+      up_best = block_up;
+      up_block = block;
+    }
+    if (block_low < low_best) {
+      low_best = block_low;
+      low_block = block;
+    }
+  }
+  // The rescans and the tail below are baseline SSE code, which GCC may
+  // reach by a plain jump without clearing the upper YMM halves; left
+  // dirty, they slow every later SSE instruction on this thread.
+  _mm256_zeroupper();
   size_t up = kNoPosition, low = kNoPosition;
-  MergeLanes<true>(up_value_l, up_pos_l, up_best, up);
-  MergeLanes<false>(low_value_l, low_pos_l, low_best, low);
-  return ScanFrom<kRefresh>(v, r, k, up_best, up, low_best, low);
+  if (up_block != kNoPosition) {
+    up = FirstPositionOf<true>(
+        v, up_block, std::min(up_block + kScanBlock, vector_end), up_best);
+  }
+  if (low_block != kNoPosition) {
+    low = FirstPositionOf<false>(
+        v, low_block, std::min(low_block + kScanBlock, vector_end), low_best);
+  }
+  return ScanFrom<kRefresh>(v, r, vector_end, up_best, up, low_best, low);
 }
 
 }  // namespace
@@ -323,7 +364,7 @@ __attribute__((target("avx2"))) size_t SmoSelectJAvx2(
   _mm256_zeroupper();  // as in ScanAvx2: the tail is baseline SSE code
   double best_gain = -kInf;
   size_t best_k = kNoPosition;
-  MergeLanes<true>(value, position, best_gain, best_k);
+  MergeLanes(value, position, best_gain, best_k);
   for (; k < count; ++k) {
     SelectJStep(view, row_i, kii, up_best, row_i_out, k, best_gain, best_k);
   }

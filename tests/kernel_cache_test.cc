@@ -15,11 +15,14 @@
 
 #include "hamlet/common/counters.h"
 #include "hamlet/data/code_matrix.h"
+#include "hamlet/data/dataset.h"
+#include "hamlet/data/view.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/svm/kernel.h"
 #include "hamlet/ml/svm/kernel_cache.h"
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
+#include "hamlet/simd/simd.h"
 #include "gram_source.h"
 #include "parity_util.h"
 #include "smo_oracle.h"
@@ -34,6 +37,13 @@ constexpr size_t kUnbounded = std::numeric_limits<size_t>::max() / 2;
 
 /// Cache budget that holds exactly `rows` rows of an n-point problem.
 size_t BytesForRows(size_t rows, size_t n) { return rows * n * sizeof(float); }
+
+/// The bit pattern of a double, so EXPECT_EQ compares bits.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
 
 /// A small two-class problem with enough structure to need real SMO work.
 struct SmoProblem {
@@ -67,26 +77,51 @@ const std::vector<KernelConfig>& AllKernels() {
 // ------------------------------------------------------------ KernelCache --
 
 TEST(KernelCacheTest, RowsBitIdenticalToComputeGram) {
-  const SmoProblem p(11);
-  for (const KernelConfig& kc : AllKernels()) {
-    const CodeMatrix m(p.train);
+  // Domain 6 packs into 4-bit fields, 16 per word, so 5, 27 and 43
+  // features make kernel rows of 1, 2 and 3 packed words: both
+  // straight-line count shapes and the per-word loop. Each shape is read
+  // as full rows (a slab count) and as rows restricted to an active set
+  // (an index-list count).
+  for (const size_t d : {5u, 27u, 43u}) {
+    const Dataset data =
+        test::MakeParityDataset(72, std::vector<uint32_t>(d, 6), 11);
+    const DataView train = test::MakeParityViews(data, 12).train;
+    const CodeMatrix m(train);
     const size_t n = m.num_rows();
-    const std::vector<float> gram =
-        test::ComputeGram(kc, m.codes(), n, m.num_features());
-    // Capacity 1 forces a recompute on every access; recomputed rows must
-    // still match the full Gram exactly.
-    KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(1, n));
-    ASSERT_EQ(cache.size(), n);
-    EXPECT_EQ(cache.capacity_rows(), 1u);
-    for (size_t i = 0; i < n; ++i) {
-      const float* row = cache.Row(i);
-      for (size_t t = 0; t < n; ++t) {
-        ASSERT_EQ(row[t], gram[i * n + t]) << "kernel " << KernelTypeName(kc.type)
-                                           << " row " << i << " col " << t;
+    ASSERT_EQ(simd::PackedLayout::ForDomains(m.domain_sizes().data(), d)
+                  .words_per_row,
+              (d + 15) / 16);
+    std::vector<int32_t> odd;
+    for (size_t t = 1; t < n; t += 2) odd.push_back(static_cast<int32_t>(t));
+    for (const KernelConfig& kc : AllKernels()) {
+      SCOPED_TRACE(std::string(KernelTypeName(kc.type)) +
+                   " d=" + std::to_string(d));
+      const std::vector<float> gram = test::ComputeGram(kc, m.codes(), n, d);
+      // Capacity 1 forces a recompute on every access; recomputed rows
+      // must still match the full Gram exactly.
+      KernelCache cache(CodeMatrix(train), kc, BytesForRows(1, n));
+      ASSERT_EQ(cache.size(), n);
+      EXPECT_EQ(cache.capacity_rows(), 1u);
+      for (size_t i = 0; i < n; ++i) {
+        const float* row = cache.Row(i);
+        for (size_t t = 0; t < n; ++t) {
+          ASSERT_EQ(row[t], gram[i * n + t]) << "row " << i << " col " << t;
+        }
+      }
+      EXPECT_EQ(cache.hits(), 0u);
+      EXPECT_EQ(cache.misses(), n);
+
+      KernelCache restricted(CodeMatrix(train), kc, BytesForRows(1, n));
+      restricted.RestrictActive(odd.data(), odd.size());
+      for (const int32_t i : odd) {
+        const float* row = restricted.Row(static_cast<size_t>(i));
+        for (const int32_t t : odd) {
+          ASSERT_EQ(row[t], gram[static_cast<size_t>(i) * n +
+                                 static_cast<size_t>(t)])
+              << "restricted row " << i << " col " << t;
+        }
       }
     }
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), n);
   }
 }
 
@@ -391,6 +426,128 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   EXPECT_EQ(reused.value().alpha, baseline.value().alpha);  // bitwise
   EXPECT_EQ(reused.value().bias, baseline.value().bias);
   EXPECT_EQ(reused.value().iterations, baseline.value().iterations);
+}
+
+/// Forwards every call to a row source and remembers the active
+/// restriction each ClearActiveRestriction lifts, so a test can read the
+/// inactive set a solve left behind.
+class RestrictionSpy : public KernelRowSource {
+ public:
+  explicit RestrictionSpy(KernelRowSource& inner) : inner_(inner) {}
+
+  const float* Row(size_t i) override {
+    ++rows_since_clear_;
+    return inner_.Row(i);
+  }
+  float At(size_t i, size_t j) const override { return inner_.At(i, j); }
+  const float* PeekRow(size_t i) const override { return inner_.PeekRow(i); }
+  const float* Diag() const override { return inner_.Diag(); }
+  size_t size() const override { return inner_.size(); }
+  void RestrictActive(const int32_t* indices, size_t count) override {
+    restriction_.assign(indices, indices + count);
+    inner_.RestrictActive(indices, count);
+  }
+  void ClearActiveRestriction() override {
+    lifted_ = restriction_;
+    restriction_.clear();
+    rows_since_clear_ = 0;
+    inner_.ClearActiveRestriction();
+  }
+
+  /// True when the last call was a ClearActiveRestriction that lifted a
+  /// restriction: the solve returned while shrunk, with lifted() active.
+  bool EndedShrunk() const {
+    return !lifted_.empty() && rows_since_clear_ == 0;
+  }
+  const std::vector<int32_t>& lifted() const { return lifted_; }
+
+ private:
+  KernelRowSource& inner_;
+  std::vector<int32_t> restriction_;
+  std::vector<int32_t> lifted_;
+  size_t rows_since_clear_ = 0;
+};
+
+/// The compacted gradient reconstruction (ml::ReconstructErrors, which
+/// Unshrink runs) against the all-t loop it replaced
+/// (test::ReconstructErrorsAllT). SolveSmo is deterministic, so a solve
+/// cut at max_iterations = m returns the iterate the uncut solve starts
+/// iteration m from; where that solve returns shrunk, its alpha, bias and
+/// inactive set are the input an unshrink at iteration m reconstructs
+/// from. At every such m of seeded solves that shrink and unshrink, on a
+/// 1-row and a default-budget cache warmed alike, the two must give
+/// every inactive point the same error bits and the same cache hit and
+/// miss deltas (the same Row sequence).
+TEST(SmoUnshrinkOracleTest, CompactedReconstructionMatchesAllTLoop) {
+  test::ScopedEnvVar default_budget("HAMLET_SMO_CACHE_MB", nullptr);
+  size_t checked = 0;
+  for (const uint64_t seed : {24u, 31u}) {
+    const SmoProblem p(seed);
+    const size_t n = p.y.size();
+    for (const KernelConfig& kc : {AllKernels()[0], AllKernels()[2]}) {
+      SCOPED_TRACE(std::string(KernelTypeName(kc.type)) +
+                   " seed=" + std::to_string(seed));
+      SmoConfig cfg;
+      cfg.C = 5.0;
+      cfg.tolerance = 1e-6;  // prolong the solve past several shrinks
+      KernelCache full_cache(CodeMatrix(p.train), kc, 0);
+      const counters::Snapshot start = counters::Read();
+      const Result<SmoSolution> full = SolveSmo(full_cache, p.y, cfg);
+      const counters::Snapshot work = counters::Read() - start;
+      ASSERT_TRUE(full.ok());
+      ASSERT_GT(work[Counter::kSmoShrinks], 0u);
+      ASSERT_GT(work[Counter::kSmoUnshrinks], 0u);
+
+      size_t shrunk_exits = 0;
+      for (size_t m = 1; m <= full.value().iterations; ++m) {
+        KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
+        RestrictionSpy spy(cache);
+        SmoConfig cut = cfg;
+        cut.max_iterations = m;
+        const Result<SmoSolution> sol = SolveSmo(spy, p.y, cut);
+        ASSERT_TRUE(sol.ok());
+        if (!spy.EndedShrunk()) continue;
+        ++shrunk_exits;
+        const std::vector<double>& alpha = sol.value().alpha;
+        std::vector<uint8_t> is_inactive(n, 1);
+        for (const int32_t t : spy.lifted()) is_inactive[t] = 0;
+        std::vector<int32_t> inactive;
+        for (size_t t = 0; t < n; ++t) {
+          if (is_inactive[t]) inactive.push_back(static_cast<int32_t>(t));
+        }
+        ASSERT_FALSE(inactive.empty());
+        size_t first_sv = 0;
+        while (alpha[first_sv] == 0.0) ++first_sv;
+
+        for (const size_t budget : {BytesForRows(1, n), size_t{0}}) {
+          // Both caches start holding the first support vector's row, so
+          // a reconstruction that fetches rows in another order shows up
+          // in the 1-row cache's hits.
+          KernelCache compact_rows(CodeMatrix(p.train), kc, budget);
+          KernelCache oracle_rows(CodeMatrix(p.train), kc, budget);
+          compact_rows.Row(first_sv);
+          oracle_rows.Row(first_sv);
+          std::vector<double> compact(inactive.size());
+          ReconstructErrors(compact_rows, p.y, alpha, sol.value().bias,
+                            inactive.data(), inactive.size(),
+                            compact.data());
+          const std::vector<double> oracle = test::ReconstructErrorsAllT(
+              oracle_rows, p.y, alpha, sol.value().bias, is_inactive);
+          for (size_t k = 0; k < inactive.size(); ++k) {
+            EXPECT_EQ(Bits(compact[k]),
+                      Bits(oracle[static_cast<size_t>(inactive[k])]))
+                << "m=" << m << " t=" << inactive[k];
+          }
+          EXPECT_EQ(compact_rows.hits(), oracle_rows.hits()) << "m=" << m;
+          EXPECT_EQ(compact_rows.misses(), oracle_rows.misses())
+              << "m=" << m;
+        }
+      }
+      EXPECT_GT(shrunk_exits, 0u);
+      checked += shrunk_exits;
+    }
+  }
+  EXPECT_GE(checked, 100u);
 }
 
 /// A problem that used to get stuck: a pair update left an alpha a

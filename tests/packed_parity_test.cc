@@ -438,46 +438,68 @@ TEST(PackedPrimitiveParity, KernelTableCoversEveryMatchCount) {
 TEST(PackedPrimitiveParity, BatchedMatchCountsMatchPerPairCounts) {
   Rng rng(58);
   constexpr uint32_t kUntouched = 0xDEADBEEFu;
-  for (const size_t words : {1, 2, 3, 8, 9}) {
-    // Domain 6 -> 3-bit values + guard = 4-bit fields, 16 per word; a
-    // partial last word keeps padding fields in play.
-    const std::vector<uint32_t> domains(16 * words - 5, 6);
-    const size_t d = domains.size();
-    const simd::PackedLayout layout =
-        simd::PackedLayout::ForDomains(domains.data(), d);
-    ASSERT_EQ(layout.words_per_row, words);
-    for (const size_t n : {0, 1, 3, 17}) {
-      // A slab of 2n + 1 rows: the slab form counts its first n rows,
-      // the index-list form the odd rows 1, 3, ..., 2n - 1.
-      const size_t slab_rows = 2 * n + 1;
-      const std::vector<uint32_t> codes = RandomCodes(rng, slab_rows, domains);
-      const PackedCodeMatrix slab(layout, codes.data(), slab_rows);
-      const std::vector<uint32_t> query_codes = RandomCodes(rng, 1, domains);
-      std::vector<uint64_t> query(words);
-      layout.PackRow(query_codes.data(), query.data());
-      std::vector<int32_t> odd(n);
-      for (size_t k = 0; k < n; ++k) odd[k] = static_cast<int32_t>(2 * k + 1);
-
-      for (const BatchRoutine& routine : HostBatchRoutines()) {
-        for (const bool indexed : {false, true}) {
-          SCOPED_TRACE(std::string(routine.name) +
-                       (indexed ? " indexed" : " slab") +
-                       " words=" + std::to_string(words) +
-                       " n=" + std::to_string(n));
-          // One spare entry past n must stay untouched; the rest start
-          // non-zero so a routine that accumulates instead of
-          // overwriting fails.
-          std::vector<uint32_t> counts(n + 1, kUntouched);
-          routine.counts(layout, query.data(), slab.data(),
-                         indexed ? odd.data() : nullptr, n, counts.data());
-          for (size_t k = 0; k < n; ++k) {
-            const size_t r = indexed ? 2 * k + 1 : k;
-            EXPECT_EQ(counts[k],
-                      d - simd::PackedMismatchCount(layout, query.data(),
-                                                    slab.row(r)))
-                << "k=" << k;
+  // Rows of 1 and 2 words take the straight-line loops, 3, 8 and 9 words
+  // the per-word loop, each with and without an index list. Domain 2
+  // packs 32 two-bit fields per word, 6 packs 16 four-bit fields and 200
+  // packs 7 nine-bit fields; a full last word and one with padding
+  // fields are both in play.
+  for (const uint32_t domain : {2u, 6u, 200u}) {
+    const size_t fields = 64 / simd::PackedLayout::ForMaxCode(domain - 1, 1)
+                                   .field_bits;
+    for (const size_t words : {1, 2, 3, 8, 9}) {
+      for (const size_t padding : {size_t{0}, fields / 2}) {
+        const std::vector<uint32_t> domains(fields * words - padding, domain);
+        const size_t d = domains.size();
+        const simd::PackedLayout layout =
+            simd::PackedLayout::ForDomains(domains.data(), d);
+        ASSERT_EQ(layout.fields_per_word, fields);
+        ASSERT_EQ(layout.words_per_row, words);
+        for (const size_t n : {0, 1, 3, 17}) {
+          // A slab of 2n + 1 rows: the slab form counts its first n
+          // rows, the index-list form the odd rows 1, 3, ..., 2n - 1.
+          const size_t slab_rows = 2 * n + 1;
+          const std::vector<uint32_t> codes =
+              RandomCodes(rng, slab_rows, domains);
+          const PackedCodeMatrix slab(layout, codes.data(), slab_rows);
+          // The query repeats slab row 0 with a few fields changed, so
+          // the counts range from all-but-a-few to chance matches.
+          std::vector<uint32_t> query_codes(codes.begin(),
+                                            codes.begin() + d);
+          for (size_t j = 0; j < d; j += 5) {
+            query_codes[j] = (query_codes[j] + 1) % domain;
           }
-          EXPECT_EQ(counts[n], kUntouched);
+          std::vector<uint64_t> query(words);
+          layout.PackRow(query_codes.data(), query.data());
+          std::vector<int32_t> odd(n);
+          for (size_t k = 0; k < n; ++k) {
+            odd[k] = static_cast<int32_t>(2 * k + 1);
+          }
+
+          for (const BatchRoutine& routine : HostBatchRoutines()) {
+            for (const bool indexed : {false, true}) {
+              SCOPED_TRACE(std::string(routine.name) +
+                           (indexed ? " indexed" : " slab") +
+                           " domain=" + std::to_string(domain) +
+                           " words=" + std::to_string(words) +
+                           " d=" + std::to_string(d) +
+                           " n=" + std::to_string(n));
+              // One spare entry past n must stay untouched; the rest
+              // start non-zero so a routine that accumulates instead of
+              // overwriting fails.
+              std::vector<uint32_t> counts(n + 1, kUntouched);
+              routine.counts(layout, query.data(), slab.data(),
+                             indexed ? odd.data() : nullptr, n,
+                             counts.data());
+              for (size_t k = 0; k < n; ++k) {
+                const size_t r = indexed ? 2 * k + 1 : k;
+                EXPECT_EQ(counts[k],
+                          d - ReferenceMismatch(query_codes.data(),
+                                                codes.data() + r * d, d))
+                    << "k=" << k;
+              }
+              EXPECT_EQ(counts[n], kUntouched);
+            }
+          }
         }
       }
     }

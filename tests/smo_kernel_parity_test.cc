@@ -7,7 +7,9 @@
 // adversarial ones the vector code is most likely to get wrong: lengths
 // around the four-lane block size, ties split across lanes and blocks,
 // empty sets, the no-violator sentinel, gains one ulp apart at the WSS2
-// prefilter bound, zero and subnormal products, and -0 scores.
+// prefilter bound, zero and subnormal products, -0 scores, and ties,
+// signed zeros and NaN at the edges of the score scans' 32-position
+// blocks.
 
 #include <gtest/gtest.h>
 
@@ -473,6 +475,99 @@ TEST(SmoKernelParityTest, NegativeZeroScores) {
       }
       ExpectParity(p, "signed zeros");
     }
+  }
+}
+
+/// Every position a member of both sets, with the given errors and
+/// constant kernel rows: a refresh then moves every error by the same
+/// amount, so equal errors stay equal.
+Problem FlatProblem(const std::vector<double>& err) {
+  Problem p;
+  p.n = err.size();
+  for (size_t k = 0; k < err.size(); ++k) {
+    p.active.push_back(static_cast<int32_t>(k));
+    p.err.push_back(err[k]);
+    p.up_off.push_back(0.0);
+    p.low_off.push_back(0.0);
+    p.diag.push_back(1.0);
+    p.row_i.push_back(0.5f);
+    p.row_j.push_back(0.25f);
+  }
+  return p;
+}
+
+/// Every backend's plain score scan puts the up (kUp) or low extreme
+/// at `want`, and every backend's scans match the references.
+template <bool kUp>
+void ExpectExtreme(const Problem& p, size_t want, const std::string& label) {
+  for (const ScanBackend& b : HostBackends()) {
+    std::vector<double> err = p.err;
+    const SmoExtremes e = b.scan(p.View(err), nullptr);
+    EXPECT_EQ(kUp ? e.up : e.low, want) << label << " " << b.name;
+  }
+  ExpectParity(p, label);
+}
+
+TEST(SmoKernelParityTest, BlockEdgesTiesSignedZerosAndNaN) {
+  // The AVX2 score scans reduce each 32-position block to one extreme and
+  // rescan the first block that attains it. Put the deciding positions
+  // a < b on both sides of the block edges, at counts around one and two
+  // blocks (31 and 33 end in a scalar tail).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const size_t count : {31u, 32u, 33u, 64u, 65u}) {
+    std::vector<size_t> edges;
+    for (const size_t k : {0u, 1u, 3u, 4u, 30u, 31u, 32u, 33u, 63u, 64u}) {
+      if (k < count) edges.push_back(k);
+    }
+    // Background errors inside [-0.185, 0.185], none of them zero.
+    std::vector<double> base(count);
+    for (size_t k = 0; k < count; ++k) {
+      base[k] = (k % 2 == 1 ? -1.0 : 1.0) *
+                (0.125 + 0.01 * static_cast<double>(k % 7));
+    }
+    for (const size_t a : edges) {
+      for (const size_t b : edges) {
+        if (b <= a) continue;
+        const std::string at = " count=" + std::to_string(count) +
+                               " a=" + std::to_string(a) +
+                               " b=" + std::to_string(b);
+        // Ties: a and b share the max up score (the least error), then
+        // the min low score (the greatest error).
+        std::vector<double> err = base;
+        err[a] = err[b] = -1.0;
+        ExpectExtreme<true>(FlatProblem(err), a, "up tie" + at);
+        err = base;
+        err[a] = err[b] = 1.0;
+        ExpectExtreme<false>(FlatProblem(err), a, "low tie" + at);
+
+        // Signed zeros: every other error is on the far side of zero, so
+        // the extreme is the zero at a, whichever zero a and b hold.
+        for (const double za : {-0.0, 0.0}) {
+          std::vector<double> zeros(count, 0.5);
+          zeros[a] = za;
+          zeros[b] = -za;
+          ExpectExtreme<true>(FlatProblem(zeros), a, "up zero" + at);
+          for (double& e : zeros) e = e == 0.5 ? -0.5 : e;
+          ExpectExtreme<false>(FlatProblem(zeros), a, "low zero" + at);
+        }
+
+        // NaN errors never win: NaN at a and at every position before
+        // it, the least error at b and the greatest right after it.
+        err = base;
+        for (size_t k = 0; k <= a; ++k) err[k] = nan;
+        err[b] = -1.0;
+        ExpectExtreme<true>(FlatProblem(err), b, "nan up" + at);
+        if (b + 1 < count) {
+          err[b + 1] = 1.0;
+          ExpectExtreme<false>(FlatProblem(err), b + 1, "nan low" + at);
+        }
+      }
+    }
+    // All NaN: no position qualifies.
+    const Problem all_nan = FlatProblem(std::vector<double>(count, nan));
+    const std::string label = "all nan count=" + std::to_string(count);
+    ExpectExtreme<true>(all_nan, kNoPosition, label);
+    ExpectExtreme<false>(all_nan, kNoPosition, label);
   }
 }
 

@@ -1,8 +1,9 @@
 // Solver-independent references for the SMO suites (svm_test.cc,
 // kernel_cache_test.cc, smo_kernel_parity_test.cc): the full-problem KKT
 // violation of a dual iterate, recomputed from scratch over a full Gram
-// matrix, and the plain WSS2 j-step over original indices. They share no
-// code with the solver, so they can judge anything the solver returns.
+// matrix, the plain WSS2 j-step over original indices, and the all-t
+// gradient reconstruction of an unshrink. They share no code with the
+// solver, so they can judge anything the solver returns.
 
 #ifndef HAMLET_TESTS_SMO_ORACLE_H_
 #define HAMLET_TESTS_SMO_ORACLE_H_
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "hamlet/ml/svm/smo.h"
 
 namespace hamlet {
 namespace test {
@@ -75,6 +78,33 @@ inline size_t SelectWss2J(const float* row_i, const float* diag,
     }
   }
   return best;
+}
+
+/// The gradient reconstruction of an unshrink as one loop over every
+/// point: each inactive t (inactive[t] != 0) restarts from bias - y_t,
+/// then for each s with alpha_s != 0, in ascending order, row s is
+/// fetched through rows.Row(s) and every inactive t, tested one by one,
+/// gains (alpha_s * y_s) * K(x_s, x_t). Returns the errors by original
+/// index (0 at active points). ml::ReconstructErrors must give each
+/// inactive point the same bits and make the same Row calls.
+inline std::vector<double> ReconstructErrorsAllT(
+    ml::KernelRowSource& rows, const std::vector<int8_t>& y,
+    const std::vector<double>& alpha, double bias,
+    const std::vector<uint8_t>& inactive) {
+  const size_t n = y.size();
+  std::vector<double> error(n, 0.0);
+  for (size_t t = 0; t < n; ++t) {
+    if (inactive[t]) error[t] = bias - static_cast<double>(y[t]);
+  }
+  for (size_t s = 0; s < n; ++s) {
+    if (alpha[s] == 0.0) continue;
+    const float* gs = rows.Row(s);
+    const double c = alpha[s] * static_cast<double>(y[s]);
+    for (size_t t = 0; t < n; ++t) {
+      if (inactive[t]) error[t] += c * static_cast<double>(gs[t]);
+    }
+  }
+  return error;
 }
 
 }  // namespace test

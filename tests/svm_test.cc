@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <sstream>
 #include <vector>
 
 #include "hamlet/common/counters.h"
@@ -11,12 +14,14 @@
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
+#include "hamlet/io/model_io.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/svm/kernel.h"
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
 #include "hamlet/simd/simd.h"
 #include "gram_source.h"
+#include "parity_util.h"
 #include "smo_oracle.h"
 
 namespace hamlet {
@@ -619,6 +624,155 @@ INSTANTIATE_TEST_SUITE_P(
     PaperGridCorners, SvmGridTest,
     ::testing::Combine(::testing::Values(0.1, 1.0, 100.0),
                        ::testing::Values(0.1, 1.0)));
+
+// ------------------------------------------------------- scoring blocks --
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// An RBF model with one support vector, built through LoadBody (a fit
+/// always keeps at least one support vector per class).
+std::unique_ptr<KernelSvm> OneSupportVectorModel(
+    const std::vector<uint32_t>& domains, const std::vector<uint32_t>& sv) {
+  std::stringstream body;
+  io::ModelWriter writer(body);
+  writer.WriteU32(static_cast<uint32_t>(KernelType::kRbf));
+  writer.WriteF64(0.3);
+  writer.WriteI32(2);
+  writer.WriteU64(domains.size());
+  writer.WriteU8(0);  // not constant
+  writer.WriteU8(0);
+  writer.WriteU8(1);  // converged
+  writer.WriteF64(-0.375);
+  writer.WriteF64Vec({0.8125});
+  writer.WriteU32Vec(sv);
+  EXPECT_TRUE(writer.status().ok());
+  io::ModelReader reader(body);
+  Result<std::unique_ptr<KernelSvm>> model =
+      KernelSvm::LoadBody(reader, domains);
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  if (!model.ok()) return nullptr;
+  model.value()->RestoreTrainDomains(domains);
+  return std::move(model.value());
+}
+
+// PredictAll and DecisionValuesOfCodes score four rows per pass over the
+// support vectors, then the tail one row at a time. Over views of 0 to 9
+// rows (every tail of the block), each block value must have the bits of
+// the one-row DecisionValueOfCodes and of the plain sum bias +
+// coeff[s] * K(sv_s, x) in SV order, and PredictAll must equal the
+// per-row Predict: for a many-SV fit, a one-SV model and a single-class
+// model.
+TEST(SvmScoreBlockTest, BlocksMatchOneRowScoresForEveryTail) {
+  const Dataset data = test::MakeParityDataset(90, {6, 3, 8, 4, 5}, 41);
+  const test::ParityViews views = test::MakeParityViews(data, 43);
+  const std::vector<uint32_t> domains = CodeMatrix(views.train).domain_sizes();
+
+  SvmConfig cfg;
+  cfg.kernel = {KernelType::kRbf, 0.3, 2};
+  KernelSvm fitted(cfg);
+  ASSERT_TRUE(fitted.Fit(views.train).ok());
+  ASSERT_GT(fitted.num_support_vectors(), 8u);
+
+  const CodeMatrix train_codes(views.train);
+  const std::vector<uint32_t> first_row(train_codes.row(0),
+                                        train_codes.row(0) + domains.size());
+  const std::unique_ptr<KernelSvm> one_sv =
+      OneSupportVectorModel(domains, first_row);
+  ASSERT_NE(one_sv, nullptr);
+  ASSERT_EQ(one_sv->num_support_vectors(), 1u);
+
+  std::vector<uint32_t> one_class_rows;
+  for (size_t i = 0; i < views.train.num_rows(); ++i) {
+    if (views.train.label(i) == 1) {
+      one_class_rows.push_back(views.train.rows()[i]);
+    }
+  }
+  KernelSvm single_class(cfg);
+  ASSERT_TRUE(single_class
+                  .Fit(DataView(&data, one_class_rows,
+                                views.train.features()))
+                  .ok());
+
+  const struct {
+    const char* name;
+    const KernelSvm* model;
+  } models[] = {{"fitted", &fitted},
+                {"one-sv", one_sv.get()},
+                {"single-class", &single_class}};
+  for (const auto& m : models) {
+    const size_t d = domains.size();
+    for (size_t rows = 0; rows <= 9; ++rows) {
+      SCOPED_TRACE(std::string(m.name) + " rows=" + std::to_string(rows));
+      const DataView view(
+          &data,
+          std::vector<uint32_t>(views.test.rows().begin(),
+                                views.test.rows().begin() +
+                                    static_cast<long>(rows)),
+          views.test.features());
+      const std::vector<uint8_t> all = m.model->PredictAll(view);
+      ASSERT_EQ(all.size(), rows);
+      const CodeMatrix codes(view);
+      std::vector<double> block(rows + 1, -1.0);
+      m.model->DecisionValuesOfCodes(codes.codes().data(), rows, block.data());
+      EXPECT_EQ(block[rows], -1.0) << "wrote past the last row";
+      const std::vector<uint32_t>& sv = m.model->support_vector_codes();
+      const std::vector<double>& coeff = m.model->coefficients();
+      for (size_t i = 0; i < rows; ++i) {
+        EXPECT_EQ(all[i], m.model->Predict(view, i)) << "row " << i;
+        const double one_row = m.model->DecisionValueOfCodes(codes.row(i));
+        EXPECT_EQ(Bits(block[i]), Bits(one_row)) << "row " << i;
+        if (m.model == &single_class) continue;
+        double oracle = m.model->bias();
+        for (size_t s = 0; s < coeff.size(); ++s) {
+          oracle += coeff[s] * KernelEval(cfg.kernel, sv.data() + s * d,
+                                          codes.row(i), d);
+        }
+        EXPECT_EQ(Bits(block[i]), Bits(oracle)) << "row " << i;
+        EXPECT_EQ(all[i], block[i] >= 0.0 ? 1 : 0) << "row " << i;
+      }
+    }
+  }
+}
+
+// A single-class refit must leave nothing of the earlier fit behind: the
+// decision values equal a fresh single-class model's, and scoring reads
+// only the new fit's features (an earlier 40-feature layout used to pack
+// 40 codes from each 2-code query).
+TEST(SvmScoreBlockTest, SingleClassRefitForgetsTheEarlierFit) {
+  const Dataset wide =
+      test::MakeParityDataset(60, std::vector<uint32_t>(40, 3), 47);
+  Dataset narrow({{"a", 3, FeatureRole::kHome, -1},
+                  {"b", 3, FeatureRole::kHome, -1}});
+  for (uint32_t i = 0; i < 10; ++i) narrow.AppendRowUnchecked({i % 3, 1}, 1);
+  KernelSvm refit;
+  ASSERT_TRUE(refit.Fit(DataView(&wide)).ok());
+  ASSERT_GT(refit.num_support_vectors(), 0u);
+  ASSERT_NE(refit.bias(), 0.0);
+  ASSERT_TRUE(refit.Fit(DataView(&narrow)).ok());
+  KernelSvm fresh;
+  ASSERT_TRUE(fresh.Fit(DataView(&narrow)).ok());
+
+  const CodeMatrix codes{DataView(&narrow)};
+  std::vector<double> refit_values(codes.num_rows());
+  std::vector<double> fresh_values(codes.num_rows());
+  refit.DecisionValuesOfCodes(codes.codes().data(), codes.num_rows(),
+                              refit_values.data());
+  fresh.DecisionValuesOfCodes(codes.codes().data(), codes.num_rows(),
+                              fresh_values.data());
+  for (size_t i = 0; i < codes.num_rows(); ++i) {
+    EXPECT_EQ(Bits(refit_values[i]), Bits(fresh_values[i])) << "row " << i;
+    const std::vector<uint32_t> query(codes.row(i), codes.row(i) + 2);
+    EXPECT_EQ(Bits(refit.DecisionValueOfCodes(query.data())),
+              Bits(fresh.DecisionValueOfCodes(query.data())));
+  }
+  EXPECT_EQ(refit.bias(), fresh.bias());
+  EXPECT_EQ(refit.PredictAll(DataView(&narrow)),
+            fresh.PredictAll(DataView(&narrow)));
+}
 
 }  // namespace
 }  // namespace ml

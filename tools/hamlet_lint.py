@@ -59,7 +59,10 @@ Rules
                   the common/env.h helpers, so every knob has one
                   grammar and one invalid-value warning.
   simd-home       x86 intrinsics (`_mm*_` calls, `__m128`/`__m256`/
-                  `__m512` types, an `<*intrin.h>` include) and ISA
+                  `__m512` types, an `<*intrin.h>` include), x86
+                  builtins (`__builtin_ia32_*`), GNU vector types
+                  (`vector_size(...)`), CPU feature queries
+                  (`__builtin_cpu_supports`/`_is`/`_init`) and ISA
                   target attributes (`target("avx2")`, `target("sse4.2")`,
                   `target("popcnt")`, ...) appear in src/ only under
                   src/hamlet/simd/. That directory holds every kernel
@@ -243,6 +246,10 @@ SIMD_HOME = "src/hamlet/simd/"
 SIMD_CODE_PATTERNS = [
     (re.compile(r"\b_mm\d*_\w+"), "an x86 intrinsic"),
     (re.compile(r"\b__m(?:64|128|256|512)[di]?\b"), "an x86 vector type"),
+    (re.compile(r"\b__builtin_ia32_\w+"), "an x86 builtin"),
+    (re.compile(r"\b(?:__)?vector_size(?:__)?\s*\("), "a GNU vector type"),
+    (re.compile(r"\b__builtin_cpu_(?:supports|is|init)\b"),
+     "a CPU feature query"),
 ]
 SIMD_RAW_PATTERNS = [
     (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "an intrinsics header"),

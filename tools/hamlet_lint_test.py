@@ -505,8 +505,10 @@ def main():
               out)
 
         # simd-home: ISA code outside src/hamlet/simd/ fires, waiver or
-        # not; the same code under simd/, prose, strings, a plain target
-        # and code outside src/ stay quiet.
+        # not (intrinsics, x86 builtins, GNU vector types, CPU feature
+        # queries, ISA targets); the same code under simd/, prose,
+        # strings, a plain target, a portable builtin, a name that only
+        # ends in vector_size and code outside src/ stay quiet.
         for what, snippet in [
             ("intrinsic", "auto v = _mm256_add_pd(a, b);\n"),
             ("sse intrinsic", "int m = _mm_movemask_ps(x);\n"),
@@ -517,6 +519,15 @@ def main():
             ("avx2 target", '__attribute__((target("avx2"))) void F();\n'),
             ("popcnt target",
              '__attribute__((target("popcnt"))) int G();\n'),
+            ("gnu vector type",
+             "typedef double V4 __attribute__((vector_size(32)));\n"),
+            ("spelled gnu vector type",
+             "typedef int V8 __attribute__((__vector_size__ (32)));\n"),
+            ("cpu feature query",
+             'static const bool k = __builtin_cpu_supports("avx2");\n'),
+            ("cpu model query",
+             'bool z = __builtin_cpu_is("znver3");\n'),
+            ("x86 builtin", "long c = __builtin_ia32_popcntq(x);\n"),
             ("waived intrinsic", "auto v = _mm_add_pd(a, b);"
                                  "  // hamlet-lint: allow(simd-home)\n"),
         ]:
@@ -531,14 +542,24 @@ def main():
                       .write("src/hamlet/simd/k.cc",
                              "#include <immintrin.h>\n"
                              '__attribute__((target("avx2"))) void F() {\n'
-                             "  __m256d v = _mm256_setzero_pd();\n}\n")
+                             "  __m256d v = _mm256_setzero_pd();\n}\n"
+                             "typedef double V4 "
+                             "__attribute__((vector_size(32)));\n"
+                             'bool k = __builtin_cpu_supports("avx2");\n'
+                             "long c = __builtin_ia32_popcntq(x);\n")
                       .write("src/hamlet/ml/a.cc",
                              "// an _mm256_add_pd or __m256d in prose\n"
                              'const char* s = "_mm_add_pd(";\n'
                              "double mm_total = x_mm_y;\n"
-                             '__attribute__((target("default"))) void G();\n')
+                             '__attribute__((target("default"))) void G();\n'
+                             "// __builtin_cpu_supports, vector_size(32) and\n"
+                             "// __builtin_ia32_popcntq in prose\n"
+                             'const char* t = "vector_size(16)";\n'
+                             "size_t my_vector_size = v.size();\n"
+                             "int c = __builtin_popcountll(x);\n")
                       .write("tests/k_test.cc",
-                             "__m256d v = _mm256_setzero_pd();\n")
+                             "__m256d v = _mm256_setzero_pd();\n"
+                             'bool k = __builtin_cpu_supports("avx2");\n')
                       .write("tests/CMakeLists.txt",
                              "add_executable(t k_test.cc)"))
         code, out = simd_quiet.lint()
