@@ -37,7 +37,8 @@ enum class Counter : size_t {
   kKernelCacheMisses,
   // PackedCodeMatrix and support-vector builds, the rows they packed and
   // the words holding them; pairwise evaluations on the packed path and
-  // the words they scanned (an upper bound where early exit applies).
+  // the words they scanned (an upper bound for a 1-NN scan that stops
+  // at an exact match).
   kPackedBuilds,
   kPackedRows,
   kPackedBuildWords,

@@ -1,5 +1,6 @@
 #include "hamlet/ml/knn/one_nn.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -56,26 +57,35 @@ Result<std::unique_ptr<OneNearestNeighbor>> OneNearestNeighbor::LoadBody(
 size_t OneNearestNeighbor::NearestIndexOfCodes(const uint32_t* query) const {
   assert(train_.num_rows() > 0);
   const simd::PackedLayout& layout = packed_train_.layout();
-  uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
+  const size_t words = layout.words_per_row;
+  uint64_t* packed_query = ThreadLocalPackScratch(words);
   layout.PackRow(query, packed_query);
+  // The most matches is the least Hamming distance. The scan starts from
+  // row 0 with 0 matches (row 0 has at least that many) and only a
+  // strictly larger count replaces the incumbent, so the winner is the
+  // first row at the least distance. A row matching all d features
+  // cannot be beaten: the scan stops after its block.
+  constexpr size_t kBlockRows = 256;
+  uint32_t counts[kBlockRows] = {};
   size_t best = 0;
-  size_t best_dist = layout.num_features + 1;
+  uint32_t best_matches = 0;
   const size_t n = train_.num_rows();
-  // Any returned value >= best_dist means "not better" (the true distance
-  // is at least that), so the (best, best_dist) updates are exactly those
-  // of the scalar per-feature scan.
-  for (size_t r = 0; r < n; ++r) {
-    const size_t dist = simd::PackedMismatchCountBounded(
-        layout, packed_train_.row(r), packed_query, best_dist);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = r;
-      if (dist == 0) break;
+  for (size_t start = 0; start < n; start += kBlockRows) {
+    const size_t len = std::min(kBlockRows, n - start);
+    simd::PackedMatchCounts(layout, packed_query,
+                            packed_train_.data() + start * words, nullptr,
+                            len, counts);
+    for (size_t k = 0; k < len; ++k) {
+      if (counts[k] > best_matches) {
+        best_matches = counts[k];
+        best = start + k;
+      }
     }
+    if (best_matches == layout.num_features) break;
   }
   counters::Add(counters::Counter::kPackedEvals, n);
   counters::Add(counters::Counter::kPackedEvalWords,
-                static_cast<uint64_t>(n) * layout.words_per_row);
+                static_cast<uint64_t>(n) * words);
   return best;
 }
 

@@ -21,7 +21,7 @@
 namespace hamlet {
 namespace ml {
 
-/// Brute-force 1-NN with early-exit Hamming distance.
+/// Brute-force 1-NN: Hamming distance as a packed match count.
 class OneNearestNeighbor : public CodeClassifier {
  public:
   OneNearestNeighbor() = default;
@@ -42,13 +42,13 @@ class OneNearestNeighbor : public CodeClassifier {
 
   /// Index (into the training view's rows) of the nearest neighbour of
   /// a query of num_features codes; exposed for the §5 analysis of
-  /// FK-driven matching. The scan runs over the packed training rows
-  /// with a word-granular early exit: a row is abandoned once its running
-  /// mismatch count reaches the best distance so far. Because the
-  /// per-word counts accumulate monotonically — exactly like the scalar
-  /// per-feature loop — the surviving (best, best_dist) pair is
-  /// bit-identical to the scalar scan, including ties breaking toward
-  /// the earliest training row.
+  /// FK-driven matching. The query is packed once, and the packed
+  /// training rows are counted against it in fixed blocks of rows with
+  /// simd::PackedMatchCounts. The first row with the most matches wins,
+  /// which is the first row at the least Hamming distance: the scalar
+  /// per-feature scan's answer, ties breaking toward the earliest
+  /// training row. The scan stops after the block holding the first
+  /// row that matches every feature.
   size_t NearestIndexOfCodes(const uint32_t* query) const;
 
  private:

@@ -54,9 +54,9 @@ size_t MatchCount(const uint32_t* a, const uint32_t* b, size_t d);
 
 /// Kernel value by match count over d features: table[m] is the kernel
 /// of any pair with m matching features, for m = 0..d (d + 1 entries).
-/// table[PackedMatchCount(...)] is bit-identical to KernelEval on the
-/// unpacked codes: the packed count is exact and both read the same
-/// float math.
+/// table[m] at a simd::PackedMatchCounts count m is bit-identical to
+/// KernelEval on the unpacked codes: the packed count is exact and both
+/// read the same float math.
 std::vector<double> KernelValuesByMatches(const KernelConfig& config,
                                           size_t d);
 

@@ -44,12 +44,11 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
   const size_t max_rows = n > 0 ? n : 1;
   if (rows > max_rows) rows = max_rows;
   capacity_rows_ = rows;
-  diag_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* ri = packed_.row(i);
-    diag_[i] = static_cast<float>(
-        kernel_by_matches_[simd::PackedMatchCount(packed_.layout(), ri, ri)]);
-  }
+  // A row matches itself in every field (its XOR with itself sets no
+  // guard bit), so each diagonal entry is the full-match kernel value.
+  // The diagonal still counts as n packed evaluations.
+  diag_.assign(
+      n, static_cast<float>(kernel_by_matches_[matrix_.num_features()]));
   counts_.resize(n);
   packed_evals_ += n;
   packed_words_ += static_cast<uint64_t>(n) * packed_.layout().words_per_row;
@@ -152,10 +151,13 @@ float KernelCache::At(size_t i, size_t j) const {
   assert(InRestriction(i) && InRestriction(j));
   if (const float* row_i = PeekRow(i)) return row_i[j];
   if (const float* row_j = PeekRow(j)) return row_j[i];
+  const simd::PackedLayout& layout = packed_.layout();
+  uint32_t matches = 0;
+  simd::PackedMatchCounts(layout, packed_.row(i), packed_.row(j), nullptr, 1,
+                          &matches);
   ++packed_evals_;
-  packed_words_ += packed_.layout().words_per_row;
-  return static_cast<float>(kernel_by_matches_[simd::PackedMatchCount(
-      packed_.layout(), packed_.row(i), packed_.row(j))]);
+  packed_words_ += layout.words_per_row;
+  return static_cast<float>(kernel_by_matches_[matches]);
 }
 
 const float* KernelCache::PeekRow(size_t i) const {

@@ -80,17 +80,6 @@ uint32_t PackedLayout::UnpackCode(const uint64_t* row, size_t j) const {
   return static_cast<uint32_t>((row[w] >> (f * field_bits)) & value_mask);
 }
 
-size_t PackedMismatchCount(const PackedLayout& layout, const uint64_t* a,
-                           const uint64_t* b) {
-  if (!detail::NativeSupported()) return detail::MismatchSwar(layout, a, b);
-#ifdef HAMLET_X86_NATIVE
-  if (layout.words_per_row >= 8 && detail::Avx2Supported()) {
-    return detail::MismatchAvx2(layout, a, b);
-  }
-#endif
-  return detail::MismatchPopcount(layout, a, b);
-}
-
 void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
                        const uint64_t* rows, const int32_t* indices,
                        size_t n, uint32_t* counts) {
@@ -98,12 +87,6 @@ void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
     detail::MatchCountsSwar(layout, query, rows, indices, n, counts);
     return;
   }
-#ifdef HAMLET_X86_NATIVE
-  if (layout.words_per_row >= 8 && detail::Avx2Supported()) {
-    detail::MatchCountsAvx2(layout, query, rows, indices, n, counts);
-    return;
-  }
-#endif
   detail::MatchCountsPopcount(layout, query, rows, indices, n, counts);
 }
 
@@ -137,14 +120,6 @@ const MlpKernels& HostMlpKernels() {
   if (detail::Avx2Supported()) return detail::MlpKernelsAvx2();
 #endif
   return detail::MlpKernelsBaseline();
-}
-
-size_t PackedMismatchCountBounded(const PackedLayout& layout,
-                                  const uint64_t* a, const uint64_t* b,
-                                  size_t limit) {
-  return detail::NativeSupported()
-             ? detail::MismatchPopcountBounded(layout, a, b, limit)
-             : detail::MismatchSwarBounded(layout, a, b, limit);
 }
 
 void CountCodeLabelPairs(const uint32_t* codes, const uint8_t* labels,

@@ -7,18 +7,21 @@
 // into XOR + carry-trick + popcount over uint64_t words: 16-64 codes per
 // cache line instead of one per 4 bytes.
 //
-// There is one match-counting path, and it is integer-exact: every count
-// equals the field-by-field definition, so every downstream float
-// computation consumes identical integers on any host. Only the popcount
-// is picked, from the CPU alone (never from a setting):
+// There is one match-counting routine, PackedMatchCounts: one query
+// against a slab or an index list of rows. 1-NN scans its training rows
+// through it in fixed blocks, the kernel cache computes rows (and single
+// pairs) with it, and SVM scoring counts each query against the support
+// vectors with it. It is integer-exact: every count equals the
+// field-by-field definition, so every downstream float computation
+// consumes identical integers on any host. Only the popcount is picked,
+// from the CPU alone (never from a setting):
 //
-//   native  hardware popcount (x86-64 POPCNT, with an AVX2 block for
-//           rows of 8 words or more where the CPU has it; on aarch64
-//           the compiler lowers __builtin_popcountll to NEON cnt).
+//   native  hardware popcount (x86-64 POPCNT; on aarch64 the compiler
+//           lowers the builtin to NEON cnt).
 //   swar    bit-twiddling popcount on hosts without one.
 //
-// The parity suite (tests/packed_parity_test.cc) checks each of these
-// word routines directly against a field-by-field oracle.
+// The parity suite (tests/packed_parity_test.cc) checks both routines
+// directly against a field-by-field oracle.
 //
 // The word-level helpers here are layout math on raw pointers only; the
 // owning container is data/packed_code_matrix.h.
@@ -95,33 +98,15 @@ struct PackedLayout {
   uint32_t UnpackCode(const uint64_t* row, size_t j) const;
 };
 
-/// Number of mismatching features between two packed rows of the same
-/// layout; exact on every host.
-size_t PackedMismatchCount(const PackedLayout& layout, const uint64_t* a,
-                           const uint64_t* b);
-
-/// Early-exit variant for 1-NN: stops scanning words once the running
-/// mismatch count reaches `limit` and returns a value >= limit. For
-/// results < limit the count is exact; callers must treat any returned
-/// value >= limit as "not better".
-size_t PackedMismatchCountBounded(const PackedLayout& layout,
-                                  const uint64_t* a, const uint64_t* b,
-                                  size_t limit);
-
-/// Matching features between two packed rows (num_features - mismatches);
-/// the quantity the linear/poly kernels consume directly.
-inline size_t PackedMatchCount(const PackedLayout& layout, const uint64_t* a,
-                               const uint64_t* b) {
-  return layout.num_features - PackedMismatchCount(layout, a, b);
-}
-
-/// Batched match counting: counts[k] = PackedMatchCount(layout, query,
-/// row_k) for k in [0, n). Row k is rows + r * words_per_row, where
+/// The one packed comparison: counts[k] is the number of features on
+/// which `query` and row k match (num_features minus the mismatches),
+/// for k in [0, n). Row k is rows + r * words_per_row, where
 /// r = indices[k] when `indices` is given (an ascending list of row
 /// numbers) and r = k when it is null (a contiguous slab). Overwrites
 /// counts[0 .. n). The popcount is picked once per call, not per row, so
-/// kernel rows and SVM scoring pay one dispatch per query; rows of one
-/// and two words take straight-line loops with the query in registers.
+/// a kernel row, a block of 1-NN training rows or an SVM score pays one
+/// dispatch; rows of one and two words take straight-line loops with the
+/// query in registers. A single pair is a call with n = 1.
 void PackedMatchCounts(const PackedLayout& layout, const uint64_t* query,
                        const uint64_t* rows, const int32_t* indices,
                        size_t n, uint32_t* counts);

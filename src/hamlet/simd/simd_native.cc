@@ -1,16 +1,12 @@
-// The match-counting word routines. Isolated in their own translation
-// unit so the x86-64 functions can carry __attribute__((target(...))) —
-// the rest of the library still compiles for the baseline ISA, and
-// simd.cc only routes here after __builtin_cpu_supports confirms the
-// feature.
+// The two match-counting routines behind simd::PackedMatchCounts.
+// Isolated in their own translation unit so the hardware-popcount one
+// can carry __attribute__((target("popcnt"))) on x86-64 — the rest of
+// the library still compiles for the baseline ISA, and simd.cc only
+// routes there after __builtin_cpu_supports confirms the feature.
 
 #include "hamlet/simd/simd_native.h"
 
 #include "hamlet/simd/simd.h"
-
-#ifdef HAMLET_X86_NATIVE
-#include <immintrin.h>
-#endif
 
 namespace hamlet {
 namespace simd {
@@ -22,7 +18,7 @@ namespace {
 /// field of x + add_mask carries into its guard bit iff the field of x is
 /// non-zero, and the carry cannot cross fields (max field sum is
 /// 2^field_bits - 2). Padding fields are zero in both rows, so they never
-/// carry. Shared by every routine below; only the popcount differs.
+/// carry. Shared by both routines below; only the popcount differs.
 inline uint64_t MismatchGuardBits(uint64_t x, const PackedLayout& layout) {
   return (x + layout.add_mask) & layout.guard_mask;
 }
@@ -35,7 +31,7 @@ inline uint32_t PopcountSwar(uint64_t x) {
   return static_cast<uint32_t>((x * 0x0101010101010101ull) >> 56);
 }
 
-/// The popcounts of the word loops below: bit-twiddling on any 64-bit
+/// The popcounts of the row loops below: bit-twiddling on any 64-bit
 /// host, or the hardware instruction. NativeCount is always inlined, so
 /// inside a target("popcnt") function its builtin is one POPCNT (on
 /// aarch64, NEON cnt).
@@ -55,18 +51,6 @@ template <typename Pop>
   size_t mismatches = 0;
   for (size_t w = 0; w < layout.words_per_row; ++w) {
     mismatches += Pop::Count(MismatchGuardBits(a[w] ^ b[w], layout));
-  }
-  return mismatches;
-}
-
-template <typename Pop>
-[[gnu::always_inline]] inline size_t RowMismatchBounded(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
-    size_t limit) {
-  size_t mismatches = 0;
-  for (size_t w = 0; w < layout.words_per_row; ++w) {
-    mismatches += Pop::Count(MismatchGuardBits(a[w] ^ b[w], layout));
-    if (mismatches >= limit) return mismatches;
   }
   return mismatches;
 }
@@ -136,27 +120,17 @@ template <typename Pop>
 
 }  // namespace
 
-size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
-                    const uint64_t* b) {
-  return RowMismatch<SwarCount>(layout, a, b);
-}
-
 void MatchCountsSwar(const PackedLayout& layout, const uint64_t* query,
                      const uint64_t* rows, const int32_t* indices, size_t n,
                      uint32_t* counts) {
   MatchCountsWith<SwarCount>(layout, query, rows, indices, n, counts);
 }
 
-size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
-                           const uint64_t* b, size_t limit) {
-  return RowMismatchBounded<SwarCount>(layout, a, b, limit);
-}
-
-// The hardware-popcount routines carry target("popcnt") on x86-64, where
-// simd.cc calls them only after NativeSupported(). aarch64 has no runtime
+// The hardware-popcount routine carries target("popcnt") on x86-64, where
+// simd.cc calls it only after NativeSupported(). aarch64 has no runtime
 // feature question: __builtin_popcountll lowers to the NEON cnt/addv
 // sequence on every ARMv8 core. Other hosts report no hardware popcount,
-// so simd.cc never routes them here.
+// so simd.cc never routes there.
 #ifdef HAMLET_X86_NATIVE
 #define HAMLET_POPCNT_TARGET __attribute__((target("popcnt")))
 
@@ -181,80 +155,13 @@ bool NativeSupported() {
 }
 #endif
 
-HAMLET_POPCNT_TARGET size_t MismatchPopcount(const PackedLayout& layout,
-                                             const uint64_t* a,
-                                             const uint64_t* b) {
-  return RowMismatch<NativeCount>(layout, a, b);
-}
-
 HAMLET_POPCNT_TARGET void MatchCountsPopcount(
     const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
     const int32_t* indices, size_t n, uint32_t* counts) {
   MatchCountsWith<NativeCount>(layout, query, rows, indices, n, counts);
 }
 
-HAMLET_POPCNT_TARGET size_t MismatchPopcountBounded(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b,
-    size_t limit) {
-  return RowMismatchBounded<NativeCount>(layout, a, b, limit);
-}
-
 #undef HAMLET_POPCNT_TARGET
-
-#ifdef HAMLET_X86_NATIVE
-
-namespace {
-
-/// Four words per iteration through AVX2 XOR/add/and, popcounted from a
-/// spilled register. Only worth the lane shuffling once rows span
-/// several cache lines.
-__attribute__((target("avx2,popcnt"))) inline size_t RowMismatchAvx2(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
-  const __m256i add =
-      _mm256_set1_epi64x(static_cast<long long>(layout.add_mask));
-  const __m256i guard =
-      _mm256_set1_epi64x(static_cast<long long>(layout.guard_mask));
-  size_t mismatches = 0;
-  size_t w = 0;
-  for (; w + 4 <= layout.words_per_row; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    const __m256i guarded = _mm256_and_si256(
-        _mm256_add_epi64(_mm256_xor_si256(va, vb), add), guard);
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), guarded);
-    mismatches += static_cast<size_t>(
-        _mm_popcnt_u64(lanes[0]) + _mm_popcnt_u64(lanes[1]) +
-        _mm_popcnt_u64(lanes[2]) + _mm_popcnt_u64(lanes[3]));
-  }
-  for (; w < layout.words_per_row; ++w) {
-    mismatches += static_cast<size_t>(
-        _mm_popcnt_u64(MismatchGuardBits(a[w] ^ b[w], layout)));
-  }
-  return mismatches;
-}
-
-}  // namespace
-
-__attribute__((target("avx2,popcnt"))) size_t MismatchAvx2(
-    const PackedLayout& layout, const uint64_t* a, const uint64_t* b) {
-  return RowMismatchAvx2(layout, a, b);
-}
-
-__attribute__((target("avx2,popcnt"))) void MatchCountsAvx2(
-    const PackedLayout& layout, const uint64_t* query, const uint64_t* rows,
-    const int32_t* indices, size_t n, uint32_t* counts) {
-  const size_t d = layout.num_features;
-  for (size_t k = 0; k < n; ++k) {
-    const size_t r = indices != nullptr ? static_cast<size_t>(indices[k]) : k;
-    const uint64_t* row = rows + r * layout.words_per_row;
-    counts[k] = static_cast<uint32_t>(d - RowMismatchAvx2(layout, query, row));
-  }
-}
-
-#endif  // HAMLET_X86_NATIVE
 
 }  // namespace detail
 }  // namespace simd

@@ -1,9 +1,9 @@
 // Internal interface between the public entry points (simd.cc) and the
-// routines behind them: the match-counting word routines
+// routines behind them: the two match-counting routines
 // (simd_native.cc), the SMO scans (smo_scan.cc) and the two builds of
-// the MLP kernels (mlp_kernels.cc). Every word routine runs the same
-// guard-bit carry trick per word — only the popcount differs — so all
-// of them return the same count for every input; every SMO scan returns
+// the MLP kernels (mlp_kernels.cc). Both match-counting routines run the
+// same guard-bit carry trick per word — only the popcount differs — so
+// they return the same counts for every input; every SMO scan returns
 // the same positions and error bits; both MLP builds write the same
 // bits. Exposed so the parity suites can check each one directly;
 // include hamlet/simd/simd.h for the public API.
@@ -29,31 +29,13 @@ struct SmoRefresh;
 
 namespace detail {
 
-/// Portable fallback: bit-twiddling popcount, any 64-bit host.
-size_t MismatchSwar(const PackedLayout& layout, const uint64_t* a,
-                    const uint64_t* b);
-
-/// Early-exit variant: stops once the running count reaches `limit`.
-size_t MismatchSwarBounded(const PackedLayout& layout, const uint64_t* a,
-                           const uint64_t* b, size_t limit);
-
 /// True when this host has a hardware popcount (POPCNT on x86-64,
 /// unconditional on aarch64, false elsewhere). Cached after the first
 /// call.
 bool NativeSupported();
 
-/// Hardware popcount, one word at a time; only call when
-/// NativeSupported().
-size_t MismatchPopcount(const PackedLayout& layout, const uint64_t* a,
-                        const uint64_t* b);
-
-/// Early-exit variant: stops once the running count reaches `limit`.
-size_t MismatchPopcountBounded(const PackedLayout& layout, const uint64_t* a,
-                               const uint64_t* b, size_t limit);
-
-/// Batched match counts (the contract of simd::PackedMatchCounts), one
-/// per word routine: SWAR on any host, hardware popcount only when
-/// NativeSupported().
+/// The match counts of simd::PackedMatchCounts, one per popcount: SWAR
+/// on any host, hardware popcount only when NativeSupported().
 void MatchCountsSwar(const PackedLayout& layout, const uint64_t* query,
                      const uint64_t* rows, const int32_t* indices, size_t n,
                      uint32_t* counts);
@@ -75,14 +57,6 @@ const MlpKernels& MlpKernelsBaseline();
 #ifdef HAMLET_X86_NATIVE
 /// True when the CPU has AVX2. Cached after the first call.
 bool Avx2Supported();
-
-/// Block path for long rows: four words per AVX2 step; only call when
-/// NativeSupported() and Avx2Supported().
-size_t MismatchAvx2(const PackedLayout& layout, const uint64_t* a,
-                    const uint64_t* b);
-void MatchCountsAvx2(const PackedLayout& layout, const uint64_t* query,
-                     const uint64_t* rows, const int32_t* indices, size_t n,
-                     uint32_t* counts);
 
 /// The SMO scans, four positions per AVX2 step; only call when
 /// Avx2Supported().

@@ -180,15 +180,72 @@ TEST(KernelCacheTest, DiagMatchesGramDiagonal) {
   const SmoProblem p(16);
   const CodeMatrix probe(p.train);
   const size_t n = probe.num_rows();
+  const size_t d = probe.num_features();
   for (const KernelConfig& kc : AllKernels()) {
-    const std::vector<float> gram =
-        test::ComputeGram(kc, probe.codes(), n, probe.num_features());
+    const std::vector<float> gram = test::ComputeGram(kc, probe.codes(), n, d);
+    // Every row matches itself in all d features.
+    const float full_match =
+        static_cast<float>(KernelValuesByMatches(kc, d)[d]);
     KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
     test::FullGramRowSource full(gram, n);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(cache.Diag()[i], gram[i * n + i])
           << KernelTypeName(kc.type) << " i=" << i;
+      ASSERT_EQ(Bits(cache.Diag()[i]), Bits(full_match))
+          << KernelTypeName(kc.type) << " i=" << i;
       ASSERT_EQ(full.Diag()[i], gram[i * n + i]);
+    }
+  }
+}
+
+TEST(KernelCacheTest, AtMatchesKernelEvalAndCountsOnlyComputedPairs) {
+  // A one-row cache holding row 0: At(i, j) is a diagonal entry when
+  // i == j, a resident read when i or j is 0, and a single packed match
+  // count otherwise. Each kind of probe runs on its own cache so the
+  // flushed packed counters show its cost: the constructor's n diagonal
+  // evaluations and Row(0)'s n, plus one evaluation of words_per_row
+  // words per computed pair.
+  const SmoProblem p(20);
+  const CodeMatrix probe(p.train);
+  const size_t n = probe.num_rows();
+  const size_t d = probe.num_features();
+  ASSERT_GE(n, 3u);
+  const uint64_t words =
+      simd::PackedLayout::ForDomains(probe.domain_sizes().data(), d)
+          .words_per_row;
+  const auto codes = [&](size_t i) { return probe.codes().data() + i * d; };
+  enum class Probe { kDiagonal, kResident, kComputed };
+  for (const KernelConfig& kc : AllKernels()) {
+    for (const Probe kind :
+         {Probe::kDiagonal, Probe::kResident, Probe::kComputed}) {
+      SCOPED_TRACE(std::string(KernelTypeName(kc.type)) + " probe kind " +
+                   std::to_string(static_cast<int>(kind)));
+      uint64_t computed = 0;
+      const counters::Snapshot start = counters::Read();
+      {
+        KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(1, n));
+        ASSERT_EQ(cache.capacity_rows(), 1u);
+        cache.Row(0);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            const Probe probe_kind = i == j             ? Probe::kDiagonal
+                                     : i == 0 || j == 0 ? Probe::kResident
+                                                        : Probe::kComputed;
+            if (probe_kind != kind) continue;
+            computed += kind == Probe::kComputed;
+            ASSERT_EQ(Bits(cache.At(i, j)),
+                      Bits(static_cast<float>(
+                          KernelEval(kc, codes(i), codes(j), d))))
+                << "i=" << i << " j=" << j;
+          }
+        }
+        EXPECT_EQ(cache.hits(), 0u);
+        EXPECT_EQ(cache.misses(), 1u);
+      }
+      const counters::Snapshot delta = counters::Read() - start;
+      EXPECT_EQ(computed, kind == Probe::kComputed ? (n - 1) * (n - 2) : 0u);
+      EXPECT_EQ(delta[Counter::kPackedEvals], 2 * n + computed);
+      EXPECT_EQ(delta[Counter::kPackedEvalWords], (2 * n + computed) * words);
     }
   }
 }

@@ -1,15 +1,15 @@
 // Parity harness for the packed-code hot loops.
 //
-// The contract under test: every match-counting word routine the CPU
-// can select — hardware popcount, the AVX2 block path and the portable
-// SWAR fallback, per pair and batched — returns the definitional integer
-// count for every input, whichever of them this host's dispatch picks;
-// the SVM kernel table read at a packed match count gives the scalar
-// KernelEval's bits; and every learner family fits and predicts
+// The contract under test: simd::PackedMatchCounts and both routines the
+// CPU can select behind it — hardware popcount and the portable SWAR
+// fallback — return the definitional integer count for every input, over
+// a slab and over an index list, whichever of them this host's dispatch
+// picks; the SVM kernel table read at a packed match count gives the
+// scalar KernelEval's bits; and every learner family fits and predicts
 // bit-identically at any thread count.
 // The NB and tree counting helpers must equal their plain row-order
 // loops. Plus the PackedCodeMatrix layout/round-trip/bounds edge cases
-// and the pinned 1-NN early-exit + tie-break semantics.
+// and the pinned 1-NN block-scan + tie-break semantics.
 
 #include <gtest/gtest.h>
 
@@ -41,39 +41,7 @@ size_t ReferenceMismatch(const uint32_t* a, const uint32_t* b, size_t d) {
   return mismatches;
 }
 
-/// One match-counting routine under test: an exact count and, where the
-/// routine has one, its early-exit variant.
-struct WordRoutine {
-  const char* name;
-  size_t (*exact)(const simd::PackedLayout&, const uint64_t*,
-                  const uint64_t*);
-  size_t (*bounded)(const simd::PackedLayout&, const uint64_t*,
-                    const uint64_t*, size_t);
-};
-
-/// The public entry points plus every word routine this host can run,
-/// called directly — so the SWAR fallback is covered on a POPCNT host,
-/// and the AVX2 block path wherever the CPU has AVX2.
-std::vector<WordRoutine> HostWordRoutines() {
-  std::vector<WordRoutine> routines = {
-      {"dispatch", &simd::PackedMismatchCount,
-       &simd::PackedMismatchCountBounded},
-      {"swar", &simd::detail::MismatchSwar,
-       &simd::detail::MismatchSwarBounded},
-  };
-  if (simd::detail::NativeSupported()) {
-    routines.push_back({"popcount", &simd::detail::MismatchPopcount,
-                        &simd::detail::MismatchPopcountBounded});
-#ifdef HAMLET_X86_NATIVE
-    if (simd::detail::Avx2Supported()) {
-      routines.push_back({"avx2", &simd::detail::MismatchAvx2, nullptr});
-    }
-#endif
-  }
-  return routines;
-}
-
-/// A batched match-count routine under test (simd::PackedMatchCounts's
+/// A match-count routine under test (simd::PackedMatchCounts's
 /// signature).
 struct BatchRoutine {
   const char* name;
@@ -81,8 +49,9 @@ struct BatchRoutine {
                  const int32_t*, size_t, uint32_t*);
 };
 
-/// The public batched entry point plus every batched word routine this
-/// host can run, called directly (as HostWordRoutines does).
+/// The public entry point plus every routine behind it that this host
+/// can run, called directly — so the SWAR fallback is covered on a
+/// POPCNT host.
 std::vector<BatchRoutine> HostBatchRoutines() {
   std::vector<BatchRoutine> routines = {
       {"dispatch", &simd::PackedMatchCounts},
@@ -90,11 +59,6 @@ std::vector<BatchRoutine> HostBatchRoutines() {
   };
   if (simd::detail::NativeSupported()) {
     routines.push_back({"popcount", &simd::detail::MatchCountsPopcount});
-#ifdef HAMLET_X86_NATIVE
-    if (simd::detail::Avx2Supported()) {
-      routines.push_back({"avx2", &simd::detail::MatchCountsAvx2});
-    }
-#endif
   }
   return routines;
 }
@@ -211,15 +175,16 @@ TEST(PackedCodeMatrixTest, ZeroRowAndZeroFeatureBuilds) {
   EXPECT_EQ(no_rows.num_words(), 0u);
 
   // Zero features: rows exist but span zero words, and comparisons see
-  // zero mismatches.
+  // zero matches (and zero mismatches).
   const simd::PackedLayout no_features = simd::PackedLayout::ForMaxCode(0, 0);
   const PackedCodeMatrix empty_rows(no_features, nullptr, 2);
   EXPECT_EQ(empty_rows.num_rows(), 2u);
   EXPECT_EQ(empty_rows.num_words(), 0u);
-  for (const WordRoutine& routine : HostWordRoutines()) {
-    EXPECT_EQ(routine.exact(no_features, empty_rows.row(0), empty_rows.row(1)),
-              0u)
-        << routine.name;
+  for (const BatchRoutine& routine : HostBatchRoutines()) {
+    std::vector<uint32_t> counts(2, 7);
+    routine.counts(no_features, empty_rows.row(0), empty_rows.data(), nullptr,
+                   2, counts.data());
+    EXPECT_EQ(counts, std::vector<uint32_t>(2, 0)) << routine.name;
   }
 }
 
@@ -247,12 +212,11 @@ TEST(PackedCodeMatrixDeathTest, OutOfBoundsAborts) {
 
 TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
   Rng rng(77);
-  const std::vector<WordRoutine> routines = HostWordRoutines();
   // Shapes stress the layout edges: no features, one feature, feature
   // counts that are not a multiple of the word lane count, a single row,
-  // max-domain codes (one field per word), and long rows (words_per_row
-  // >= 8, where the dispatch takes the AVX2 block path if the CPU has
-  // it).
+  // max-domain codes (one 33-bit field per word), and long rows of 9 and
+  // 23 words. Every row is a query against the whole slab and against
+  // the ascending index list of the even rows.
   const std::vector<std::pair<size_t, std::vector<uint32_t>>> shapes = {
       {3, {}},
       {6, std::vector<uint32_t>(1, 2)},
@@ -269,61 +233,23 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
     const simd::PackedLayout layout =
         simd::PackedLayout::ForDomains(domains.data(), d);
     const PackedCodeMatrix packed(layout, codes.data(), rows);
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t j = 0; j < rows; ++j) {
-        const size_t ref =
-            ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
-        for (const WordRoutine& routine : routines) {
-          EXPECT_EQ(routine.exact(layout, packed.row(i), packed.row(j)), ref)
-              << "d=" << d << " routine=" << routine.name;
-          if (routine.bounded == nullptr) continue;
-          // The early-exit contract: partial sums never exceed the true
-          // count; a result below the limit must be exact, and an
-          // abandoned scan must prove the true count reached the limit.
-          for (const size_t limit :
-               {size_t{0}, size_t{1}, ref, ref + 1, d + 1}) {
-            const size_t bounded =
-                routine.bounded(layout, packed.row(i), packed.row(j), limit);
-            EXPECT_LE(bounded, ref) << routine.name << " limit=" << limit;
-            if (bounded < limit) {
-              EXPECT_EQ(bounded, ref) << routine.name << " limit=" << limit;
-            } else {
-              EXPECT_GE(ref, limit) << routine.name << " limit=" << limit;
-            }
-          }
-        }
-        EXPECT_EQ(simd::PackedMatchCount(layout, packed.row(i), packed.row(j)),
-                  d - ref);
-      }
-    }
-  }
-}
-
-TEST(PackedPrimitiveParity, BoundedCountHonoursItsContract) {
-  Rng rng(31);
-  const std::vector<uint32_t> domains(41, 6);  // 41 features, 3-bit fields
-  const size_t d = domains.size();
-  const std::vector<uint32_t> codes = RandomCodes(rng, 8, domains);
-  const simd::PackedLayout layout =
-      simd::PackedLayout::ForDomains(domains.data(), d);
-  const PackedCodeMatrix packed(layout, codes.data(), 8);
-  for (size_t i = 0; i < 8; ++i) {
-    for (size_t j = 0; j < 8; ++j) {
-      const size_t ref =
-          ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
-      for (const size_t limit : {size_t{0}, size_t{1}, ref, ref + 1, d + 1}) {
-        for (const WordRoutine& routine : HostWordRoutines()) {
-          if (routine.bounded == nullptr) continue;
-          const size_t bounded =
-              routine.bounded(layout, packed.row(i), packed.row(j), limit);
-          // Partial sums never exceed the true count; a result below the
-          // limit must be exact, and an abandoned scan must prove the
-          // true count reached the limit too.
-          EXPECT_LE(bounded, ref) << routine.name;
-          if (bounded < limit) {
-            EXPECT_EQ(bounded, ref) << routine.name;
-          } else {
-            EXPECT_GE(ref, limit) << routine.name;
+    std::vector<int32_t> even;
+    for (size_t j = 0; j < rows; j += 2) even.push_back(static_cast<int32_t>(j));
+    for (const BatchRoutine& routine : HostBatchRoutines()) {
+      for (const bool indexed : {false, true}) {
+        const size_t n = indexed ? even.size() : rows;
+        for (size_t i = 0; i < rows; ++i) {
+          std::vector<uint32_t> counts(n);
+          routine.counts(layout, packed.row(i), packed.data(),
+                         indexed ? even.data() : nullptr, n, counts.data());
+          for (size_t k = 0; k < n; ++k) {
+            const size_t j = indexed ? static_cast<size_t>(even[k]) : k;
+            EXPECT_EQ(counts[k], d - ReferenceMismatch(codes.data() + i * d,
+                                                       codes.data() + j * d,
+                                                       d))
+                << "d=" << d << " routine=" << routine.name
+                << (indexed ? " indexed" : " slab") << " i=" << i
+                << " j=" << j;
           }
         }
       }
@@ -340,11 +266,12 @@ TEST(PackedPrimitiveParity, AllEqualRowsHaveZeroMismatches) {
   const simd::PackedLayout layout =
       simd::PackedLayout::ForDomains(domains.data(), domains.size());
   const PackedCodeMatrix packed(layout, codes.data(), 4);
-  for (const WordRoutine& routine : HostWordRoutines()) {
-    for (size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(routine.exact(layout, packed.row(0), packed.row(i)), 0u)
-          << routine.name;
-    }
+  for (const BatchRoutine& routine : HostBatchRoutines()) {
+    std::vector<uint32_t> counts(4);
+    routine.counts(layout, packed.row(0), packed.data(), nullptr, 4,
+                   counts.data());
+    EXPECT_EQ(counts, std::vector<uint32_t>(4, domains.size()))
+        << routine.name;
   }
 }
 
@@ -369,14 +296,15 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
   for (const ml::KernelConfig& config : configs) {
     const std::vector<double> table = ml::KernelValuesByMatches(config, d);
     for (size_t i = 0; i < rows; ++i) {
+      std::vector<uint32_t> matches(rows);
+      simd::PackedMatchCounts(layout, packed.row(i), packed.data(), nullptr,
+                              rows, matches.data());
       for (size_t j = 0; j < rows; ++j) {
         const double scalar_value =
             ml::KernelEval(config, codes.data() + i * d, codes.data() + j * d, d);
         // Bits, not NEAR: the table and KernelEval share the kernel float
         // math, so equal match counts must give the same bits.
-        const size_t m =
-            simd::PackedMatchCount(layout, packed.row(i), packed.row(j));
-        EXPECT_EQ(Bits(table[m]), Bits(scalar_value))
+        EXPECT_EQ(Bits(table[matches[j]]), Bits(scalar_value))
             << ml::KernelTypeName(config.type);
       }
     }
@@ -598,52 +526,131 @@ TEST(PackedOneNnSemantics, TieBreaksToLowestIndex) {
   }
 }
 
+/// The first training row at the least Hamming distance from `query`:
+/// the exhaustive scalar scan the packed 1-NN scan must reproduce.
+size_t BruteForceNearest(const std::vector<std::vector<uint32_t>>& rows,
+                         const std::vector<uint32_t>& query) {
+  size_t best = 0;
+  size_t best_dist = query.size() + 1;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const size_t dist =
+        ReferenceMismatch(rows[r].data(), query.data(), query.size());
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = r;
+    }
+  }
+  return best;
+}
+
 TEST(PackedOneNnSemantics, EarlyExitMatchesBruteForceScan) {
-  // The packed scan abandons rows at word granularity once the running
-  // distance reaches the incumbent best; the winner (and its tie-break)
-  // must still match an exhaustive argmin at every thread count.
-  Rng rng(909);
+  // The packed scan counts the training rows in blocks and stops after
+  // the block holding the first exact match; the winner (and its
+  // tie-break toward the earliest row) must still match an exhaustive
+  // argmin at every thread count.
   const std::vector<uint32_t> domains = {6, 6, 3, 9, 2, 17, 4, 6, 2, 5,
                                          3, 7, 2};
   const size_t d = domains.size();
-  const size_t n = 64;
-  std::vector<std::vector<uint32_t>> rows(n);
-  std::vector<uint8_t> labels(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows[i].resize(d);
+  const auto random_row = [&](Rng& rng) {
+    std::vector<uint32_t> row(d);
     for (size_t j = 0; j < d; ++j) {
-      rows[i][j] = static_cast<uint32_t>(rng.UniformInt(domains[j]));
+      row[j] = static_cast<uint32_t>(rng.UniformInt(domains[j]));
     }
-    labels[i] = static_cast<uint8_t>(rng.Bernoulli(0.5));
-  }
-  // Clone a row to guarantee at least one duplicate-distance tie.
-  rows[40] = rows[7];
-  const Dataset data = MakeDatasetFromRows(domains, rows, labels);
-
-  for (const char* threads : {"1", "4"}) {
-    ScopedThreads threads_env(threads);
-    ml::OneNearestNeighbor model;
-    ASSERT_TRUE(model.Fit(DataView(&data)).ok());
-    Rng query_rng(4242);
-    for (size_t q = 0; q < 48; ++q) {
-      std::vector<uint32_t> query(d);
-      for (size_t j = 0; j < d; ++j) {
-        query[j] = static_cast<uint32_t>(query_rng.UniformInt(domains[j]));
-      }
-      // Some queries coincide with training rows (distance 0 paths).
-      if (q % 8 == 0) query = rows[q % n];
-      size_t best = 0;
-      size_t best_dist = d + 1;
-      for (size_t r = 0; r < n; ++r) {
-        const size_t dist =
-            ReferenceMismatch(rows[r].data(), query.data(), d);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = r;
+    return row;
+  };
+  // `row` with its first k features moved to another code: a row at
+  // Hamming distance exactly k from it.
+  const auto moved = [&](std::vector<uint32_t> row, size_t k) {
+    for (size_t j = 0; j < k; ++j) row[j] = (row[j] + 1) % domains[j];
+    return row;
+  };
+  const auto expect_brute_force =
+      [&](const std::vector<std::vector<uint32_t>>& rows,
+          const std::vector<std::vector<uint32_t>>& queries,
+          const std::string& what) {
+        const std::vector<uint8_t> labels(rows.size(), 0);
+        const Dataset data = MakeDatasetFromRows(domains, rows, labels);
+        for (const char* threads : {"1", "4"}) {
+          ScopedThreads threads_env(threads);
+          ml::OneNearestNeighbor model;
+          ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+          for (size_t q = 0; q < queries.size(); ++q) {
+            EXPECT_EQ(model.NearestIndexOfCodes(queries[q].data()),
+                      BruteForceNearest(rows, queries[q]))
+                << what << " n=" << rows.size() << " threads=" << threads
+                << " query=" << q;
+          }
         }
+      };
+
+  // Random rows and queries, a cloned row (a duplicate-distance tie),
+  // and some queries that coincide with training rows (distance 0).
+  {
+    Rng rng(909);
+    std::vector<std::vector<uint32_t>> rows(64);
+    for (auto& row : rows) row = random_row(rng);
+    rows[40] = rows[7];
+    Rng query_rng(4242);
+    std::vector<std::vector<uint32_t>> queries(48);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      queries[q] = random_row(query_rng);
+      if (q % 8 == 0) queries[q] = rows[q % rows.size()];
+    }
+    expect_brute_force(rows, queries, "random");
+  }
+
+  // Block edges. The scan counts kBlock training rows per call; training
+  // sets of one row, a block less one, a block, a block plus one and two
+  // blocks plus one put exact copies, pairs of copies and near-ties on
+  // either side of every boundary.
+  constexpr size_t kBlock = 256;
+  for (const size_t n : {size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                         2 * kBlock + 1}) {
+    Rng rng(1000 + n);
+    const std::vector<uint32_t> query = random_row(rng);
+    // Every background row is at least 4 features from the query, so
+    // the placed rows below decide the answer.
+    std::vector<std::vector<uint32_t>> base(n);
+    for (auto& row : base) {
+      row = random_row(rng);
+      for (size_t j = d - 4; j < d; ++j) {
+        row[j] = (query[j] + 1) % domains[j];
       }
-      EXPECT_EQ(model.NearestIndexOfCodes(query.data()), best)
-          << "threads=" << threads << " query=" << q;
+    }
+    std::vector<size_t> edges;
+    for (const size_t r : {size_t{0}, kBlock - 1, kBlock, kBlock + 1, n - 1}) {
+      if (r < n && (edges.empty() || edges.back() < r)) edges.push_back(r);
+    }
+    // One exact copy at each edge, with a near-tie (distance 1) in the
+    // rows before it.
+    for (const size_t r : edges) {
+      auto rows = base;
+      rows[r] = query;
+      if (r > 0) rows[r / 2] = moved(query, 1);
+      expect_brute_force(rows, {query},
+                         "exact copy at row " + std::to_string(r));
+    }
+    // Two exact copies in different blocks: the first wins.
+    for (size_t a = 0; a < edges.size(); ++a) {
+      for (size_t b = a + 1; b < edges.size(); ++b) {
+        if (edges[a] / kBlock == edges[b] / kBlock) continue;
+        auto rows = base;
+        rows[edges[a]] = query;
+        rows[edges[b]] = query;
+        expect_brute_force(rows, {query},
+                           "exact copies at rows " + std::to_string(edges[a]) +
+                               " and " + std::to_string(edges[b]));
+      }
+    }
+    // Near-ties with no exact match: distance-1 rows at every edge (the
+    // first wins), then a distance-2 row at the first edge and
+    // distance-1 rows at the later ones (the second edge wins).
+    {
+      auto rows = base;
+      for (const size_t r : edges) rows[r] = moved(query, 1);
+      expect_brute_force(rows, {query}, "distance-1 ties");
+      rows[edges[0]] = moved(query, 2);
+      expect_brute_force(rows, {query}, "distance-2 then distance-1 ties");
     }
   }
 }

@@ -62,12 +62,15 @@ Rules
                   `__m512` types, an `<*intrin.h>` include), x86
                   builtins (`__builtin_ia32_*`), GNU vector types
                   (`vector_size(...)`), CPU feature queries
-                  (`__builtin_cpu_supports`/`_is`/`_init`) and ISA
+                  (`__builtin_cpu_supports`/`_is`/`_init`), ISA
                   target attributes (`target("avx2")`, `target("sse4.2")`,
-                  `target("popcnt")`, ...) appear in src/ only under
-                  src/hamlet/simd/. That directory holds every kernel
-                  with a scalar twin, a CPU-picked dispatch and a parity
-                  test; ISA code anywhere else has none of the three.
+                  `target("popcnt")`, ...) and popcounts
+                  (`__builtin_popcount*`, `std::popcount`) appear in src/
+                  only under src/hamlet/simd/. That directory holds every
+                  kernel with a scalar twin, a CPU-picked dispatch and a
+                  parity test; ISA code anywhere else has none of the
+                  three, and a popcount anywhere else is a second
+                  match-counting path beside simd::PackedMatchCounts.
   counter-home    A namespace-scope `std::atomic<uint64_t> g_...`
                   definition (or a std::array of them) appears in src/
                   only in src/hamlet/common/counters.cc. Every
@@ -250,6 +253,8 @@ SIMD_CODE_PATTERNS = [
     (re.compile(r"\b(?:__)?vector_size(?:__)?\s*\("), "a GNU vector type"),
     (re.compile(r"\b__builtin_cpu_(?:supports|is|init)\b"),
      "a CPU feature query"),
+    (re.compile(r"\b__builtin_popcount\w*|\bstd::popcount\b"),
+     "a popcount"),
 ]
 SIMD_RAW_PATTERNS = [
     (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "an intrinsics header"),

@@ -506,9 +506,9 @@ def main():
 
         # simd-home: ISA code outside src/hamlet/simd/ fires, waiver or
         # not (intrinsics, x86 builtins, GNU vector types, CPU feature
-        # queries, ISA targets); the same code under simd/, prose,
-        # strings, a plain target, a portable builtin, a name that only
-        # ends in vector_size and code outside src/ stay quiet.
+        # queries, ISA targets, popcounts); the same code under simd/,
+        # prose, strings, a plain target, names that only contain
+        # vector_size or popcount and code outside src/ stay quiet.
         for what, snippet in [
             ("intrinsic", "auto v = _mm256_add_pd(a, b);\n"),
             ("sse intrinsic", "int m = _mm_movemask_ps(x);\n"),
@@ -528,6 +528,10 @@ def main():
             ("cpu model query",
              'bool z = __builtin_cpu_is("znver3");\n'),
             ("x86 builtin", "long c = __builtin_ia32_popcntq(x);\n"),
+            ("popcount builtin", "int c = __builtin_popcountll(x);\n"),
+            ("32-bit popcount builtin",
+             "int c = __builtin_popcount(x & m);\n"),
+            ("std popcount", "int c = std::popcount(x ^ y);\n"),
             ("waived intrinsic", "auto v = _mm_add_pd(a, b);"
                                  "  // hamlet-lint: allow(simd-home)\n"),
         ]:
@@ -546,7 +550,9 @@ def main():
                              "typedef double V4 "
                              "__attribute__((vector_size(32)));\n"
                              'bool k = __builtin_cpu_supports("avx2");\n'
-                             "long c = __builtin_ia32_popcntq(x);\n")
+                             "long c = __builtin_ia32_popcntq(x);\n"
+                             "int p = __builtin_popcountll(x);\n"
+                             "int q = std::popcount(x);\n")
                       .write("src/hamlet/ml/a.cc",
                              "// an _mm256_add_pd or __m256d in prose\n"
                              'const char* s = "_mm_add_pd(";\n'
@@ -556,7 +562,10 @@ def main():
                              "// __builtin_ia32_popcntq in prose\n"
                              'const char* t = "vector_size(16)";\n'
                              "size_t my_vector_size = v.size();\n"
-                             "int c = __builtin_popcountll(x);\n")
+                             "// __builtin_popcountll and std::popcount in "
+                             "prose\n"
+                             'const char* u = "std::popcount(x)";\n'
+                             "size_t popcount_total = my_popcount(x);\n")
                       .write("tests/k_test.cc",
                              "__m256d v = _mm256_setzero_pd();\n"
                              'bool k = __builtin_cpu_supports("avx2");\n')
